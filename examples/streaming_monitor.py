@@ -3,8 +3,8 @@
 
 The paper targets telemetry "network operators can provide on a
 continuous, near real-time basis" (§1).  This example simulates a call
-while feeding its telemetry into a StreamingDomino instance chunk by
-chunk, printing detections as their windows complete — the operator's
+while feeding its telemetry into a StreamingDomino instance batch by
+batch, printing detections as their windows complete — the operator's
 live dashboard loop.
 
 Usage:
@@ -23,7 +23,7 @@ def main() -> None:
     result = session.run(duration_us)
     bundle = result.bundle
 
-    stream = api.open_stream(gnb_log_available=False, chunk_us=10_000_000)
+    stream = api.open_stream(gnb_log_available=False)
     # Replay the session's telemetry in 5-second batches, as a collector
     # tailing live NR-Scope + WebRTC feeds would deliver it.
     batch_us = 5_000_000
@@ -53,7 +53,10 @@ def main() -> None:
             consequences = ", ".join(window.consequences)
             print(f"    {window.start_us / 1e6:5.1f}s  {causes} => {consequences}")
     print(f"\nTotal chain detections: {total_chains}")
-    print("Memory stays bounded: records older than one window are evicted.")
+    print(
+        "Memory stays bounded: records are held until their bins are "
+        "ingested, bins until no future window reads them."
+    )
 
 
 if __name__ == "__main__":

@@ -93,7 +93,6 @@ def analyze(
 def open_stream(
     config: Optional[DetectorConfig] = None,
     *,
-    chunk_us: int = 30_000_000,
     cellular_client: str = "cellular",
     wired_client: str = "wired",
     gnb_log_available: bool = True,
@@ -107,7 +106,6 @@ def open_stream(
     """
     return StreamingDomino(
         config=config or DetectorConfig(),
-        chunk_us=chunk_us,
         cellular_client=cellular_client,
         wired_client=wired_client,
         gnb_log_available=gnb_log_available,
@@ -251,9 +249,11 @@ def serve(
     A thin, keyword-compatible constructor for
     :class:`~repro.live.service.LiveRcaService`: every option
     (``backpressure``, ``queue_batches``, ``snapshot_every_s``,
-    ``snapshot_path``, ``adaptive_advance``, ...) passes through.  Run
-    it with ``await service.run()``; replayed traces yield detections
-    byte-identical to :func:`analyze`.
+    ``snapshot_path``, ...) passes through.  Run it with ``await
+    service.run()``.  Each session advances its stream once per ingest
+    batch, so a window's detection arrives one batch after its data;
+    replayed traces yield detections byte-identical to :func:`analyze`
+    by construction (the stream ingests each final bin exactly once).
     """
     return LiveRcaService(sources, config, **options)  # type: ignore[arg-type]
 

@@ -333,7 +333,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
             store_dir=args.store,
             on_snapshot=progress if not args.quiet else None,
             detection_sink=sink,
-            adaptive_advance=args.adaptive_advance,
         )
         try:
             return await service.run()
@@ -1436,12 +1435,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="also ship every detection batch to a cluster "
         "coordinator's live plane (fleet-wide `repro watch`)",
-    )
-    live.add_argument(
-        "--adaptive-advance",
-        action="store_true",
-        help="autotune each session's advance interval: back off "
-        "under sustained lag, speed up when idle",
     )
     live.add_argument(
         "--store",

@@ -77,13 +77,12 @@ FEATURE_NAMES: Tuple[str, ...] = tuple(
 assert len(FEATURE_NAMES) == 36, "the paper's vector has 36 dimensions"
 
 
-def _window_step_bins(
-    window_us: int, step_us: int, timeline: Timeline
+def window_step_bins(
+    window_us: int, step_us: int, dt_us: int
 ) -> Tuple[int, int]:
-    """(window length, step) in timeline bins — shared by both engines."""
-    window_bins = max(1, window_us // timeline.dt_us)
-    step_bins = max(1, step_us // timeline.dt_us)
-    return window_bins, step_bins
+    """(window length, step) in bins of *dt_us* — shared by both engines
+    and the streaming detector."""
+    return max(1, window_us // dt_us), max(1, step_us // dt_us)
 
 
 def _check_no_shadowing(extra_detectors: Dict[str, object]) -> None:
@@ -149,7 +148,7 @@ class FeatureExtractor:
 
     def window_bins(self, timeline: Timeline) -> Tuple[int, int]:
         """(window length, step) in timeline bins."""
-        return _window_step_bins(self.window_us, self.step_us, timeline)
+        return window_step_bins(self.window_us, self.step_us, timeline.dt_us)
 
     def extract(self, timeline: Timeline) -> Iterator[FeatureWindow]:
         """Yield feature vectors for every window position."""
@@ -163,8 +162,9 @@ class FeatureExtractor:
                 for name in names
             }
             yield FeatureWindow(
-                start_us=start * timeline.dt_us,
-                end_us=(start + window_bins) * timeline.dt_us,
+                start_us=timeline.start_us + start * timeline.dt_us,
+                end_us=timeline.start_us
+                + (start + window_bins) * timeline.dt_us,
                 features=features,
             )
             start += step_bins
@@ -238,7 +238,7 @@ class BatchFeatureExtractor:
 
     def window_bins(self, timeline: Timeline) -> Tuple[int, int]:
         """(window length, step) in timeline bins."""
-        return _window_step_bins(self.window_us, self.step_us, timeline)
+        return window_step_bins(self.window_us, self.step_us, timeline.dt_us)
 
     def feature_matrix(
         self, timeline: Timeline
@@ -283,12 +283,13 @@ class BatchFeatureExtractor:
         names = self.feature_names
         starts, matrix = self.feature_matrix(timeline)
         out: List[FeatureWindow] = []
+        origin, dt_us = timeline.start_us, timeline.dt_us
         for row, start in enumerate(starts):
             values = matrix[row]
             out.append(
                 FeatureWindow(
-                    start_us=int(start) * timeline.dt_us,
-                    end_us=(int(start) + window_bins) * timeline.dt_us,
+                    start_us=origin + int(start) * dt_us,
+                    end_us=origin + (int(start) + window_bins) * dt_us,
                     features={
                         name: bool(values[column])
                         for column, name in enumerate(names)

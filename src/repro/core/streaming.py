@@ -3,33 +3,44 @@
 §1 positions Domino for telemetry "network operators can provide on a
 continuous, near real-time basis".  :class:`StreamingDomino` consumes
 records incrementally: feed it telemetry as it arrives, call
-:meth:`advance` with the current time, and receive detections for every
-window whose data is complete — with bounded memory (old records are
-evicted once no future window can reference them).
+:meth:`advance` with the feed's watermark, and receive detections for
+every window whose data is complete.
 
-Each processing chunk runs through the same
-:class:`~repro.core.detector.DominoDetector` as offline analysis, so
-the vectorized batch feature engine (``DetectorConfig.use_batch``) and
-the single-pass timeline ingest apply here too — the per-chunk cost is
-what bounds how far behind real time a live deployment can fall.
+The stream owns one append-only :class:`~repro.telemetry.timeline.Timeline`
+in session time.  Each advance ingests the bins the watermark made
+final exactly once (``Timeline.from_bundle(..., after=timeline)``
+carries forward-fill state across the seam), appends them, runs the
+same :class:`~repro.core.detector.DominoDetector` batch engine as
+offline analysis over only the newly completable windows, and drops
+bins no future window reads.  Every per-bin value therefore equals the
+offline timeline's, so detections are byte-identical to
+``DominoDetector.analyze`` over the same records by construction, at
+any advance cadence.  Memory stays bounded: records are held only until
+their bin is ingested, and bins only until the next window starts past
+them.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from repro.core.detector import DetectorConfig, DominoDetector, WindowDetection
-from repro.telemetry.collect import TelemetryCollector
+from repro.core.features import window_step_bins
+from repro.obs.metrics import get_registry
 from repro.telemetry.records import (
     DciRecord,
     GnbLogRecord,
     PacketRecord,
+    TelemetryBundle,
     WebRtcStatsRecord,
     record_time_us,
 )
 from repro.telemetry.timeline import Timeline
+
+#: Record types the stream accepts, in TelemetryBundle field order.
+_RECORD_TYPES = (DciRecord, GnbLogRecord, PacketRecord, WebRtcStatsRecord)
 
 
 @dataclass
@@ -38,33 +49,36 @@ class StreamingDomino:
 
     Args:
         config: detector configuration (window, step, thresholds, chains).
-        chunk_us: how much history each processing pass spans; must be at
-            least one window.  Larger chunks amortise resampling cost.
         cellular_client / wired_client: client-name labels for the
             WebRTC stats feed.
-        gnb_log_available: whether gNB records should be retained.
+        gnb_log_available: whether gNB records should be kept (when
+            False they are ignored, as the telemetry collector does).
     """
 
     config: DetectorConfig = field(default_factory=DetectorConfig)
-    chunk_us: int = 30_000_000
     cellular_client: str = "cellular"
     wired_client: str = "wired"
     gnb_log_available: bool = True
 
     def __post_init__(self) -> None:
-        if self.chunk_us < self.config.window_us:
-            raise ValueError("chunk_us must cover at least one window")
         self._detector = DominoDetector(self.config)
-        self._next_window_start_us = 0
-        # Time-ordered (ts, seq, record) entries; feed() appends and the
-        # next advance() sorts once, so chunk extraction is a bisect
-        # slice instead of a full rescan per chunk.  seq keeps the sort
-        # stable for equal timestamps (records never get compared).
+        self._window_bins, self._step_bins = window_step_bins(
+            self.config.window_us, self.config.step_us, self.config.dt_us
+        )
+        # Retained bins, [eviction watermark, ingested horizon).
+        self._timeline: Optional[Timeline] = None
+        self._ingested_bin = 0
+        self._next_window_bin = 0
+        # Records awaiting ingest as (ts, seq, record); feed() appends
+        # and the next advance() sorts once, so the ingest cut is a
+        # bisect.  seq keeps the sort stable for equal timestamps
+        # (records never get compared).
         self._records: List[Tuple[int, int, object]] = []
         self._n_sorted = 0
         self._seq = 0
         self.windows_emitted = 0
         self.sorts_performed = 0
+        self.late_records = 0
 
     # -- ingestion ---------------------------------------------------------------
 
@@ -81,8 +95,25 @@ class StreamingDomino:
         self.feed(record)
 
     def feed(self, record) -> None:
-        """Type-dispatching convenience ingester."""
-        entry = (record_time_us(record), self._seq, record)
+        """Type-dispatching convenience ingester.
+
+        A record timestamped before the ingested horizon (a late record,
+        or a re-feed of one already ingested) cannot change a final bin:
+        it is counted in :attr:`late_records` and not buffered.
+        """
+        if type(record) not in _RECORD_TYPES:
+            raise TypeError(f"not a telemetry record: {record!r}")
+        if isinstance(record, GnbLogRecord) and not self.gnb_log_available:
+            return
+        ts = record_time_us(record)
+        if ts < self._ingested_bin * self.config.dt_us:
+            self.late_records += 1
+            get_registry().counter(
+                "repro_stream_late_records_total",
+                help="Records fed behind the streaming ingest horizon.",
+            ).inc()
+            return
+        entry = (ts, self._seq, record)
         # In-order feeds (the common live case: a collector tailing
         # time-ordered sources) keep the buffer sorted as they append,
         # so advance() never has to re-sort; only a genuinely
@@ -105,103 +136,57 @@ class StreamingDomino:
     def advance(self, now_us: int) -> List[WindowDetection]:
         """Process every window that ends at or before *now_us*.
 
-        Returns newly completed window detections, in order.  Records
-        older than one window before the processing frontier are
-        evicted.
+        *now_us* is the feed's watermark: every record timestamped
+        before it has been fed.  Returns newly completed window
+        detections, in order.
         """
+        dt_us = self.config.dt_us
+        end_bin = now_us // dt_us
+        if end_bin > self._ingested_bin:
+            self._ingest(end_bin)
         out: List[WindowDetection] = []
-        window_us = self.config.window_us
-        step_us = self.config.step_us
-        self._ensure_sorted()
-        while self._next_window_start_us + window_us <= now_us:
-            chunk_start = self._next_window_start_us
-            chunk_end = min(chunk_start + self.chunk_us, now_us)
-            n_windows = (chunk_end - chunk_start - window_us) // step_us + 1
-            if n_windows <= 0:
-                break
-            out.extend(self._process_chunk(chunk_start, chunk_end))
-        self._evict(self._next_window_start_us)
+        if self._ingested_bin - self._next_window_bin >= self._window_bins:
+            report = self._detector.analyze_timeline(
+                self._timeline.since(self._next_window_bin * dt_us)
+            )
+            out = report.windows
+            self._next_window_bin += len(out) * self._step_bins
+            self.windows_emitted += len(out)
+        # Keep the bins the next window reads, and at least the last
+        # one: the next segment's forward-fill continues from it.
+        keep_us = min(self._next_window_bin, self._ingested_bin - 1) * dt_us
+        if self._timeline is not None and keep_us > self._timeline.start_us:
+            self._timeline = self._timeline.since(keep_us)
         return out
 
-    def _process_chunk(
-        self, chunk_start: int, chunk_end: int
-    ) -> List[WindowDetection]:
-        collector = TelemetryCollector(
-            "stream",
+    def _ingest(self, end_bin: int) -> None:
+        """Append the bins [ingested horizon, *end_bin*) to the timeline."""
+        dt_us = self.config.dt_us
+        self._ensure_sorted()
+        cut = bisect.bisect_left(self._records, (end_bin * dt_us,))
+        by_type = {kind: [] for kind in _RECORD_TYPES}
+        for _, _, record in self._records[:cut]:
+            by_type[type(record)].append(record)
+        del self._records[:cut]
+        self._n_sorted -= cut
+        dci, gnb_log, packets, webrtc_stats = by_type.values()
+        bundle = TelemetryBundle(
+            session_name="stream",
+            duration_us=end_bin * dt_us,
             cellular_client=self.cellular_client,
             wired_client=self.wired_client,
             gnb_log_available=self.gnb_log_available,
+            dci=dci,
+            gnb_log=gnb_log,
+            packets=packets,
+            webrtc_stats=webrtc_stats,
         )
-        # _records is sorted by (ts, seq); only [chunk_start, chunk_end)
-        # can land in this chunk's windows (earlier records would shift
-        # to negative timestamps and were only ever skipped).
-        lo = bisect.bisect_left(self._records, (chunk_start,))
-        hi = bisect.bisect_left(self._records, (chunk_end,))
-        for _, _, record in self._records[lo:hi]:
-            shifted = self._shift(record, -chunk_start)
-            if shifted is None:
-                continue
-            if isinstance(shifted, DciRecord):
-                collector.record_dci(shifted)
-            elif isinstance(shifted, GnbLogRecord):
-                collector.record_gnb_log(shifted)
-            elif isinstance(shifted, PacketRecord):
-                collector.record_packet_sent(shifted)
-            elif isinstance(shifted, WebRtcStatsRecord):
-                collector.record_webrtc_stats(shifted)
-        bundle = collector.bundle(chunk_end - chunk_start)
-        timeline = Timeline.from_bundle(bundle, dt_us=self.config.dt_us)
-        report = self._detector.analyze_timeline(timeline)
-        emitted = []
-        for window in report.windows:
-            emitted.append(
-                WindowDetection(
-                    start_us=window.start_us + chunk_start,
-                    end_us=window.end_us + chunk_start,
-                    features=window.features,
-                    consequences=window.consequences,
-                    causes=window.causes,
-                    chain_ids=window.chain_ids,
-                )
-            )
-        if emitted:
-            self._next_window_start_us = (
-                emitted[-1].start_us + self.config.step_us
-            )
+        segment = Timeline.from_bundle(bundle, dt_us, after=self._timeline)
+        if self._timeline is None:
+            self._timeline = segment
         else:
-            self._next_window_start_us = chunk_start + self.config.step_us
-        self.windows_emitted += len(emitted)
-        return emitted
-
-    @staticmethod
-    def _shift(record, delta_us: int):
-        """Return a copy of *record* with timestamps shifted by delta."""
-        if isinstance(record, PacketRecord):
-            sent = record.sent_us + delta_us
-            if sent < 0:
-                return None
-            received = (
-                record.received_us + delta_us
-                if record.received_us is not None
-                else None
-            )
-            return replace(record, sent_us=sent, received_us=received)
-        if isinstance(record, (DciRecord, GnbLogRecord, WebRtcStatsRecord)):
-            ts = record.ts_us + delta_us
-            if ts < 0:
-                return None
-            return replace(record, ts_us=ts)
-        return None
-
-    def _evict(self, frontier_us: int) -> None:
-        """Drop records no future window can reference."""
-        horizon = frontier_us - self.config.window_us
-        if horizon <= 0:
-            return
-        keep_from = bisect.bisect_left(self._records, (horizon,))
-        if keep_from:
-            del self._records[:keep_from]
-            self._n_sorted = len(self._records)
+            self._timeline.extend(segment)
+        self._ingested_bin = end_bin
 
     @property
     def chains(self) -> List[Tuple[str, ...]]:
@@ -210,27 +195,16 @@ class StreamingDomino:
 
     @property
     def buffered_records(self) -> int:
+        """Records fed but not yet ingested (at or past the horizon)."""
         return len(self._records)
 
     @property
-    def pending_record_count(self) -> int:
-        """Buffered records not yet consumed by a completed window —
-        everything at or past the processing frontier.  Together with
-        :attr:`buffered_records` this is what a live supervisor reports
-        as its bounded-memory stats."""
-        self._ensure_sorted()
-        return len(self._records) - bisect.bisect_left(
-            self._records, (self._next_window_start_us,)
-        )
-
-    @property
     def eviction_watermark_us(self) -> int:
-        """Timestamp below which records have been evicted: nothing
-        older than this can still be buffered (no future window can
-        reference it)."""
-        return max(0, self._next_window_start_us - self.config.window_us)
+        """Start of the retained bins: nothing older is held, because no
+        future window can reference it."""
+        return self._timeline.start_us if self._timeline is not None else 0
 
     @property
     def frontier_us(self) -> int:
         """Start of the next window advance() will complete."""
-        return self._next_window_start_us
+        return self._next_window_bin * self.config.dt_us

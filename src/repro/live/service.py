@@ -7,7 +7,9 @@ asyncio loop, folds their detections through a shared
 :class:`~repro.live.aggregator.FleetSnapshot` rollups — to a callback,
 and optionally to a JSON file `repro watch` renders.  Housekeeping
 evicts sessions whose feed has gone idle, so a wedged source cannot pin
-its queue and detector state forever.
+its queue and detector state forever.  Every supervisor advances its
+stream once per ingest batch, so detections trail the feed by one batch
+and equal offline analysis of the same records by construction.
 
 The service is the coordinator half of a worker/coordinator seam:
 supervisors only touch their own source and detector, the aggregator
@@ -69,8 +71,8 @@ class LiveRcaService:
     Args:
         sources: one telemetry feed per session.
         detector_config: Domino configuration shared by all sessions.
-        chunk_us / queue_batches / backpressure: per-supervisor knobs
-            (see :class:`~repro.live.supervisor.SessionSupervisor`).
+        queue_batches / backpressure: per-supervisor knobs (see
+            :class:`~repro.live.supervisor.SessionSupervisor`).
         snapshot_every_s: periodic rollup interval.
         idle_timeout_s: evict a session after this long without feed
             progress (None = never evict).
@@ -89,8 +91,6 @@ class LiveRcaService:
             :class:`~repro.cluster.client.DetectionForwarder` plugs
             into to mirror this service's detections onto a remote
             cluster coordinator.
-        adaptive_advance: let each supervisor autotune its advance
-            interval (see :class:`SessionSupervisor`).
     """
 
     def __init__(
@@ -98,7 +98,6 @@ class LiveRcaService:
         sources: Sequence[TelemetrySource],
         detector_config: Optional[DetectorConfig] = None,
         *,
-        chunk_us: int = 30_000_000,
         queue_batches: int = 64,
         backpressure: str = "block",
         snapshot_every_s: float = 0.5,
@@ -108,7 +107,6 @@ class LiveRcaService:
         store_dir: Optional[str] = None,
         on_snapshot: Optional[Callable[[FleetSnapshot], None]] = None,
         detection_sink=None,
-        adaptive_advance: bool = False,
     ) -> None:
         if not sources:
             raise ConfigError("need at least one telemetry source")
@@ -126,10 +124,8 @@ class LiveRcaService:
                 SessionSupervisor(
                     source,
                     detector_config,
-                    chunk_us=chunk_us,
                     queue_batches=queue_batches,
                     backpressure=backpressure,
-                    adaptive_advance=adaptive_advance,
                     on_detections=self._fold_detections,
                 )
             )

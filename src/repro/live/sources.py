@@ -41,14 +41,13 @@ class TelemetryBatch:
         records: telemetry records, any type mix, any order within the
             batch.
         watermark_us: every record timestamped strictly before this has
-            been delivered (in this batch or an earlier one).
-        final: last batch of the feed; its watermark is the session's
-            full duration so every remaining window completes.
+            been delivered (in this batch or an earlier one).  A feed's
+            last batch carries the session's full duration, so every
+            remaining window completes.
     """
 
     records: List[object] = field(default_factory=list)
     watermark_us: int = 0
-    final: bool = False
 
 
 class TelemetrySource(Protocol):
@@ -176,9 +175,7 @@ class ReplaySource:
                 await _pace(self.speed, self.batch_us)
                 pending = []
                 cursor_us += self.batch_us
-        yield TelemetryBatch(
-            pending, watermark_us=self.duration_us, final=True
-        )
+        yield TelemetryBatch(pending, watermark_us=self.duration_us)
 
 
 class SimSource:
@@ -237,9 +234,7 @@ class SimSource:
                 )
             await _pace(self.speed, self.batch_us)
         yield TelemetryBatch(
-            collector.drain(self.duration_us),
-            watermark_us=self.duration_us,
-            final=True,
+            collector.drain(self.duration_us), watermark_us=self.duration_us
         )
 
 

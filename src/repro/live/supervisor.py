@@ -5,7 +5,9 @@ drains the session's :class:`~repro.live.sources.TelemetrySource` into a
 bounded ingest queue, and a consume task feeds each batch into a
 :class:`~repro.core.streaming.StreamingDomino`, advances it to the
 batch watermark, and hands the completed window detections to the
-service's aggregator.
+service's aggregator.  Every batch is one advance: the stream ingests
+only the bins that batch made final, so a window's detection arrives
+one ingest batch after its data.
 
 Backpressure policy is explicit:
 
@@ -58,9 +60,9 @@ class SessionSnapshot:
     realtime_factor: float  # watermark_s / wall_s
     lag_events: int  # records dropped by backpressure
     queue_depth: int
-    buffered_records: int
-    pending_records: int
-    eviction_watermark_s: float
+    buffered_records: int  # records fed but not yet ingested
+    pending_records: int  # the same count: nothing else is held
+    eviction_watermark_s: float  # start of the retained timeline bins
     windows: int
     detected_windows: int
 
@@ -84,47 +86,20 @@ class SessionSupervisor:
     Args:
         source: the session's telemetry feed.
         detector_config: Domino configuration for this session.
-        chunk_us: StreamingDomino processing-chunk span.
         queue_batches: ingest queue bound (batches, not records).
         backpressure: ``"block"`` or ``"drop_oldest"`` (see module
             docstring).
-        advance_interval_us: minimum telemetry time between
-            ``advance()`` calls.  Each advance re-collects its chunk, so
-            advancing on every 1 s ingest batch costs ~5× more than
-            advancing once per completed window; coalescing is what lets
-            one core sustain 64+ concurrent sessions.  Detection
-            latency grows to at most this interval; the feed (and the
-            reported watermark) is never delayed.
-        adaptive_advance: autotune the advance interval at runtime —
-            back off (doubling, up to ``max_advance_interval_us``) while
-            the ingest queue stays deep or drop-oldest backpressure is
-            shedding records, speed back up (halving, down to
-            ``min_advance_interval_us``) after sustained idle.  Advance
-            cadence only changes *when* completed windows are handed
-            downstream, never *which* windows: detections stay
-            byte-identical to the fixed-interval pipeline, and lag
-            accounting is untouched.
-        min_advance_interval_us / max_advance_interval_us: adaptive
-            bounds; default to ¼× and 8× the base interval.
         on_detections: sink invoked with every non-empty detection
             batch, typically ``LiveAggregator.update`` via the service.
     """
-
-    #: Consecutive empty-queue batches before adaptivity speeds up.
-    IDLE_BATCHES_TO_SPEED_UP = 4
 
     def __init__(
         self,
         source: TelemetrySource,
         detector_config: Optional[DetectorConfig] = None,
         *,
-        chunk_us: int = 30_000_000,
         queue_batches: int = 64,
         backpressure: str = "block",
-        advance_interval_us: int = 5_000_000,
-        adaptive_advance: bool = False,
-        min_advance_interval_us: Optional[int] = None,
-        max_advance_interval_us: Optional[int] = None,
         on_detections: Optional[DetectionSink] = None,
     ) -> None:
         if backpressure not in ("block", "drop_oldest"):
@@ -135,29 +110,13 @@ class SessionSupervisor:
         self.source = source
         self.stream = StreamingDomino(
             config=detector_config or DetectorConfig(),
-            chunk_us=chunk_us,
             gnb_log_available=source.gnb_log_available,
         )
         self.backpressure = backpressure
-        self.advance_interval_us = advance_interval_us
-        self.adaptive_advance = adaptive_advance
-        self.min_advance_interval_us = (
-            min_advance_interval_us
-            if min_advance_interval_us is not None
-            else max(advance_interval_us // 4, 1)
-        )
-        self.max_advance_interval_us = (
-            max_advance_interval_us
-            if max_advance_interval_us is not None
-            else advance_interval_us * 8
-        )
-        self._lag_seen = 0
-        self._idle_batches = 0
         self.on_detections = on_detections
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_batches)
         self.lag_events = 0
         self.watermark_us = 0
-        self._last_advance_us = 0
         self._feed_watermark_us = 0
         self.detected_windows = 0
         self.state = RUNNING
@@ -224,58 +183,15 @@ class SessionSupervisor:
             ):
                 for record in batch.records:
                     self.stream.feed(record)
-            self.watermark_us = max(self.watermark_us, batch.watermark_us)
             self.last_progress_at = loop.time()
-            self._adapt_advance_interval()
-            if not batch.final and (
-                batch.watermark_us - self._last_advance_us
-                < self.advance_interval_us
-            ):
-                await asyncio.sleep(0)
-                continue
             self._flush(batch.watermark_us)
             # One batch per loop turn: keep 64 sessions interleaving.
             await asyncio.sleep(0)
-
-    def _adapt_advance_interval(self) -> None:
-        """Autotune advance coalescing from queue pressure (one batch).
-
-        Sustained lag (dropped records, or a half-full ingest queue)
-        doubles the interval — fewer, larger advances shed detector
-        cost so the consumer catches up.  Sustained idle (empty queue)
-        halves it back — detection latency shrinks when there is slack.
-        """
-        if not self.adaptive_advance:
-            return
-        qsize = self._queue.qsize()
-        maxsize = self._queue.maxsize
-        lagged = self.lag_events > self._lag_seen
-        # maxsize >= 2: with a 1-deep queue, `qsize >= maxsize // 2`
-        # would be `>= 0` — always true, pinning the interval at max
-        # even when idle.  A 1-deep queue signals pressure through lag
-        # events alone.
-        if lagged or (maxsize >= 2 and qsize >= max(maxsize // 2, 1)):
-            self._lag_seen = self.lag_events
-            self._idle_batches = 0
-            self.advance_interval_us = min(
-                self.advance_interval_us * 2, self.max_advance_interval_us
-            )
-        elif qsize == 0:
-            self._idle_batches += 1
-            if self._idle_batches >= self.IDLE_BATCHES_TO_SPEED_UP:
-                self._idle_batches = 0
-                self.advance_interval_us = max(
-                    self.advance_interval_us // 2,
-                    self.min_advance_interval_us,
-                )
-        else:
-            self._idle_batches = 0
 
     def _flush(self, watermark_us: int) -> None:
         """Advance the stream and hand completed windows downstream."""
         with span("live.advance", session=self.session_id):
             detections = self.stream.advance(watermark_us)
-        self._last_advance_us = max(self._last_advance_us, watermark_us)
         self.watermark_us = max(self.watermark_us, watermark_us)
         if detections:
             self.detected_windows += sum(
@@ -346,7 +262,7 @@ class SessionSupervisor:
             lag_events=self.lag_events,
             queue_depth=self._queue.qsize(),
             buffered_records=self.stream.buffered_records,
-            pending_records=self.stream.pending_record_count,
+            pending_records=self.stream.buffered_records,
             eviction_watermark_s=self.stream.eviction_watermark_us / 1e6,
             windows=self.stream.windows_emitted,
             detected_windows=self.detected_windows,

@@ -22,6 +22,11 @@ per-record Python work), and every per-bin aggregate is then a
 arrays.  Accumulation order per bin equals record order — the same
 order the per-record loops used — so the resulting series are
 bit-identical to the loop formulation.
+
+A timeline can also be built in time-ordered segments: every per-bin
+aggregate depends only on that bin's records, and forward-fill carries
+in through ``from_bundle(..., after=previous)``, so segments appended
+with :meth:`Timeline.extend` equal one ingest of the whole bundle.
 """
 
 from __future__ import annotations
@@ -46,15 +51,15 @@ from repro.telemetry.records import (
 GCC_STATE_CODE = {"underuse": -1, "normal": 0, "overuse": 1}
 
 
-def _forward_fill(values: np.ndarray) -> np.ndarray:
-    """Forward-fill NaNs in place (leading NaNs become 0)."""
+def _forward_fill(values: np.ndarray, fill: float) -> np.ndarray:
+    """Forward-fill NaNs (leading NaNs become *fill*)."""
     mask = np.isnan(values)
     if not mask.any():
         return values
     idx = np.where(~mask, np.arange(len(values)), 0)
     np.maximum.accumulate(idx, out=idx)
     filled = values[idx]
-    filled[np.isnan(filled)] = 0.0
+    filled[np.isnan(filled)] = fill
     return filled
 
 
@@ -67,11 +72,14 @@ class Timeline:
         n_bins: number of bins.
         series: mapping from variable name to a float array of length
             ``n_bins``.
+        start_us: session time of the first bin (0 unless the timeline
+            continues an earlier segment).
     """
 
     dt_us: int
     n_bins: int
     series: Dict[str, np.ndarray] = field(default_factory=dict)
+    start_us: int = 0
 
     #: App-stat fields copied per client from WebRtcStatsRecord.
     _APP_FIELDS = (
@@ -91,18 +99,44 @@ class Timeline:
 
     @classmethod
     def from_bundle(
-        cls, bundle: TelemetryBundle, dt_us: int = 50_000
+        cls,
+        bundle: TelemetryBundle,
+        dt_us: int = 50_000,
+        after: Optional["Timeline"] = None,
     ) -> "Timeline":
-        """Resample *bundle* onto a uniform grid of *dt_us* bins."""
+        """Resample *bundle* onto a uniform grid of *dt_us* bins.
+
+        With *after*, the result is the segment that continues that
+        timeline: its bins run from ``after.end_us`` up to the bundle's
+        ``duration_us`` (a session time), records before ``after.end_us``
+        fall outside it, and forward-filled series start from *after*'s
+        last values instead of 0.
+        """
         if dt_us <= 0:
             raise TelemetryError("dt_us must be positive")
-        n_bins = max(1, math.ceil(bundle.duration_us / dt_us))
+        start_us = 0
+        fills: Dict[str, float] = {}
+        if after is not None:
+            if after.dt_us != dt_us or after.n_bins == 0:
+                raise TelemetryError(
+                    "after= must share dt_us and hold at least one bin"
+                )
+            start_us = after.end_us
+            if bundle.duration_us <= start_us:
+                raise TelemetryError(
+                    "bundle ends before the timeline it continues"
+                )
+            fills = {
+                name: float(values[-1])
+                for name, values in after.series.items()
+            }
+        n_bins = max(1, math.ceil((bundle.duration_us - start_us) / dt_us))
         with span("ingest.from_bundle", n_bins=n_bins):
-            timeline = cls(dt_us=dt_us, n_bins=n_bins)
-            timeline._ingest_webrtc(bundle)
-            timeline._ingest_packets(bundle)
-            timeline._ingest_dci(bundle)
-            timeline._ingest_gnb_log(bundle)
+            timeline = cls(dt_us=dt_us, n_bins=n_bins, start_us=start_us)
+            timeline._ingest_webrtc(bundle, fills)
+            timeline._ingest_packets(bundle, fills)
+            timeline._ingest_dci(bundle, fills)
+            timeline._ingest_gnb_log(bundle, fills)
         registry = get_registry()
         registry.counter(
             "repro_bundles_ingested_total",
@@ -116,23 +150,19 @@ class Timeline:
 
     # -- construction helpers -------------------------------------------------
 
-    def _bin(self, ts_us: int) -> Optional[int]:
-        index = ts_us // self.dt_us
-        if 0 <= index < self.n_bins:
-            return int(index)
-        return None
-
     def _new(self, name: str, fill: float = np.nan) -> np.ndarray:
         array = np.full(self.n_bins, fill, dtype=float)
         self.series[name] = array
         return array
 
     def _bin_indices(self, ts_us: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Vectorized :meth:`_bin`: (bin index, in-range mask)."""
-        index = ts_us // self.dt_us
+        """(bin index, in-range mask) of each timestamp."""
+        index = ts_us // self.dt_us - self.start_us // self.dt_us
         return index, (index >= 0) & (index < self.n_bins)
 
-    def _ingest_webrtc(self, bundle: TelemetryBundle) -> None:
+    def _ingest_webrtc(
+        self, bundle: TelemetryBundle, fills: Dict[str, float]
+    ) -> None:
         for role in ("local", "remote"):
             for fieldname in self._APP_FIELDS:
                 self._new(f"{role}_{fieldname}")
@@ -188,9 +218,13 @@ class Timeline:
             if name.endswith(("_frozen", "_concealed", "_total_samples")):
                 continue
             if name.startswith(("local_", "remote_")):
-                self.series[name] = _forward_fill(self.series[name])
+                self.series[name] = _forward_fill(
+                    self.series[name], fills.get(name, 0.0)
+                )
 
-    def _ingest_packets(self, bundle: TelemetryBundle) -> None:
+    def _ingest_packets(
+        self, bundle: TelemetryBundle, fills: Dict[str, float]
+    ) -> None:
         packets = bundle.packets
         n = len(packets)
         sent = np.fromiter((p.sent_us for p in packets), np.int64, n)
@@ -243,8 +277,13 @@ class Timeline:
                     rtcp_delay_sum / np.maximum(rtcp_delay_count, 1),
                     np.nan,
                 ) / 1000.0
-            self.series[f"{direction}_packet_delay_ms"] = _forward_fill(delay_ms)
-            self.series[f"{direction}_rtcp_delay_ms"] = _forward_fill(rtcp_ms)
+            for name, values in (
+                (f"{direction}_packet_delay_ms", delay_ms),
+                (f"{direction}_rtcp_delay_ms", rtcp_ms),
+            ):
+                self.series[name] = _forward_fill(
+                    values, fills.get(name, 0.0)
+                )
             self.series[f"{direction}_lost_packets"] = lost
             # App send rate in bit/s over each bin (condition 14 input).
             self.series[f"{direction}_app_bitrate_bps"] = (
@@ -260,7 +299,9 @@ class Timeline:
     #: per-direction set rebuild.
     _CROSS_TRAFFIC_RNTI_FLOOR = 40_000
 
-    def _ingest_dci(self, bundle: TelemetryBundle) -> None:
+    def _ingest_dci(
+        self, bundle: TelemetryBundle, fills: Dict[str, float]
+    ) -> None:
         records = bundle.dci
         n = len(records)
         ts = np.fromiter((r.ts_us for r in records), np.int64, n)
@@ -329,9 +370,13 @@ class Timeline:
             self.series[f"{direction}_scheduled"] = (mcs_count > 0).astype(
                 float
             )
-            self.series[f"{direction}_rnti"] = _forward_fill(rnti_series)
+            self.series[f"{direction}_rnti"] = _forward_fill(
+                rnti_series, fills.get(f"{direction}_rnti", 0.0)
+            )
 
-    def _ingest_gnb_log(self, bundle: TelemetryBundle) -> None:
+    def _ingest_gnb_log(
+        self, bundle: TelemetryBundle, fills: Dict[str, float]
+    ) -> None:
         records = bundle.gnb_log
         n = len(records)
         ts = np.fromiter((r.ts_us for r in records), np.int64, n)
@@ -364,8 +409,9 @@ class Timeline:
             rlc_retx = np.bincount(
                 index[mask & is_rlc_retx], minlength=nb
             ).astype(float)
-            self.series[f"{direction}_rlc_buffer_bytes"] = _forward_fill(
-                buffer_bytes
+            name = f"{direction}_rlc_buffer_bytes"
+            self.series[name] = _forward_fill(
+                buffer_bytes, fills.get(name, 0.0)
             )
             self.series[f"{direction}_rlc_retx"] = rlc_retx
         self.series["rrc_events"] = np.bincount(
@@ -384,9 +430,37 @@ class Timeline:
         return name in self.series
 
     @property
+    def end_us(self) -> int:
+        """Session time just past the last bin."""
+        return self.start_us + self.n_bins * self.dt_us
+
+    @property
     def t_us(self) -> np.ndarray:
         """Bin start times."""
-        return np.arange(self.n_bins, dtype=np.int64) * self.dt_us
+        bins = np.arange(self.n_bins, dtype=np.int64)
+        return self.start_us + bins * self.dt_us
+
+    def extend(self, segment: "Timeline") -> None:
+        """Append *segment*, built with ``from_bundle(..., after=self)``."""
+        if segment.dt_us != self.dt_us or segment.start_us != self.end_us:
+            raise TelemetryError("segment does not continue this timeline")
+        for name, values in self.series.items():
+            self.series[name] = np.concatenate(
+                (values, segment.series[name])
+            )
+        self.n_bins += segment.n_bins
+
+    def since(self, start_us: int) -> "Timeline":
+        """The bins from *start_us* (a bin boundary) on, without copying."""
+        offset = (start_us - self.start_us) // self.dt_us
+        return Timeline(
+            dt_us=self.dt_us,
+            n_bins=self.n_bins - offset,
+            series={
+                name: values[offset:] for name, values in self.series.items()
+            },
+            start_us=self.start_us + offset * self.dt_us,
+        )
 
     def window(self, start_bin: int, length_bins: int) -> "Dict[str, np.ndarray]":
         """Slice every series to [start_bin, start_bin + length_bins)."""

@@ -183,14 +183,15 @@ def test_live_sim_source(capsys):
     assert "1 done" in captured
 
 
-def test_fleet_cache_dir_rerun_skips_simulation(tmp_path, capsys):
-    import time
+def test_fleet_cache_dir_rerun_skips_simulation(tmp_path, capsys, monkeypatch):
+    from repro.fleet.scenarios import PRESETS, ScenarioSpec
+    from repro.obs.metrics import get_registry
 
     cache_dir = str(tmp_path / "cache")
+    hits = get_registry().counter("repro_fleet_cache_hits_total")
 
     def run(out_name):
         out = str(tmp_path / out_name)
-        start = time.perf_counter()
         code = main(
             [
                 "fleet",
@@ -202,16 +203,21 @@ def test_fleet_cache_dir_rerun_skips_simulation(tmp_path, capsys):
                 cache_dir,
             ]
         )
-        elapsed = time.perf_counter() - start
         assert code == 0
         capsys.readouterr()
         with open(out, "rb") as handle:
-            return handle.read(), elapsed
+            return handle.read()
 
-    cold_bytes, cold_elapsed = run("cold.jsonl")
-    warm_bytes, warm_elapsed = run("warm.jsonl")
+    cold_bytes = run("cold.jsonl")
+
+    def no_simulation(self):
+        raise AssertionError(f"{self.name} simulated on a warm cache")
+
+    monkeypatch.setattr(ScenarioSpec, "build_session", no_simulation)
+    hits_before = hits.total()
+    warm_bytes = run("warm.jsonl")
     assert warm_bytes == cold_bytes
-    assert warm_elapsed < cold_elapsed / 5  # cache hits, no simulation
+    assert hits.total() - hits_before == len(PRESETS["smoke"].expand())
 
 
 def test_sigterm_graceful_drain_flushes_metrics_file(tmp_path):

@@ -19,6 +19,7 @@ from repro.fleet.executor import (
     scenario_fingerprint,
 )
 from repro.fleet.scenarios import ImpairmentSpec, ScenarioMatrix, ScenarioSpec
+from repro.obs.metrics import get_registry
 from repro.telemetry.io import load_bundle
 
 #: Small but non-trivial: two cells, one impairment, 8 s sessions (the
@@ -216,19 +217,22 @@ def test_future_format_version_rejected(tmp_path, serial_outcomes):
 # -- outcome caching -----------------------------------------------------------
 
 
-def test_cached_rerun_skips_simulation_and_matches(tmp_path):
+def test_cached_rerun_skips_simulation_and_matches(tmp_path, monkeypatch):
     spec = _MATRIX.expand()[0]
     cache_dir = str(tmp_path / "cache")
-    cold_start = time.perf_counter()
     cold = run_scenario(spec, cache_dir=cache_dir)
-    cold_elapsed = time.perf_counter() - cold_start
     entries = glob.glob(os.path.join(cache_dir, "**", "*.json"), recursive=True)
     assert len(entries) == 1
-    warm_start = time.perf_counter()
+
+    def no_simulation(self):
+        raise AssertionError(f"{self.name} simulated on a warm cache")
+
+    monkeypatch.setattr(ScenarioSpec, "build_session", no_simulation)
+    hits = get_registry().counter("repro_fleet_cache_hits_total")
+    hits_before = hits.total()
     warm = run_scenario(spec, cache_dir=cache_dir)
-    warm_elapsed = time.perf_counter() - warm_start
     assert warm == cold
-    assert warm_elapsed < cold_elapsed / 10  # no simulation happened
+    assert hits.total() - hits_before == 1
 
 
 def test_corrupt_cache_entry_is_resimulated(tmp_path):

@@ -135,9 +135,7 @@ def _record_batches(bundle, batch_us, duration_us):
             pending = []
             cursor += batch_us
         pending.append(record)
-    batches.append(
-        TelemetryBatch(pending, watermark_us=duration_us, final=True)
-    )
+    batches.append(TelemetryBatch(pending, watermark_us=duration_us))
     return batches
 
 
@@ -451,102 +449,6 @@ def test_duplicate_session_ids_rejected(short_bundle):
                 ReplaySource(short_bundle, session_id="dup"),
             ]
         )
-
-
-# -- adaptive advance interval ---------------------------------------------------
-
-
-def test_adaptive_advance_detections_stay_byte_identical(replay_bundle):
-    """Adaptivity changes *when* windows are handed downstream, never
-    *which* windows: a replayed trace still matches offline exactly."""
-    offline = DominoDetector().analyze(replay_bundle)
-    service = LiveRcaService(
-        [ReplaySource(replay_bundle, session_id="ad", profile="amarisoft")],
-        adaptive_advance=True,
-    )
-    live = _collect_live_detections(service)
-    asyncio.run(service.run())
-    assert canonical_detections(live["ad"]) == canonical_detections(
-        offline.windows
-    )
-    supervisor = service.supervisors[0]
-    assert (
-        supervisor.min_advance_interval_us
-        <= supervisor.advance_interval_us
-        <= supervisor.max_advance_interval_us
-    )
-
-
-def test_adaptive_advance_backs_off_and_recovers(replay_bundle):
-    """Queue pressure doubles the interval toward the cap; sustained
-    idle halves it back toward the floor.  Lag accounting untouched."""
-    from repro.live.supervisor import SessionSupervisor
-
-    supervisor = SessionSupervisor(
-        _ScriptedSource([]),
-        adaptive_advance=True,
-        advance_interval_us=4_000_000,
-        queue_batches=4,
-        backpressure="drop_oldest",
-    )
-    base = supervisor.advance_interval_us
-    # Half-full queue → back off, doubling up to the cap.
-    supervisor._queue.put_nowait(TelemetryBatch(watermark_us=1))
-    supervisor._queue.put_nowait(TelemetryBatch(watermark_us=2))
-    for _ in range(10):
-        supervisor._adapt_advance_interval()
-    assert supervisor.advance_interval_us == supervisor.max_advance_interval_us
-    # Fresh lag alone (queue empty) also backs off once.
-    supervisor._queue.get_nowait()
-    supervisor._queue.get_nowait()
-    lagged = SessionSupervisor(
-        _ScriptedSource([]),
-        adaptive_advance=True,
-        advance_interval_us=4_000_000,
-        backpressure="drop_oldest",
-    )
-    lagged.lag_events = 100
-    lagged._adapt_advance_interval()
-    assert lagged.advance_interval_us == 2 * 4_000_000
-    assert lagged.lag_events == 100  # accounting preserved
-    # Sustained idle → halve every IDLE_BATCHES_TO_SPEED_UP batches,
-    # down to the floor.
-    for _ in range(
-        20 * SessionSupervisor.IDLE_BATCHES_TO_SPEED_UP
-    ):
-        supervisor._adapt_advance_interval()
-    assert supervisor.advance_interval_us == supervisor.min_advance_interval_us
-    assert supervisor.min_advance_interval_us == base // 4
-
-
-def test_adaptive_one_deep_queue_never_pins_at_max(replay_bundle):
-    """A 1-deep queue must not degenerate (`maxsize // 2 == 0` would
-    make every batch look pressured): idle sessions still speed up."""
-    from repro.live.supervisor import SessionSupervisor
-
-    supervisor = SessionSupervisor(
-        _ScriptedSource([]),
-        adaptive_advance=True,
-        queue_batches=1,
-        backpressure="drop_oldest",
-    )
-    base = supervisor.advance_interval_us
-    for _ in range(4 * SessionSupervisor.IDLE_BATCHES_TO_SPEED_UP):
-        supervisor._adapt_advance_interval()
-    assert supervisor.advance_interval_us == supervisor.min_advance_interval_us
-    assert supervisor.advance_interval_us < base
-
-
-def test_fixed_interval_by_default(replay_bundle):
-    """Without opting in, the interval never moves (back-compat)."""
-    from repro.live.supervisor import SessionSupervisor
-
-    supervisor = SessionSupervisor(_ScriptedSource([]))
-    base = supervisor.advance_interval_us
-    supervisor.lag_events = 50
-    for _ in range(8):
-        supervisor._adapt_advance_interval()
-    assert supervisor.advance_interval_us == base
 
 
 # -- watch --follow trend view ---------------------------------------------------

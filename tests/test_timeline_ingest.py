@@ -7,6 +7,8 @@ out-of-range timestamp dropping, lost/RTCP packet classification, and
 the experiment-vs-cross-traffic RNTI floor.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,59 @@ def test_empty_bundle_builds_quiet_grid():
     assert np.all(np.isnan(timeline["ul_mcs_mean"]))
     assert np.all(timeline["local_inbound_fps"] == 0)  # ffill of leading NaN
     assert np.all(timeline["rrc_events"] == 0)
+
+
+def test_segments_continued_with_after_equal_one_ingest():
+    """Ingesting a session in segments, each continuing the last with
+    ``after=`` and appended with ``extend``, reproduces the one-shot
+    timeline bit for bit: every forward-filled series has a gap across
+    each seam, so its value must carry in from the segment before."""
+    stats = dict(inbound_fps=24.0, target_bitrate_bps=1e6, gcc_state="overuse")
+    bundle = _bundle(
+        dci=[
+            _dci(10_000, rnti=17_000),
+            _dci(10_000, rnti=17_001, is_uplink=False),
+            _dci(860_000, rnti=17_010),
+        ],
+        packets=[
+            _packet(10_000, 30_000),
+            _packet(10_000, 45_000, stream=StreamKind.RTCP),
+            _packet(10_000, 110_000, is_uplink=False),
+        ],
+        webrtc_stats=[
+            WebRtcStatsRecord(ts_us=10_000, client="cellular", **stats),
+            WebRtcStatsRecord(ts_us=10_000, client="wired", **stats),
+        ],
+        gnb_log=[
+            GnbLogRecord(
+                ts_us=10_000,
+                kind=GnbLogKind.RLC_BUFFER,
+                is_uplink=flag,
+                buffer_bytes=900,
+            )
+            for flag in (True, False)
+        ],
+    )
+    whole = Timeline.from_bundle(bundle, dt_us=50_000)
+    timeline = None
+    cuts = (0, 300_000, 900_000, 1_000_000)
+    for start, end in zip(cuts, cuts[1:]):
+        # Every record, every time: from_bundle keeps only the segment's.
+        segment = Timeline.from_bundle(
+            dataclasses.replace(bundle, duration_us=end),
+            dt_us=50_000,
+            after=timeline,
+        )
+        assert segment.start_us == start
+        if timeline is None:
+            timeline = segment
+        else:
+            timeline.extend(segment)
+    assert timeline.n_bins == whole.n_bins
+    assert list(timeline.series) == list(whole.series)
+    for name, values in whole.series.items():
+        assert np.array_equal(timeline[name], values, equal_nan=True), name
+    assert timeline["dl_rnti"][-1] == 17_001
+    tail = timeline.since(300_000)
+    assert tail.start_us == 300_000
+    assert np.array_equal(tail.t_us, whole.t_us[6:])
