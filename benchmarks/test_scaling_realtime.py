@@ -7,7 +7,7 @@ trace) per minute of trace, and the implied real-time factor — how many
 concurrent sessions one core could monitor live.
 
 It also pits the vectorized batch feature engine (the production
-default) against the per-window reference engine on the same trace,
+engine) against the per-window reference engine on the same trace,
 asserts their detections are identical, and emits a machine-readable
 ``BENCH_scaling.json`` next to the text table so CI's perf-smoke step
 (``benchmarks/check_perf.py``) can fail on per-window-cost regressions.
@@ -20,7 +20,9 @@ import time
 from conftest import RESULTS_DIR, save_result
 
 from repro.analysis.ascii import render_table
-from repro.core.detector import DetectorConfig, DominoDetector
+from repro.core.detector import DominoDetector, DominoReport, WindowDetection
+from repro.core.features import FeatureExtractor
+from repro.core.trace import evaluate_chains
 from repro.obs.metrics import get_registry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SPAN_HISTOGRAM
@@ -39,6 +41,43 @@ def _truncate(bundle: TelemetryBundle, duration_us: int) -> TelemetryBundle:
         gnb_log=[r for r in bundle.gnb_log if r.ts_us < duration_us],
         packets=[p for p in bundle.packets if p.sent_us < duration_us],
         webrtc_stats=[r for r in bundle.webrtc_stats if r.ts_us < duration_us],
+    )
+
+
+def _reference_extractor(detector):
+    config = detector.config
+    return FeatureExtractor(
+        window_us=config.window_us,
+        step_us=config.step_us,
+        config=config.events,
+    )
+
+
+def _reference_analyze(detector, bundle):
+    """The per-window oracle pipeline: the reference feature engine and
+    the interpreted chain evaluator over *detector*'s chains."""
+    timeline = Timeline.from_bundle(bundle, dt_us=detector.config.dt_us)
+    windows = []
+    for window in _reference_extractor(detector).extract_all(timeline):
+        consequences, causes, chain_ids = evaluate_chains(
+            window.features, detector.chains
+        )
+        windows.append(
+            WindowDetection(
+                start_us=window.start_us,
+                end_us=window.end_us,
+                features=window.features,
+                consequences=sorted(consequences),
+                causes=sorted(causes),
+                chain_ids=sorted(chain_ids),
+            )
+        )
+    return DominoReport(
+        session_name=bundle.session_name,
+        duration_us=bundle.duration_us,
+        step_us=detector.config.step_us,
+        chains=detector.chains,
+        windows=windows,
     )
 
 
@@ -97,19 +136,19 @@ def test_scaling_realtime_factor(benchmark, fdd_results):
     # detections, and the feature phase (the part the batch engine
     # vectorizes) timed per engine for the regression gate.
     sixty = _truncate(bundle, int(60e6))
-    reference_detector = DominoDetector(DetectorConfig(use_batch=False))
     start = time.perf_counter()
-    reference_report = reference_detector.analyze(sixty)
+    reference_report = _reference_analyze(detector, sixty)
     reference_elapsed = time.perf_counter() - start
     batch_report = detector.analyze(sixty)
     _assert_identical_reports(batch_report, reference_report)
 
     timeline = Timeline.from_bundle(sixty)
     start = time.perf_counter()
-    batch_windows = detector.batch_extractor.extract_all(timeline)
+    batch_windows = detector.extractor.extract_all(timeline)
     batch_features_s = time.perf_counter() - start
+    reference_extractor = _reference_extractor(detector)
     start = time.perf_counter()
-    reference_windows = detector.extractor.extract_all(timeline)
+    reference_windows = reference_extractor.extract_all(timeline)
     reference_features_s = time.perf_counter() - start
     assert batch_windows == reference_windows
 
@@ -140,7 +179,7 @@ def test_scaling_realtime_factor(benchmark, fdd_results):
             "ingest": ("repro.telemetry.timeline:",),
             "features": ("repro.core.features:",),
             "trace": (
-                "repro.core.detector:_trace",
+                "<domino-codegen>:",
                 "repro.core.graph:",
                 "repro.core.chains:",
                 "repro.core.codegen:",

@@ -8,7 +8,7 @@ the whole topology inside one process (coordinator and both workers on
 the loopback interface; the scenario simulations still fan out to real
 worker processes), runs the ``smoke`` campaign preset through it, and
 then proves the distribution layer is *free of semantics*: the
-outcomes are byte-identical to a plain single-host ``run_campaign``.
+outcomes are byte-identical to a plain single-host ``api.campaign``.
 
 The same byte-for-byte check doubles as the CI cluster smoke gate, so
 the demo exits non-zero on any mismatch.

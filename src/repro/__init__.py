@@ -22,8 +22,8 @@ Quickstart (the public API lives in :mod:`repro.api`)::
 
 Everything that crosses a process, host, or disk boundary serializes
 through the canonical versioned registry in :mod:`repro.schema`.
-Pre-2.0 imports (``repro.DominoDetector`` and friends) keep working but
-emit :class:`DeprecationWarning`s — see the README's deprecation table.
+The pre-2.0 top-level names (``repro.DominoDetector`` and friends) were
+removed in 3.0 — see the README's "removed in 3.0" table.
 
 All public names resolve lazily (PEP 562): ``import repro`` stays
 lightweight — the facade, the schema registry, and the simulation
@@ -31,11 +31,10 @@ substrate behind them load on first attribute access.
 """
 
 import importlib as _importlib
-import warnings as _warnings
 
 from repro.errors import ReproError, SchemaError, SchemaVersionError
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ClusterBackend",
@@ -67,7 +66,7 @@ __all__ = [
     "watch",
 ]
 
-#: Public (2.0) surface → defining module (``None`` attr = the module
+#: Public surface → defining module (``None`` attr = the module
 #: itself).  Resolved lazily and cached in module globals, so the cost
 #: of the facade's import chain is paid on first use, not at
 #: ``import repro``.
@@ -97,58 +96,17 @@ _PUBLIC_EXPORTS = {
     "FleetSnapshot": ("repro.live.aggregator", "FleetSnapshot"),
 }
 
-#: Pre-2.0 top-level names → (defining module, attribute, replacement).
-#: Kept importable so existing scripts run, but each access warns.
-_LEGACY_EXPORTS = {
-    "DominoDetector": (
-        "repro.core.detector",
-        "DominoDetector",
-        "repro.api.analyze() (or repro.core.detector.DominoDetector)",
-    ),
-    "DominoStats": (
-        "repro.core.stats",
-        "DominoStats",
-        "repro.core.stats.DominoStats",
-    ),
-    "TelemetryBundle": (
-        "repro.telemetry.records",
-        "TelemetryBundle",
-        "repro.telemetry.records.TelemetryBundle",
-    ),
-    "Timeline": (
-        "repro.telemetry.timeline",
-        "Timeline",
-        "repro.telemetry.timeline.Timeline",
-    ),
-    "parse_chains": (
-        "repro.core.dsl",
-        "parse_chains",
-        "repro.core.dsl.parse_chains",
-    ),
-}
-
 
 def __getattr__(name: str):
-    """Resolve public names lazily; legacy names warn (PEP 562)."""
+    """Resolve public names lazily (PEP 562)."""
     if name in _PUBLIC_EXPORTS:
         module_name, attr = _PUBLIC_EXPORTS[name]
         module = _importlib.import_module(module_name)
         value = module if attr is None else getattr(module, attr)
         globals()[name] = value  # cache: later accesses skip this hook
         return value
-    if name in _LEGACY_EXPORTS:
-        module_name, attr, replacement = _LEGACY_EXPORTS[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated since 2.0; use {replacement} "
-            f"instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_importlib.import_module(module_name), attr)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(
-        set(__all__) | set(_LEGACY_EXPORTS) | set(globals())
-    )
+    return sorted(set(__all__) | set(globals()))

@@ -15,18 +15,15 @@ all serialized through :mod:`repro.schema`:
 
 Execution is pluggable: :func:`campaign` takes any
 :class:`ExecutionBackend` (:class:`InlineBackend`,
-:class:`ProcessPoolBackend`, :class:`ClusterBackend`,
-:class:`JournaledClusterBackend`), replacing the old
-``run_campaign(dispatch=...)`` string switch.  Legacy entry points
-keep working with ``DeprecationWarning``s — see the README's
-deprecation table.
+:class:`ProcessPoolBackend`, or :class:`ClusterBackend`, journaled when
+given a ``journal_path``).  The 2.x entry points this replaced were
+removed in 3.0 — see the README's "removed in 3.0" table.
 """
 
 from repro.api.backends import (
     ClusterBackend,
     ExecutionBackend,
     InlineBackend,
-    JournaledClusterBackend,
     ProcessPoolBackend,
 )
 from repro.api.facade import (
@@ -71,7 +68,6 @@ __all__ = [
     "FleetSnapshot",
     "ImpairmentSpec",
     "InlineBackend",
-    "JournaledClusterBackend",
     "LiveRcaService",
     "ProcessPoolBackend",
     "ReplaySource",

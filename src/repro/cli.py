@@ -163,7 +163,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         with open(args.out, "a"):
             pass
     cache_dir = None if args.no_cache else args.cache_dir
-    dispatch = getattr(args, "dispatch", "local")
+    dispatch = args.dispatch
     print(
         f"campaign {matrix.name}: {len(scenarios)} sessions, "
         + (
@@ -182,23 +182,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    # The facade's backend seam replaces the old dispatch string switch.
-    if dispatch == "cluster" and args.journal:
-        backend = api.JournaledClusterBackend(
-            args.journal,
-            args.bind,
-            args.port,
-            min_workers=args.min_workers,
-            on_listening=listening,
-            auth_token=_cluster_token(args),
-            store_dir=args.store,
-        )
-    elif dispatch == "cluster":
+    if dispatch == "cluster":
         backend = api.ClusterBackend(
             args.bind,
             args.port,
             min_workers=args.min_workers,
             on_listening=listening,
+            journal_path=args.journal,
+            auth_token=_cluster_token(args),
             store_dir=args.store,
         )
     else:

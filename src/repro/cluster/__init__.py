@@ -31,9 +31,9 @@ length-prefixed JSON frame protocol:
   snapshots), and :class:`CoordinatorControl` (the queue/status/cancel
   control-plane client behind ``repro cluster queue|status|cancel``).
 
-Exposed as ``run_campaign(..., dispatch="cluster")`` for API-compatible
-campaigns (byte-identical to local execution) and on the CLI as
-``repro cluster coordinator`` / ``repro cluster worker``.
+Exposed as ``repro.api.campaign(..., backend=ClusterBackend(...))``
+for API-compatible campaigns (byte-identical to local execution) and on
+the CLI as ``repro cluster coordinator`` / ``repro cluster worker``.
 
 This ``__init__`` resolves its exports lazily (PEP 562):
 ``repro.schema`` registers the journal-record codec by importing

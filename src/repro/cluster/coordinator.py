@@ -599,7 +599,7 @@ class ClusterCoordinator:
         """Submit *scenarios* and wait for their outcomes.
 
         Returns outcomes in scenario order (byte-identical to a local
-        :func:`~repro.fleet.executor.run_campaign`).  Concurrent calls
+        :func:`repro.api.campaign`).  Concurrent calls
         interleave fairly: the dispatcher round-robins across every
         active campaign.  Dispatch waits for workers — a campaign
         submitted before any worker connects simply idles until one
@@ -1573,8 +1573,7 @@ def run_cluster_campaign(
     """Synchronous one-shot coordinator: serve one campaign, then stop.
 
     This is the engine behind
-    ``run_campaign(..., dispatch="cluster")`` and the journaled
-    backend: bind, submit the campaign (resuming from *journal_path*'s
+    :class:`~repro.api.backends.ClusterBackend`: bind, submit the campaign (resuming from *journal_path*'s
     settled records when they exist), wait for *min_workers*
     :class:`~repro.cluster.worker.ClusterWorker` peers unless the
     journal already settled everything, dispatch the remainder, and

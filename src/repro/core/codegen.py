@@ -99,7 +99,9 @@ def compile_chains(
     *chains*.
     """
     source = generate_python_source(chains, function_name)
-    namespace: Dict[str, object] = {}
+    # The module name labels the generated frame for the sampling
+    # profiler ("<domino-codegen>:backward_trace").
+    namespace: Dict[str, object] = {"__name__": "<domino-codegen>"}
     code = compile(source, filename="<domino-codegen>", mode="exec")
     exec(code, namespace)  # noqa: S102 - code is generated locally above
     return namespace[function_name]  # type: ignore[return-value]

@@ -9,19 +9,14 @@ paper's Fig. 10 / Table 2 / Table 4 outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.chains import DEFAULT_CHAINS_TEXT
 from repro.core.codegen import compile_chains
 from repro.core.dsl import parse_chains
 from repro.core.events import EventConfig
-from repro.core.features import (
-    BatchFeatureExtractor,
-    FeatureExtractor,
-    FeatureWindow,
-)
+from repro.core.features import BatchFeatureExtractor
 from repro.core.graph import CausalGraph
-from repro.core.trace import evaluate_chains
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 from repro.telemetry.records import TelemetryBundle
@@ -39,14 +34,13 @@ class DetectorConfig:
         events: event-condition thresholds.
         chains_text: causal-chain definitions in the text DSL; defaults
             to the paper's 24 canonical chains (direction-resolved).
-        use_codegen: execute generated Python (Fig. 11) instead of the
-            interpreted evaluator — results are identical; the flag
-            exists for the ablation benchmark.
-        use_batch: evaluate the 36 detectors with the vectorized batch
-            engine (:class:`~repro.core.features.BatchFeatureExtractor`)
-            instead of the per-window reference loop — results are
-            identical (asserted by the equivalence tests); the flag
-            exists as the oracle switch and for perf comparisons.
+
+    Detection always runs the vectorized batch engine
+    (:class:`~repro.core.features.BatchFeatureExtractor`) and the
+    generated backward trace (Fig. 11).  The per-window
+    :class:`~repro.core.features.FeatureExtractor` and the interpreted
+    :func:`~repro.core.trace.evaluate_chains` are the oracles the
+    equivalence tests compare them against.
     """
 
     window_us: int = 5_000_000
@@ -54,8 +48,6 @@ class DetectorConfig:
     dt_us: int = 50_000
     events: EventConfig = field(default_factory=EventConfig)
     chains_text: str = DEFAULT_CHAINS_TEXT
-    use_codegen: bool = True
-    use_batch: bool = True
 
 
 @dataclass
@@ -100,6 +92,11 @@ class DominoReport:
 class DominoDetector:
     """End-to-end Domino analysis over telemetry bundles.
 
+    *extra_detectors* maps custom feature names to per-window callables
+    (see :class:`~repro.core.extension.ExtensibleDomino`); the chains in
+    ``config.chains_text`` may reference them alongside the 36 built-in
+    features.
+
     Example::
 
         detector = DominoDetector()
@@ -107,44 +104,34 @@ class DominoDetector:
         stats = DominoStats.from_report(report)
     """
 
-    def __init__(self, config: Optional[DetectorConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[DetectorConfig] = None,
+        extra_detectors: Optional[Dict[str, Callable[..., bool]]] = None,
+    ) -> None:
         self.config = config or DetectorConfig()
-        self.chains = parse_chains(self.config.chains_text)
+        self.extractor = BatchFeatureExtractor(
+            window_us=self.config.window_us,
+            step_us=self.config.step_us,
+            config=self.config.events,
+            extra_detectors=dict(extra_detectors or {}),
+        )
+        self.chains = parse_chains(
+            self.config.chains_text, known_events=self.extractor.feature_names
+        )
         self.graph = CausalGraph.from_chains(self.chains)
-        self.extractor = FeatureExtractor(
-            window_us=self.config.window_us,
-            step_us=self.config.step_us,
-            config=self.config.events,
-        )
-        self.batch_extractor = BatchFeatureExtractor(
-            window_us=self.config.window_us,
-            step_us=self.config.step_us,
-            config=self.config.events,
-        )
-        self._trace_fn = (
-            compile_chains(self.chains) if self.config.use_codegen else None
-        )
+        self._trace = compile_chains(self.chains)
 
     # -- evaluation -----------------------------------------------------------
-
-    def _trace(self, features: dict) -> Tuple[set, set, List[int]]:
-        if self._trace_fn is not None:
-            return self._trace_fn(features)
-        return evaluate_chains(features, self.chains)
 
     def analyze_timeline(
         self, timeline: Timeline, session_name: str = "", duration_us: int = 0
     ) -> DominoReport:
         """Run detection over an already-built timeline."""
-        extractor = (
-            self.batch_extractor if self.config.use_batch else self.extractor
-        )
         # extract_all instead of the extract generator so feature
-        # extraction and the backward trace get distinct spans (the
-        # batch engine's extract is iter(extract_all) anyway, so the
-        # windows — and therefore the detections — are unchanged).
+        # extraction and the backward trace get distinct spans.
         with span("detect.features", session=session_name):
-            feature_windows = extractor.extract_all(timeline)
+            feature_windows = self.extractor.extract_all(timeline)
         windows: List[WindowDetection] = []
         with span("detect.trace", session=session_name):
             for feature_window in feature_windows:

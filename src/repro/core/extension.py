@@ -10,7 +10,7 @@ definitions".  :class:`ExtensibleDomino` is that surface:
 * :meth:`add_chains` appends DSL text that may reference both built-in
   and custom features;
 * :meth:`build` returns a ready :class:`~repro.core.detector.DominoDetector`
-  equivalent operating over the extended vocabulary.
+  operating over the extended vocabulary.
 
 Example::
 
@@ -27,26 +27,14 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.chains import DEFAULT_CHAINS_TEXT
-from repro.core.codegen import compile_chains
-from repro.core.detector import (
-    DetectorConfig,
-    DominoDetector,
-    DominoReport,
-)
+from repro.core.detector import DetectorConfig, DominoDetector
 from repro.core.dsl import parse_chains
-from repro.core.events import EventConfig
-from repro.core.features import (
-    FEATURE_NAMES,
-    BatchFeatureExtractor,
-    FeatureExtractor,
-)
-from repro.core.graph import CausalGraph
+from repro.core.features import FEATURE_NAMES
 from repro.errors import DslError
-from repro.telemetry.records import TelemetryBundle
-from repro.telemetry.timeline import Timeline
 
 DetectorFn = Callable[..., bool]
 
@@ -95,62 +83,13 @@ class ExtensibleDomino:
 
     # -- building ------------------------------------------------------------------
 
-    def build(self) -> "_ExtendedDetector":
-        """Construct the detector over the extended vocabulary."""
-        chains: List[Tuple[str, ...]] = []
-        for text in self._chain_texts:
-            chains.extend(parse_chains(text, known_events=self.known_events()))
-        return _ExtendedDetector(
-            config=self.config, chains=chains, extra_events=dict(self._events)
-        )
+    def build(self) -> DominoDetector:
+        """Construct the detector over the extended vocabulary.
 
-
-class _ExtendedDetector:
-    """A DominoDetector equivalent with custom features mixed in."""
-
-    def __init__(
-        self,
-        config: DetectorConfig,
-        chains: List[Tuple[str, ...]],
-        extra_events: Dict[str, DetectorFn],
-    ) -> None:
-        self.config = config
-        self.chains = chains
-        self.graph = CausalGraph.from_chains(chains)
-        self.extractor = FeatureExtractor(
-            window_us=config.window_us,
-            step_us=config.step_us,
-            config=config.events,
-            extra_detectors=extra_events,
+        Its ``config.chains_text`` is every added chain text, one after
+        the other.
+        """
+        config = dataclasses.replace(
+            self.config, chains_text="\n".join(self._chain_texts)
         )
-        # Custom events stay per-window callables inside the batch
-        # engine (merged into its matrix), so extensions are oblivious
-        # to which engine runs them.
-        self.batch_extractor = BatchFeatureExtractor(
-            window_us=config.window_us,
-            step_us=config.step_us,
-            config=config.events,
-            extra_detectors=extra_events,
-        )
-        self._trace_fn = compile_chains(chains)
-
-    def analyze(self, bundle: TelemetryBundle) -> DominoReport:
-        timeline = Timeline.from_bundle(bundle, dt_us=self.config.dt_us)
-        return self.analyze_timeline(
-            timeline, bundle.session_name, bundle.duration_us
-        )
-
-    def analyze_timeline(
-        self, timeline: Timeline, session_name: str = "", duration_us: int = 0
-    ) -> DominoReport:
-        # Reuse DominoDetector's window loop by delegation.
-        shim = DominoDetector.__new__(DominoDetector)
-        shim.config = self.config
-        shim.chains = self.chains
-        shim.graph = self.graph
-        shim.extractor = self.extractor
-        shim.batch_extractor = self.batch_extractor
-        shim._trace_fn = self._trace_fn
-        return DominoDetector.analyze_timeline(
-            shim, timeline, session_name, duration_us
-        )
+        return DominoDetector(config, extra_detectors=dict(self._events))

@@ -7,8 +7,9 @@ users and cells; this package scales the single-session pipeline
 
 * :mod:`repro.fleet.scenarios` — declarative scenario matrices sweeping
   cell profile × seed × duration × impairment knobs, with named presets.
-* :mod:`repro.fleet.executor` — process-pool campaign execution that
-  returns compact per-session :class:`SessionOutcome` records.
+* :mod:`repro.fleet.executor` — one scenario end to end
+  (:func:`run_scenario`), returning a compact per-session
+  :class:`SessionOutcome`; :func:`repro.api.campaign` runs many.
 * :mod:`repro.fleet.aggregate` — fleet-level rollups (chain frequencies
   per profile/impairment, degradation distributions, QoE percentiles).
 * :mod:`repro.fleet.report` — terminal rendering of an aggregate.
@@ -20,7 +21,6 @@ from repro.fleet.executor import (
     detector_config_hash,
     iter_outcomes,
     load_outcomes,
-    run_campaign,
     run_scenario,
     save_outcomes,
     scenario_fingerprint,
@@ -49,7 +49,6 @@ __all__ = [
     "load_outcomes",
     "scenario_fingerprint",
     "render_fleet_report",
-    "run_campaign",
     "run_scenario",
     "save_outcomes",
 ]

@@ -6,20 +6,17 @@ down to a compact :class:`SessionOutcome` instead of the full telemetry
 bundle, so a campaign of hundreds of sessions fits in memory and
 pickles cheaply across process boundaries.
 
-:func:`run_campaign` is the legacy campaign entry point; execution now
-lives behind the :class:`~repro.api.backends.ExecutionBackend` seam
-(inline / process pool / cluster) and this function simply maps its
-arguments onto a backend.  Outcomes come back in scenario order
-regardless of completion order, so every backend aggregates
-byte-identically.
+Campaigns run through :func:`repro.api.campaign`, whose
+:class:`~repro.api.backends.ExecutionBackend` (inline / process pool /
+cluster) calls :func:`run_scenario` once per scenario.  Outcomes come
+back in scenario order regardless of completion order, so every backend
+aggregates byte-identically.
 
 Scenarios are deterministic given their spec, so outcomes are cacheable:
 pass ``cache_dir`` and each (scenario fingerprint, detector-config hash)
 pair is persisted as one JSON file; re-running the same campaign — e.g.
 to re-aggregate with a tweaked rollup — skips simulation entirely for
-cache hits.  ``fail_fast=True`` cancels all queued scenarios on the
-first error (``ProcessPoolExecutor.shutdown(cancel_futures=True)``)
-instead of letting a doomed campaign run to completion.
+cache hits.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -35,7 +31,7 @@ from repro.analysis.summarize import summarize_session
 from repro.causal.confounders import GroundTruthLabel, ground_truth_label
 from repro.core.detector import DetectorConfig, DominoDetector
 from repro.core.stats import DominoStats
-from repro.errors import ConfigError, SchemaError, TelemetryError
+from repro.errors import SchemaError, TelemetryError
 from repro.fleet.scenarios import ScenarioSpec
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
@@ -120,12 +116,7 @@ def scenario_fingerprint(spec: ScenarioSpec) -> str:
 
 
 def detector_config_hash(config: Optional[DetectorConfig]) -> str:
-    """Stable digest of the detector settings that affect outcomes.
-
-    ``use_codegen`` and ``use_batch`` select equivalence-guaranteed
-    execution strategies (identical detections either way), so they are
-    excluded — toggling them must not invalidate the cache.
-    """
+    """Stable digest of the detector settings that affect outcomes."""
     config = config or DetectorConfig()
     payload = json.dumps(
         {
@@ -305,86 +296,9 @@ def run_scenario_traced(
     return outcome, [item.to_json() for item in collector.spans]
 
 
-def run_campaign(
-    scenarios: Sequence[ScenarioSpec],
-    workers: int = 1,
-    detector_config: Optional[DetectorConfig] = None,
-    trace_dir: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    fail_fast: bool = False,
-    dispatch: str = "local",
-    cluster_host: str = "127.0.0.1",
-    cluster_port: int = 0,
-    cluster_min_workers: int = 1,
-    cluster_worker_wait_s: Optional[float] = None,
-    on_listening=None,
-) -> List[SessionOutcome]:
-    """Run every scenario; return outcomes in scenario order.
-
-    .. deprecated::
-        This is the legacy entry point; new code should use
-        :func:`repro.api.campaign` with an explicit
-        :class:`~repro.api.backends.ExecutionBackend`.  The behaviour is
-        unchanged — this function now just maps its arguments onto a
-        backend: ``workers`` → :class:`~repro.api.backends.InlineBackend`
-        / :class:`~repro.api.backends.ProcessPoolBackend`,
-        ``dispatch="cluster"`` →
-        :class:`~repro.api.backends.ClusterBackend` — so outcomes stay
-        byte-identical to every earlier release.
-
-    *cache_dir* short-circuits scenarios whose outcome is already
-    cached (see :func:`run_scenario`).  *fail_fast* cancels every
-    not-yet-started scenario as soon as one raises, instead of letting
-    the rest of the campaign finish first; the first error (in scenario
-    order) propagates either way.
-    """
-    warnings.warn(
-        "run_campaign() is deprecated; use repro.api.campaign(..., "
-        "backend=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if dispatch not in ("local", "cluster"):
-        raise ConfigError(
-            f"dispatch must be 'local' or 'cluster', not {dispatch!r}"
-        )
-    # Imported lazily: the facade imports this module for run_scenario.
-    from repro.api.backends import ClusterBackend, ProcessPoolBackend
-
-    if dispatch == "cluster":
-        backend = ClusterBackend(
-            cluster_host,
-            cluster_port,
-            min_workers=cluster_min_workers,
-            worker_wait_s=cluster_worker_wait_s,
-            on_listening=on_listening,
-        )
-    else:
-        backend = ProcessPoolBackend(workers)
-    return backend.run(
-        scenarios,
-        detector_config=detector_config,
-        trace_dir=trace_dir,
-        cache_dir=cache_dir,
-        fail_fast=fail_fast,
-    )
-
-
 # -- outcome persistence -------------------------------------------------------
 # Fleet outcome files are versioned by the canonical
-# repro.schema.SCHEMA_VERSION; the pre-2.0 OUTCOME_FORMAT_VERSION name
-# resolves to it via the module __getattr__ below (lazy: schema's
-# registry imports this module).
-
-
-def __getattr__(name: str):
-    if name == "OUTCOME_FORMAT_VERSION":
-        from repro.schema import SCHEMA_VERSION
-
-        return SCHEMA_VERSION
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# repro.schema.SCHEMA_VERSION.
 
 
 def save_outcomes(outcomes: Sequence[SessionOutcome], path: str) -> None:
@@ -542,7 +456,6 @@ __all__ = [
     "detector_config_hash",
     "iter_outcomes",
     "load_outcomes",
-    "run_campaign",
     "run_scenario",
     "run_scenario_traced",
     "save_outcomes",

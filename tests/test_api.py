@@ -1,15 +1,14 @@
-"""The unified facade: byte-identity with legacy entry points.
+"""The unified facade: byte-identity with the engines it fronts.
 
-Acceptance bar of the API redesign: ``repro.api.analyze`` /
-``open_stream`` / ``campaign`` must produce byte-identical detections
-and :class:`SessionOutcome` records to the legacy entry points they
-front, the error surface must be one :class:`ReproError` hierarchy, and
-the pre-2.0 imports must keep working behind ``DeprecationWarning``s.
+``repro.api.analyze`` / ``open_stream`` / ``campaign`` must produce
+byte-identical detections and :class:`SessionOutcome` records to the
+detector, streaming detector and scenario runner behind them, the error
+surface must be one :class:`ReproError` hierarchy, and the pre-2.0
+top-level names removed in 3.0 must stay gone.
 """
 
 import asyncio
 import json
-import warnings
 
 import pytest
 
@@ -119,12 +118,12 @@ def test_open_stream_byte_identical_to_streaming_domino(private_bundle):
 
 
 def test_campaign_inline_byte_identical_to_legacy_run_campaign():
-    scenarios = TINY_MATRIX.expand()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.fleet.executor import run_campaign
+    """The removed ``run_campaign(workers=1)`` was a loop over
+    ``run_scenario``; the facade's inline backend must match it."""
+    from repro.fleet.executor import run_scenario
 
-        legacy = run_campaign(scenarios, workers=1)
+    scenarios = TINY_MATRIX.expand()
+    legacy = [run_scenario(spec) for spec in scenarios]
     facade = api.campaign(TINY_MATRIX, backend=api.InlineBackend())
     assert _outcome_bytes(facade) == _outcome_bytes(legacy)
     # Default backend is inline.
@@ -181,17 +180,22 @@ def test_cluster_backend_wires_through_coordinator(monkeypatch):
     assert calls["worker_wait_s"] == 1.5
     assert calls["fail_fast"] is True
     assert calls["scenarios"] == TINY_MATRIX.expand()
-
-
-def test_legacy_run_campaign_maps_onto_backends():
-    from repro.fleet.executor import run_campaign
-
-    scenarios = TINY_MATRIX.expand()[:1]
-    with pytest.warns(DeprecationWarning, match="repro.api.campaign"):
-        legacy = run_campaign(scenarios, workers=2)
-    assert _outcome_bytes(legacy) == _outcome_bytes(
-        api.campaign(scenarios, backend=api.ProcessPoolBackend(2))
+    # The journal, auth and TLS options default to off ...
+    for key in ("journal_path", "campaign_id", "auth_token", "ssl_context"):
+        assert calls[key] is None, key
+    # ... and reach the coordinator when set.
+    tls = object()
+    journaled = api.ClusterBackend(
+        journal_path="camp.journal",
+        campaign_id="camp-1",
+        auth_token="s3cret",
+        ssl_context=tls,
     )
+    api.campaign(TINY_MATRIX, backend=journaled)
+    assert calls["journal_path"] == "camp.journal"
+    assert calls["campaign_id"] == "camp-1"
+    assert calls["auth_token"] == "s3cret"
+    assert calls["ssl_context"] is tls
 
 
 # -- serve / snapshots -----------------------------------------------------------
@@ -278,7 +282,7 @@ def test_serve_validation_is_repro_error(private_bundle):
         )
 
 
-# -- surface / deprecations ------------------------------------------------------
+# -- surface -------------------------------------------------------------------
 
 
 def test_api_all_resolves():
@@ -291,26 +295,20 @@ def test_api_all_resolves():
 
 
 def test_version_bumped():
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
     assert repro.SCHEMA_VERSION == schema.SCHEMA_VERSION
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["DominoDetector", "DominoStats", "TelemetryBundle", "Timeline", "parse_chains"],
-)
-def test_legacy_top_level_imports_warn_but_work(name):
-    with pytest.warns(DeprecationWarning, match=f"repro.{name} is deprecated"):
-        obj = getattr(repro, name)
-    assert obj is not None
-    # The shim returns the genuine object, not a copy.
-    import repro.core.detector as detector_module
-
-    if name == "DominoDetector":
-        with pytest.warns(DeprecationWarning):
-            assert getattr(repro, name) is detector_module.DominoDetector
 
 
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         repro.definitely_not_a_name
+    # The pre-2.0 top-level names were removed in 3.0.
+    for name in (
+        "DominoDetector",
+        "DominoStats",
+        "TelemetryBundle",
+        "Timeline",
+        "parse_chains",
+    ):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)

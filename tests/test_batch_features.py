@@ -7,19 +7,20 @@ window position, bit-identical booleans — across random timelines
 compacted argmax/argmin and consecutive-valid-pair code paths), every
 window/step/dt combination, and with custom ``extra_detectors`` mixed
 in.  The per-window registry is the semantic oracle; these tests are
-what lets the production pipeline run the batch engine by default.
+what lets the production pipeline run the batch engine alone.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.detector import DetectorConfig, DominoDetector
+from repro.core.detector import DominoDetector, WindowDetection
 from repro.core.extension import ExtensibleDomino
 from repro.core.features import (
     FEATURE_NAMES,
     BatchFeatureExtractor,
     FeatureExtractor,
 )
+from repro.core.trace import evaluate_chains
 from repro.telemetry.timeline import Timeline
 
 #: Series the 36 detectors read, with generators tuned to make every
@@ -176,15 +177,42 @@ def test_simulated_bundle_batch_equals_reference(cellular_bundle):
     _assert_equivalent(FeatureExtractor(), BatchFeatureExtractor(), timeline)
 
 
+def _reference_detections(detector, bundle, extra_detectors=None):
+    """The per-window oracle for *detector*'s output: features from
+    :class:`FeatureExtractor`, chains from the interpreted
+    :func:`evaluate_chains`."""
+    config = detector.config
+    extractor = FeatureExtractor(
+        window_us=config.window_us,
+        step_us=config.step_us,
+        config=config.events,
+        extra_detectors=extra_detectors or {},
+    )
+    timeline = Timeline.from_bundle(bundle, dt_us=config.dt_us)
+    detections = []
+    for window in extractor.extract_all(timeline):
+        consequences, causes, chain_ids = evaluate_chains(
+            window.features, detector.chains
+        )
+        detections.append(
+            WindowDetection(
+                start_us=window.start_us,
+                end_us=window.end_us,
+                features=window.features,
+                consequences=sorted(consequences),
+                causes=sorted(causes),
+                chain_ids=sorted(chain_ids),
+            )
+        )
+    return detections
+
+
 def test_detector_reports_identical_across_engines(private_bundle):
-    batch = DominoDetector(DetectorConfig(use_batch=True)).analyze(
-        private_bundle
-    )
-    reference = DominoDetector(DetectorConfig(use_batch=False)).analyze(
-        private_bundle
-    )
-    assert batch.n_windows == reference.n_windows > 0
-    for a, b in zip(batch.windows, reference.windows):
+    detector = DominoDetector()
+    batch = detector.analyze(private_bundle)
+    reference = _reference_detections(detector, private_bundle)
+    assert batch.n_windows == len(reference) > 0
+    for a, b in zip(batch.windows, reference):
         assert (a.start_us, a.end_us) == (b.start_us, b.end_us)
         assert a.features == b.features
         assert a.consequences == b.consequences
@@ -224,22 +252,23 @@ def test_extra_detectors_compose_with_batch_matrix():
 
 
 def test_extensible_domino_runs_extras_through_batch_engine(private_bundle):
-    def build(use_batch):
-        domino = ExtensibleDomino(DetectorConfig(use_batch=use_batch))
-        domino.register_event(
-            "ul_low_mcs",
-            lambda window, config: bool(
-                np.nanmean(window["ul_mcs_mean"]) < 12.0
-            ),
+    extras = {
+        "ul_low_mcs": lambda window, config: bool(
+            np.nanmean(window["ul_mcs_mean"]) < 12.0
         )
-        domino.add_chains(
-            "ul_low_mcs --> ul_delay_up --> remote_jitter_buffer_drain"
-        )
-        return domino.build().analyze(private_bundle)
-
-    batch, reference = build(True), build(False)
-    assert batch.n_windows == reference.n_windows > 0
-    for a, b in zip(batch.windows, reference.windows):
+    }
+    domino = ExtensibleDomino()
+    for name, detector_fn in extras.items():
+        domino.register_event(name, detector_fn)
+    domino.add_chains(
+        "ul_low_mcs --> ul_delay_up --> remote_jitter_buffer_drain"
+    )
+    detector = domino.build()
+    assert isinstance(detector, DominoDetector)
+    batch = detector.analyze(private_bundle)
+    reference = _reference_detections(detector, private_bundle, extras)
+    assert batch.n_windows == len(reference) > 0
+    for a, b in zip(batch.windows, reference):
         assert a.features == b.features
         assert a.chain_ids == b.chain_ids
     assert any(w.features["ul_low_mcs"] for w in batch.windows)

@@ -220,6 +220,30 @@ def test_fleet_cache_dir_rerun_skips_simulation(tmp_path, capsys, monkeypatch):
     assert hits.total() - hits_before == len(PRESETS["smoke"].expand())
 
 
+def test_fleet_cluster_passes_env_token_without_journal(
+    capsys, monkeypatch
+):
+    """$REPRO_CLUSTER_TOKEN guards the coordinator whether or not the
+    campaign is journaled."""
+    import repro.cluster.coordinator as coordinator
+
+    calls = {}
+
+    def fake_run_cluster_campaign(scenarios, **kwargs):
+        calls.update(kwargs)
+        return []
+
+    monkeypatch.setattr(
+        coordinator, "run_cluster_campaign", fake_run_cluster_campaign
+    )
+    monkeypatch.setenv("REPRO_CLUSTER_TOKEN", "s3cret")
+    code = main(["fleet", "--preset", "smoke", "--dispatch", "cluster"])
+    assert code == 0
+    capsys.readouterr()
+    assert calls["auth_token"] == "s3cret"
+    assert calls["journal_path"] is None
+
+
 def test_sigterm_graceful_drain_flushes_metrics_file(tmp_path):
     """SIGTERM must unwind main()'s finally and flush --metrics-file.
 

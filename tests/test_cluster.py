@@ -9,6 +9,7 @@ import socket
 
 import pytest
 
+from repro import api
 from repro.cluster import (
     CampaignJournal,
     ClusterCoordinator,
@@ -19,7 +20,7 @@ from repro.cluster import (
     replay_journal,
 )
 from repro.cluster import protocol
-from repro.cluster.journal import OUTCOME_SETTLED
+from repro.cluster.journal import CAMPAIGN_CLOSED, OUTCOME_SETTLED
 from repro.cluster.protocol import (
     ACK,
     BYE,
@@ -45,7 +46,6 @@ from repro.cluster.protocol import (
 )
 from repro.core.detector import DetectorConfig, DominoDetector, WindowDetection
 from repro.errors import ClusterError, ClusterProtocolError
-from repro.fleet.executor import run_campaign
 from repro.fleet.scenarios import ImpairmentSpec, ScenarioMatrix, ScenarioSpec
 from repro.live.service import LiveRcaService, canonical_detections
 from repro.live.sources import ReplaySource
@@ -67,7 +67,7 @@ def scenarios():
 
 @pytest.fixture(scope="module")
 def local_outcomes(scenarios):
-    return run_campaign(scenarios, workers=1)
+    return api.campaign(scenarios)
 
 
 def _outcome_bytes(outcomes):
@@ -433,14 +433,10 @@ def test_sequential_campaigns_on_one_coordinator(
     assert aggregate.fleet_chain_totals() == fresh.fleet_chain_totals()
 
 
-def test_run_campaign_dispatch_validation(scenarios):
-    with pytest.raises(ValueError, match="dispatch"):
-        run_campaign(scenarios[:1], dispatch="carrier-pigeon")
-
-
-def test_run_campaign_cluster_dispatch_api(scenarios, local_outcomes):
-    """`run_campaign(dispatch="cluster")` is API-compatible: same call
-    site, workers join the printed address, identical outcomes."""
+def _campaign_with_threaded_worker(scenarios, **backend_kwargs):
+    """``api.campaign`` on a loopback :class:`ClusterBackend`, with one
+    worker (on its own thread and event loop) joining the address the
+    backend announces."""
     import threading
 
     address = {}
@@ -466,14 +462,55 @@ def test_run_campaign_cluster_dispatch_api(scenarios, local_outcomes):
 
     thread = threading.Thread(target=serve_worker, daemon=True)
     thread.start()
-    outcomes = run_campaign(
+    outcomes = api.campaign(
         scenarios,
-        dispatch="cluster",
-        cluster_port=0,
-        on_listening=on_listening,
+        backend=api.ClusterBackend(
+            port=0, on_listening=on_listening, **backend_kwargs
+        ),
     )
     thread.join(timeout=60)
+    assert not thread.is_alive()  # the worker left with the coordinator
+    return outcomes
+
+
+def test_run_campaign_cluster_dispatch_api(scenarios, local_outcomes):
+    """`api.campaign(backend=ClusterBackend(...))` is API-compatible:
+    same call site, workers join the announced address, identical
+    outcomes."""
+    outcomes = _campaign_with_threaded_worker(scenarios)
     assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+
+
+def test_journaled_cluster_backend_rerun_replays_without_workers(
+    tmp_path, scenarios, local_outcomes
+):
+    """A ``ClusterBackend(journal_path=...)`` campaign settles into its
+    journal; after a crash that lost only the close record, rerunning
+    it on the same journal with no worker at all replays byte-identical
+    outcomes."""
+    journal_path = str(tmp_path / "backend.journal")
+    first = _campaign_with_threaded_worker(
+        scenarios[:2], journal_path=journal_path
+    )
+    assert _outcome_bytes(first) == _outcome_bytes(local_outcomes[:2])
+    assert len(_settled_pairs(journal_path)) == 2
+    # The journal is a prefix of the truth after any crash: drop the
+    # trailing close record, as a coordinator killed after the last
+    # settle would leave it.
+    with open(journal_path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    assert json.loads(lines[-1])["type"] == CAMPAIGN_CLOSED
+    with open(journal_path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines[:-1])
+    # No worker joins: a rerun that dispatched anything would time out.
+    again = api.campaign(
+        scenarios[:2],
+        backend=api.ClusterBackend(
+            journal_path=journal_path, worker_wait_s=5.0
+        ),
+    )
+    assert _outcome_bytes(again) == _outcome_bytes(first)
+    assert len(_settled_pairs(journal_path)) == 2
 
 
 def test_version_mismatch_refused():

@@ -23,6 +23,7 @@ from repro.core.detector import (
 from repro.core.dsl import parse_chains
 from repro.core.features import FEATURE_NAMES, FeatureExtractor
 from repro.core.stats import DominoStats, _episode_count
+from repro.core.trace import evaluate_chains
 from repro.telemetry.timeline import Timeline
 
 
@@ -110,14 +111,17 @@ def test_detector_runs_on_cellular_bundle(cellular_bundle):
 
 
 def test_codegen_and_interpreter_agree_on_real_data(cellular_bundle):
-    compiled = DominoDetector(DetectorConfig(use_codegen=True))
-    interpreted = DominoDetector(DetectorConfig(use_codegen=False))
-    report_a = compiled.analyze(cellular_bundle)
-    report_b = interpreted.analyze(cellular_bundle)
-    assert len(report_a.windows) == len(report_b.windows)
-    for wa, wb in zip(report_a.windows, report_b.windows):
-        assert wa.chain_ids == wb.chain_ids
-        assert wa.causes == wb.causes
+    """The detector's generated trace against the interpreted
+    :func:`evaluate_chains` oracle, window by window."""
+    report = DominoDetector().analyze(cellular_bundle)
+    assert report.n_windows > 0
+    for window in report.windows:
+        consequences, causes, chain_ids = evaluate_chains(
+            window.features, report.chains
+        )
+        assert window.chain_ids == sorted(chain_ids)
+        assert window.causes == sorted(causes)
+        assert window.consequences == sorted(consequences)
 
 
 def test_detector_custom_chains(cellular_bundle):

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
+from repro import api
 from repro.cluster import ClusterCoordinator, ClusterWorker
-from repro.fleet.executor import run_campaign
 from repro.fleet.scenarios import ScenarioMatrix
 from repro.obs.trace import (
     ABANDONED,
@@ -35,7 +35,7 @@ def scenarios():
 
 @pytest.fixture(scope="module")
 def local_outcomes(scenarios):
-    return run_campaign(scenarios, workers=1)
+    return api.campaign(scenarios)
 
 
 def _outcome_bytes(outcomes):

@@ -146,8 +146,6 @@ def _rand_detector_config(rng):
         step_us=rng.randrange(100_000, 1_000_000),
         dt_us=rng.randrange(10_000, 100_000),
         events=events,
-        use_codegen=rng.random() < 0.5,
-        use_batch=rng.random() < 0.5,
     )
 
 
@@ -465,6 +463,15 @@ def test_detector_config_none_passthrough():
     assert schema.detector_config_from_wire(None) is None
 
 
+def test_detector_config_2x_wire_with_engine_switches_decodes():
+    """2.x writers put ``use_batch``/``use_codegen`` in the wire form;
+    3.0 dropped the switches, and such payloads still decode to the
+    same config."""
+    wire = schema.detector_config_to_wire(DetectorConfig())
+    wire.update({"use_batch": False, "use_codegen": False})
+    assert schema.detector_config_from_wire(wire) == DetectorConfig()
+
+
 def test_domino_report_round_trip_preserves_chain_tuples():
     rng = random.Random(31)
     report = _rand_report(rng)
@@ -584,11 +591,3 @@ def test_fleet_header_without_version_is_corruption(tmp_path):
     open(path, "w").write('{"type": "fleet_header"}\n')
     with pytest.raises(TelemetryError, match="no version"):
         list(iter_outcomes(path))
-
-
-def test_outcome_format_version_is_a_true_alias():
-    from repro.fleet import executor
-
-    assert executor.OUTCOME_FORMAT_VERSION == schema.SCHEMA_VERSION
-    with pytest.raises(AttributeError):
-        executor.NOT_A_NAME

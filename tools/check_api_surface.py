@@ -22,11 +22,11 @@ import re
 import sys
 import warnings
 
-#: Imports retired by the 2.0 facade (see README's deprecation table):
-#: module → names that must not be imported from it.  Examples must use
-#: ``repro.api`` / the defining modules instead.  Detection is
-#: AST-based, so parenthesized multi-line imports and aliases are
-#: caught the same as single-line ones.
+#: Imports retired by the 2.0 facade and removed in 3.0 (see README's
+#: "removed in 3.0" table): module → names that must not be imported
+#: from it.  Examples must use ``repro.api`` / the defining modules
+#: instead.  Detection is AST-based, so parenthesized multi-line imports
+#: and aliases are caught the same as single-line ones.
 DEPRECATED_IMPORTS = {
     "repro": {
         "DominoDetector",
@@ -35,8 +35,10 @@ DEPRECATED_IMPORTS = {
         "Timeline",
         "parse_chains",
     },
+    "repro.api": {"JournaledClusterBackend"},
+    "repro.api.backends": {"JournaledClusterBackend"},
     "repro.fleet": {"run_campaign"},
-    "repro.fleet.executor": {"run_campaign"},
+    "repro.fleet.executor": {"run_campaign", "OUTCOME_FORMAT_VERSION"},
 }
 
 #: Attribute-style uses of the legacy surface (``repro.DominoDetector``).
@@ -88,7 +90,7 @@ def check_examples(root: pathlib.Path) -> list:
                     failures.append(
                         f"{rel}:{node.lineno}: deprecated import "
                         f"'from {node.module} import {alias.name}' — use "
-                        f"repro.api (see README deprecation table)"
+                        f"repro.api (see README \"removed in 3.0\" table)"
                     )
         match = DEPRECATED_ATTR_PATTERN.search(text)
         if match:
@@ -96,7 +98,7 @@ def check_examples(root: pathlib.Path) -> list:
             failures.append(
                 f"{rel}:{line}: deprecated attribute use "
                 f"{match.group(0)!r} — use repro.api (see README "
-                f"deprecation table)"
+                f"\"removed in 3.0\" table)"
             )
     return failures
 
