@@ -16,6 +16,10 @@ load effects out:
    Refresh the baseline deliberately (copy a fresh, quiet-machine
    ``BENCH_scaling.json`` over it) when an accepted trade-off changes
    the numbers.
+3. **Read-path gate:** ``load_bundle`` on the 60 s trace saved as JSONL
+   may cost at most 1.2x a bare per-line ``json.loads`` pass over the
+   same file, both timed in the same process (``io_60s``; ~0.9-1.0x
+   with the columnar read path, ~1.6-1.8x with per-record objects).
 
 Usage: ``python benchmarks/check_perf.py [results_json] [baseline_json]``
 """
@@ -37,6 +41,9 @@ MIN_ENGINE_SPEEDUP = 2.0
 #: Allowed speedup shrinkage vs. the committed baseline (2.0 = fail on
 #: a >2x per-window-cost regression of the batch engine).
 MAX_SPEEDUP_SHRINKAGE = 2.0
+
+#: Ceiling on load_bundle time over bare per-line json.loads time.
+MAX_LOAD_VS_JSON = 1.2
 
 
 def main(argv):
@@ -77,6 +84,23 @@ def main(argv):
             )
         )
         print(f"60s phase breakdown (informational): {breakdown}")
+    io_60s = results.get("io_60s")
+    if io_60s is None:
+        failures.append("results have no io_60s block (read-path gate)")
+    else:
+        ratio = io_60s["load_vs_json_ratio"]
+        print(
+            f"60s JSONL read: load_bundle {ratio:.2f}x per-line json.loads "
+            f"(gate: <= {MAX_LOAD_VS_JSON}x), "
+            f"{io_60s['load_ns_per_record']:.0f} ns/record, analyze(path) "
+            f"{io_60s['analyze_path_x_realtime']:.0f}x realtime "
+            f"(informational)"
+        )
+        if ratio > MAX_LOAD_VS_JSON:
+            failures.append(
+                f"load_bundle costs {ratio:.2f}x a bare per-line "
+                f"json.loads pass (ceiling {MAX_LOAD_VS_JSON}x)"
+            )
     if os.path.exists(baseline_path):
         with open(baseline_path) as handle:
             baseline = json.load(handle)

@@ -11,6 +11,9 @@ engine) against the per-window reference engine on the same trace,
 asserts their detections are identical, and emits a machine-readable
 ``BENCH_scaling.json`` next to the text table so CI's perf-smoke step
 (``benchmarks/check_perf.py``) can fail on per-window-cost regressions.
+The same 60 s trace is then saved as JSONL and read back, to time the
+read path (``io_60s``) against a bare per-line ``json.loads`` pass over
+the same file.
 """
 
 import json
@@ -19,6 +22,7 @@ import time
 
 from conftest import RESULTS_DIR, save_result
 
+from repro import api
 from repro.analysis.ascii import render_table
 from repro.core.detector import DominoDetector, DominoReport, WindowDetection
 from repro.core.features import FeatureExtractor
@@ -26,8 +30,12 @@ from repro.core.trace import evaluate_chains
 from repro.obs.metrics import get_registry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SPAN_HISTOGRAM
+from repro.telemetry.io import load_bundle, save_bundle
 from repro.telemetry.records import TelemetryBundle
 from repro.telemetry.timeline import Timeline
+
+#: Interleaved repeats of each read-path timing; each keeps its minimum.
+IO_REPEATS = 5
 
 
 def _truncate(bundle: TelemetryBundle, duration_us: int) -> TelemetryBundle:
@@ -91,7 +99,52 @@ def _assert_identical_reports(batch, reference):
         assert a.chain_ids == b.chain_ids
 
 
-def test_scaling_realtime_factor(benchmark, fdd_results):
+def _json_lines(path: str) -> None:
+    """The floor any JSONL reader pays: one ``json.loads`` per line."""
+    with open(path) as handle:
+        for line in handle:
+            json.loads(line)
+
+
+def _io_60s(bundle: TelemetryBundle, path: str, reference) -> dict:
+    """Read-path cost of *bundle* saved as JSONL at *path*.
+
+    ``load_vs_json_ratio`` divides the fastest ``load_bundle`` by the
+    fastest bare per-line ``json.loads`` pass over the same file, timed
+    interleaved in this process, so machine speed divides out.
+    """
+    save_bundle(bundle, path)
+    n_records = sum(
+        len(records)
+        for records in (
+            bundle.dci, bundle.gnb_log, bundle.packets, bundle.webrtc_stats
+        )
+    )
+    load_s, json_s, analyze_s = [], [], []
+    for _ in range(IO_REPEATS):
+        start = time.perf_counter()
+        load_bundle(path)
+        load_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        _json_lines(path)
+        json_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        report = api.analyze(path)
+        analyze_s.append(time.perf_counter() - start)
+        _assert_identical_reports(report, reference)
+    return {
+        "records": n_records,
+        "bytes": os.path.getsize(path),
+        "load_s": min(load_s),
+        "json_lines_s": min(json_s),
+        "analyze_path_s": min(analyze_s),
+        "load_ns_per_record": min(load_s) * 1e9 / n_records,
+        "analyze_path_x_realtime": bundle.duration_us / 1e6 / min(analyze_s),
+        "load_vs_json_ratio": min(load_s) / min(json_s),
+    }
+
+
+def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
     bundle = fdd_results[0].bundle
     detector = DominoDetector()
 
@@ -176,7 +229,10 @@ def test_scaling_realtime_factor(benchmark, fdd_results):
             detector.analyze(sixty)
     cpu_attribution = profiler.attribute(
         {
-            "ingest": ("repro.telemetry.timeline:",),
+            "ingest": (
+                "repro.telemetry.timeline:",
+                "repro.telemetry.columns:",
+            ),
             "features": ("repro.core.features:",),
             "trace": (
                 "<domino-codegen>:",
@@ -187,11 +243,14 @@ def test_scaling_realtime_factor(benchmark, fdd_results):
         }
     )
 
+    io_60s = _io_60s(sixty, str(tmp_path / "trace_60s.jsonl"), batch_report)
+
     n_windows = max(len(batch_windows), 1)
     payload = {
         "benchmark": "scaling_realtime",
         "rows": json_rows,
         "phases_60s": phases_60s,
+        "io_60s": io_60s,
         "profile_60s": {
             "n_samples": profiler.n_samples,
             "cpu_fraction": cpu_attribution,

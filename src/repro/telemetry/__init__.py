@@ -5,8 +5,10 @@ The measurement half of the paper produces four correlated data sources
 (RLC buffer/ReTX and RRC state; private cells only), network-layer packet
 traces, and high-rate (50 ms) WebRTC application statistics.  This
 subpackage defines those record schemas (:mod:`repro.telemetry.records`),
-a collector the simulators write into (:mod:`repro.telemetry.collect`),
-and the time-aligned, resampled view Domino's feature extraction consumes
+their typed column schemas (:mod:`repro.telemetry.columns`), a collector
+the simulators write into (:mod:`repro.telemetry.collect`), the JSONL
+interchange format (:mod:`repro.telemetry.io`), and the time-aligned,
+resampled view Domino's feature extraction consumes
 (:mod:`repro.telemetry.timeline`).
 """
 

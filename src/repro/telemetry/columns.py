@@ -1,0 +1,459 @@
+"""Typed columns for the four telemetry sources.
+
+One :class:`Schema` per source lists its fields, each mapping a JSONL
+key to a record attribute and a column dtype.  The table drives three
+things:
+
+* decoding JSONL rows straight into typed column arrays
+  (:meth:`Schema.decode`), which is how
+  :func:`~repro.telemetry.io.load_bundle` reads a trace;
+* building record objects from those columns, lazily and once, in
+  :class:`RecordColumns`;
+* the record→column walk over an in-memory record list
+  (:class:`RecordList`), for bundles the collector and the streaming
+  detector build.
+
+Both :class:`RecordColumns` and :class:`RecordList` answer
+``column(attr)`` and ``select(mask)``, so
+:class:`~repro.telemetry.timeline.Timeline` ingest is one piece of
+array code over either.
+
+Column dtypes: ``int64``, ``bool`` and ``float64`` as declared; a
+string field is an object array of ``str``; an enum field holds
+``int8`` codes, the member's position in its enum (:func:`code`).  An
+optional integer holds :data:`NONE` where the record has ``None``, and
+a presence mask beside it (:attr:`Field.present_key`), so records
+rebuild exactly.
+"""
+
+from __future__ import annotations
+
+import enum
+import itertools
+import math
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.telemetry.records import (
+    DciRecord,
+    GnbLogKind,
+    GnbLogRecord,
+    PacketRecord,
+    StreamKind,
+    WebRtcStatsRecord,
+)
+
+#: Column value of an optional integer that is ``None`` (a lost
+#: packet's receive time, a packet outside any video frame).
+NONE = -1
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+class Irregular(Exception):
+    """A chunk of rows that the array decoder does not take as is.
+
+    Not an error by itself: the reader then parses those lines one at a
+    time, which either accepts them or names the offending line.
+    """
+
+
+def code(member: enum.Enum) -> int:
+    """The column code of an enum member: its position in its enum."""
+    return list(type(member)).index(member)
+
+
+# -- per-value checks (the one-line parser) ---------------------------------
+
+
+def _number(value):
+    if isinstance(value, int):  # bools included
+        return value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {value!r}")
+        return value
+    raise TypeError(f"expected a number, got {type(value).__name__}")
+
+
+def as_int(value) -> int:
+    """*value* as an int64: floats truncate toward zero, as numpy casts."""
+    value = int(_number(value))
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"{value} is outside the int64 range")
+    return value
+
+
+def as_bool(value) -> bool:
+    return bool(_number(value))
+
+
+def as_float(value) -> float:
+    return float(_number(value))
+
+
+def as_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+@dataclass(frozen=True)
+class Field:
+    """One record field.
+
+    Attributes:
+        key: the JSONL key.
+        attr: the record attribute.
+        dtype: ``np.int64``, ``np.bool_``, ``np.float64``, ``str``, or
+            an enum class.
+        optional: ``None`` is a valid value (integer fields only).
+    """
+
+    key: str
+    attr: str
+    dtype: object
+    optional: bool = False
+
+    @property
+    def is_enum(self) -> bool:
+        return isinstance(self.dtype, type) and issubclass(
+            self.dtype, enum.Enum
+        )
+
+    @property
+    def present_key(self) -> str:
+        """Key of an optional field's presence mask among the columns."""
+        return f"{self.attr}.present"
+
+    @property
+    def column_dtype(self):
+        if self.is_enum:
+            return np.int8
+        if self.dtype is str:
+            return object
+        return self.dtype
+
+    def parse(self, value):
+        """The record value of one JSON value; raises on a bad one."""
+        if self.optional and value is None:
+            return None
+        if self.is_enum:
+            return self.dtype(value)
+        return _PARSERS[self.dtype](value)
+
+
+_PARSERS = {
+    np.int64: as_int,
+    np.bool_: as_bool,
+    np.float64: as_float,
+    str: as_str,
+}
+
+
+def _typed(values: list, kinds: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """*values* as an array of *shape*, of an inferred dtype kind among
+    *kinds* (so a nested list or a stray string never passes)."""
+    array = np.array(values)
+    if array.dtype.kind not in kinds or array.shape != shape:
+        raise Irregular(f"values of dtype {array.dtype}, shape {array.shape}")
+    return array
+
+
+class Schema:
+    """The fields of one telemetry source, in record-constructor order."""
+
+    def __init__(self, kind: str, record: type, fields: Tuple[Field, ...]):
+        self.kind = kind
+        self.record = record
+        self.fields = fields
+        self._by_attr = {f.attr: f for f in fields}
+        plain = [f for f in fields if not f.optional]
+        self._ints = [f for f in plain if f.dtype in (np.int64, np.bool_)]
+        self._floats = [f for f in plain if f.dtype is np.float64]
+        self._others = [f for f in fields if f not in self._ints + self._floats]
+
+    def __reduce__(self):
+        return (_named, (self.kind,))
+
+    def field(self, attr: str) -> Field:
+        return self._by_attr[attr]
+
+    # -- JSON ----------------------------------------------------------------
+
+    def parse(self, data: dict):
+        """One record from a JSONL object; raises on any bad field."""
+        return self.record(*(f.parse(data[f.key]) for f in self.fields))
+
+    def decode(self, rows: List[dict]) -> Dict[str, np.ndarray]:
+        """Typed columns of *rows*, all of this kind, without records.
+
+        Returns column arrays by attribute, and the presence mask of
+        each optional field by its ``present_key``.  Accepts exactly the
+        plainest rows :meth:`parse` accepts — integers and bools in
+        integer and bool fields, finite numbers in float fields, the
+        right strings elsewhere — and raises :class:`Irregular` (or a
+        ``KeyError``/``TypeError``/``ValueError``) on anything else.
+        """
+        n = len(rows)
+        columns: Dict[str, np.ndarray] = {}
+        for group, kinds in ((self._ints, "bi"), (self._floats, "biuf")):
+            if not group:
+                continue
+            getter = operator.itemgetter(*(f.key for f in group))
+            shape = (n, len(group)) if len(group) > 1 else (n,)
+            array = _typed(list(map(getter, rows)), kinds, shape)
+            array = array.reshape(n, -1)
+            if kinds == "biuf" and not np.isfinite(array).all():
+                raise Irregular("non-finite float")
+            for j, f in enumerate(group):
+                columns[f.attr] = array[:, j].astype(f.dtype)
+        for f in self._others:
+            values = list(map(operator.itemgetter(f.key), rows))
+            if f.optional:
+                mask = [value is not None for value in values]
+                columns[f.present_key] = np.array(mask, dtype=np.bool_)
+                filled = [NONE if value is None else value for value in values]
+                columns[f.attr] = _typed(filled, "bi", (n,)).astype(np.int64)
+            elif f.is_enum:
+                lookup = {member.value: i for i, member in enumerate(f.dtype)}
+                columns[f.attr] = np.array(
+                    list(map(lookup.__getitem__, values)), dtype=np.int8
+                )
+            else:
+                if set(map(type, values)) != {str}:
+                    raise Irregular(f"non-string {f.key!r}")
+                columns[f.attr] = np.array(values, dtype=object)
+        return columns
+
+    # -- records --------------------------------------------------------------
+
+    def view(self, records) -> "RecordColumns | RecordList":
+        """Column access to *records*: a :class:`RecordColumns` as is,
+        anything else walked as a :class:`RecordList`."""
+        if isinstance(records, RecordColumns):
+            return records
+        return RecordList(records, self)
+
+    def walk(self, records: list) -> Dict[str, np.ndarray]:
+        """Every column of *records*, as :meth:`decode` returns them."""
+        walk = RecordList(records, self)
+        columns = {f.attr: walk.column(f.attr) for f in self.fields}
+        for f in self.fields:
+            if f.optional:
+                columns[f.present_key] = np.fromiter(
+                    (value is not None for value in walk.values(f.attr)),
+                    np.bool_,
+                    len(records),
+                )
+        return columns
+
+    def concat(self, parts: List[Dict[str, np.ndarray]]) -> "RecordColumns":
+        """One :class:`RecordColumns` from decoded or walked parts."""
+        parts = parts or [self.walk([])]
+        return RecordColumns(
+            self,
+            {key: np.concatenate([part[key] for part in parts]) for key in parts[0]},
+        )
+
+
+class RecordList:
+    """The record→column walk over an in-memory record list."""
+
+    def __init__(self, records, schema: Schema) -> None:
+        self._records = records
+        self.schema = schema
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def values(self, attr: str):
+        return map(operator.attrgetter(attr), self._records)
+
+    def column(self, attr: str) -> np.ndarray:
+        f = self.schema.field(attr)
+        values = self.values(attr)
+        if f.optional:
+            values = (NONE if value is None else value for value in values)
+        elif f.is_enum:
+            lookup = {member: i for i, member in enumerate(f.dtype)}
+            values = map(lookup.__getitem__, values)
+        return np.fromiter(values, f.column_dtype, len(self._records))
+
+    def select(self, mask: np.ndarray) -> "RecordList":
+        """The records where *mask* is true."""
+        return RecordList(
+            list(itertools.compress(self._records, mask.tolist())), self.schema
+        )
+
+
+class _Selected:
+    """The rows of a :class:`RecordColumns` where a mask is true."""
+
+    def __init__(self, source: "RecordColumns", mask: np.ndarray) -> None:
+        self._source = source
+        self._mask = mask
+
+    def column(self, attr: str) -> np.ndarray:
+        return self._source.column(attr)[self._mask]
+
+
+class RecordColumns(Sequence):
+    """One source's records held as typed columns.
+
+    A read-only sequence of records: ``len()`` is free, and the records
+    are built from the columns, once, when first indexed or iterated.
+    Equal to any sequence holding equal records.
+    """
+
+    def __init__(self, schema: Schema, columns: Dict[str, np.ndarray]) -> None:
+        self.schema = schema
+        self._columns = columns
+        self._len = len(columns[schema.fields[0].attr])
+        self._records: Optional[list] = None
+
+    def column(self, attr: str) -> np.ndarray:
+        return self._columns[attr]
+
+    def select(self, mask: np.ndarray) -> _Selected:
+        return _Selected(self, mask)
+
+    def _built(self) -> list:
+        if self._records is None:
+            values = []
+            for f in self.schema.fields:
+                column = self._columns[f.attr].tolist()
+                if f.is_enum:
+                    column = list(map(list(f.dtype).__getitem__, column))
+                elif f.optional:
+                    column = [
+                        value if here else None
+                        for value, here in zip(
+                            column, self._columns[f.present_key].tolist()
+                        )
+                    ]
+                values.append(column)
+            self._records = list(map(self.schema.record, *values))
+        return self._records
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RecordColumns({self.schema.kind!r}, {self._len} records)"
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_records"] = None
+        return state
+
+
+def _i(key: str, attr: str, optional: bool = False) -> Field:
+    return Field(key, attr, np.int64, optional)
+
+
+def _b(key: str, attr: str) -> Field:
+    return Field(key, attr, np.bool_)
+
+
+def _f(key: str, attr: str) -> Field:
+    return Field(key, attr, np.float64)
+
+
+DCI = Schema(
+    "dci",
+    DciRecord,
+    (
+        _i("ts_us", "ts_us"),
+        _i("slot", "slot"),
+        _i("rnti", "rnti"),
+        _b("ul", "is_uplink"),
+        _i("prb", "n_prb"),
+        _i("mcs", "mcs"),
+        _i("tbs", "tbs_bits"),
+        _b("retx", "is_retx"),
+        _i("attempt", "harq_attempt"),
+        _b("crc", "crc_ok"),
+        _b("proactive", "proactive"),
+        _i("used", "used_bytes"),
+    ),
+)
+
+GNB_LOG = Schema(
+    "gnb",
+    GnbLogRecord,
+    (
+        _i("ts_us", "ts_us"),
+        Field("kind", "kind", GnbLogKind),
+        _b("ul", "is_uplink"),
+        _i("buffer", "buffer_bytes"),
+        _i("rnti", "rnti"),
+    ),
+)
+
+PACKETS = Schema(
+    "pkt",
+    PacketRecord,
+    (
+        _i("id", "packet_id"),
+        Field("stream", "stream", StreamKind),
+        _i("size", "size_bytes"),
+        _i("sent_us", "sent_us"),
+        _i("recv_us", "received_us", optional=True),
+        _b("ul", "is_uplink"),
+        _i("frame", "frame_id", optional=True),
+    ),
+)
+
+WEBRTC_STATS = Schema(
+    "webrtc",
+    WebRtcStatsRecord,
+    (
+        _i("ts_us", "ts_us"),
+        Field("client", "client", str),
+        _f("out_fps", "outbound_fps"),
+        _i("out_res", "outbound_resolution_p"),
+        _f("target", "target_bitrate_bps"),
+        _f("pushback", "pushback_bitrate_bps"),
+        Field("state", "gcc_state", str),
+        _f("slope", "gcc_trend_slope"),
+        _f("threshold", "gcc_threshold"),
+        _i("outstanding", "outstanding_bytes"),
+        _i("cwnd", "congestion_window_bytes"),
+        _f("in_fps", "inbound_fps"),
+        _i("in_res", "inbound_resolution_p"),
+        _f("vjb_ms", "video_jitter_buffer_ms"),
+        _f("ajb_ms", "audio_jitter_buffer_ms"),
+        _b("frozen", "frozen"),
+        _f("freeze_ms", "freeze_duration_ms"),
+        _i("concealed", "concealed_samples"),
+        _i("samples", "total_samples"),
+    ),
+)
+
+#: Every source, in bundle and file order, keyed by JSONL type.
+SCHEMAS = {s.kind: s for s in (DCI, GNB_LOG, PACKETS, WEBRTC_STATS)}
+
+
+def _named(kind: str) -> Schema:
+    """The schema of JSONL record type *kind*."""
+    return SCHEMAS[kind]

@@ -5,26 +5,58 @@ captures, gNB logs, pcaps, WebRTC stats dumps).  This module defines a
 simple, stable on-disk format: one JSON object per record, each tagged
 with its source, plus a header line carrying session metadata.  Files
 round-trip exactly through :func:`save_bundle` / :func:`load_bundle`.
+
+:func:`load_bundle` reads a trace in chunks of ``_CHUNK_LINES`` lines.
+Each chunk is one ``json.loads`` of its lines joined into a JSON array,
+and each source's rows go straight into typed column arrays
+(:meth:`repro.telemetry.columns.Schema.decode`) without building a
+record object.  The bundle it returns is column-backed: its ``dci``,
+``gnb_log``, ``packets`` and ``webrtc_stats`` are
+:class:`~repro.telemetry.columns.RecordColumns`, which build records
+only when a consumer indexes or iterates them.  A chunk the array
+decoder does not take as is — a blank line, a float where an integer
+belongs, anything malformed — is parsed again line by line through
+:func:`_parse_line`, the parser :func:`iter_records` uses.  So both
+readers accept the same files, and an error names the same line in
+both.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import TelemetryError
+from repro.telemetry.columns import (
+    DCI,
+    GNB_LOG,
+    PACKETS,
+    SCHEMAS,
+    WEBRTC_STATS,
+    Irregular,
+    as_bool,
+    as_int,
+    as_str,
+)
 from repro.telemetry.records import (
     DciRecord,
-    GnbLogKind,
     GnbLogRecord,
     PacketRecord,
-    StreamKind,
     TelemetryBundle,
     WebRtcStatsRecord,
 )
 
 FORMAT_VERSION = 1
+
+#: Lines per chunk :func:`load_bundle` decodes with one ``json.loads``.
+#: Measured on a 12 s busy-cell trace: 1024-line chunks were slower,
+#: and 16384-line chunks raised peak memory with no gain.
+_CHUNK_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -69,23 +101,6 @@ def _dci_to_json(record: DciRecord) -> dict:
     }
 
 
-def _dci_from_json(data: dict) -> DciRecord:
-    return DciRecord(
-        ts_us=data["ts_us"],
-        slot=data["slot"],
-        rnti=data["rnti"],
-        is_uplink=data["ul"],
-        n_prb=data["prb"],
-        mcs=data["mcs"],
-        tbs_bits=data["tbs"],
-        is_retx=data["retx"],
-        harq_attempt=data["attempt"],
-        crc_ok=data["crc"],
-        proactive=data["proactive"],
-        used_bytes=data["used"],
-    )
-
-
 def _gnb_to_json(record: GnbLogRecord) -> dict:
     return {
         "type": "gnb",
@@ -95,16 +110,6 @@ def _gnb_to_json(record: GnbLogRecord) -> dict:
         "buffer": record.buffer_bytes,
         "rnti": record.rnti,
     }
-
-
-def _gnb_from_json(data: dict) -> GnbLogRecord:
-    return GnbLogRecord(
-        ts_us=data["ts_us"],
-        kind=GnbLogKind(data["kind"]),
-        is_uplink=data["ul"],
-        buffer_bytes=data["buffer"],
-        rnti=data["rnti"],
-    )
 
 
 def _packet_to_json(record: PacketRecord) -> dict:
@@ -118,18 +123,6 @@ def _packet_to_json(record: PacketRecord) -> dict:
         "ul": record.is_uplink,
         "frame": record.frame_id,
     }
-
-
-def _packet_from_json(data: dict) -> PacketRecord:
-    return PacketRecord(
-        packet_id=data["id"],
-        stream=StreamKind(data["stream"]),
-        size_bytes=data["size"],
-        sent_us=data["sent_us"],
-        received_us=data["recv_us"],
-        is_uplink=data["ul"],
-        frame_id=data["frame"],
-    )
 
 
 def _stats_to_json(record: WebRtcStatsRecord) -> dict:
@@ -157,30 +150,6 @@ def _stats_to_json(record: WebRtcStatsRecord) -> dict:
     }
 
 
-def _stats_from_json(data: dict) -> WebRtcStatsRecord:
-    return WebRtcStatsRecord(
-        ts_us=data["ts_us"],
-        client=data["client"],
-        outbound_fps=data["out_fps"],
-        outbound_resolution_p=data["out_res"],
-        target_bitrate_bps=data["target"],
-        pushback_bitrate_bps=data["pushback"],
-        gcc_state=data["state"],
-        gcc_trend_slope=data["slope"],
-        gcc_threshold=data["threshold"],
-        outstanding_bytes=data["outstanding"],
-        congestion_window_bytes=data["cwnd"],
-        inbound_fps=data["in_fps"],
-        inbound_resolution_p=data["in_res"],
-        video_jitter_buffer_ms=data["vjb_ms"],
-        audio_jitter_buffer_ms=data["ajb_ms"],
-        frozen=data["frozen"],
-        freeze_duration_ms=data["freeze_ms"],
-        concealed_samples=data["concealed"],
-        total_samples=data["samples"],
-    )
-
-
 def dump_lines(bundle: TelemetryBundle) -> Iterable[str]:
     """Yield the JSONL lines for *bundle* (header first)."""
     yield json.dumps(_header_line(bundle))
@@ -203,13 +172,6 @@ def save_bundle(bundle: TelemetryBundle, path_or_file: Union[str, IO[str]]) -> N
     for line in dump_lines(bundle):
         path_or_file.write(line + "\n")
 
-
-_PARSERS = {
-    "dci": _dci_from_json,
-    "gnb": _gnb_from_json,
-    "pkt": _packet_from_json,
-    "webrtc": _stats_from_json,
-}
 
 #: Union of everything :func:`iter_records` can yield.
 TraceItem = Union[
@@ -252,83 +214,174 @@ def iter_records(
             '"type": "header"',
         )
         skip_tokens = tuple(
-            f'"type": "{kind}"' for kind in _PARSERS if kind not in kinds
+            f'"type": "{kind}"' for kind in SCHEMAS if kind not in kinds
         )
     saw_header = False
     for line_number, line in enumerate(path_or_file, start=1):
         line = line.strip()
-        if not line:
-            continue
         if (
             skip_tokens
             and not any(token in line for token in wanted)
             and any(token in line for token in skip_tokens)
         ):
             continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TelemetryError(
-                f"line {line_number}: invalid JSON: {exc}"
-            ) from exc
-        kind = data.get("type")
-        if kind == "header":
-            if data.get("version") != FORMAT_VERSION:
-                raise TelemetryError(
-                    f"unsupported format version {data.get('version')!r}"
-                )
+        item = _parse_line(line_number, line, kinds)
+        if isinstance(item, TraceHeader):
             saw_header = True
-            yield TraceHeader(
-                session_name=data["session_name"],
-                duration_us=data["duration_us"],
-                cellular_client=data["cellular_client"],
-                wired_client=data["wired_client"],
-                gnb_log_available=data["gnb_log_available"],
-                version=data["version"],
-            )
-            continue
-        try:
-            parser = _PARSERS[kind]
-        except KeyError:
-            raise TelemetryError(
-                f"line {line_number}: unknown record type {kind!r}"
-            )
-        if kinds is not None and kind not in kinds:
-            continue
-        try:
-            yield parser(data)
-        except (KeyError, ValueError) as exc:
-            raise TelemetryError(
-                f"line {line_number}: malformed {kind} record: {exc}"
-            ) from exc
+        if item is not None:
+            yield item
     if not saw_header:
         raise TelemetryError("missing header line")
 
 
-def load_bundle(path_or_file: Union[str, IO[str]]) -> TelemetryBundle:
-    """Read a JSONL telemetry file back into a bundle."""
+def _header_from_json(data: dict) -> TraceHeader:
+    if data.get("version") != FORMAT_VERSION:
+        raise TelemetryError(
+            f"unsupported format version {data.get('version')!r}"
+        )
+    return TraceHeader(
+        session_name=as_str(data["session_name"]),
+        duration_us=as_int(data["duration_us"]),
+        cellular_client=as_str(data["cellular_client"]),
+        wired_client=as_str(data["wired_client"]),
+        gnb_log_available=as_bool(data["gnb_log_available"]),
+        version=data["version"],
+    )
+
+
+def _parse_line(
+    line_number: int, line: str, kinds: Optional[Tuple[str, ...]] = None
+) -> Optional[TraceItem]:
+    """Line *line_number* of a trace as a header or record.
+
+    None for a blank line, or for a record whose type *kinds* leaves
+    out.  Raises :class:`~repro.errors.TelemetryError` naming the line
+    for anything malformed.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TelemetryError(
+            f"line {line_number}: invalid JSON: {exc}"
+        ) from exc
+    if not isinstance(data, dict):
+        raise TelemetryError(
+            f"line {line_number}: malformed record: expected a JSON "
+            f"object, got {type(data).__name__}"
+        )
+    kind = data.get("type")
+    if kind == "header":
+        parse = _header_from_json
+    else:
+        try:
+            parse = SCHEMAS[kind].parse
+        except (KeyError, TypeError):
+            raise TelemetryError(
+                f"line {line_number}: unknown record type {kind!r}"
+            ) from None
+        if kinds is not None and kind not in kinds:
+            return None
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise TelemetryError(
+            f"line {line_number}: malformed {kind} record: {exc}"
+        ) from exc
+
+
+_TYPE = operator.itemgetter("type")
+_KIND_OF = {s.record: kind for kind, s in SCHEMAS.items()}
+
+#: Columns of one source, as :meth:`~repro.telemetry.columns.Schema.decode`
+#: returns them.
+_Part = Dict[str, np.ndarray]
+
+
+def _decode_chunk(
+    lines: List[str],
+) -> Tuple[Optional[TraceHeader], Dict[str, _Part]]:
+    """The header and per-source columns of a chunk, in one JSON decode.
+
+    Raises on anything the array decoder does not take as is, without
+    saying which line: the caller then parses the chunk line by line.
+    """
+    rows = json.loads("[" + ",".join(lines) + "]")
+    kinds = list(map(_TYPE, rows))
+    if kinds and kinds.count(kinds[0]) == len(kinds):
+        groups = {kinds[0]: rows}
+    else:
+        groups = {}
+        for kind, row in zip(kinds, rows):
+            groups.setdefault(kind, []).append(row)
     header = None
-    dci, gnb, packets, stats = [], [], [], []
-    sinks = {
-        DciRecord: dci,
-        GnbLogRecord: gnb,
-        PacketRecord: packets,
-        WebRtcStatsRecord: stats,
-    }
-    for item in iter_records(path_or_file):
+    parts = {}
+    for kind, group in groups.items():
+        if kind == "header":
+            # Every header is checked; the last one wins, as line by line.
+            for row in group:
+                header = _header_from_json(row)
+        else:
+            parts[kind] = SCHEMAS[kind].decode(group)
+    return header, parts
+
+
+def _parse_chunk(
+    lines: List[str], first_line: int
+) -> Tuple[Optional[TraceHeader], Dict[str, _Part]]:
+    """:func:`_decode_chunk`'s result, one line at a time."""
+    header = None
+    records: Dict[str, list] = {kind: [] for kind in SCHEMAS}
+    for line_number, line in enumerate(lines, start=first_line):
+        item = _parse_line(line_number, line)
         if isinstance(item, TraceHeader):
             header = item
-        else:
-            sinks[type(item)].append(item)
-    assert header is not None  # iter_records raised otherwise
+        elif item is not None:
+            records[_KIND_OF[type(item)]].append(item)
+    parts = {
+        kind: SCHEMAS[kind].walk(items)
+        for kind, items in records.items()
+        if items
+    }
+    return header, parts
+
+
+def load_bundle(path_or_file: Union[str, IO[str]]) -> TelemetryBundle:
+    """Read a JSONL telemetry file back into a column-backed bundle."""
+    if isinstance(path_or_file, str):
+        with open(path_or_file) as handle:
+            return _load(handle)
+    return _load(path_or_file)
+
+
+def _load(handle: IO[str]) -> TelemetryBundle:
+    header = None
+    parts: Dict[str, List[_Part]] = {kind: [] for kind in SCHEMAS}
+    first_line = 1
+    while True:
+        lines = list(itertools.islice(handle, _CHUNK_LINES))
+        if not lines:
+            break
+        try:
+            chunk_header, chunk = _decode_chunk(lines)
+        except (Irregular, TelemetryError, KeyError, TypeError, ValueError):
+            chunk_header, chunk = _parse_chunk(lines, first_line)
+        header = chunk_header or header
+        for kind, part in chunk.items():
+            parts[kind].append(part)
+        first_line += len(lines)
+    if header is None:
+        raise TelemetryError("missing header line")
     return TelemetryBundle(
         session_name=header.session_name,
         duration_us=header.duration_us,
         cellular_client=header.cellular_client,
         wired_client=header.wired_client,
         gnb_log_available=header.gnb_log_available,
-        dci=dci,
-        gnb_log=gnb,
-        packets=packets,
-        webrtc_stats=stats,
+        dci=DCI.concat(parts["dci"]),
+        gnb_log=GNB_LOG.concat(parts["gnb"]),
+        packets=PACKETS.concat(parts["pkt"]),
+        webrtc_stats=WEBRTC_STATS.concat(parts["webrtc"]),
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional, Sequence
 
 
 class StreamKind(enum.Enum):
@@ -143,6 +143,14 @@ class TelemetryBundle:
     extraction knows which WebRTC stats are "local" (cellular UE) versus
     "remote".  Timestamps share one clock (hosts were NTP-synced in the
     paper; the simulator has a single clock by construction).
+
+    Each source is a sequence of records in time order.  The collector
+    and the streaming detector build plain lists.  A bundle read with
+    :func:`~repro.telemetry.io.load_bundle` holds read-only
+    :class:`~repro.telemetry.columns.RecordColumns` instead: typed
+    column arrays that :class:`~repro.telemetry.timeline.Timeline`
+    ingests directly, and that build record objects only when a
+    consumer indexes or iterates them (``len()`` builds none).
     """
 
     session_name: str
@@ -150,10 +158,10 @@ class TelemetryBundle:
     cellular_client: str = "cellular"
     wired_client: str = "wired"
     gnb_log_available: bool = False
-    dci: List[DciRecord] = field(default_factory=list)
-    gnb_log: List[GnbLogRecord] = field(default_factory=list)
-    packets: List[PacketRecord] = field(default_factory=list)
-    webrtc_stats: List[WebRtcStatsRecord] = field(default_factory=list)
+    dci: Sequence[DciRecord] = field(default_factory=list)
+    gnb_log: Sequence[GnbLogRecord] = field(default_factory=list)
+    packets: Sequence[PacketRecord] = field(default_factory=list)
+    webrtc_stats: Sequence[WebRtcStatsRecord] = field(default_factory=list)
 
     def event_rates_per_minute(self) -> dict:
         """Per-minute record rates — the Table 1 'Event Rate' columns."""

@@ -15,13 +15,14 @@ Naming convention (all per-bin):
 * ``ul_*`` / ``dl_*`` — 5G/packet metrics per physical direction
   (uplink = cellular client → network).
 
-Ingestion is single-pass and vectorized: each record list is walked
-exactly once to pull its fields into flat numpy arrays (the only
-per-record Python work), and every per-bin aggregate is then a
-``np.bincount`` / ``np.minimum.at`` / fancy-assignment over those
-arrays.  Accumulation order per bin equals record order — the same
-order the per-record loops used — so the resulting series are
-bit-identical to the loop formulation.
+Ingestion is array code over each source's typed columns
+(:mod:`repro.telemetry.columns`): every per-bin aggregate is a
+``np.bincount`` / ``np.minimum.at`` / fancy-assignment over them.  A
+bundle read from JSONL already holds its columns; for a bundle of
+record lists each column needed is one walk over the records.
+Accumulation order per bin equals record order — the same order the
+per-record loops used — so the resulting series are bit-identical to
+the loop formulation.
 
 A timeline can also be built in time-ordered segments: every per-bin
 aggregate depends only on that bin's records, and forward-fill carries
@@ -31,7 +32,6 @@ with :meth:`Timeline.extend` equal one ingest of the whole bundle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -41,6 +41,13 @@ import numpy as np
 from repro.errors import TelemetryError
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
+from repro.telemetry.columns import (
+    DCI,
+    GNB_LOG,
+    PACKETS,
+    WEBRTC_STATS,
+    code,
+)
 from repro.telemetry.records import (
     GnbLogKind,
     StreamKind,
@@ -49,6 +56,11 @@ from repro.telemetry.records import (
 
 #: GCC network-state encoding in the resampled arrays.
 GCC_STATE_CODE = {"underuse": -1, "normal": 0, "overuse": 1}
+
+_RTCP = code(StreamKind.RTCP)
+_RLC_BUFFER = code(GnbLogKind.RLC_BUFFER)
+_RLC_RETX = code(GnbLogKind.RLC_RETX)
+_RRC = (code(GnbLogKind.RRC_RELEASE), code(GnbLogKind.RRC_CONNECT))
 
 
 def _forward_fill(values: np.ndarray, fill: float) -> np.ndarray:
@@ -170,41 +182,28 @@ class Timeline:
             self._new(f"{role}_frozen", 0.0)
             self._new(f"{role}_concealed", 0.0)
             self._new(f"{role}_total_samples", 0.0)
-        records = bundle.webrtc_stats
-        n = len(records)
-        ts = np.fromiter((r.ts_us for r in records), np.int64, n)
-        index, in_range = self._bin_indices(ts)
-        wired = bundle.wired_client
-        cellular = bundle.cellular_client
-        remote_mask = np.fromiter(
-            (r.client == wired for r in records), np.bool_, n
-        )
-        if cellular == wired:
+        stats = WEBRTC_STATS.view(bundle.webrtc_stats)
+        index, in_range = self._bin_indices(stats.column("ts_us"))
+        clients = stats.column("client")
+        remote_mask = clients == bundle.wired_client
+        if bundle.cellular_client == bundle.wired_client:
             # Degenerate naming: dict-lookup ingestion resolved the
             # shared name to "remote"; keep that.
-            local_mask = np.zeros(n, dtype=np.bool_)
+            local_mask = np.zeros(len(stats), dtype=np.bool_)
         else:
-            local_mask = np.fromiter(
-                (r.client == cellular for r in records), np.bool_, n
-            )
+            local_mask = clients == bundle.cellular_client
         columns = {
-            fieldname: np.fromiter(
-                (getattr(r, fieldname) for r in records), np.float64, n
-            )
+            fieldname: stats.column(fieldname).astype(np.float64)
             for fieldname in self._APP_FIELDS
         }
-        columns["gcc_state"] = np.fromiter(
-            (GCC_STATE_CODE.get(r.gcc_state, 0) for r in records),
-            np.float64,
-            n,
-        )
-        columns["frozen"] = np.fromiter(
-            (r.frozen for r in records), np.float64, n
-        )
-        concealed = np.fromiter(
-            (r.concealed_samples for r in records), np.float64, n
-        )
-        total = np.fromiter((r.total_samples for r in records), np.float64, n)
+        states = stats.column("gcc_state")
+        gcc_state = np.zeros(len(stats))
+        for state, state_code in GCC_STATE_CODE.items():
+            gcc_state[states == state] = state_code
+        columns["gcc_state"] = gcc_state
+        columns["frozen"] = stats.column("frozen").astype(np.float64)
+        concealed = stats.column("concealed_samples").astype(np.float64)
+        total = stats.column("total_samples").astype(np.float64)
         for role, role_mask in (("local", local_mask), ("remote", remote_mask)):
             mask = in_range & role_mask
             idx = index[mask]
@@ -225,25 +224,13 @@ class Timeline:
     def _ingest_packets(
         self, bundle: TelemetryBundle, fills: Dict[str, float]
     ) -> None:
-        packets = bundle.packets
-        n = len(packets)
-        sent = np.fromiter((p.sent_us for p in packets), np.int64, n)
-        is_uplink = np.fromiter(
-            (p.is_uplink for p in packets), np.bool_, n
-        )
-        size = np.fromiter((p.size_bytes for p in packets), np.float64, n)
-        # -1 marks a lost packet; real receive timestamps are >= 0.
-        received = np.fromiter(
-            (
-                -1 if p.received_us is None else p.received_us
-                for p in packets
-            ),
-            np.int64,
-            n,
-        )
-        is_rtcp = np.fromiter(
-            (p.stream is StreamKind.RTCP for p in packets), np.bool_, n
-        )
+        packets = PACKETS.view(bundle.packets)
+        sent = packets.column("sent_us")
+        is_uplink = packets.column("is_uplink")
+        size = packets.column("size_bytes").astype(np.float64)
+        # NONE (-1) marks a lost packet; real receive times are >= 0.
+        received = packets.column("received_us")
+        is_rtcp = packets.column("stream") == _RTCP
         index, in_range = self._bin_indices(sent)
         delivered = received >= 0
         delay = (received - sent).astype(np.float64)
@@ -302,30 +289,19 @@ class Timeline:
     def _ingest_dci(
         self, bundle: TelemetryBundle, fills: Dict[str, float]
     ) -> None:
-        records = bundle.dci
-        n = len(records)
-        ts = np.fromiter((r.ts_us for r in records), np.int64, n)
-        rnti = np.fromiter((r.rnti for r in records), np.int64, n)
-        is_uplink = np.fromiter((r.is_uplink for r in records), np.bool_, n)
-        n_prb = np.fromiter((r.n_prb for r in records), np.float64, n)
+        dci = DCI.view(bundle.dci)
+        ts = dci.column("ts_us")
+        rnti = dci.column("rnti")
+        is_uplink = dci.column("is_uplink")
+        n_prb = dci.column("n_prb").astype(np.float64)
         index, in_range = self._bin_indices(ts)
         is_experiment = rnti < self._CROSS_TRAFFIC_RNTI_FLOOR
         # MCS/TBS/retx only matter for the experiment UE, typically a
-        # small minority of grants next to cross traffic — pull those
-        # columns from the compressed sublist instead of the full list.
-        experiment_records = list(
-            itertools.compress(records, is_experiment.tolist())
-        )
-        m = len(experiment_records)
-        mcs = np.fromiter(
-            (r.mcs for r in experiment_records), np.float64, m
-        )
-        tbs = np.fromiter(
-            (r.tbs_bits for r in experiment_records), np.float64, m
-        )
-        is_retx = np.fromiter(
-            (r.is_retx for r in experiment_records), np.bool_, m
-        )
+        # small minority of grants next to cross traffic.
+        experiment = dci.select(is_experiment)
+        mcs = experiment.column("mcs").astype(np.float64)
+        tbs = experiment.column("tbs_bits").astype(np.float64)
+        is_retx = experiment.column("is_retx")
         exp_index = index[is_experiment]
         exp_in_range = in_range[is_experiment]
         exp_uplink = is_uplink[is_experiment]
@@ -377,28 +353,14 @@ class Timeline:
     def _ingest_gnb_log(
         self, bundle: TelemetryBundle, fills: Dict[str, float]
     ) -> None:
-        records = bundle.gnb_log
-        n = len(records)
-        ts = np.fromiter((r.ts_us for r in records), np.int64, n)
-        is_buffer = np.fromiter(
-            (r.kind is GnbLogKind.RLC_BUFFER for r in records), np.bool_, n
-        )
-        is_rlc_retx = np.fromiter(
-            (r.kind is GnbLogKind.RLC_RETX for r in records), np.bool_, n
-        )
-        is_rrc = np.fromiter(
-            (
-                r.kind is GnbLogKind.RRC_RELEASE
-                or r.kind is GnbLogKind.RRC_CONNECT
-                for r in records
-            ),
-            np.bool_,
-            n,
-        )
-        is_uplink = np.fromiter((r.is_uplink for r in records), np.bool_, n)
-        buffer_values = np.fromiter(
-            (r.buffer_bytes for r in records), np.float64, n
-        )
+        logs = GNB_LOG.view(bundle.gnb_log)
+        ts = logs.column("ts_us")
+        kind = logs.column("kind")
+        is_buffer = kind == _RLC_BUFFER
+        is_rlc_retx = kind == _RLC_RETX
+        is_rrc = np.isin(kind, _RRC)
+        is_uplink = logs.column("is_uplink")
+        buffer_values = logs.column("buffer_bytes").astype(np.float64)
         index, in_range = self._bin_indices(ts)
         nb = self.n_bins
         for direction, flag in (("ul", True), ("dl", False)):

@@ -13,11 +13,17 @@ import signal
 
 import pytest
 
-from repro.datasets.cells import AMARISOFT, TMOBILE_FDD, TMOBILE_TDD
+from repro.datasets.cells import (
+    AMARISOFT,
+    TMOBILE_FDD,
+    TMOBILE_TDD,
+    get_profile,
+)
 from repro.datasets.runner import (
     make_cellular_session,
     make_wired_session,
 )
+from repro.telemetry.io import save_bundle
 
 TEST_TIMEOUT_S = int(os.environ.get("REPRO_TEST_TIMEOUT_S", "300"))
 
@@ -84,3 +90,22 @@ def tdd_result():
     """A 15 s call over the 100 MHz TDD profile."""
     session = make_cellular_session(TMOBILE_TDD, seed=42)
     return session.run(15_000_000)
+
+
+#: Every simulated profile, as the JSONL equivalence tests read them.
+TRACE_PROFILES = ("amarisoft", "mosolabs", "tmobile_fdd", "tmobile_tdd", "wired")
+
+
+@pytest.fixture(scope="session", params=TRACE_PROFILES)
+def profile_trace(request, tmp_path_factory):
+    """An 8 s call of each profile, in memory and saved as JSONL:
+    ``(bundle, path)``.  A test using it runs once per profile."""
+    name = request.param
+    if name == "wired":
+        session = make_wired_session(seed=7)
+    else:
+        session = make_cellular_session(get_profile(name), seed=7)
+    bundle = session.run(8_000_000).bundle
+    path = str(tmp_path_factory.mktemp("traces") / f"{name}.jsonl")
+    save_bundle(bundle, path)
+    return bundle, path

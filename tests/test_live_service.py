@@ -1,10 +1,12 @@
 """The live multi-session RCA service (repro.live)."""
 
 import asyncio
+import pickle
 import random
 
 import pytest
 
+from repro import api
 from repro.core.detector import DominoDetector
 from repro.core.stats import DominoStats
 from repro.fleet.aggregate import FleetAggregate
@@ -20,7 +22,7 @@ from repro.live import (
     render_snapshot,
 )
 from repro.live.supervisor import SessionSupervisor
-from repro.telemetry.io import save_bundle
+from repro.telemetry.io import load_bundle, save_bundle
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,31 @@ def test_replay_from_jsonl_path_matches_offline(tmp_path, replay_bundle):
     assert canonical_detections(live["disk"]) == canonical_detections(
         offline.windows
     )
+
+
+def test_replay_of_loaded_bundle_matches_in_memory(tmp_path, replay_bundle):
+    """A column-backed bundle from load_bundle, and its pickled copy,
+    replay exactly like the in-memory bundle: the heap merge builds
+    their records lazily, and pickling drops the built records."""
+    path = str(tmp_path / "trace.jsonl")
+    save_bundle(replay_bundle, path)
+    loaded = load_bundle(path)
+    pickled = len(pickle.dumps(loaded))
+    restored = pickle.loads(pickle.dumps(loaded))
+    service = api.serve(
+        [
+            ReplaySource(replay_bundle, session_id="memory"),
+            ReplaySource(loaded, session_id="loaded"),
+            ReplaySource(restored, session_id="pickled"),
+        ]
+    )
+    live = _collect_live_detections(service)
+    asyncio.run(service.run())
+    expected = canonical_detections(live["memory"])
+    assert expected
+    assert canonical_detections(live["loaded"]) == expected
+    assert canonical_detections(live["pickled"]) == expected
+    assert len(pickle.dumps(loaded)) == pickled
 
 
 class _ShuffledReplay(ReplaySource):

@@ -1,10 +1,18 @@
 """JSONL telemetry serialization round-trips."""
 
+import dataclasses
 import io
+import json
+import pickle
 
+import numpy as np
 import pytest
 
+from repro import api
 from repro.errors import TelemetryError
+from repro.live import canonical_detections
+from repro.telemetry import columns
+from repro.telemetry import io as telemetry_io
 from repro.telemetry.io import (
     TraceHeader,
     dump_lines,
@@ -12,7 +20,16 @@ from repro.telemetry.io import (
     load_bundle,
     save_bundle,
 )
-from repro.telemetry.records import DciRecord, WebRtcStatsRecord
+from repro.telemetry.records import (
+    DciRecord,
+    GnbLogKind,
+    GnbLogRecord,
+    PacketRecord,
+    StreamKind,
+    TelemetryBundle,
+    WebRtcStatsRecord,
+)
+from repro.telemetry.timeline import Timeline
 
 
 def _roundtrip(bundle):
@@ -150,3 +167,357 @@ def test_iter_records_from_path(tmp_path, wired_bundle):
     items = list(iter_records(path))
     assert isinstance(items[0], TraceHeader)
     assert len(items) - 1 > 0
+
+
+# -- column-backed loading ------------------------------------------------------
+
+
+_SOURCES = ("dci", "gnb_log", "packets", "webrtc_stats")
+
+
+def _assert_same_timeline(actual, expected):
+    assert actual.n_bins == expected.n_bins
+    assert list(actual.series) == list(expected.series)
+    for name, values in expected.series.items():
+        got = actual.series[name]
+        assert got.dtype == values.dtype, name
+        assert np.array_equal(got, values, equal_nan=True), name
+
+
+def test_save_of_loaded_bundle_is_byte_identical(profile_trace):
+    _, path = profile_trace
+    with open(path) as handle:
+        original = handle.read()
+    buffer = io.StringIO()
+    save_bundle(load_bundle(path), buffer)
+    assert buffer.getvalue() == original
+
+
+def test_loaded_records_equal_originals_field_types_included(profile_trace):
+    bundle, path = profile_trace
+    loaded = load_bundle(path)
+    for source in _SOURCES:
+        records = getattr(loaded, source)
+        originals = getattr(bundle, source)
+        assert isinstance(records, columns.RecordColumns)
+        assert len(records) == len(originals)
+        assert records == originals
+        assert list(records) == list(originals)
+        for got, want in zip(records, originals):
+            for field in dataclasses.fields(want):
+                assert type(getattr(got, field.name)) is type(
+                    getattr(want, field.name)
+                ), (source, field.name)
+
+
+def test_analyze_path_equals_analyze_bundle(profile_trace):
+    bundle, path = profile_trace
+    from_path = api.analyze(path)
+    assert canonical_detections(from_path.windows) == canonical_detections(
+        api.analyze(bundle).windows
+    )
+
+
+def test_ingesting_a_loaded_bundle_builds_no_records(
+    monkeypatch, private_bundle
+):
+    loaded = _roundtrip(private_bundle)
+
+    def refuse(*args):
+        raise AssertionError("a record was built")
+
+    for schema in columns.SCHEMAS.values():
+        monkeypatch.setattr(schema, "record", refuse)
+    assert len(loaded.dci) == len(private_bundle.dci)
+    assert loaded.event_rates_per_minute() == (
+        private_bundle.event_rates_per_minute()
+    )
+    Timeline.from_bundle(loaded)
+    monkeypatch.undo()
+    assert loaded.dci[0] == private_bundle.dci[0]
+
+
+def test_load_from_path_is_one_call(monkeypatch, tmp_path, wired_bundle):
+    """A wrapper around load_bundle (a per-layer tracer's) sees one call
+    per load, so records it counts are counted once."""
+    path = str(tmp_path / "trace.jsonl")
+    save_bundle(wired_bundle, path)
+    calls = []
+    unwrapped = telemetry_io.load_bundle
+
+    def counting(path_or_file):
+        calls.append(path_or_file)
+        return unwrapped(path_or_file)
+
+    monkeypatch.setattr(telemetry_io, "load_bundle", counting)
+    api.analyze(path)
+    assert calls == [path]
+
+
+def test_loaded_bundle_pickles_without_built_records(private_bundle):
+    loaded = _roundtrip(private_bundle)
+    size = len(pickle.dumps(loaded))
+    assert list(loaded.packets) == list(private_bundle.packets)
+    assert len(pickle.dumps(loaded)) == size
+    restored = pickle.loads(pickle.dumps(loaded))
+    assert restored.dci.schema is columns.DCI
+    assert restored == loaded
+    assert restored.webrtc_stats == private_bundle.webrtc_stats
+
+
+def test_small_chunks_load_identically(monkeypatch, private_bundle):
+    text = _saved(private_bundle).getvalue()
+    whole = load_bundle(io.StringIO(text))
+    monkeypatch.setattr(telemetry_io, "_CHUNK_LINES", 7)
+    chunked = load_bundle(io.StringIO(text))
+    assert text.count("\n") > 3 * 7
+    for source in _SOURCES:
+        assert getattr(chunked, source) == getattr(private_bundle, source)
+    _assert_same_timeline(
+        Timeline.from_bundle(chunked), Timeline.from_bundle(whole)
+    )
+    _assert_same_timeline(
+        Timeline.from_bundle(chunked), Timeline.from_bundle(private_bundle)
+    )
+
+
+def test_small_chunks_name_the_true_line(monkeypatch, private_bundle):
+    lines = _saved(private_bundle).getvalue().splitlines()
+    line_number = 2 * 7 + 4  # the fourth line of the third chunk
+    data = json.loads(lines[line_number - 1])
+    data["ts_us"] = None
+    lines[line_number - 1] = json.dumps(data)
+    monkeypatch.setattr(telemetry_io, "_CHUNK_LINES", 7)
+    with pytest.raises(TelemetryError, match=f"^line {line_number}: "):
+        load_bundle(io.StringIO("\n".join(lines)))
+
+
+# -- fault table: every load path, one verdict ------------------------------------
+
+
+def _fault_bundle():
+    """One record of every source, two of each where order matters."""
+    return TelemetryBundle(
+        session_name="faults",
+        duration_us=1_000_000,
+        gnb_log_available=True,
+        dci=[
+            DciRecord(
+                ts_us=ts, slot=ts // 500, rnti=17_000, is_uplink=True,
+                n_prb=10, mcs=20, tbs_bits=8_000,
+            )
+            for ts in (10_000, 120_000)
+        ],
+        gnb_log=[
+            GnbLogRecord(
+                ts_us=ts, kind=GnbLogKind.RLC_BUFFER, is_uplink=True,
+                buffer_bytes=900,
+            )
+            for ts in (20_000, 130_000)
+        ],
+        packets=[
+            PacketRecord(
+                packet_id=i, stream=StreamKind.VIDEO, size_bytes=1_200,
+                sent_us=ts, received_us=ts + 20_000, is_uplink=True,
+            )
+            for i, ts in enumerate((30_000, 140_000))
+        ],
+        webrtc_stats=[
+            WebRtcStatsRecord(
+                ts_us=ts, client="cellular", inbound_fps=24.0,
+                target_bitrate_bps=1e6, gcc_state="overuse",
+            )
+            for ts in (40_000, 150_000)
+        ],
+    )
+
+
+def _fault_lines():
+    return list(dump_lines(_fault_bundle()))
+
+
+#: Line (1-based) of the first record of each JSONL type in _fault_lines.
+_FIRST_LINE = {"dci": 2, "gnb": 4, "pkt": 6, "webrtc": 8}
+
+#: A numeric field the timeline reads, per JSONL type.
+_TIME_KEY = {"dci": "ts_us", "gnb": "ts_us", "pkt": "sent_us", "webrtc": "ts_us"}
+
+
+def _with_field(kind, key, value):
+    def make():
+        lines = _fault_lines()
+        number = _FIRST_LINE[kind]
+        data = json.loads(lines[number - 1])
+        data[key] = value
+        lines[number - 1] = json.dumps(data)
+        return "\n".join(lines) + "\n"
+
+    return make
+
+
+def _without_field(kind, key):
+    def make():
+        lines = _fault_lines()
+        number = _FIRST_LINE[kind]
+        data = json.loads(lines[number - 1])
+        del data[key]
+        lines[number - 1] = json.dumps(data)
+        return "\n".join(lines) + "\n"
+
+    return make
+
+
+def _inserted(line, at=3):
+    def make():
+        lines = _fault_lines()
+        lines.insert(at - 1, line)
+        return "\n".join(lines) + "\n"
+
+    return make
+
+
+def _truncated():
+    text = "\n".join(_fault_lines())
+    return text[: len(text) - 10]
+
+
+def _version_99():
+    lines = _fault_lines()
+    lines[0] = lines[0].replace('"version": 1', '"version": 99')
+    return "\n".join(lines)
+
+
+def _headerless():
+    return "\n".join(_fault_lines()[1:])
+
+
+_BAD_VALUES = (
+    ("null", None),
+    ("string", "x"),
+    ("nan", float("nan")),
+    ("2e70", 2**70),
+    ("list", [5]),
+)
+
+#: (id, text maker, error pattern): every row must raise TelemetryError
+#: matching the pattern from load_bundle and iter_records alike.
+_FAULTS = (
+    [
+        ("non_object_line", _inserted("42"), r"^line 3: malformed record"),
+        ("list_line", _inserted("[1]"), r"^line 3: malformed record"),
+    ]
+    + [
+        (
+            f"{kind}_{label}",
+            _with_field(kind, _TIME_KEY[kind], value),
+            rf"^line {_FIRST_LINE[kind]}: malformed {kind} record",
+        )
+        for kind in _FIRST_LINE
+        for label, value in _BAD_VALUES
+    ]
+    + [
+        (
+            "webrtc_float_nan",
+            _with_field("webrtc", "slope", float("nan")),
+            r"^line 8: malformed webrtc record",
+        ),
+        (
+            "bad_stream",
+            _with_field("pkt", "stream", "smoke"),
+            r"^line 6: malformed pkt record",
+        ),
+        (
+            "bad_gnb_kind",
+            _with_field("gnb", "kind", "nope"),
+            r"^line 4: malformed gnb record",
+        ),
+        (
+            "missing_key",
+            _without_field("dci", "rnti"),
+            r"^line 2: malformed dci record: 'rnti'",
+        ),
+        ("truncated_last_line", _truncated, r"^line 9: invalid JSON"),
+        (
+            "unknown_type",
+            _inserted('{"type": "mystery"}'),
+            r"^line 3: unknown record type 'mystery'",
+        ),
+        ("version_99", _version_99, r"unsupported format version 99"),
+        ("missing_header", _headerless, r"missing header line"),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "make, pattern",
+    [row[1:] for row in _FAULTS],
+    ids=[row[0] for row in _FAULTS],
+)
+def test_fault_table_raises_typed_errors(make, pattern):
+    text = make()
+    with pytest.raises(TelemetryError, match=pattern) as loaded:
+        load_bundle(io.StringIO(text))
+    with pytest.raises(TelemetryError) as iterated:
+        list(iter_records(io.StringIO(text)))
+    assert str(loaded.value) == str(iterated.value)
+
+
+def _shifted_dci(ts_us):
+    """The fault bundle with its first DCI record at *ts_us*."""
+    bundle = _fault_bundle()
+    bundle.dci[0] = dataclasses.replace(bundle.dci[0], ts_us=ts_us)
+    return bundle
+
+
+def _float_ts():
+    return _with_field("dci", "ts_us", 10_000.75)()
+
+
+def _negative_ts():
+    return _with_field("dci", "ts_us", -20_000)()
+
+
+def _repeated_header():
+    lines = _fault_lines()
+    lines.insert(4, lines[0])
+    return "\n".join(lines) + "\n"
+
+
+#: (id, text maker, bundle whose in-memory timeline it must give).
+_ACCEPTED = (
+    ("blank_lines", lambda: "\n\n".join(_fault_lines()) + "\n\n", _fault_bundle),
+    ("no_trailing_newline", lambda: "\n".join(_fault_lines()), _fault_bundle),
+    ("repeated_header", _repeated_header, _fault_bundle),
+    ("float_ts_us", _float_ts, lambda: _shifted_dci(10_000.75)),
+    ("negative_ts_us", _negative_ts, lambda: _shifted_dci(-20_000)),
+)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [row[1:] for row in _ACCEPTED],
+    ids=[row[0] for row in _ACCEPTED],
+)
+def test_fault_table_accepted_rows_give_identical_timelines(make, expected):
+    text = make()
+    want = Timeline.from_bundle(expected())
+    loaded = load_bundle(io.StringIO(text))
+    _assert_same_timeline(Timeline.from_bundle(loaded), want)
+    items = list(iter_records(io.StringIO(text)))
+    iterated = TelemetryBundle(
+        session_name="faults",
+        duration_us=items[0].duration_us,
+        gnb_log_available=True,
+        **{
+            source: [r for r in items[1:] if isinstance(r, record_type)]
+            for source, record_type in (
+                ("dci", DciRecord),
+                ("gnb_log", GnbLogRecord),
+                ("packets", PacketRecord),
+                ("webrtc_stats", WebRtcStatsRecord),
+            )
+        },
+    )
+    _assert_same_timeline(Timeline.from_bundle(iterated), want)
+    for source in _SOURCES:
+        assert list(getattr(loaded, source)) == getattr(iterated, source)

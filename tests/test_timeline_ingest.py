@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.telemetry.io import load_bundle
 from repro.telemetry.records import (
     DciRecord,
     GnbLogKind,
@@ -280,3 +281,43 @@ def test_segments_continued_with_after_equal_one_ingest():
     tail = timeline.since(300_000)
     assert tail.start_us == 300_000
     assert np.array_equal(tail.t_us, whole.t_us[6:])
+
+
+def _assert_same_series(actual, expected):
+    assert actual.n_bins == expected.n_bins
+    assert list(actual.series) == list(expected.series)
+    for name, values in expected.series.items():
+        got = actual[name]
+        assert got.dtype == values.dtype, name
+        assert np.array_equal(np.isnan(got), np.isnan(values)), name
+        assert np.array_equal(got, values, equal_nan=True), name
+
+
+def test_loaded_bundle_ingests_like_in_memory_bundle(profile_trace):
+    """A bundle read from JSONL (typed columns, no record objects) gives
+    the series of the in-memory bundle it was saved from: same dtype,
+    same values, NaN in the same bins."""
+    bundle, path = profile_trace
+    loaded = load_bundle(path)
+    for dt_us in (50_000, 20_000):
+        _assert_same_series(
+            Timeline.from_bundle(loaded, dt_us=dt_us),
+            Timeline.from_bundle(bundle, dt_us=dt_us),
+        )
+
+
+def test_segmented_ingest_of_loaded_bundle_equals_one_ingest(profile_trace):
+    _, path = profile_trace
+    loaded = load_bundle(path)
+    whole = Timeline.from_bundle(loaded)
+    timeline = None
+    cuts = (0, 2_000_000, 2_050_000, 5_500_000, loaded.duration_us)
+    for end in cuts[1:]:
+        segment = Timeline.from_bundle(
+            dataclasses.replace(loaded, duration_us=end), after=timeline
+        )
+        if timeline is None:
+            timeline = segment
+        else:
+            timeline.extend(segment)
+    _assert_same_series(timeline, whole)
