@@ -20,6 +20,11 @@ load effects out:
    may cost at most 1.2x a bare per-line ``json.loads`` pass over the
    same file, both timed in the same process (``io_60s``; ~0.9-1.0x
    with the columnar read path, ~1.6-1.8x with per-record objects).
+4. **Collector gate:** feeding the 60 s trace's DCI rows through
+   ``record_dci`` plus ``bundle()`` may cost at most 55x a bare
+   ``list.append`` of the same row tuples, both timed in the same
+   process (``collect_60s``; 32-41x with the columnar collector, 63-82x
+   when each row became a ``DciRecord`` first).
 
 Usage: ``python benchmarks/check_perf.py [results_json] [baseline_json]``
 """
@@ -44,6 +49,9 @@ MAX_SPEEDUP_SHRINKAGE = 2.0
 
 #: Ceiling on load_bundle time over bare per-line json.loads time.
 MAX_LOAD_VS_JSON = 1.2
+
+#: Ceiling on record_dci-plus-bundle() time over bare list.append time.
+MAX_COLLECT_VS_APPEND = 55.0
 
 
 def main(argv):
@@ -100,6 +108,21 @@ def main(argv):
             failures.append(
                 f"load_bundle costs {ratio:.2f}x a bare per-line "
                 f"json.loads pass (ceiling {MAX_LOAD_VS_JSON}x)"
+            )
+    collect_60s = results.get("collect_60s")
+    if collect_60s is None:
+        failures.append("results have no collect_60s block (collector gate)")
+    else:
+        ratio = collect_60s["collect_vs_append_ratio"]
+        print(
+            f"60s DCI collect: record_dci + bundle() {ratio:.1f}x a bare "
+            f"list.append (gate: <= {MAX_COLLECT_VS_APPEND:.0f}x), "
+            f"{collect_60s['collect_ns_per_row']:.0f} ns/row (informational)"
+        )
+        if ratio > MAX_COLLECT_VS_APPEND:
+            failures.append(
+                f"the collector costs {ratio:.1f}x a bare list.append of "
+                f"the same rows (ceiling {MAX_COLLECT_VS_APPEND:.0f}x)"
             )
     if os.path.exists(baseline_path):
         with open(baseline_path) as handle:

@@ -13,7 +13,9 @@ asserts their detections are identical, and emits a machine-readable
 (``benchmarks/check_perf.py``) can fail on per-window-cost regressions.
 The same 60 s trace is then saved as JSONL and read back, to time the
 read path (``io_60s``) against a bare per-line ``json.loads`` pass over
-the same file.
+the same file, and its DCI rows are fed through a fresh collector, to
+time the write path (``collect_60s``) against a bare ``list.append`` of
+the same row tuples.
 """
 
 import json
@@ -30,12 +32,17 @@ from repro.core.trace import evaluate_chains
 from repro.obs.metrics import get_registry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SPAN_HISTOGRAM
+from repro.telemetry.collect import TelemetryCollector
+from repro.telemetry.columns import DCI
 from repro.telemetry.io import load_bundle, save_bundle
 from repro.telemetry.records import TelemetryBundle
 from repro.telemetry.timeline import Timeline
 
 #: Interleaved repeats of each read-path timing; each keeps its minimum.
 IO_REPEATS = 5
+
+#: Interleaved repeats of each write-path timing; each keeps its minimum.
+COLLECT_REPEATS = 5
 
 
 def _truncate(bundle: TelemetryBundle, duration_us: int) -> TelemetryBundle:
@@ -144,6 +151,41 @@ def _io_60s(bundle: TelemetryBundle, path: str, reference) -> dict:
     }
 
 
+def _collect_60s(bundle: TelemetryBundle) -> dict:
+    """Write-path cost of *bundle*'s DCI rows.
+
+    ``collect_vs_append_ratio`` divides the fastest pass of every row
+    through ``record_dci`` plus ``bundle()`` by the fastest bare
+    ``list.append`` of the same row tuples, timed interleaved in this
+    process, so machine speed divides out.
+    """
+    rows = [DCI.row(record) for record in bundle.dci]
+    collect_s, append_s = [], []
+    for _ in range(COLLECT_REPEATS):
+        collector = TelemetryCollector(bundle.session_name)
+        record_dci = collector.record_dci
+        start = time.perf_counter()
+        for row in rows:
+            record_dci(*row)
+        collected = collector.bundle(bundle.duration_us)
+        collect_s.append(time.perf_counter() - start)
+        appended = []
+        append = appended.append
+        start = time.perf_counter()
+        for row in rows:
+            append(row)
+        append_s.append(time.perf_counter() - start)
+        assert len(appended) == len(collected.dci) == len(rows)
+    assert collected.dci == bundle.dci
+    return {
+        "rows": len(rows),
+        "collect_s": min(collect_s),
+        "append_s": min(append_s),
+        "collect_ns_per_row": min(collect_s) * 1e9 / len(rows),
+        "collect_vs_append_ratio": min(collect_s) / min(append_s),
+    }
+
+
 def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
     bundle = fdd_results[0].bundle
     detector = DominoDetector()
@@ -183,7 +225,6 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
     text = render_table(
         ["trace", "windows", "analysis s", "x realtime"], rows
     )
-    save_result("scaling_realtime", text)
 
     # Batch vs per-window reference engine, same 60 s trace: identical
     # detections, and the feature phase (the part the batch engine
@@ -244,6 +285,16 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
     )
 
     io_60s = _io_60s(sixty, str(tmp_path / "trace_60s.jsonl"), batch_report)
+    collect_60s = _collect_60s(sixty)
+    save_result(
+        "scaling_realtime",
+        text
+        + "\n\n60s trace I/O per record: load_bundle "
+        + f"{io_60s['load_ns_per_record']:.0f} ns "
+        + f"({io_60s['load_vs_json_ratio']:.2f}x json.loads), collector "
+        + f"{collect_60s['collect_ns_per_row']:.0f} ns "
+        + f"({collect_60s['collect_vs_append_ratio']:.1f}x list.append)",
+    )
 
     n_windows = max(len(batch_windows), 1)
     payload = {
@@ -251,6 +302,7 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         "rows": json_rows,
         "phases_60s": phases_60s,
         "io_60s": io_60s,
+        "collect_60s": collect_60s,
         "profile_60s": {
             "n_samples": profiler.n_samples,
             "cpu_fraction": cpu_attribution,

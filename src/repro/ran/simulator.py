@@ -35,7 +35,14 @@ from repro.rlc.am import ReassemblyEntity
 from repro.rlc.buffer import RlcSendBuffer
 from repro.rrc.state import RrcManager
 from repro.telemetry.collect import TelemetryCollector
-from repro.telemetry.records import DciRecord, GnbLogKind, GnbLogRecord
+from repro.telemetry.columns import code
+from repro.telemetry.records import GnbLogKind
+
+# gNB-log kinds as the collector's row codes.
+_RLC_BUFFER = code(GnbLogKind.RLC_BUFFER)
+_RLC_RETX = code(GnbLogKind.RLC_RETX)
+_RRC_RELEASE = code(GnbLogKind.RRC_RELEASE)
+_RRC_CONNECT = code(GnbLogKind.RRC_CONNECT)
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,11 @@ class RanSimulator:
         self._buffer_log_period_slots = max(
             1, 10_000 // self.grid.slot_us
         )  # every 10 ms
+        # TBS of a cross-traffic grant, by PRB count up to the grid.
+        self._cross_tbs = [
+            transport_block_size_bits(prbs, self.CROSS_TRAFFIC_MCS)
+            for prbs in range(self.grid.n_prb + 1)
+        ]
 
         scheduler = DlScheduler(
             total_prbs=self.grid.n_prb,
@@ -270,19 +282,21 @@ class RanSimulator:
             if self.ul.grant_loop is not None:
                 self.ul.grant_loop.reset()
             if self.collector is not None:
+                # Rows in columns.GNB_LOG order: ts_us, kind, is_uplink,
+                # buffer_bytes, rnti.
                 self.collector.record_gnb_log(
-                    GnbLogRecord(
-                        ts_us=transition.release_us,
-                        kind=GnbLogKind.RRC_RELEASE,
-                        rnti=transition.old_rnti,
-                    )
+                    transition.release_us,
+                    _RRC_RELEASE,
+                    False,
+                    0,
+                    transition.old_rnti,
                 )
                 self.collector.record_gnb_log(
-                    GnbLogRecord(
-                        ts_us=transition.reconnect_us,
-                        kind=GnbLogKind.RRC_CONNECT,
-                        rnti=transition.new_rnti,
-                    )
+                    transition.reconnect_us,
+                    _RRC_CONNECT,
+                    False,
+                    0,
+                    transition.new_rnti,
                 )
 
     # -- scheduling -----------------------------------------------------------------
@@ -400,12 +414,11 @@ class RanSimulator:
                 direction.rlc_retx_count += 1
                 if self.collector is not None:
                     self.collector.record_gnb_log(
-                        GnbLogRecord(
-                            ts_us=recover_at,
-                            kind=GnbLogKind.RLC_RETX,
-                            is_uplink=direction.is_uplink,
-                            rnti=self.rrc.rnti,
-                        )
+                        recover_at,
+                        _RLC_RETX,
+                        direction.is_uplink,
+                        0,
+                        self.rrc.rnti,
                     )
             # RETRANSMIT: the HARQ entity already queued the next attempt.
 
@@ -454,6 +467,10 @@ class RanSimulator:
         direction.buffer.release_delivered(direction.reassembly.delivered_offset)
 
     # -- telemetry --------------------------------------------------------------------
+    #
+    # DCI rows go to the collector as field values in columns.DCI order:
+    # ts_us, slot, rnti, is_uplink, n_prb, mcs, tbs_bits, is_retx,
+    # harq_attempt, crc_ok, proactive, used_bytes.
 
     def _record_dci(
         self,
@@ -466,20 +483,18 @@ class RanSimulator:
         if self.collector is None:
             return
         self.collector.record_dci(
-            DciRecord(
-                ts_us=ts,
-                slot=resolution.slot,
-                rnti=self.rrc.rnti,
-                is_uplink=direction.is_uplink,
-                n_prb=tb.n_prb,
-                mcs=tb.mcs,
-                tbs_bits=tb.tbs_bits,
-                is_retx=attempt > 0,
-                harq_attempt=attempt,
-                crc_ok=resolution.outcome is HarqOutcome.DECODED,
-                proactive=tb.proactive,
-                used_bytes=tb.used_bytes,
-            )
+            ts,
+            resolution.slot,
+            self.rrc.rnti,
+            direction.is_uplink,
+            tb.n_prb,
+            tb.mcs,
+            tb.tbs_bits,
+            attempt > 0,
+            attempt,
+            resolution.outcome is HarqOutcome.DECODED,
+            tb.proactive,
+            tb.used_bytes,
         )
 
     def _record_cross_dci(
@@ -487,21 +502,19 @@ class RanSimulator:
     ) -> None:
         if self.collector is None:
             return
+        record = self.collector.record_dci
+        mcs = self.CROSS_TRAFFIC_MCS
+        table = self._cross_tbs
         for rnti, prbs in allocations:
             if prbs <= 0:
                 continue
-            tbs = transport_block_size_bits(prbs, self.CROSS_TRAFFIC_MCS)
-            self.collector.record_dci(
-                DciRecord(
-                    ts_us=ts,
-                    slot=slot,
-                    rnti=rnti,
-                    is_uplink=is_uplink,
-                    n_prb=prbs,
-                    mcs=self.CROSS_TRAFFIC_MCS,
-                    tbs_bits=tbs,
-                    used_bytes=tbs // 8,
-                )
+            if prbs < len(table):
+                tbs = table[prbs]
+            else:  # an unscheduled demand beyond the grid
+                tbs = transport_block_size_bits(prbs, mcs)
+            record(
+                ts, slot, rnti, is_uplink, prbs, mcs, tbs,
+                False, 0, True, False, tbs // 8,
             )
 
     def _log_buffers(self, ts: int) -> None:
@@ -509,11 +522,9 @@ class RanSimulator:
             return
         for direction in (self.ul, self.dl):
             self.collector.record_gnb_log(
-                GnbLogRecord(
-                    ts_us=ts,
-                    kind=GnbLogKind.RLC_BUFFER,
-                    is_uplink=direction.is_uplink,
-                    buffer_bytes=direction.buffer.buffered_bytes(),
-                    rnti=self.rrc.rnti,
-                )
+                ts,
+                _RLC_BUFFER,
+                direction.is_uplink,
+                direction.buffer.buffered_bytes(),
+                self.rrc.rnti,
             )

@@ -1,17 +1,21 @@
 """Typed columns for the four telemetry sources.
 
 One :class:`Schema` per source lists its fields, each mapping a JSONL
-key to a record attribute and a column dtype.  The table drives three
-things:
+key to a record attribute and a column dtype.  The table drives:
 
 * decoding JSONL rows straight into typed column arrays
   (:meth:`Schema.decode`), which is how
   :func:`~repro.telemetry.io.load_bundle` reads a trace;
-* building record objects from those columns, lazily and once, in
+* the rows of field values the
+  :class:`~repro.telemetry.collect.TelemetryCollector` takes for the
+  all-integer sources, DCI and gNB log (:meth:`Schema.row`);
+* building record objects from columns, lazily and once, in
   :class:`RecordColumns`;
 * the record→column walk over an in-memory record list
-  (:class:`RecordList`), for bundles the collector and the streaming
-  detector build.
+  (:class:`RecordList`), for the packet and WebRTC sources and the
+  bundles the streaming detector builds;
+* the JSON values of every record, from either (:meth:`Schema.json_rows`),
+  which is how :func:`~repro.telemetry.io.dump_lines` writes a trace.
 
 Both :class:`RecordColumns` and :class:`RecordList` answer
 ``column(attr)`` and ``select(mask)``, so
@@ -34,7 +38,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +56,9 @@ from repro.telemetry.records import (
 NONE = -1
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+#: Rows :meth:`Schema.json_rows` converts at a time.
+_JSON_ROWS = 4096
 
 
 class Irregular(Exception):
@@ -183,6 +190,16 @@ class Schema:
     def field(self, attr: str) -> Field:
         return self._by_attr[attr]
 
+    # -- rows ----------------------------------------------------------------
+
+    def row(self, record) -> tuple:
+        """*record*'s field values in order, an enum as its :func:`code`."""
+        values = (getattr(record, f.attr) for f in self.fields)
+        return tuple(
+            code(value) if f.is_enum else value
+            for f, value in zip(self.fields, values)
+        )
+
     # -- JSON ----------------------------------------------------------------
 
     def parse(self, data: dict):
@@ -229,6 +246,27 @@ class Schema:
                     raise Irregular(f"non-string {f.key!r}")
                 columns[f.attr] = np.array(values, dtype=object)
         return columns
+
+    def json_rows(self, records) -> Iterator[tuple]:
+        """The JSON values of each of *records*, in field order.
+
+        An enum is its member's value and an absent optional ``None``.
+        *records* is a :class:`RecordColumns`, read from its columns
+        without building records, or any sequence of records.
+        """
+        for start in range(0, len(records), _JSON_ROWS):
+            stop = start + _JSON_ROWS
+            if isinstance(records, RecordColumns):
+                columns = records.values(start, stop, as_json=True)
+            else:
+                part = records[start:stop]
+                columns = []
+                for f in self.fields:
+                    column = map(operator.attrgetter(f.attr), part)
+                    if f.is_enum:
+                        column = map(operator.attrgetter("value"), column)
+                    columns.append(column)
+            yield from zip(*columns)
 
     # -- records --------------------------------------------------------------
 
@@ -307,7 +345,8 @@ class RecordColumns(Sequence):
 
     A read-only sequence of records: ``len()`` is free, and the records
     are built from the columns, once, when first indexed or iterated.
-    Equal to any sequence holding equal records.
+    Equal to any sequence holding equal records; ``+`` concatenates
+    into a list.
     """
 
     def __init__(self, schema: Schema, columns: Dict[str, np.ndarray]) -> None:
@@ -322,22 +361,34 @@ class RecordColumns(Sequence):
     def select(self, mask: np.ndarray) -> _Selected:
         return _Selected(self, mask)
 
+    def values(
+        self, start: int = 0, stop: Optional[int] = None, as_json: bool = False
+    ) -> List[list]:
+        """Rows [*start*, *stop*) as one list of record values per field.
+
+        An enum is its member, or with *as_json* its member's value; an
+        absent optional is ``None``.
+        """
+        values = []
+        for f in self.schema.fields:
+            column = self._columns[f.attr][start:stop].tolist()
+            if f.is_enum:
+                members = list(f.dtype)
+                if as_json:
+                    members = [member.value for member in members]
+                column = list(map(members.__getitem__, column))
+            elif f.optional:
+                present = self._columns[f.present_key][start:stop].tolist()
+                column = [
+                    value if here else None
+                    for value, here in zip(column, present)
+                ]
+            values.append(column)
+        return values
+
     def _built(self) -> list:
         if self._records is None:
-            values = []
-            for f in self.schema.fields:
-                column = self._columns[f.attr].tolist()
-                if f.is_enum:
-                    column = list(map(list(f.dtype).__getitem__, column))
-                elif f.optional:
-                    column = [
-                        value if here else None
-                        for value, here in zip(
-                            column, self._columns[f.present_key].tolist()
-                        )
-                    ]
-                values.append(column)
-            self._records = list(map(self.schema.record, *values))
+            self._records = list(map(self.schema.record, *self.values()))
         return self._records
 
     def __len__(self) -> int:
@@ -357,6 +408,13 @@ class RecordColumns(Sequence):
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+    def __add__(self, other) -> list:
+        """The records of both, as a list (as two record lists add)."""
+        return [*self, *other]
+
+    def __radd__(self, other) -> list:
+        return [*other, *self]
 
     def __repr__(self) -> str:
         return f"RecordColumns({self.schema.kind!r}, {self._len} records)"

@@ -83,84 +83,25 @@ def _header_line(bundle: TelemetryBundle) -> dict:
     }
 
 
-def _dci_to_json(record: DciRecord) -> dict:
-    return {
-        "type": "dci",
-        "ts_us": record.ts_us,
-        "slot": record.slot,
-        "rnti": record.rnti,
-        "ul": record.is_uplink,
-        "prb": record.n_prb,
-        "mcs": record.mcs,
-        "tbs": record.tbs_bits,
-        "retx": record.is_retx,
-        "attempt": record.harq_attempt,
-        "crc": record.crc_ok,
-        "proactive": record.proactive,
-        "used": record.used_bytes,
-    }
-
-
-def _gnb_to_json(record: GnbLogRecord) -> dict:
-    return {
-        "type": "gnb",
-        "ts_us": record.ts_us,
-        "kind": record.kind.value,
-        "ul": record.is_uplink,
-        "buffer": record.buffer_bytes,
-        "rnti": record.rnti,
-    }
-
-
-def _packet_to_json(record: PacketRecord) -> dict:
-    return {
-        "type": "pkt",
-        "id": record.packet_id,
-        "stream": record.stream.value,
-        "size": record.size_bytes,
-        "sent_us": record.sent_us,
-        "recv_us": record.received_us,
-        "ul": record.is_uplink,
-        "frame": record.frame_id,
-    }
-
-
-def _stats_to_json(record: WebRtcStatsRecord) -> dict:
-    return {
-        "type": "webrtc",
-        "ts_us": record.ts_us,
-        "client": record.client,
-        "out_fps": record.outbound_fps,
-        "out_res": record.outbound_resolution_p,
-        "target": record.target_bitrate_bps,
-        "pushback": record.pushback_bitrate_bps,
-        "state": record.gcc_state,
-        "slope": record.gcc_trend_slope,
-        "threshold": record.gcc_threshold,
-        "outstanding": record.outstanding_bytes,
-        "cwnd": record.congestion_window_bytes,
-        "in_fps": record.inbound_fps,
-        "in_res": record.inbound_resolution_p,
-        "vjb_ms": record.video_jitter_buffer_ms,
-        "ajb_ms": record.audio_jitter_buffer_ms,
-        "frozen": record.frozen,
-        "freeze_ms": record.freeze_duration_ms,
-        "concealed": record.concealed_samples,
-        "samples": record.total_samples,
-    }
-
-
 def dump_lines(bundle: TelemetryBundle) -> Iterable[str]:
-    """Yield the JSONL lines for *bundle* (header first)."""
+    """Yield the JSONL lines for *bundle* (header first).
+
+    A line's keys follow its schema's field order after ``"type"``.  A
+    column-backed source is written from its columns, building no
+    records.
+    """
     yield json.dumps(_header_line(bundle))
-    for dci in bundle.dci:
-        yield json.dumps(_dci_to_json(dci))
-    for log in bundle.gnb_log:
-        yield json.dumps(_gnb_to_json(log))
-    for packet in bundle.packets:
-        yield json.dumps(_packet_to_json(packet))
-    for stats in bundle.webrtc_stats:
-        yield json.dumps(_stats_to_json(stats))
+    sources = (
+        (DCI, bundle.dci),
+        (GNB_LOG, bundle.gnb_log),
+        (PACKETS, bundle.packets),
+        (WEBRTC_STATS, bundle.webrtc_stats),
+    )
+    for schema, records in sources:
+        keys = ("type",) + tuple(f.key for f in schema.fields)
+        kind = (schema.kind,)
+        for values in schema.json_rows(records):
+            yield json.dumps(dict(zip(keys, kind + values)))
 
 
 def save_bundle(bundle: TelemetryBundle, path_or_file: Union[str, IO[str]]) -> None:

@@ -144,13 +144,16 @@ class TelemetryBundle:
     "remote".  Timestamps share one clock (hosts were NTP-synced in the
     paper; the simulator has a single clock by construction).
 
-    Each source is a sequence of records in time order.  The collector
-    and the streaming detector build plain lists.  A bundle read with
-    :func:`~repro.telemetry.io.load_bundle` holds read-only
-    :class:`~repro.telemetry.columns.RecordColumns` instead: typed
-    column arrays that :class:`~repro.telemetry.timeline.Timeline`
-    ingests directly, and that build record objects only when a
-    consumer indexes or iterates them (``len()`` builds none).
+    Each source is a sequence of records in time order, either a plain
+    list or a read-only
+    :class:`~repro.telemetry.columns.RecordColumns`: typed column arrays
+    that :class:`~repro.telemetry.timeline.Timeline` ingests and
+    :func:`~repro.telemetry.io.save_bundle` writes directly, and that
+    build record objects only when a consumer indexes or iterates them
+    (``len()`` builds none).  The collector's ``dci`` and ``gnb_log``
+    are columns and its ``packets`` and ``webrtc_stats`` lists; a bundle
+    read with :func:`~repro.telemetry.io.load_bundle` is all columns;
+    the streaming detector builds lists.
     """
 
     session_name: str

@@ -18,8 +18,9 @@ Naming convention (all per-bin):
 Ingestion is array code over each source's typed columns
 (:mod:`repro.telemetry.columns`): every per-bin aggregate is a
 ``np.bincount`` / ``np.minimum.at`` / fancy-assignment over them.  A
-bundle read from JSONL already holds its columns; for a bundle of
-record lists each column needed is one walk over the records.
+bundle read from JSONL, and the collector's DCI and gNB log, already
+hold their columns; for a source held as a record list each column
+needed is one walk over the records.
 Accumulation order per bin equals record order — the same order the
 per-record loops used — so the resulting series are bit-identical to
 the loop formulation.

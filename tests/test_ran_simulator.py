@@ -6,6 +6,7 @@ import pytest
 from repro.mac.crosstraffic import CrossTrafficModel, CrossTrafficUe
 from repro.phy.cell import CellConfig, Duplex
 from repro.phy.channel import ChannelModel, FadeEvent
+from repro.phy.mcs import transport_block_size_bits
 from repro.ran.simulator import RanSimulator
 from repro.telemetry.collect import TelemetryCollector
 
@@ -132,6 +133,35 @@ def test_cross_traffic_squeezes_capacity():
     before = [delay for sent, delay in dl if sent < 900_000]
     during = [delay for sent, delay in dl if 1_050_000 <= sent < 1_900_000]
     assert np.mean(during) > np.mean(before)
+
+
+def test_cross_traffic_dci_tbs():
+    """Cross-traffic grants carry the TBS of their PRBs at the nominal
+    MCS, unscheduled demands beyond the grid included."""
+    ues = [
+        CrossTrafficUe(
+            rnti=45_000, mean_on_ms=20.0, mean_off_ms=20.0,
+            mean_prb_demand=20.0, seed=3,
+        ),
+        CrossTrafficUe(
+            rnti=49_000,
+            mean_on_ms=0.0,
+            mean_prb_demand=0.0,
+            scripted_bursts=[(100_000, 100_000, 300)],
+        ),
+    ]
+    collector = TelemetryCollector("s")
+    sim = RanSimulator(
+        _cell(), dl_cross=CrossTrafficModel(ues=ues), collector=collector
+    )
+    sim.step_to(1_000_000)
+    cross = [r for r in collector.bundle(1_000_000).dci if r.rnti >= 45_000]
+    assert max(r.n_prb for r in cross) > sim.grid.n_prb
+    assert len({r.n_prb for r in cross}) > 5
+    for r in cross:
+        assert r.mcs == RanSimulator.CROSS_TRAFFIC_MCS
+        assert r.tbs_bits == transport_block_size_bits(r.n_prb, r.mcs)
+        assert r.used_bytes == r.tbs_bits // 8
 
 
 def test_rrc_outage_delay_spike():

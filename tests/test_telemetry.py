@@ -1,9 +1,17 @@
 """Telemetry records, collection, and timeline resampling."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.analysis.summarize import summarize_session
+from repro.core.detector import DominoDetector
+from repro.datasets.cells import TMOBILE_FDD
+from repro.datasets.runner import make_cellular_session, make_wired_session
 from repro.errors import TelemetryError
+from repro.telemetry import collect, columns
 from repro.telemetry.collect import TelemetryCollector
 from repro.telemetry.records import (
     DciRecord,
@@ -12,6 +20,7 @@ from repro.telemetry.records import (
     PacketRecord,
     StreamKind,
     WebRtcStatsRecord,
+    record_time_us,
 )
 from repro.telemetry.timeline import Timeline
 
@@ -78,6 +87,184 @@ def test_bundle_sorted_and_rates():
     bundle = collector.bundle(60_000_000)
     assert [r.ts_us for r in bundle.dci] == [1_000, 5_000]
     assert bundle.event_rates_per_minute()["dci"] == pytest.approx(2.0)
+
+
+def test_records_and_rows_collect_alike():
+    """record_dci / record_gnb_log take a record or its row of field
+    values (an enum as its code); out-of-order rows sort stably on
+    ts_us, across a block boundary too."""
+    stamps = [9_000, 1_000, 5_000, 1_000] * (collect.BLOCK_ROWS // 2)
+    by_record = TelemetryCollector("s", gnb_log_available=True)
+    by_row = TelemetryCollector("s", gnb_log_available=True)
+    for i, ts in enumerate(stamps):
+        record = _dci(ts, prbs=i % 50, retx=i % 3 == 0)
+        by_record.record_dci(record)
+        by_row.record_dci(*columns.DCI.row(record))
+        log = GnbLogRecord(ts, GnbLogKind.RLC_RETX, i % 2 == 0, i, 17_000)
+        by_record.record_gnb_log(log)
+        by_row.record_gnb_log(
+            ts, columns.code(GnbLogKind.RLC_RETX), i % 2 == 0, i, 17_000
+        )
+    want = by_record.bundle(10_000)
+    got = by_row.bundle(10_000)
+    assert len(stamps) > collect.BLOCK_ROWS
+    for source in ("dci", "gnb_log"):
+        records = list(getattr(got, source))
+        assert records == list(getattr(want, source))
+        assert [r.ts_us for r in records] == sorted(stamps)
+    # Equal stamps keep their arrival order.
+    assert [r.n_prb for r in got.dci[:4]] == [1, 3, 5, 7]
+
+
+# -- the columnar collector --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fdd_session():
+    """A 6 s T-Mobile FDD call with an RRC release, gNB log on: over
+    eight blocks of DCI rows, and every gNB log kind."""
+    collector = TelemetryCollector(
+        "fdd", cellular_client="cellular", wired_client="wired",
+        gnb_log_available=True,
+    )
+    session = make_cellular_session(
+        TMOBILE_FDD,
+        seed=11,
+        scripted_rrc_releases_us=[2_000_000],
+        collector=collector,
+    )
+    return session, session.run(6_000_000).bundle
+
+
+def _list_backed(bundle):
+    return dataclasses.replace(
+        bundle,
+        dci=list(bundle.dci),
+        gnb_log=list(bundle.gnb_log),
+        packets=list(bundle.packets),
+        webrtc_stats=list(bundle.webrtc_stats),
+    )
+
+
+def test_collector_sources_are_columns(fdd_session):
+    _, bundle = fdd_session
+    assert len(bundle.dci) > 8 * collect.BLOCK_ROWS
+    assert {r.kind for r in bundle.gnb_log} == set(GnbLogKind)
+    for source, schema in (
+        (bundle.dci, columns.DCI),
+        (bundle.gnb_log, columns.GNB_LOG),
+    ):
+        assert isinstance(source, columns.RecordColumns)
+        assert source == list(source)
+        ts = [r.ts_us for r in source]
+        assert ts == sorted(ts)
+        for f in schema.fields:
+            assert source.column(f.attr).dtype == f.column_dtype
+    assert isinstance(bundle.packets, list)
+    assert isinstance(bundle.webrtc_stats, list)
+
+
+def test_collector_columns_ingest_like_record_lists(fdd_session):
+    _, bundle = fdd_session
+    got = Timeline.from_bundle(bundle)
+    want = Timeline.from_bundle(_list_backed(bundle))
+    assert got.n_bins == want.n_bins
+    assert list(got.series) == list(want.series)
+    for name, values in want.series.items():
+        assert got.series[name].dtype == values.dtype, name
+        assert np.array_equal(got.series[name], values, equal_nan=True), name
+
+
+def test_scenario_analysis_builds_no_ran_records():
+    collector = TelemetryCollector("fdd", gnb_log_available=True)
+    session = make_cellular_session(
+        TMOBILE_FDD, seed=3, scripted_rrc_releases_us=[2_000_000],
+        collector=collector,
+    )
+    bundle = session.run(6_000_000).bundle
+    report = DominoDetector().analyze(bundle)
+    summarize_session(bundle)
+    assert report.n_windows > 0
+    assert len(bundle.gnb_log) > 0
+    assert bundle.dci._records is None
+    assert bundle.gnb_log._records is None
+
+
+def test_drain_straddling_blocks_is_exactly_once_and_ordered():
+    n = 3 * collect.BLOCK_ROWS + 17
+    collector = TelemetryCollector("s", gnb_log_available=True)
+    for i in range(n):
+        collector.record_dci(*columns.DCI.row(_dci(i * 10)))
+        if i % 100 == 0:
+            collector.record_gnb_log(
+                i * 10, columns.code(GnbLogKind.RLC_BUFFER), True, i, 17_000
+            )
+    block = collect.BLOCK_ROWS * 10
+    horizons = (5, block - 20, block - 10, block + 10, 2 * block + 50, 3 * block)
+    drained = []
+    for horizon in horizons:
+        batch = collector.drain(horizon)
+        assert all(record_time_us(r) <= horizon for r in batch)
+        drained.append(batch)
+    drained.append(collector.drain(10 * n))
+    # Rows 4096, 8192 and 12288 open the second to fourth blocks.
+    assert [
+        sum(isinstance(r, DciRecord) for r in batch) for batch in drained
+    ] == [1, 4094, 1, 2, 4100, 4091, 16]
+    assert collector.drain(10 * n) == []
+    records = [r for batch in drained for r in batch]
+    bundle = collector.bundle(10 * n)
+    assert [r for r in records if isinstance(r, DciRecord)] == list(bundle.dci)
+    assert [r for r in records if isinstance(r, GnbLogRecord)] == list(
+        bundle.gnb_log
+    )
+    for batch in drained:
+        stamps = [record_time_us(r) for r in batch]
+        assert stamps == sorted(stamps)
+
+
+def test_live_drain_is_exactly_once_and_ordered():
+    """Drains behind a moving horizon, as a live SimSource makes them,
+    hand out every record of the bundle once, each batch in time order
+    (gNB log rows stamped ahead of later rows included)."""
+    collector = TelemetryCollector("fdd", gnb_log_available=True)
+    session = make_cellular_session(
+        TMOBILE_FDD, seed=3, scripted_rrc_releases_us=[2_000_000],
+        collector=collector,
+    )
+    drained = []
+    for now in range(500_000, 6_000_001, 500_000):
+        session.advance_to(now)
+        drained.append(collector.drain(now - 300_000))
+    drained.append(collector.drain(6_000_000))
+    for batch in drained:
+        stamps = [record_time_us(r) for r in batch]
+        assert stamps == sorted(stamps)
+    records = [r for batch in drained for r in batch]
+    bundle = collector.bundle(6_000_000)
+    assert [r for r in records if isinstance(r, DciRecord)] == list(bundle.dci)
+    logs = [r for r in records if isinstance(r, GnbLogRecord)]
+    assert Counter(logs) == Counter(bundle.gnb_log)
+    assert len(records) == sum(
+        len(source)
+        for source in (
+            bundle.dci, bundle.gnb_log, bundle.packets, bundle.webrtc_stats
+        )
+    )
+
+
+def test_wired_session_has_empty_typed_columns():
+    bundle = make_wired_session(seed=2).run(2_000_000).bundle
+    for source, schema in (
+        (bundle.dci, columns.DCI),
+        (bundle.gnb_log, columns.GNB_LOG),
+    ):
+        assert isinstance(source, columns.RecordColumns)
+        assert len(source) == 0 and source == []
+        for f in schema.fields:
+            column = source.column(f.attr)
+            assert column.dtype == f.column_dtype and column.shape == (0,)
+    assert Timeline.from_bundle(bundle).n_bins == 40
 
 
 def test_timeline_rejects_bad_dt():

@@ -292,6 +292,117 @@ def test_small_chunks_name_the_true_line(monkeypatch, private_bundle):
         load_bundle(io.StringIO("\n".join(lines)))
 
 
+# -- writing from columns -----------------------------------------------------
+
+
+#: dump_lines of _golden_bundle(), as the record-by-record writer wrote
+#: it: key order, bools as true/false, None as null, float repr.
+_GOLDEN_LINES = [
+    '{"type": "header", "version": 1, "session_name": "golden", '
+    '"duration_us": 1000000, "cellular_client": "cellular", '
+    '"wired_client": "wired", "gnb_log_available": true}',
+    '{"type": "dci", "ts_us": 10000, "slot": 20, "rnti": 17000, '
+    '"ul": true, "prb": 10, "mcs": 20, "tbs": 8000, "retx": true, '
+    '"attempt": 1, "crc": false, "proactive": true, "used": 700}',
+    '{"type": "gnb", "ts_us": 20000, "kind": "rrc_release", "ul": false, '
+    '"buffer": 0, "rnti": 17000}',
+    '{"type": "pkt", "id": 3, "stream": "rtcp", "size": 80, '
+    '"sent_us": 30000, "recv_us": null, "ul": false, "frame": null}',
+    '{"type": "pkt", "id": 4, "stream": "video", "size": 1200, '
+    '"sent_us": 31000, "recv_us": 52000, "ul": true, "frame": 9}',
+    '{"type": "webrtc", "ts_us": 40000, "client": "wired", '
+    '"out_fps": 29.97, "out_res": 0, "target": 0.1, "pushback": 1e-07, '
+    '"state": "underuse", "slope": -2.5e-05, "threshold": 0.0, '
+    '"outstanding": 0, "cwnd": 0, "in_fps": 0.0, "in_res": 0, '
+    '"vjb_ms": 123456789.125, "ajb_ms": 0.0, "frozen": true, '
+    '"freeze_ms": 250.0, "concealed": 0, "samples": 0}',
+]
+
+
+def _golden_bundle():
+    return TelemetryBundle(
+        session_name="golden",
+        duration_us=1_000_000,
+        gnb_log_available=True,
+        dci=[
+            DciRecord(
+                ts_us=10_000, slot=20, rnti=17_000, is_uplink=True,
+                n_prb=10, mcs=20, tbs_bits=8_000, is_retx=True,
+                harq_attempt=1, crc_ok=False, proactive=True, used_bytes=700,
+            )
+        ],
+        gnb_log=[
+            GnbLogRecord(ts_us=20_000, kind=GnbLogKind.RRC_RELEASE, rnti=17_000)
+        ],
+        packets=[
+            PacketRecord(
+                packet_id=3, stream=StreamKind.RTCP, size_bytes=80,
+                sent_us=30_000,
+            ),
+            PacketRecord(
+                packet_id=4, stream=StreamKind.VIDEO, size_bytes=1_200,
+                sent_us=31_000, received_us=52_000, is_uplink=True,
+                frame_id=9,
+            ),
+        ],
+        webrtc_stats=[
+            WebRtcStatsRecord(
+                ts_us=40_000, client="wired", outbound_fps=29.97,
+                target_bitrate_bps=0.1, pushback_bitrate_bps=1e-07,
+                gcc_state="underuse", gcc_trend_slope=-2.5e-05,
+                video_jitter_buffer_ms=123456789.125, frozen=True,
+                freeze_duration_ms=250.0,
+            )
+        ],
+    )
+
+
+def _column_backed(bundle):
+    return dataclasses.replace(
+        bundle,
+        **{
+            source: schema.concat([schema.walk(list(getattr(bundle, source)))])
+            for source, schema in zip(_SOURCES, columns.SCHEMAS.values())
+        },
+    )
+
+
+def _list_backed(bundle):
+    return dataclasses.replace(
+        bundle,
+        **{source: list(getattr(bundle, source)) for source in _SOURCES},
+    )
+
+
+def test_dump_lines_golden():
+    bundle = _golden_bundle()
+    assert list(dump_lines(bundle)) == _GOLDEN_LINES
+    assert list(dump_lines(_column_backed(bundle))) == _GOLDEN_LINES
+
+
+def test_column_sources_write_the_bytes_of_list_sources(
+    monkeypatch, profile_trace
+):
+    """A collector-built bundle (DCI and gNB log as columns), the same
+    bundle with list-backed sources, and the loaded file all write the
+    same bytes; writing columns builds no record."""
+    bundle, path = profile_trace
+    assert isinstance(bundle.dci, columns.RecordColumns)
+    with open(path) as handle:
+        original = handle.read().splitlines()
+    loaded = load_bundle(path)
+
+    def refuse(*args):
+        raise AssertionError("a record was built")
+
+    for schema in columns.SCHEMAS.values():
+        monkeypatch.setattr(schema, "record", refuse)
+    assert list(dump_lines(loaded)) == original
+    assert list(dump_lines(bundle)) == original
+    monkeypatch.undo()
+    assert list(dump_lines(_list_backed(bundle))) == original
+
+
 # -- fault table: every load path, one verdict ------------------------------------
 
 
