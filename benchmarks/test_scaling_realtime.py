@@ -18,6 +18,7 @@ time the write path (``collect_60s``) against a bare ``list.append`` of
 the same row tuples.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -33,7 +34,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SPAN_HISTOGRAM
 from repro.telemetry.collect import TelemetryCollector
-from repro.telemetry.columns import DCI
+from repro.telemetry.columns import DCI, SCHEMAS
 from repro.telemetry.io import load_bundle, save_bundle
 from repro.telemetry.records import TelemetryBundle
 from repro.telemetry.timeline import Timeline
@@ -46,16 +47,18 @@ COLLECT_REPEATS = 5
 
 
 def _truncate(bundle: TelemetryBundle, duration_us: int) -> TelemetryBundle:
-    return TelemetryBundle(
-        session_name=bundle.session_name,
+    """*bundle*'s first *duration_us*: each source's columns masked on
+    its time column, as typed columns like every bundle a campaign
+    analyzes."""
+    return dataclasses.replace(
+        bundle,
         duration_us=duration_us,
-        cellular_client=bundle.cellular_client,
-        wired_client=bundle.wired_client,
-        gnb_log_available=bundle.gnb_log_available,
-        dci=[r for r in bundle.dci if r.ts_us < duration_us],
-        gnb_log=[r for r in bundle.gnb_log if r.ts_us < duration_us],
-        packets=[p for p in bundle.packets if p.sent_us < duration_us],
-        webrtc_stats=[r for r in bundle.webrtc_stats if r.ts_us < duration_us],
+        **{
+            schema.source: getattr(bundle, schema.source).take(
+                getattr(bundle, schema.source).times < duration_us
+            )
+            for schema in SCHEMAS.values()
+        },
     )
 
 

@@ -38,16 +38,9 @@ def main() -> None:
         f"{stats.degradation_events_per_min():.2f} degradation events/min"
     )
 
-    # -- streaming: the same records through api.open_stream -----------------
+    # -- streaming: the same columns through api.open_stream -----------------
     stream = api.open_stream(gnb_log_available=True)
-    for record_list in (
-        result.bundle.dci,
-        result.bundle.gnb_log,
-        result.bundle.packets,
-        result.bundle.webrtc_stats,
-    ):
-        for record in record_list:
-            stream.feed(record)
+    stream.feed_batch(result.bundle)  # a bundle is one batch of every row
     windows = stream.advance(result.bundle.duration_us)
     assert canonical_detections(windows) == canonical_detections(
         report.windows

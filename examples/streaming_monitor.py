@@ -3,7 +3,8 @@
 
 The paper targets telemetry "network operators can provide on a
 continuous, near real-time basis" (§1).  This example simulates a call
-while feeding its telemetry into a StreamingDomino instance batch by
+in 5-second steps, drains the telemetry collector's typed columns after
+each step, and feeds them into a StreamingDomino instance batch by
 batch, printing detections as their windows complete — the operator's
 live dashboard loop.
 
@@ -14,39 +15,36 @@ Usage:
 from repro import api
 from repro.datasets.cells import TMOBILE_FDD
 from repro.datasets.runner import make_cellular_session
+from repro.live import TelemetryBatch
 
 
 def main() -> None:
     duration_us = 25_000_000
     session = make_cellular_session(TMOBILE_FDD, seed=9)
     print(f"Simulating {duration_us / 1e6:.0f}s over {TMOBILE_FDD.name} ...")
-    result = session.run(duration_us)
-    bundle = result.bundle
 
     stream = api.open_stream(gnb_log_available=False)
-    # Replay the session's telemetry in 5-second batches, as a collector
-    # tailing live NR-Scope + WebRTC feeds would deliver it.
+    # Step the call 5 s at a time and drain its collector 1 s behind the
+    # simulation clock (so in-flight packets have landed), as a
+    # collector tailing live NR-Scope + WebRTC feeds would deliver it.
     batch_us = 5_000_000
-    cursor = 0
+    settle_us = 1_000_000
     total_chains = 0
-    while cursor < duration_us:
-        cursor += batch_us
-        for record in bundle.dci:
-            if cursor - batch_us <= record.ts_us < cursor:
-                stream.feed_dci(record)
-        for record in bundle.packets:
-            if cursor - batch_us <= record.sent_us < cursor:
-                stream.feed_packet(record)
-        for record in bundle.webrtc_stats:
-            if cursor - batch_us <= record.ts_us < cursor:
-                stream.feed_webrtc_stats(record)
-        windows = stream.advance(cursor)
+    while session.now_us < duration_us:
+        now = session.advance_to(min(session.now_us + batch_us, duration_us))
+        cursor = now - settle_us if now < duration_us else duration_us
+        batch = TelemetryBatch(
+            **session.collector.drain(cursor), watermark_us=cursor
+        )
+        stream.feed_batch(batch)
+        windows = stream.advance(batch.watermark_us)
         fired = [w for w in windows if w.chain_ids]
         total_chains += sum(len(w.chain_ids) for w in fired)
         print(
             f"[t={cursor / 1e6:5.1f}s] {len(windows)} windows completed, "
             f"{len(fired)} with detections "
-            f"(buffered records: {stream.buffered_records})"
+            f"({batch.n_records} rows fed, "
+            f"buffered: {stream.buffered_records})"
         )
         for window in fired[:2]:
             causes = ", ".join(window.causes)
@@ -54,7 +52,7 @@ def main() -> None:
             print(f"    {window.start_us / 1e6:5.1f}s  {causes} => {consequences}")
     print(f"\nTotal chain detections: {total_chains}")
     print(
-        "Memory stays bounded: records are held until their bins are "
+        "Memory stays bounded: rows are held until their bins are "
         "ingested, bins until no future window reads them."
     )
 

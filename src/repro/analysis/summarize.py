@@ -2,7 +2,8 @@
 
 Shared by the Fig. 2-4 and Fig. 8 benchmarks: one-way delays per
 direction, jitter-buffer delays, target bitrates, frame rates, freeze
-and concealment totals.
+and concealment totals.  Each is array code over the bundle's typed
+columns, building no record object.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis.cdf import Cdf, compute_cdf
+from repro.telemetry.columns import code
 from repro.telemetry.records import StreamKind, TelemetryBundle
 
 
@@ -22,28 +24,26 @@ def packet_delays_ms(
     streams: Optional[List[StreamKind]] = None,
 ) -> np.ndarray:
     """One-way delays (ms) of delivered packets in one direction."""
-    wanted = set(streams or [StreamKind.VIDEO, StreamKind.AUDIO])
-    return np.array(
-        [
-            packet.delay_us / 1000.0
-            for packet in bundle.packets
-            if packet.is_uplink == uplink
-            and packet.received_us is not None
-            and packet.stream in wanted
-        ]
+    packets = bundle.packets
+    streams = streams or [StreamKind.VIDEO, StreamKind.AUDIO]
+    wanted = [code(kind) for kind in streams]
+    mask = (
+        (packets.column("is_uplink") == uplink)
+        & packets.column("received_us.present")
+        & np.isin(packets.column("stream"), wanted)
     )
+    delay_us = packets.column("received_us") - packets.column("sent_us")
+    return delay_us[mask] / 1000.0
 
 
 def loss_rate(bundle: TelemetryBundle, uplink: bool) -> float:
     """Fraction of media packets lost in one direction."""
-    total = 0
-    lost = 0
-    for packet in bundle.packets:
-        if packet.is_uplink != uplink or packet.stream is StreamKind.RTCP:
-            continue
-        total += 1
-        if packet.received_us is None:
-            lost += 1
+    packets = bundle.packets
+    media = (packets.column("is_uplink") == uplink) & (
+        packets.column("stream") != code(StreamKind.RTCP)
+    )
+    total = int(np.count_nonzero(media))
+    lost = int(np.count_nonzero(media & ~packets.column("received_us.present")))
     return lost / total if total else 0.0
 
 
@@ -51,14 +51,9 @@ def stats_series(
     bundle: TelemetryBundle, client: str, fieldname: str
 ) -> np.ndarray:
     """One WebRTC stats field as a time series for one client."""
-    return np.array(
-        [
-            getattr(record, fieldname)
-            for record in bundle.webrtc_stats
-            if record.client == client
-        ],
-        dtype=float,
-    )
+    stats = bundle.webrtc_stats
+    mine = stats.column("client") == client
+    return stats.column(fieldname)[mine].astype(float)
 
 
 @dataclass

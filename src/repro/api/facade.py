@@ -99,7 +99,7 @@ def open_stream(
 ) -> StreamingDomino:
     """Open an incremental detector over a live telemetry feed.
 
-    Feed records with :meth:`~repro.core.streaming.StreamingDomino.feed`
+    Feed it with :meth:`~repro.core.streaming.StreamingDomino.feed_batch`
     and call :meth:`~repro.core.streaming.StreamingDomino.advance` with
     the feed's watermark; completed windows come back byte-identical to
     :func:`analyze` over the same records.

@@ -2,9 +2,10 @@
 
 §1 positions Domino for telemetry "network operators can provide on a
 continuous, near real-time basis".  :class:`StreamingDomino` consumes
-records incrementally: feed it telemetry as it arrives, call
-:meth:`advance` with the feed's watermark, and receive detections for
-every window whose data is complete.
+telemetry incrementally: feed it batches of typed columns (or single
+records) as they arrive, call :meth:`advance` with the feed's
+watermark, and receive detections for every window whose data is
+complete.
 
 The stream owns one append-only :class:`~repro.telemetry.timeline.Timeline`
 in session time.  Each advance ingests the bins the watermark made
@@ -15,32 +16,31 @@ offline analysis over only the newly completable windows, and drops
 bins no future window reads.  Every per-bin value therefore equals the
 offline timeline's, so detections are byte-identical to
 ``DominoDetector.analyze`` over the same records by construction, at
-any advance cadence.  Memory stays bounded: records are held only until
+any advance cadence.  Memory stays bounded: rows are held only until
 their bin is ingested, and bins only until the next window starts past
 them.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.detector import DetectorConfig, DominoDetector, WindowDetection
 from repro.core.features import window_step_bins
 from repro.obs.metrics import get_registry
-from repro.telemetry.records import (
-    DciRecord,
-    GnbLogRecord,
-    PacketRecord,
-    TelemetryBundle,
-    WebRtcStatsRecord,
-    record_time_us,
+from repro.telemetry.columns import (
+    GNB_LOG,
+    RECORD_SCHEMAS,
+    SCHEMAS,
+    RecordColumns,
+    Schema,
 )
+from repro.telemetry.records import TelemetryBundle
 from repro.telemetry.timeline import Timeline
-
-#: Record types the stream accepts, in TelemetryBundle field order.
-_RECORD_TYPES = (DciRecord, GnbLogRecord, PacketRecord, WebRtcStatsRecord)
 
 
 @dataclass
@@ -69,67 +69,81 @@ class StreamingDomino:
         self._timeline: Optional[Timeline] = None
         self._ingested_bin = 0
         self._next_window_bin = 0
-        # Records awaiting ingest as (ts, seq, record); feed() appends
-        # and the next advance() sorts once, so the ingest cut is a
-        # bisect.  seq keeps the sort stable for equal timestamps
-        # (records never get compared).
-        self._records: List[Tuple[int, int, object]] = []
-        self._n_sorted = 0
-        self._seq = 0
+        # Per source, by bundle attribute: chunks awaiting ingest in
+        # feed order (argsorted only when out of order, and cut with
+        # searchsorted at each ingest).  A chunk is a batch's columns,
+        # or a list of the records fed one at a time in between.
+        self._chunks = {schema.source: [] for schema in SCHEMAS.values()}
+        self._kept = [
+            schema
+            for schema in SCHEMAS.values()
+            if schema is not GNB_LOG or self.gnb_log_available
+        ]
         self.windows_emitted = 0
         self.sorts_performed = 0
         self.late_records = 0
 
     # -- ingestion ---------------------------------------------------------------
 
-    def feed_dci(self, record: DciRecord) -> None:
-        self.feed(record)
-
-    def feed_gnb_log(self, record: GnbLogRecord) -> None:
-        self.feed(record)
-
-    def feed_packet(self, record: PacketRecord) -> None:
-        self.feed(record)
-
-    def feed_webrtc_stats(self, record: WebRtcStatsRecord) -> None:
-        self.feed(record)
+    def _count_late(self, n: int) -> None:
+        self.late_records += n
+        get_registry().counter(
+            "repro_stream_late_records_total",
+            help="Records fed behind the streaming ingest horizon.",
+        ).inc(n)
 
     def feed(self, record) -> None:
-        """Type-dispatching convenience ingester.
+        """Buffer one telemetry record of any type.
 
         A record timestamped before the ingested horizon (a late record,
         or a re-feed of one already ingested) cannot change a final bin:
         it is counted in :attr:`late_records` and not buffered.
         """
-        if type(record) not in _RECORD_TYPES:
+        schema = RECORD_SCHEMAS.get(type(record))
+        if schema is None:
             raise TypeError(f"not a telemetry record: {record!r}")
-        if isinstance(record, GnbLogRecord) and not self.gnb_log_available:
+        if schema not in self._kept:
             return
-        ts = record_time_us(record)
-        if ts < self._ingested_bin * self.config.dt_us:
-            self.late_records += 1
-            get_registry().counter(
-                "repro_stream_late_records_total",
-                help="Records fed behind the streaming ingest horizon.",
-            ).inc()
+        horizon_us = self._ingested_bin * self.config.dt_us
+        if getattr(record, schema.time) < horizon_us:
+            self._count_late(1)
             return
-        entry = (ts, self._seq, record)
-        # In-order feeds (the common live case: a collector tailing
-        # time-ordered sources) keep the buffer sorted as they append,
-        # so advance() never has to re-sort; only a genuinely
-        # out-of-order arrival invalidates the sorted prefix.
-        if self._n_sorted == len(self._records) and (
-            not self._records or self._records[-1] <= entry
-        ):
-            self._n_sorted += 1
-        self._records.append(entry)
-        self._seq += 1
+        chunks = self._chunks[schema.source]
+        if not chunks or not isinstance(chunks[-1], list):
+            chunks.append([])
+        chunks[-1].append(record)
 
-    def _ensure_sorted(self) -> None:
-        if self._n_sorted < len(self._records):
-            self._records.sort()
-            self._n_sorted = len(self._records)
+    def feed_batch(self, batch) -> None:
+        """Buffer every source of *batch* (a live ``TelemetryBatch`` or
+        a ``TelemetryBundle``), rows in any order; rows behind the
+        ingested horizon are counted late, as :meth:`feed` counts them.
+        """
+        horizon_us = self._ingested_bin * self.config.dt_us
+        for schema in self._kept:
+            rows = getattr(batch, schema.source)
+            if not len(rows):
+                continue
+            late = rows.times < horizon_us
+            n_late = int(np.count_nonzero(late))
+            if n_late:
+                self._count_late(n_late)
+                rows = rows.take(~late)
+            self._chunks[schema.source].append(rows)
+
+    def _cut(self, schema: Schema, end_us: int) -> RecordColumns:
+        """The buffered rows of one source stamped before *end_us*, in
+        time order; the rest stay buffered as one ordered chunk."""
+        chunks = list(map(schema.columns, self._chunks[schema.source]))
+        rows = chunks[0] if len(chunks) == 1 else schema.concat(
+            [chunk.arrays for chunk in chunks]
+        )
+        ordered = rows.in_time_order()
+        if ordered is not rows:
             self.sorts_performed += 1
+        cut = int(np.searchsorted(ordered.times, end_us))
+        rest = ordered.take(slice(cut, None))
+        self._chunks[schema.source] = [rest] if len(rest) else []
+        return ordered.take(slice(None, cut))
 
     # -- processing ----------------------------------------------------------------
 
@@ -162,24 +176,17 @@ class StreamingDomino:
     def _ingest(self, end_bin: int) -> None:
         """Append the bins [ingested horizon, *end_bin*) to the timeline."""
         dt_us = self.config.dt_us
-        self._ensure_sorted()
-        cut = bisect.bisect_left(self._records, (end_bin * dt_us,))
-        by_type = {kind: [] for kind in _RECORD_TYPES}
-        for _, _, record in self._records[:cut]:
-            by_type[type(record)].append(record)
-        del self._records[:cut]
-        self._n_sorted -= cut
-        dci, gnb_log, packets, webrtc_stats = by_type.values()
+        end_us = end_bin * dt_us
         bundle = TelemetryBundle(
             session_name="stream",
-            duration_us=end_bin * dt_us,
+            duration_us=end_us,
             cellular_client=self.cellular_client,
             wired_client=self.wired_client,
             gnb_log_available=self.gnb_log_available,
-            dci=dci,
-            gnb_log=gnb_log,
-            packets=packets,
-            webrtc_stats=webrtc_stats,
+            **{
+                schema.source: self._cut(schema, end_us)
+                for schema in SCHEMAS.values()
+            },
         )
         segment = Timeline.from_bundle(bundle, dt_us, after=self._timeline)
         if self._timeline is None:
@@ -196,7 +203,7 @@ class StreamingDomino:
     @property
     def buffered_records(self) -> int:
         """Records fed but not yet ingested (at or past the horizon)."""
-        return len(self._records)
+        return sum(map(len, itertools.chain(*self._chunks.values())))
 
     @property
     def eviction_watermark_us(self) -> int:

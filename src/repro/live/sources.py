@@ -1,22 +1,23 @@
 """Streaming telemetry feeds the live RCA service multiplexes.
 
-A :class:`TelemetrySource` is an async producer of time-ordered record
-batches, each stamped with a *watermark*: a promise that every record
-timestamped before it has been delivered.  The watermark is what lets a
+A :class:`TelemetrySource` is an async producer of time-ordered
+batches of per-source column slices, each stamped with a *watermark*: a
+promise that every row timestamped before it has been delivered.  The
+watermark is what lets a
 :class:`~repro.live.supervisor.SessionSupervisor` call
 ``StreamingDomino.advance(watermark)`` and emit exactly the windows the
-offline detector would — record order *within* a batch is free (the
-stream sorts internally), but a record arriving after a watermark that
+offline detector would — row order *within* a batch is free (the
+stream sorts internally), but a row arriving after a watermark that
 already passed it would change detections.
 
 Two implementations:
 
 * :class:`ReplaySource` — streams a recorded trace (an in-memory
   :class:`~repro.telemetry.records.TelemetryBundle` or a JSONL path) at
-  a configurable speed multiplier, or as fast as possible.  JSONL paths
-  are streamed through :func:`repro.telemetry.io.iter_records` — one
-  lazy pass per record type merged by timestamp — so a trace far larger
-  than memory replays in bounded space.
+  a configurable speed multiplier, or as fast as possible.  A bundle's
+  columns are cut with ``searchsorted``; a JSONL path streams through
+  :func:`repro.telemetry.io.iter_records`, one lazy pass per record
+  type, so a trace far larger than memory replays in bounded space.
 * :class:`SimSource` — drives a :class:`~repro.ran.simulator` session
   live, draining the telemetry collector as simulated time advances.
 """
@@ -24,13 +25,20 @@ Two implementations:
 from __future__ import annotations
 
 import asyncio
-import heapq
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Iterable, Iterator, List, Optional, Protocol
+from typing import AsyncIterator, Optional, Protocol
+
+import numpy as np
 
 from repro.fleet.scenarios import ScenarioSpec
+from repro.telemetry.columns import (
+    SCHEMAS,
+    RecordColumns,
+    Schema,
+    typed_sources,
+)
 from repro.telemetry.io import TraceHeader, iter_records
-from repro.telemetry.records import TelemetryBundle, record_time_us
+from repro.telemetry.records import TelemetryBundle
 
 
 @dataclass
@@ -38,16 +46,28 @@ class TelemetryBatch:
     """One slice of a session's telemetry feed.
 
     Attributes:
-        records: telemetry records, any type mix, any order within the
-            batch.
-        watermark_us: every record timestamped strictly before this has
+        dci / gnb_log / packets / webrtc_stats: each source's slice, as
+            typed columns (record lists are walked at construction), in
+            any order within the batch.
+        watermark_us: every row timestamped strictly before this has
             been delivered (in this batch or an earlier one).  A feed's
             last batch carries the session's full duration, so every
             remaining window completes.
     """
 
-    records: List[object] = field(default_factory=list)
+    dci: RecordColumns = field(default_factory=list)
+    gnb_log: RecordColumns = field(default_factory=list)
+    packets: RecordColumns = field(default_factory=list)
+    webrtc_stats: RecordColumns = field(default_factory=list)
     watermark_us: int = 0
+
+    def __post_init__(self) -> None:
+        typed_sources(self)
+
+    @property
+    def n_records(self) -> int:
+        """Rows in the batch, over all sources."""
+        return sum(len(getattr(self, s.source)) for s in SCHEMAS.values())
 
 
 class TelemetrySource(Protocol):
@@ -59,7 +79,7 @@ class TelemetrySource(Protocol):
     gnb_log_available: bool
 
     def batches(self) -> AsyncIterator[TelemetryBatch]:
-        """Yield watermark-stamped record batches, in watermark order."""
+        """Yield watermark-stamped batches, in watermark order."""
         ...
 
 
@@ -120,62 +140,81 @@ class ReplaySource:
             self.gnb_log_available = header.gnb_log_available
             self.duration_us = header.duration_us
 
-    # -- record stream ---------------------------------------------------------
-
-    def _merged_records(self) -> Iterator[object]:
-        """All records in timestamp order, lazily.
-
-        A bundle holds four per-type lists already sorted by timestamp;
-        a JSONL trace holds four per-type sorted runs.  Either way a
-        heap merge of four sorted iterators yields a globally
-        time-ordered stream without materializing the trace.
-        """
-        if isinstance(self._trace, TelemetryBundle):
-            runs: Iterable[Iterable[object]] = (
-                self._trace.dci,
-                self._trace.gnb_log,
-                self._trace.packets,
-                self._trace.webrtc_stats,
-            )
-        else:
-            runs = (
-                self._typed_run("dci"),
-                self._typed_run("gnb"),
-                self._typed_run("pkt"),
-                self._typed_run("webrtc"),
-            )
-        return heapq.merge(*runs, key=record_time_us)
-
-    def _typed_run(self, kind: str) -> Iterator[object]:
-        for item in iter_records(self._trace, kinds=(kind,)):
-            if not isinstance(item, TraceHeader):
-                yield item
-
     async def batches(self) -> AsyncIterator[TelemetryBatch]:
         # Watermarks clamp to the trace's declared duration: the offline
-        # detector only analyzes windows inside it, so a stray record at
-        # or past the duration must not open extra windows live.
+        # detector only analyzes windows inside it, so a stray row at or
+        # past the duration must not open extra windows live.
+        runs = [
+            _ColumnRun(getattr(self._trace, schema.source))
+            if isinstance(self._trace, TelemetryBundle)
+            else _FileRun(self._trace, schema)
+            for schema in SCHEMAS.values()
+        ]
         cursor_us = self.batch_us
-        pending: List[object] = []
-        for record in self._merged_records():
-            while record_time_us(record) >= cursor_us:
-                yield TelemetryBatch(
-                    pending, watermark_us=min(cursor_us, self.duration_us)
-                )
-                await _pace(self.speed, self.batch_us)
-                pending = []
-                cursor_us += self.batch_us
-            pending.append(record)
-        # Whatever remains, plus empty tail batches up to the trace's
+        while True:
+            parts = {run.schema.source: run.cut(cursor_us) for run in runs}
+            if all(run.done for run in runs):
+                break
+            yield TelemetryBatch(
+                **parts, watermark_us=min(cursor_us, self.duration_us)
+            )
+            await _pace(self.speed, self.batch_us)
+            cursor_us += self.batch_us
+        # The last rows, plus empty tail batches up to the trace's
         # duration when paced (a live feed keeps ticking after the last
-        # record), collapsed into the final batch when free-running.
+        # row), collapsed into the final batch when free-running.
         if self.speed > 0:
             while cursor_us < self.duration_us:
-                yield TelemetryBatch(pending, watermark_us=cursor_us)
+                yield TelemetryBatch(**parts, watermark_us=cursor_us)
                 await _pace(self.speed, self.batch_us)
-                pending = []
+                parts = {}
                 cursor_us += self.batch_us
-        yield TelemetryBatch(pending, watermark_us=self.duration_us)
+        yield TelemetryBatch(**parts, watermark_us=self.duration_us)
+
+
+class _ColumnRun:
+    """One source of a bundle, cut into batches with ``searchsorted``."""
+
+    def __init__(self, rows: RecordColumns) -> None:
+        self.schema = rows.schema
+        self._rows = rows.in_time_order()
+        self._start = 0
+
+    @property
+    def done(self) -> bool:
+        return self._start == len(self._rows)
+
+    def cut(self, before_us: int) -> RecordColumns:
+        """The next rows stamped before *before_us*."""
+        start = self._start
+        self._start = int(np.searchsorted(self._rows.times, before_us))
+        return self._rows.take(slice(start, self._start))
+
+
+class _FileRun:
+    """One source of a JSONL trace, read lazily in file order."""
+
+    def __init__(self, path, schema: Schema) -> None:
+        self.schema = schema
+        self._records = (
+            item
+            for item in iter_records(path, kinds=(schema.kind,))
+            if not isinstance(item, TraceHeader)
+        )
+        self._head = next(self._records, None)
+
+    @property
+    def done(self) -> bool:
+        return self._head is None
+
+    def cut(self, before_us: int) -> RecordColumns:
+        """The next records stamped before *before_us*, as columns."""
+        records = []
+        time = self.schema.time
+        while self._head is not None and getattr(self._head, time) < before_us:
+            records.append(self._head)
+            self._head = next(self._records, None)
+        return self.schema.columns(records)
 
 
 class SimSource:
@@ -230,11 +269,11 @@ class SimSource:
             horizon = now - self.settle_us
             if horizon > 0:
                 yield TelemetryBatch(
-                    collector.drain(horizon), watermark_us=horizon
+                    **collector.drain(horizon), watermark_us=horizon
                 )
             await _pace(self.speed, self.batch_us)
         yield TelemetryBatch(
-            collector.drain(self.duration_us), watermark_us=self.duration_us
+            **collector.drain(self.duration_us), watermark_us=self.duration_us
         )
 
 
@@ -243,5 +282,4 @@ __all__ = [
     "SimSource",
     "TelemetryBatch",
     "TelemetrySource",
-    "record_time_us",
 ]

@@ -152,11 +152,11 @@ class SessionSupervisor:
             except asyncio.QueueFull:
                 dropped = self._queue.get_nowait()
                 if dropped is not None:
-                    self.lag_events += len(dropped.records)
+                    self.lag_events += dropped.n_records
                     get_registry().counter(
                         "repro_live_lag_records_total",
                         help="Records shed by drop_oldest backpressure.",
-                    ).inc(len(dropped.records))
+                    ).inc(dropped.n_records)
             # Yield so the consumer can run between forced drops.
             await asyncio.sleep(0)
 
@@ -179,10 +179,9 @@ class SessionSupervisor:
             with span(
                 "live.drain",
                 session=self.session_id,
-                n_records=len(batch.records),
+                n_records=batch.n_records,
             ):
-                for record in batch.records:
-                    self.stream.feed(record)
+                self.stream.feed_batch(batch)
             self.last_progress_at = loop.time()
             self._flush(batch.watermark_us)
             # One batch per loop turn: keep 64 sessions interleaving.

@@ -6,31 +6,36 @@ records).  At the end of a run :meth:`TelemetryCollector.bundle` freezes
 everything into a :class:`~repro.telemetry.records.TelemetryBundle`,
 sorted by timestamp — the input format Domino consumes.
 
-The two RAN sources are columnar from the moment they are produced: the
-simulator passes each DCI or gNB-log row as its field values, which the
-collector keeps as plain tuples and packs into ``int64`` blocks of
-:data:`BLOCK_ROWS` rows.  :meth:`~TelemetryCollector.bundle` hands them
-out as typed :class:`~repro.telemetry.columns.RecordColumns`, so a
-session builds no per-grant record object unless a consumer asks for
-one.  Packets (which the receive side mutates in place) and WebRTC
-stats stay record lists.
+Every source leaves the collector, from :meth:`~TelemetryCollector.bundle`
+and the live :meth:`~TelemetryCollector.drain` alike, as typed
+:class:`~repro.telemetry.columns.RecordColumns`.  The simulator passes
+each DCI or gNB-log row as its field values, which the collector keeps
+as plain tuples and packs into ``int64`` blocks of :data:`BLOCK_ROWS`
+rows, so a session builds no per-grant record object.  Packets (whose
+receive side joins later, in place) and WebRTC stats arrive as records
+and are walked into columns when they leave.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
-from heapq import merge
+from operator import attrgetter
 from typing import Dict, List
 
 import numpy as np
 
-from repro.telemetry.columns import DCI, GNB_LOG, RecordColumns, Schema
+from repro.telemetry.columns import (
+    DCI,
+    GNB_LOG,
+    PACKETS,
+    WEBRTC_STATS,
+    RecordColumns,
+    Schema,
+)
 from repro.telemetry.records import (
     PacketRecord,
     TelemetryBundle,
     WebRtcStatsRecord,
-    record_time_us,
 )
 
 #: Rows per ``int64`` block.  Rows wait as Python tuples only until
@@ -89,9 +94,9 @@ class _Rows:
         self.flush()
         return self._sorted(self.blocks)
 
-    def drain(self, up_to_us: int) -> list:
-        """Records of the rows after the drained ones, up to the first
-        row stamped after *up_to_us*, stably sorted on ``ts_us``.
+    def drain(self, up_to_us: int) -> RecordColumns:
+        """The rows after the drained ones, up to the first row stamped
+        after *up_to_us*, stably sorted on ``ts_us``.
 
         A gNB log row can be stamped ahead of the rows appended after it
         (an RLC retransmission's recovery time, an RRC reconnect): it
@@ -113,7 +118,7 @@ class _Rows:
                 parts.append(rows)
                 self.drained = end
             start = end
-        return list(self._sorted(parts))
+        return self._sorted(parts)
 
 
 class TelemetryCollector:
@@ -174,47 +179,37 @@ class TelemetryCollector:
 
     # -- live draining ----------------------------------------------------------
 
-    def drain(self, up_to_us: int) -> List[object]:
-        """Hand out records with timestamp <= *up_to_us* not drained yet.
+    def drain(self, up_to_us: int) -> Dict[str, RecordColumns]:
+        """Hand out the rows stamped <= *up_to_us* not drained yet, one
+        time-ordered column slice per source, keyed by bundle attribute.
 
         The live feed API: a :class:`~repro.live.sources.SimSource`
-        calls this as the simulation advances, leaving records newer
-        than *up_to_us* for a later drain.  Each source is drained in
-        arrival order up to its first record stamped after *up_to_us*
-        (the simulators append in simulated-time order; the DCI and
-        gNB-log runs are sorted too), so every record is emitted exactly
-        once and the result is one merged time-ordered batch.  DCI and
-        gNB-log records are built here, for the drained rows only.
-        Packet records are emitted as frozen copies
-        keyed on their *send* time: the collector's own copy keeps
-        mutating when the receive side joins, so callers should drain
-        with enough settling lag for in-flight packets to land.
+        calls this as the simulation advances.  Each source is drained
+        in arrival order up to its first row stamped after *up_to_us*,
+        so every row is emitted exactly once.  A packet is stamped with
+        its *send* time and holds its receive time as of the drain:
+        drain with enough settling lag for in-flight packets to land.
         """
-        runs = [self._dci.drain(up_to_us), self._gnb_log.drain(up_to_us)]
-        for index, records in enumerate((self._packet_order, self._webrtc)):
-            cursor = self._drained[index]
-            run = []
-            while cursor < len(records):
-                record = records[cursor]
-                is_packet = records is self._packet_order
-                ts = record.sent_us if is_packet else record.ts_us
-                if ts > up_to_us:
-                    break
-                run.append(replace(record) if is_packet else record)
-                cursor += 1
-            self._drained[index] = cursor
-            runs.append(run)
-        return list(merge(*runs, key=record_time_us))
+        batch = {
+            "dci": self._dci.drain(up_to_us),
+            "gnb_log": self._gnb_log.drain(up_to_us),
+        }
+        lists = ((PACKETS, self._packet_order), (WEBRTC_STATS, self._webrtc))
+        for index, (schema, records) in enumerate(lists):
+            start = stop = self._drained[index]
+            while stop < len(records) and (
+                getattr(records[stop], schema.time) <= up_to_us
+            ):
+                stop += 1
+            self._drained[index] = stop
+            batch[schema.source] = schema.columns(records[start:stop])
+        return batch
 
     # -- output -----------------------------------------------------------------
 
     def bundle(self, duration_us: int) -> TelemetryBundle:
-        """Freeze everything into a bundle sorted by timestamp.
-
-        ``dci`` and ``gnb_log`` are column-backed
-        :class:`~repro.telemetry.columns.RecordColumns`; ``packets`` and
-        ``webrtc_stats`` are record lists.
-        """
+        """Freeze everything into a bundle of typed columns, each source
+        stably sorted on its time column (one record per packet id)."""
         return TelemetryBundle(
             session_name=self.session_name,
             duration_us=duration_us,
@@ -223,8 +218,10 @@ class TelemetryCollector:
             gnb_log_available=self.gnb_log_available,
             dci=self._dci.sorted(),
             gnb_log=self._gnb_log.sorted(),
-            packets=sorted(
-                self._packets.values(), key=lambda r: r.sent_us
+            packets=PACKETS.columns(
+                sorted(self._packets.values(), key=attrgetter("sent_us"))
             ),
-            webrtc_stats=sorted(self._webrtc, key=lambda r: r.ts_us),
+            webrtc_stats=WEBRTC_STATS.columns(
+                sorted(self._webrtc, key=attrgetter("ts_us"))
+            ),
         )

@@ -1,7 +1,10 @@
 """Typed columns for the four telemetry sources.
 
-One :class:`Schema` per source lists its fields, each mapping a JSONL
-key to a record attribute and a column dtype.  The table drives:
+Telemetry travels from its producers to
+:class:`~repro.telemetry.timeline.Timeline` as :class:`RecordColumns`,
+one typed array per record field.  One :class:`Schema` per source
+lists its fields, each mapping a JSONL key to a record attribute and a
+column dtype.  The table drives:
 
 * decoding JSONL rows straight into typed column arrays
   (:meth:`Schema.decode`), which is how
@@ -9,18 +12,12 @@ key to a record attribute and a column dtype.  The table drives:
 * the rows of field values the
   :class:`~repro.telemetry.collect.TelemetryCollector` takes for the
   all-integer sources, DCI and gNB log (:meth:`Schema.row`);
+* the one records→columns function (:meth:`Schema.walk`), which turns
+  a record list into columns once, where it enters;
 * building record objects from columns, lazily and once, in
   :class:`RecordColumns`;
-* the record→column walk over an in-memory record list
-  (:class:`RecordList`), for the packet and WebRTC sources and the
-  bundles the streaming detector builds;
-* the JSON values of every record, from either (:meth:`Schema.json_rows`),
-  which is how :func:`~repro.telemetry.io.dump_lines` writes a trace.
-
-Both :class:`RecordColumns` and :class:`RecordList` answer
-``column(attr)`` and ``select(mask)``, so
-:class:`~repro.telemetry.timeline.Timeline` ingest is one piece of
-array code over either.
+* the JSON values of every row (:meth:`Schema.json_rows`), which is how
+  :func:`~repro.telemetry.io.dump_lines` writes a trace.
 
 Column dtypes: ``int64``, ``bool`` and ``float64`` as declared; a
 string field is an object array of ``str``; an enum field holds
@@ -33,7 +30,6 @@ rebuild exactly.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -172,13 +168,23 @@ def _typed(values: list, kinds: str, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 class Schema:
-    """The fields of one telemetry source, in record-constructor order."""
+    """The fields of one telemetry source, in record-constructor order;
+    *source* names its bundle attribute and *time* the attribute its
+    rows are ordered and cut on."""
 
-    def __init__(self, kind: str, record: type, fields: Tuple[Field, ...]):
+    def __init__(
+        self,
+        kind: str,
+        source: str,
+        record: type,
+        fields: Tuple[Field, ...],
+        time: str = "ts_us",
+    ):
         self.kind = kind
+        self.source = source
         self.record = record
         self.fields = fields
-        self._by_attr = {f.attr: f for f in fields}
+        self.time = time
         plain = [f for f in fields if not f.optional]
         self._ints = [f for f in plain if f.dtype in (np.int64, np.bool_)]
         self._floats = [f for f in plain if f.dtype is np.float64]
@@ -186,9 +192,6 @@ class Schema:
 
     def __reduce__(self):
         return (_named, (self.kind,))
-
-    def field(self, attr: str) -> Field:
-        return self._by_attr[attr]
 
     # -- rows ----------------------------------------------------------------
 
@@ -247,97 +250,53 @@ class Schema:
                 columns[f.attr] = np.array(values, dtype=object)
         return columns
 
-    def json_rows(self, records) -> Iterator[tuple]:
-        """The JSON values of each of *records*, in field order.
+    def json_rows(self, rows: "RecordColumns") -> Iterator[tuple]:
+        """The JSON values of each of *rows*, in field order, read from
+        its columns without building records.
 
         An enum is its member's value and an absent optional ``None``.
-        *records* is a :class:`RecordColumns`, read from its columns
-        without building records, or any sequence of records.
         """
-        for start in range(0, len(records), _JSON_ROWS):
-            stop = start + _JSON_ROWS
-            if isinstance(records, RecordColumns):
-                columns = records.values(start, stop, as_json=True)
-            else:
-                part = records[start:stop]
-                columns = []
-                for f in self.fields:
-                    column = map(operator.attrgetter(f.attr), part)
-                    if f.is_enum:
-                        column = map(operator.attrgetter("value"), column)
-                    columns.append(column)
-            yield from zip(*columns)
+        for start in range(0, len(rows), _JSON_ROWS):
+            yield from zip(*rows.values(start, start + _JSON_ROWS, as_json=True))
 
     # -- records --------------------------------------------------------------
 
-    def view(self, records) -> "RecordColumns | RecordList":
-        """Column access to *records*: a :class:`RecordColumns` as is,
-        anything else walked as a :class:`RecordList`."""
+    def walk(self, records: Sequence) -> Dict[str, np.ndarray]:
+        """Every column of *records*, as :meth:`decode` returns them.
+
+        The one records→columns function: one pass over the records
+        per field.
+        """
+        n = len(records)
+        columns: Dict[str, np.ndarray] = {}
+        for f in self.fields:
+            values = map(operator.attrgetter(f.attr), records)
+            if f.is_enum:
+                lookup = {member: i for i, member in enumerate(f.dtype)}
+                values = map(lookup.__getitem__, values)
+            elif f.optional:
+                values = list(values)
+                columns[f.present_key] = np.fromiter(
+                    (value is not None for value in values), np.bool_, n
+                )
+                values = (NONE if value is None else value for value in values)
+            columns[f.attr] = np.fromiter(values, f.column_dtype, n)
+        return columns
+
+    def columns(self, records: Sequence) -> "RecordColumns":
+        """*records* as typed columns: a :class:`RecordColumns` as is,
+        any other sequence of records walked once."""
         if isinstance(records, RecordColumns):
             return records
-        return RecordList(records, self)
-
-    def walk(self, records: list) -> Dict[str, np.ndarray]:
-        """Every column of *records*, as :meth:`decode` returns them."""
-        walk = RecordList(records, self)
-        columns = {f.attr: walk.column(f.attr) for f in self.fields}
-        for f in self.fields:
-            if f.optional:
-                columns[f.present_key] = np.fromiter(
-                    (value is not None for value in walk.values(f.attr)),
-                    np.bool_,
-                    len(records),
-                )
-        return columns
+        return RecordColumns(self, self.walk(records))
 
     def concat(self, parts: List[Dict[str, np.ndarray]]) -> "RecordColumns":
         """One :class:`RecordColumns` from decoded or walked parts."""
-        parts = parts or [self.walk([])]
+        parts = parts or [self.walk(())]
         return RecordColumns(
             self,
             {key: np.concatenate([part[key] for part in parts]) for key in parts[0]},
         )
-
-
-class RecordList:
-    """The record→column walk over an in-memory record list."""
-
-    def __init__(self, records, schema: Schema) -> None:
-        self._records = records
-        self.schema = schema
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def values(self, attr: str):
-        return map(operator.attrgetter(attr), self._records)
-
-    def column(self, attr: str) -> np.ndarray:
-        f = self.schema.field(attr)
-        values = self.values(attr)
-        if f.optional:
-            values = (NONE if value is None else value for value in values)
-        elif f.is_enum:
-            lookup = {member: i for i, member in enumerate(f.dtype)}
-            values = map(lookup.__getitem__, values)
-        return np.fromiter(values, f.column_dtype, len(self._records))
-
-    def select(self, mask: np.ndarray) -> "RecordList":
-        """The records where *mask* is true."""
-        return RecordList(
-            list(itertools.compress(self._records, mask.tolist())), self.schema
-        )
-
-
-class _Selected:
-    """The rows of a :class:`RecordColumns` where a mask is true."""
-
-    def __init__(self, source: "RecordColumns", mask: np.ndarray) -> None:
-        self._source = source
-        self._mask = mask
-
-    def column(self, attr: str) -> np.ndarray:
-        return self._source.column(attr)[self._mask]
 
 
 class RecordColumns(Sequence):
@@ -345,21 +304,37 @@ class RecordColumns(Sequence):
 
     A read-only sequence of records: ``len()`` is free, and the records
     are built from the columns, once, when first indexed or iterated.
-    Equal to any sequence holding equal records; ``+`` concatenates
-    into a list.
+    Equal to any sequence holding equal records.  ``arrays`` holds the
+    columns as :meth:`Schema.decode` returns them.
     """
 
-    def __init__(self, schema: Schema, columns: Dict[str, np.ndarray]) -> None:
+    def __init__(self, schema: Schema, arrays: Dict[str, np.ndarray]) -> None:
         self.schema = schema
-        self._columns = columns
-        self._len = len(columns[schema.fields[0].attr])
+        self.arrays = arrays
+        self._len = len(arrays[schema.fields[0].attr])
         self._records: Optional[list] = None
 
     def column(self, attr: str) -> np.ndarray:
-        return self._columns[attr]
+        return self.arrays[attr]
 
-    def select(self, mask: np.ndarray) -> _Selected:
-        return _Selected(self, mask)
+    @property
+    def times(self) -> np.ndarray:
+        """The column rows are ordered and cut on (:attr:`Schema.time`)."""
+        return self.arrays[self.schema.time]
+
+    def take(self, rows) -> "RecordColumns":
+        """The rows *rows* selects: a slice, an index array or a mask."""
+        return RecordColumns(
+            self.schema, {key: array[rows] for key, array in self.arrays.items()}
+        )
+
+    def in_time_order(self) -> "RecordColumns":
+        """These rows stably sorted on :attr:`times`: ``self`` when they
+        already are, so ordered rows pay one comparison pass."""
+        times = self.times
+        if not (times[1:] < times[:-1]).any():
+            return self
+        return self.take(np.argsort(times, kind="stable"))
 
     def values(
         self, start: int = 0, stop: Optional[int] = None, as_json: bool = False
@@ -371,14 +346,14 @@ class RecordColumns(Sequence):
         """
         values = []
         for f in self.schema.fields:
-            column = self._columns[f.attr][start:stop].tolist()
+            column = self.arrays[f.attr][start:stop].tolist()
             if f.is_enum:
                 members = list(f.dtype)
                 if as_json:
                     members = [member.value for member in members]
                 column = list(map(members.__getitem__, column))
             elif f.optional:
-                present = self._columns[f.present_key][start:stop].tolist()
+                present = self.arrays[f.present_key][start:stop].tolist()
                 column = [
                     value if here else None
                     for value, here in zip(column, present)
@@ -409,13 +384,6 @@ class RecordColumns(Sequence):
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other) -> list:
-        """The records of both, as a list (as two record lists add)."""
-        return [*self, *other]
-
-    def __radd__(self, other) -> list:
-        return [*other, *self]
-
     def __repr__(self) -> str:
         return f"RecordColumns({self.schema.kind!r}, {self._len} records)"
 
@@ -439,6 +407,7 @@ def _f(key: str, attr: str) -> Field:
 
 DCI = Schema(
     "dci",
+    "dci",
     DciRecord,
     (
         _i("ts_us", "ts_us"),
@@ -458,6 +427,7 @@ DCI = Schema(
 
 GNB_LOG = Schema(
     "gnb",
+    "gnb_log",
     GnbLogRecord,
     (
         _i("ts_us", "ts_us"),
@@ -470,6 +440,7 @@ GNB_LOG = Schema(
 
 PACKETS = Schema(
     "pkt",
+    "packets",
     PacketRecord,
     (
         _i("id", "packet_id"),
@@ -480,10 +451,13 @@ PACKETS = Schema(
         _b("ul", "is_uplink"),
         _i("frame", "frame_id", optional=True),
     ),
+    # A packet enters the feed at its sender-side capture point.
+    time="sent_us",
 )
 
 WEBRTC_STATS = Schema(
     "webrtc",
+    "webrtc_stats",
     WebRtcStatsRecord,
     (
         _i("ts_us", "ts_us"),
@@ -511,7 +485,18 @@ WEBRTC_STATS = Schema(
 #: Every source, in bundle and file order, keyed by JSONL type.
 SCHEMAS = {s.kind: s for s in (DCI, GNB_LOG, PACKETS, WEBRTC_STATS)}
 
+#: Every source's schema, keyed by its record class.
+RECORD_SCHEMAS = {s.record: s for s in SCHEMAS.values()}
+
 
 def _named(kind: str) -> Schema:
     """The schema of JSONL record type *kind*."""
     return SCHEMAS[kind]
+
+
+def typed_sources(holder) -> None:
+    """Hold each of *holder*'s four sources (a bundle's or a live
+    batch's) as :class:`RecordColumns`, walking any held as records."""
+    for schema in SCHEMAS.values():
+        rows = getattr(holder, schema.source)
+        setattr(holder, schema.source, schema.columns(rows))

@@ -33,11 +33,8 @@ import numpy as np
 
 from repro.errors import TelemetryError
 from repro.telemetry.columns import (
-    DCI,
-    GNB_LOG,
-    PACKETS,
+    RECORD_SCHEMAS,
     SCHEMAS,
-    WEBRTC_STATS,
     Irregular,
     as_bool,
     as_int,
@@ -86,21 +83,14 @@ def _header_line(bundle: TelemetryBundle) -> dict:
 def dump_lines(bundle: TelemetryBundle) -> Iterable[str]:
     """Yield the JSONL lines for *bundle* (header first).
 
-    A line's keys follow its schema's field order after ``"type"``.  A
-    column-backed source is written from its columns, building no
-    records.
+    A line's keys follow its schema's field order after ``"type"``.
+    Every source is written from its columns, building no records.
     """
     yield json.dumps(_header_line(bundle))
-    sources = (
-        (DCI, bundle.dci),
-        (GNB_LOG, bundle.gnb_log),
-        (PACKETS, bundle.packets),
-        (WEBRTC_STATS, bundle.webrtc_stats),
-    )
-    for schema, records in sources:
+    for schema in SCHEMAS.values():
         keys = ("type",) + tuple(f.key for f in schema.fields)
         kind = (schema.kind,)
-        for values in schema.json_rows(records):
+        for values in schema.json_rows(getattr(bundle, schema.source)):
             yield json.dumps(dict(zip(keys, kind + values)))
 
 
@@ -234,7 +224,6 @@ def _parse_line(
 
 
 _TYPE = operator.itemgetter("type")
-_KIND_OF = {s.record: kind for kind, s in SCHEMAS.items()}
 
 #: Columns of one source, as :meth:`~repro.telemetry.columns.Schema.decode`
 #: returns them.
@@ -280,7 +269,7 @@ def _parse_chunk(
         if isinstance(item, TraceHeader):
             header = item
         elif item is not None:
-            records[_KIND_OF[type(item)]].append(item)
+            records[RECORD_SCHEMAS[type(item)].kind].append(item)
     parts = {
         kind: SCHEMAS[kind].walk(items)
         for kind, items in records.items()
@@ -321,8 +310,8 @@ def _load(handle: IO[str]) -> TelemetryBundle:
         cellular_client=header.cellular_client,
         wired_client=header.wired_client,
         gnb_log_available=header.gnb_log_available,
-        dci=DCI.concat(parts["dci"]),
-        gnb_log=GNB_LOG.concat(parts["gnb"]),
-        packets=PACKETS.concat(parts["pkt"]),
-        webrtc_stats=WEBRTC_STATS.concat(parts["webrtc"]),
+        **{
+            schema.source: schema.concat(parts[kind])
+            for kind, schema in SCHEMAS.items()
+        },
     )

@@ -15,13 +15,21 @@ These mirror what the paper collects:
   frame rate, resolution, jitter-buffer state, GCC internals (network
   state, target bitrate, pushback rate, congestion window, outstanding
   bytes), freeze/concealment counters.
+
+These classes are the row view of telemetry.  Between its producers and
+the timeline, telemetry travels as typed columns
+(:class:`~repro.telemetry.columns.RecordColumns`), which build these
+records only for a consumer that indexes or iterates them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from repro.telemetry.columns import RecordColumns
 
 
 class StreamKind(enum.Enum):
@@ -144,16 +152,12 @@ class TelemetryBundle:
     "remote".  Timestamps share one clock (hosts were NTP-synced in the
     paper; the simulator has a single clock by construction).
 
-    Each source is a sequence of records in time order, either a plain
-    list or a read-only
-    :class:`~repro.telemetry.columns.RecordColumns`: typed column arrays
-    that :class:`~repro.telemetry.timeline.Timeline` ingests and
-    :func:`~repro.telemetry.io.save_bundle` writes directly, and that
-    build record objects only when a consumer indexes or iterates them
-    (``len()`` builds none).  The collector's ``dci`` and ``gnb_log``
-    are columns and its ``packets`` and ``webrtc_stats`` lists; a bundle
-    read with :func:`~repro.telemetry.io.load_bundle` is all columns;
-    the streaming detector builds lists.
+    Each source is a :class:`~repro.telemetry.columns.RecordColumns`:
+    typed column arrays that :class:`~repro.telemetry.timeline.Timeline`
+    ingests and :func:`~repro.telemetry.io.save_bundle` writes directly,
+    and that build record objects only when a consumer indexes or
+    iterates them (``len()`` builds none).  A source given as a list of
+    records is converted once, at construction.
     """
 
     session_name: str
@@ -161,10 +165,15 @@ class TelemetryBundle:
     cellular_client: str = "cellular"
     wired_client: str = "wired"
     gnb_log_available: bool = False
-    dci: Sequence[DciRecord] = field(default_factory=list)
-    gnb_log: Sequence[GnbLogRecord] = field(default_factory=list)
-    packets: Sequence[PacketRecord] = field(default_factory=list)
-    webrtc_stats: Sequence[WebRtcStatsRecord] = field(default_factory=list)
+    dci: "RecordColumns" = field(default_factory=list)
+    gnb_log: "RecordColumns" = field(default_factory=list)
+    packets: "RecordColumns" = field(default_factory=list)
+    webrtc_stats: "RecordColumns" = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        from repro.telemetry.columns import typed_sources
+
+        typed_sources(self)
 
     def event_rates_per_minute(self) -> dict:
         """Per-minute record rates — the Table 1 'Event Rate' columns."""
@@ -175,17 +184,3 @@ class TelemetryBundle:
             "packets": len(self.packets) / minutes,
             "webrtc": len(self.webrtc_stats) / minutes,
         }
-
-
-def record_time_us(record) -> int:
-    """Feed-order timestamp of any telemetry record type.
-
-    Packets order by their *send* time (the sender-side capture point
-    is where a live tail first sees them); everything else carries a
-    plain ``ts_us``.  The one definition shared by streaming detection,
-    collector draining, and live replay — so all three order a mixed
-    record feed identically.
-    """
-    if isinstance(record, PacketRecord):
-        return record.sent_us
-    return record.ts_us

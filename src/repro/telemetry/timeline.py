@@ -16,14 +16,12 @@ Naming convention (all per-bin):
   (uplink = cellular client → network).
 
 Ingestion is array code over each source's typed columns
-(:mod:`repro.telemetry.columns`): every per-bin aggregate is a
-``np.bincount`` / ``np.minimum.at`` / fancy-assignment over them.  A
-bundle read from JSONL, and the collector's DCI and gNB log, already
-hold their columns; for a source held as a record list each column
-needed is one walk over the records.
-Accumulation order per bin equals record order — the same order the
-per-record loops used — so the resulting series are bit-identical to
-the loop formulation.
+(:class:`~repro.telemetry.columns.RecordColumns`, the one form a
+bundle holds its sources in): every per-bin aggregate is a
+``np.bincount`` / ``np.minimum.at`` / fancy-assignment over them, and
+no record object is built.  Accumulation order per bin equals record
+order — the same order the per-record loops used — so the resulting
+series are bit-identical to the loop formulation.
 
 A timeline can also be built in time-ordered segments: every per-bin
 aggregate depends only on that bin's records, and forward-fill carries
@@ -42,13 +40,7 @@ import numpy as np
 from repro.errors import TelemetryError
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
-from repro.telemetry.columns import (
-    DCI,
-    GNB_LOG,
-    PACKETS,
-    WEBRTC_STATS,
-    code,
-)
+from repro.telemetry.columns import code
 from repro.telemetry.records import (
     GnbLogKind,
     StreamKind,
@@ -183,7 +175,7 @@ class Timeline:
             self._new(f"{role}_frozen", 0.0)
             self._new(f"{role}_concealed", 0.0)
             self._new(f"{role}_total_samples", 0.0)
-        stats = WEBRTC_STATS.view(bundle.webrtc_stats)
+        stats = bundle.webrtc_stats
         index, in_range = self._bin_indices(stats.column("ts_us"))
         clients = stats.column("client")
         remote_mask = clients == bundle.wired_client
@@ -225,7 +217,7 @@ class Timeline:
     def _ingest_packets(
         self, bundle: TelemetryBundle, fills: Dict[str, float]
     ) -> None:
-        packets = PACKETS.view(bundle.packets)
+        packets = bundle.packets
         sent = packets.column("sent_us")
         is_uplink = packets.column("is_uplink")
         size = packets.column("size_bytes").astype(np.float64)
@@ -290,7 +282,7 @@ class Timeline:
     def _ingest_dci(
         self, bundle: TelemetryBundle, fills: Dict[str, float]
     ) -> None:
-        dci = DCI.view(bundle.dci)
+        dci = bundle.dci
         ts = dci.column("ts_us")
         rnti = dci.column("rnti")
         is_uplink = dci.column("is_uplink")
@@ -299,10 +291,9 @@ class Timeline:
         is_experiment = rnti < self._CROSS_TRAFFIC_RNTI_FLOOR
         # MCS/TBS/retx only matter for the experiment UE, typically a
         # small minority of grants next to cross traffic.
-        experiment = dci.select(is_experiment)
-        mcs = experiment.column("mcs").astype(np.float64)
-        tbs = experiment.column("tbs_bits").astype(np.float64)
-        is_retx = experiment.column("is_retx")
+        mcs = dci.column("mcs")[is_experiment].astype(np.float64)
+        tbs = dci.column("tbs_bits")[is_experiment].astype(np.float64)
+        is_retx = dci.column("is_retx")[is_experiment]
         exp_index = index[is_experiment]
         exp_in_range = in_range[is_experiment]
         exp_uplink = is_uplink[is_experiment]
@@ -354,7 +345,7 @@ class Timeline:
     def _ingest_gnb_log(
         self, bundle: TelemetryBundle, fills: Dict[str, float]
     ) -> None:
-        logs = GNB_LOG.view(bundle.gnb_log)
+        logs = bundle.gnb_log
         ts = logs.column("ts_us")
         kind = logs.column("kind")
         is_buffer = kind == _RLC_BUFFER

@@ -1,7 +1,9 @@
 """Streaming (near-real-time) Domino."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -9,26 +11,25 @@ from repro.core.detector import DetectorConfig, DominoDetector
 from repro.core.streaming import StreamingDomino
 from repro.live.service import canonical_detections
 from repro.obs.metrics import get_registry
-from repro.telemetry.records import DciRecord, TelemetryBundle, record_time_us
+from repro.live.sources import TelemetryBatch
+from repro.telemetry.columns import SCHEMAS, RecordColumns
+from repro.telemetry.records import DciRecord, PacketRecord, TelemetryBundle
 
 #: Advance cadences parity is checked at: one advance over the whole
 #: feed, and one per 1 s watermark (the live supervisor's cadence).
 ADVANCE_CADENCES_US = (None, 1_000_000)
 
 
+def _time_us(record):
+    """A record's feed time: a packet's send time, else its ts_us."""
+    return record.sent_us if isinstance(record, PacketRecord) else record.ts_us
+
+
 def _feed_bundle(stream, bundle, until_us=None):
-    for record in bundle.dci:
-        if until_us is None or record.ts_us < until_us:
-            stream.feed_dci(record)
-    for record in bundle.gnb_log:
-        if until_us is None or record.ts_us < until_us:
-            stream.feed_gnb_log(record)
-    for record in bundle.packets:
-        if until_us is None or record.sent_us < until_us:
-            stream.feed_packet(record)
-    for record in bundle.webrtc_stats:
-        if until_us is None or record.ts_us < until_us:
-            stream.feed_webrtc_stats(record)
+    """Feed *bundle*'s records one at a time, through ``feed``."""
+    for record in _all_records(bundle):
+        if until_us is None or _time_us(record) < until_us:
+            stream.feed(record)
 
 
 def test_streaming_matches_offline(private_bundle):
@@ -44,7 +45,9 @@ def test_streaming_matches_offline(private_bundle):
 
 
 def _all_records(bundle):
-    return bundle.dci + bundle.gnb_log + bundle.packets + bundle.webrtc_stats
+    return [
+        *bundle.dci, *bundle.gnb_log, *bundle.packets, *bundle.webrtc_stats
+    ]
 
 
 def _replay(stream, bundle, cadence_us):
@@ -82,7 +85,7 @@ def test_streaming_incremental_chunks(private_bundle):
     refed = sum(
         1
         for record in _all_records(private_bundle)
-        if record_time_us(record) < half
+        if _time_us(record) < half
     )
     assert refed > 0
     assert stream.late_records == refed
@@ -175,9 +178,9 @@ def test_streaming_memory_stays_bounded(private_bundle):
         recent = sum(
             1
             for record in (
-                private_bundle.dci
-                + private_bundle.gnb_log
-                + private_bundle.webrtc_stats
+                *private_bundle.dci,
+                *private_bundle.gnb_log,
+                *private_bundle.webrtc_stats,
             )
             if horizon <= record.ts_us < until
         ) + sum(
@@ -188,13 +191,21 @@ def test_streaming_memory_stays_bounded(private_bundle):
         assert stream.buffered_records <= recent
 
 
+def _batch(bundle, start_us, end_us, watermark_us=0):
+    """*bundle*'s rows stamped in [*start_us*, *end_us*), as one batch
+    of column slices."""
+    parts = {}
+    for schema in SCHEMAS.values():
+        rows = getattr(bundle, schema.source)
+        parts[schema.source] = rows.take(
+            (start_us <= rows.times) & (rows.times < end_us)
+        )
+    return TelemetryBatch(**parts, watermark_us=watermark_us)
+
+
 def _feed_bundle_range(stream, bundle, start_us, end_us):
-    for record in bundle.dci + bundle.gnb_log + bundle.webrtc_stats:
-        if start_us <= record.ts_us < end_us:
-            stream.feed(record)
-    for record in bundle.packets:
-        if start_us <= record.sent_us < end_us:
-            stream.feed(record)
+    """Feed *bundle*'s rows in [*start_us*, *end_us*) as one batch."""
+    stream.feed_batch(_batch(bundle, start_us, end_us))
 
 
 def test_streaming_evicts_history(private_bundle):
@@ -211,9 +222,11 @@ def test_in_order_feed_never_resorts(private_bundle):
     no new record arrived — never pays a re-sort."""
     stream = StreamingDomino(gnb_log_available=True)
     records = sorted(
-        private_bundle.dci
-        + private_bundle.gnb_log
-        + private_bundle.webrtc_stats,
+        [
+            *private_bundle.dci,
+            *private_bundle.gnb_log,
+            *private_bundle.webrtc_stats,
+        ],
         key=lambda r: r.ts_us,
     )
     half = private_bundle.duration_us // 2
@@ -252,7 +265,7 @@ def test_pending_and_eviction_watermark_properties(private_bundle):
     for now_us in (private_bundle.duration_us // 2, private_bundle.duration_us):
         stream.advance(now_us)
         assert stream.buffered_records == sum(
-            1 for record in records if record_time_us(record) >= now_us
+            1 for record in records if _time_us(record) >= now_us
         )
         assert stream.eviction_watermark_us == stream.frontier_us
         assert stream.frontier_us == (
@@ -311,3 +324,161 @@ def test_streaming_matches_batch_under_confounders(confounded_bundle):
         assert json.dumps(
             schema.detections_to_wire(windows), sort_keys=True
         ) == expected, f"cadence {cadence_us} us"
+
+
+# -- fault table: the streaming seam, fed through batches ---------------------------
+
+
+def _feed_batches(bundle, batch_us=1_000_000):
+    """*bundle*'s rows as watermarked 1 s batches, the last one carrying
+    the rows from the last cursor on and the full duration."""
+    batches = []
+    cursor = batch_us
+    while cursor < bundle.duration_us:
+        batches.append(_batch(bundle, cursor - batch_us, cursor, cursor))
+        cursor += batch_us
+    end_us = max(
+        [bundle.duration_us]
+        + [int(getattr(bundle, s.source).times.max(initial=0)) + 1
+           for s in SCHEMAS.values()]
+    )
+    batches.append(
+        _batch(bundle, cursor - batch_us, end_us, bundle.duration_us)
+    )
+    return batches
+
+
+def _reordered(batch, order_of):
+    """*batch* with each source's rows taken in ``order_of(n)`` order."""
+    parts = {
+        s.source: getattr(batch, s.source).take(
+            order_of(len(getattr(batch, s.source)))
+        )
+        for s in SCHEMAS.values()
+    }
+    return TelemetryBatch(**parts, watermark_us=batch.watermark_us)
+
+
+def _without_rows(bundle, drop):
+    """*bundle* without the rows ``drop(schema, rows)`` masks, per source."""
+    return dataclasses.replace(
+        bundle,
+        **{
+            s.source: getattr(bundle, s.source).take(
+                ~drop(s, getattr(bundle, s.source))
+            )
+            for s in SCHEMAS.values()
+        },
+    )
+
+
+def _fault_out_of_order(bundle):
+    rng = np.random.default_rng(3)
+    feeds = [
+        [_reordered(batch, rng.permutation)]
+        for batch in _feed_batches(bundle)
+    ]
+    return bundle, feeds, 0, True
+
+
+def _fault_behind_horizon(bundle):
+    """Rows of the 2-3 s batch held back until after the 4 s watermark:
+    late, counted, and absent from the detections."""
+    batches = _feed_batches(bundle)
+    held = batches[2]
+    batches[2] = TelemetryBatch(watermark_us=held.watermark_us)
+    feeds = [[batch] for batch in batches]
+    feeds[4].append(held)
+
+    def late(schema, rows):
+        return (rows.times >= 2_000_000) & (rows.times < 3_000_000)
+
+    return _without_rows(bundle, late), feeds, held.n_records, True
+
+
+def _fault_fed_twice(bundle):
+    """Every batch delivered again after its watermark advanced: each
+    repeated row stamped behind the ingest horizon is counted late."""
+    batches = _feed_batches(bundle)
+    feeds = [[batch] for batch in batches for _ in range(2)]
+    dt_us = DetectorConfig().dt_us
+    late = sum(
+        int(np.count_nonzero(
+            getattr(batch, s.source).times
+            < batch.watermark_us // dt_us * dt_us
+        ))
+        for batch in batches
+        for s in SCHEMAS.values()
+    )
+    return bundle, feeds, late, True
+
+
+def _fault_empty_batches(bundle):
+    """Empty batches, before the first rows and repeating every
+    watermark, advance nothing and lose nothing."""
+    feeds = [[TelemetryBatch(watermark_us=0)]]
+    for batch in _feed_batches(bundle):
+        feeds.append([TelemetryBatch(watermark_us=0), batch])
+        feeds.append([TelemetryBatch(watermark_us=batch.watermark_us)])
+    return bundle, feeds, 0, True
+
+
+def _fault_gnb_unavailable(bundle):
+    """gNB rows reach a stream opened with gnb_log_available=False: it
+    keeps none, as a collector without gNB logs would record none."""
+    assert len(bundle.gnb_log) > 0
+    expected = dataclasses.replace(bundle, gnb_log=[])
+    feeds = [[batch] for batch in _feed_batches(bundle)]
+    return expected, feeds, 0, False
+
+
+def _fault_nan_stat(bundle):
+    """A NaN in a WebRTC stats row flows through like any value."""
+    stats = bundle.webrtc_stats
+    arrays = dict(stats.arrays)
+    jitter = arrays["video_jitter_buffer_ms"].copy()
+    jitter[len(jitter) // 2] = np.nan
+    arrays["video_jitter_buffer_ms"] = jitter
+    nan_bundle = dataclasses.replace(
+        bundle, webrtc_stats=RecordColumns(stats.schema, arrays)
+    )
+    feeds = [[batch] for batch in _feed_batches(nan_bundle)]
+    return nan_bundle, feeds, 0, True
+
+
+#: (id, fault) -> (bundle offline analysis must equal, feeds: one list
+#: of batches per advance, rows expected late, gnb_log_available).
+_STREAM_FAULTS = (
+    ("out_of_order_in_batch", _fault_out_of_order),
+    ("behind_ingest_horizon", _fault_behind_horizon),
+    ("batch_fed_twice", _fault_fed_twice),
+    ("empty_batches", _fault_empty_batches),
+    ("gnb_rows_unavailable", _fault_gnb_unavailable),
+    ("nan_stats_value", _fault_nan_stat),
+)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [row[1] for row in _STREAM_FAULTS],
+    ids=[row[0] for row in _STREAM_FAULTS],
+)
+def test_stream_fault_table(private_bundle, fault):
+    """Every row of a faulty batch feed either lands exactly where
+    offline analysis of the same rows puts it, or is counted late."""
+    expected, feeds, n_late, gnb_log_available = fault(private_bundle)
+    late_counter = get_registry().counter("repro_stream_late_records_total")
+    late_before = late_counter.total()
+    stream = StreamingDomino(gnb_log_available=gnb_log_available)
+    windows = []
+    for batches in feeds:
+        for batch in batches:
+            stream.feed_batch(batch)
+        windows += stream.advance(batches[-1].watermark_us)
+    offline = DominoDetector().analyze(expected)
+    assert offline.windows
+    assert canonical_detections(windows) == canonical_detections(
+        offline.windows
+    )
+    assert stream.late_records == n_late
+    assert late_counter.total() - late_before == n_late

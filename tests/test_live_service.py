@@ -11,7 +11,7 @@ from repro.core.detector import DominoDetector
 from repro.core.stats import DominoStats
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.executor import CHAIN_SEPARATOR
-from repro.fleet.scenarios import ScenarioSpec
+from repro.fleet.scenarios import ScenarioSpec, derive_seed
 from repro.live import (
     LiveAggregator,
     LiveRcaService,
@@ -22,6 +22,7 @@ from repro.live import (
     render_snapshot,
 )
 from repro.live.supervisor import SessionSupervisor
+from repro.telemetry.columns import SCHEMAS
 from repro.telemetry.io import load_bundle, save_bundle
 
 
@@ -101,14 +102,60 @@ def test_replay_of_loaded_bundle_matches_in_memory(tmp_path, replay_bundle):
     assert len(pickle.dumps(loaded)) == pickled
 
 
+#: (workload seed, scenario name) of busy-cell bundles pinned live ==
+#: offline: 6 s calls on the commercial FDD cell, named and seeded as
+#: perfbench's live_replay set-up names and seeds them, so
+#: ``live/busy_6s_b`` at seed 4 is the bundle perfbench left out.
+BUSY_BUNDLES = (
+    (1, "perfbench/live/busy_6s"),
+    (4, "perfbench/live/busy_6s_b"),
+    (7, "perfbench/live/busy_6s"),
+    (7919, "perfbench/live/busy_6s_b"),
+)
+
+
+def test_busy_cell_replays_match_offline_byte_identical():
+    """Busy-cell bundles, the heaviest live feeds, replay through
+    api.serve to detections byte-identical to offline analysis."""
+    bundles = {}
+    for seed, name in BUSY_BUNDLES:
+        spec = ScenarioSpec(
+            name=name,
+            profile="tmobile_fdd",
+            seed=derive_seed(seed, name),
+            duration_s=6.0,
+        )
+        bundles[f"{name}@{seed}"] = spec.build_session().run(
+            spec.duration_us
+        ).bundle
+    service = api.serve(
+        [
+            ReplaySource(bundle, session_id=key)
+            for key, bundle in bundles.items()
+        ]
+    )
+    live = _collect_live_detections(service)
+    asyncio.run(service.run())
+    for key, bundle in bundles.items():
+        offline = DominoDetector().analyze(bundle)
+        assert offline.windows, key
+        assert canonical_detections(live[key]) == canonical_detections(
+            offline.windows
+        ), key
+
+
 class _ShuffledReplay(ReplaySource):
-    """Replay with records shuffled inside each batch (out-of-order
+    """Replay with rows shuffled inside each batch (out-of-order
     delivery within a watermark, as real multi-source feeds produce)."""
 
     async def batches(self):
         rng = random.Random(11)
         async for batch in super().batches():
-            rng.shuffle(batch.records)
+            for schema in SCHEMAS.values():
+                rows = getattr(batch, schema.source)
+                order = list(range(len(rows)))
+                rng.shuffle(order)
+                setattr(batch, schema.source, rows.take(order))
             yield batch
 
 
@@ -143,26 +190,28 @@ class _ScriptedSource:
 
 
 def _record_batches(bundle, batch_us, duration_us):
-    """Slice a bundle's records into watermarked batches, final last."""
-    from repro.live.sources import record_time_us
+    """Slice a bundle's rows into watermarked batches, final last."""
 
-    records = sorted(
-        list(bundle.dci)
-        + list(bundle.gnb_log)
-        + list(bundle.packets)
-        + list(bundle.webrtc_stats),
-        key=record_time_us,
+    def batch(start_us, end_us, watermark_us):
+        parts = {}
+        for schema in SCHEMAS.values():
+            rows = getattr(bundle, schema.source)
+            times = rows.times
+            parts[schema.source] = rows.take(
+                (times >= start_us) & (times < end_us)
+            )
+        return TelemetryBatch(**parts, watermark_us=watermark_us)
+
+    last_us = max(
+        getattr(bundle, schema.source).times.max(initial=0)
+        for schema in SCHEMAS.values()
     )
     batches = []
     cursor = batch_us
-    pending = []
-    for record in records:
-        while record_time_us(record) >= cursor:
-            batches.append(TelemetryBatch(pending, watermark_us=cursor))
-            pending = []
-            cursor += batch_us
-        pending.append(record)
-    batches.append(TelemetryBatch(pending, watermark_us=duration_us))
+    while cursor <= last_us:
+        batches.append(batch(cursor - batch_us, cursor, cursor))
+        cursor += batch_us
+    batches.append(batch(cursor - batch_us, last_us + 1, duration_us))
     return batches
 
 
@@ -172,7 +221,7 @@ def test_drop_oldest_backpressure_counts_lag(replay_bundle):
     batches = _record_batches(
         replay_bundle, 1_000_000, replay_bundle.duration_us
     )
-    total_records = sum(len(b.records) for b in batches)
+    total_records = sum(b.n_records for b in batches)
     supervisor = SessionSupervisor(
         _ScriptedSource(batches),
         queue_batches=2,
@@ -245,7 +294,7 @@ class _StallingSource:
     gnb_log_available = False
 
     async def batches(self):
-        yield TelemetryBatch([], watermark_us=1_000_000)
+        yield TelemetryBatch(watermark_us=1_000_000)
         await asyncio.sleep(3600)
 
 

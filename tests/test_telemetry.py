@@ -20,7 +20,6 @@ from repro.telemetry.records import (
     PacketRecord,
     StreamKind,
     WebRtcStatsRecord,
-    record_time_us,
 )
 from repro.telemetry.timeline import Timeline
 
@@ -150,18 +149,15 @@ def test_collector_sources_are_columns(fdd_session):
     _, bundle = fdd_session
     assert len(bundle.dci) > 8 * collect.BLOCK_ROWS
     assert {r.kind for r in bundle.gnb_log} == set(GnbLogKind)
-    for source, schema in (
-        (bundle.dci, columns.DCI),
-        (bundle.gnb_log, columns.GNB_LOG),
-    ):
+    for schema in columns.SCHEMAS.values():
+        source = getattr(bundle, schema.source)
         assert isinstance(source, columns.RecordColumns)
+        assert len(source) > 0
         assert source == list(source)
-        ts = [r.ts_us for r in source]
+        ts = [getattr(r, schema.time) for r in source]
         assert ts == sorted(ts)
         for f in schema.fields:
             assert source.column(f.attr).dtype == f.column_dtype
-    assert isinstance(bundle.packets, list)
-    assert isinstance(bundle.webrtc_stats, list)
 
 
 def test_collector_columns_ingest_like_record_lists(fdd_session):
@@ -186,8 +182,24 @@ def test_scenario_analysis_builds_no_ran_records():
     summarize_session(bundle)
     assert report.n_windows > 0
     assert len(bundle.gnb_log) > 0
-    assert bundle.dci._records is None
-    assert bundle.gnb_log._records is None
+    for schema in columns.SCHEMAS.values():
+        assert getattr(bundle, schema.source)._records is None
+
+
+def _time_us(record):
+    """A record's feed time: a packet's send time, else its ts_us."""
+    return record.sent_us if isinstance(record, PacketRecord) else record.ts_us
+
+
+def _drained_records(batch):
+    """The records of a drained batch (one column slice per source)."""
+    return [record for rows in batch.values() for record in rows]
+
+
+def _assert_each_source_ordered(batch):
+    for rows in batch.values():
+        stamps = rows.times.tolist()
+        assert stamps == sorted(stamps)
 
 
 def test_drain_straddling_blocks_is_exactly_once_and_ordered():
@@ -204,29 +216,29 @@ def test_drain_straddling_blocks_is_exactly_once_and_ordered():
     drained = []
     for horizon in horizons:
         batch = collector.drain(horizon)
-        assert all(record_time_us(r) <= horizon for r in batch)
+        assert all(_time_us(r) <= horizon for r in _drained_records(batch))
         drained.append(batch)
     drained.append(collector.drain(10 * n))
     # Rows 4096, 8192 and 12288 open the second to fourth blocks.
-    assert [
-        sum(isinstance(r, DciRecord) for r in batch) for batch in drained
-    ] == [1, 4094, 1, 2, 4100, 4091, 16]
-    assert collector.drain(10 * n) == []
-    records = [r for batch in drained for r in batch]
+    assert [len(batch["dci"]) for batch in drained] == [
+        1, 4094, 1, 2, 4100, 4091, 16
+    ]
+    assert _drained_records(collector.drain(10 * n)) == []
+    records = [r for batch in drained for r in _drained_records(batch)]
     bundle = collector.bundle(10 * n)
     assert [r for r in records if isinstance(r, DciRecord)] == list(bundle.dci)
     assert [r for r in records if isinstance(r, GnbLogRecord)] == list(
         bundle.gnb_log
     )
     for batch in drained:
-        stamps = [record_time_us(r) for r in batch]
-        assert stamps == sorted(stamps)
+        _assert_each_source_ordered(batch)
 
 
 def test_live_drain_is_exactly_once_and_ordered():
     """Drains behind a moving horizon, as a live SimSource makes them,
-    hand out every record of the bundle once, each batch in time order
-    (gNB log rows stamped ahead of later rows included)."""
+    hand out every record of the bundle once, each source's slice of a
+    batch in time order (gNB log rows stamped ahead of later rows
+    included)."""
     collector = TelemetryCollector("fdd", gnb_log_available=True)
     session = make_cellular_session(
         TMOBILE_FDD, seed=3, scripted_rrc_releases_us=[2_000_000],
@@ -238,9 +250,8 @@ def test_live_drain_is_exactly_once_and_ordered():
         drained.append(collector.drain(now - 300_000))
     drained.append(collector.drain(6_000_000))
     for batch in drained:
-        stamps = [record_time_us(r) for r in batch]
-        assert stamps == sorted(stamps)
-    records = [r for batch in drained for r in batch]
+        _assert_each_source_ordered(batch)
+    records = [r for batch in drained for r in _drained_records(batch)]
     bundle = collector.bundle(6_000_000)
     assert [r for r in records if isinstance(r, DciRecord)] == list(bundle.dci)
     logs = [r for r in records if isinstance(r, GnbLogRecord)]

@@ -576,8 +576,9 @@ def test_fault_table_raises_typed_errors(make, pattern):
 def _shifted_dci(ts_us):
     """The fault bundle with its first DCI record at *ts_us*."""
     bundle = _fault_bundle()
-    bundle.dci[0] = dataclasses.replace(bundle.dci[0], ts_us=ts_us)
-    return bundle
+    dci = list(bundle.dci)
+    dci[0] = dataclasses.replace(dci[0], ts_us=ts_us)
+    return dataclasses.replace(bundle, dci=dci)
 
 
 def _float_ts():
