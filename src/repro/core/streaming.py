@@ -134,9 +134,7 @@ class StreamingDomino:
         """The buffered rows of one source stamped before *end_us*, in
         time order; the rest stay buffered as one ordered chunk."""
         chunks = list(map(schema.columns, self._chunks[schema.source]))
-        rows = chunks[0] if len(chunks) == 1 else schema.concat(
-            [chunk.arrays for chunk in chunks]
-        )
+        rows = schema.concat(chunks)
         ordered = rows.in_time_order()
         if ordered is not rows:
             self.sorts_performed += 1

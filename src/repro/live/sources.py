@@ -14,10 +14,11 @@ Two implementations:
 
 * :class:`ReplaySource` — streams a recorded trace (an in-memory
   :class:`~repro.telemetry.records.TelemetryBundle` or a JSONL path) at
-  a configurable speed multiplier, or as fast as possible.  A bundle's
-  columns are cut with ``searchsorted``; a JSONL path streams through
-  :func:`repro.telemetry.io.iter_records`, one lazy pass per record
-  type, so a trace far larger than memory replays in bounded space.
+  a configurable speed multiplier, or as fast as possible.  Each source
+  is a stream of column chunks cut with ``searchsorted``: a bundle's
+  source is one chunk, and a JSONL path streams through
+  :func:`repro.telemetry.io.iter_chunks`, one pass per record type, so
+  a trace far larger than memory replays in bounded space.
 * :class:`SimSource` — drives a :class:`~repro.ran.simulator` session
   live, draining the telemetry collector as simulated time advances.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Optional, Protocol
+from typing import AsyncIterator, Iterator, Optional, Protocol
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.telemetry.columns import (
     Schema,
     typed_sources,
 )
-from repro.telemetry.io import TraceHeader, iter_records
+from repro.telemetry.io import TraceHeader, iter_chunks, iter_records
 from repro.telemetry.records import TelemetryBundle
 
 
@@ -47,8 +48,8 @@ class TelemetryBatch:
 
     Attributes:
         dci / gnb_log / packets / webrtc_stats: each source's slice, as
-            typed columns (record lists are walked at construction), in
-            any order within the batch.
+            typed columns (record lists are converted at construction),
+            in any order within the batch.
         watermark_us: every row timestamped strictly before this has
             been delivered (in this batch or an earlier one).  A feed's
             last batch carries the session's full duration, so every
@@ -133,7 +134,7 @@ class ReplaySource:
             self.gnb_log_available = trace.gnb_log_available
             self.duration_us = trace.duration_us
         else:
-            header = next(iter_records(trace, kinds=()))
+            header = next(iter_records(trace))
             if not isinstance(header, TraceHeader):
                 raise TypeError("trace file does not start with a header")
             self.session_id = session_id or header.session_name
@@ -145,9 +146,12 @@ class ReplaySource:
         # detector only analyzes windows inside it, so a stray row at or
         # past the duration must not open extra windows live.
         runs = [
-            _ColumnRun(getattr(self._trace, schema.source))
-            if isinstance(self._trace, TelemetryBundle)
-            else _FileRun(self._trace, schema)
+            _Run(
+                schema,
+                iter([getattr(self._trace, schema.source)])
+                if isinstance(self._trace, TelemetryBundle)
+                else _file_chunks(self._trace, schema),
+            )
             for schema in SCHEMAS.values()
         ]
         cursor_us = self.batch_us
@@ -172,49 +176,43 @@ class ReplaySource:
         yield TelemetryBatch(**parts, watermark_us=self.duration_us)
 
 
-class _ColumnRun:
-    """One source of a bundle, cut into batches with ``searchsorted``."""
+def _file_chunks(path, schema: Schema) -> Iterator[RecordColumns]:
+    """The column chunks of one source of a JSONL trace, read in one
+    pass over the file."""
+    for _, parts in iter_chunks(path, schema.kind):
+        if schema.kind in parts:
+            yield parts[schema.kind]
 
-    def __init__(self, rows: RecordColumns) -> None:
-        self.schema = rows.schema
-        self._rows = rows.in_time_order()
-        self._start = 0
+
+class _Run:
+    """One source's rows, a stream of column chunks in feed order, cut
+    into batches with ``searchsorted`` (each chunk in time order)."""
+
+    def __init__(
+        self, schema: Schema, chunks: Iterator[RecordColumns]
+    ) -> None:
+        self.schema = schema
+        self._chunks = map(RecordColumns.in_time_order, chunks)
+        self._pull()
+
+    def _pull(self) -> None:
+        self._rows, self._start = next(self._chunks, None), 0
 
     @property
     def done(self) -> bool:
-        return self._start == len(self._rows)
+        return self._rows is None
 
     def cut(self, before_us: int) -> RecordColumns:
         """The next rows stamped before *before_us*."""
-        start = self._start
-        self._start = int(np.searchsorted(self._rows.times, before_us))
-        return self._rows.take(slice(start, self._start))
-
-
-class _FileRun:
-    """One source of a JSONL trace, read lazily in file order."""
-
-    def __init__(self, path, schema: Schema) -> None:
-        self.schema = schema
-        self._records = (
-            item
-            for item in iter_records(path, kinds=(schema.kind,))
-            if not isinstance(item, TraceHeader)
-        )
-        self._head = next(self._records, None)
-
-    @property
-    def done(self) -> bool:
-        return self._head is None
-
-    def cut(self, before_us: int) -> RecordColumns:
-        """The next records stamped before *before_us*, as columns."""
-        records = []
-        time = self.schema.time
-        while self._head is not None and getattr(self._head, time) < before_us:
-            records.append(self._head)
-            self._head = next(self._records, None)
-        return self.schema.columns(records)
+        parts = []
+        while self._rows is not None:
+            start = self._start
+            self._start = int(np.searchsorted(self._rows.times, before_us))
+            parts.append(self._rows.take(slice(start, self._start)))
+            if self._start < len(self._rows):
+                break
+            self._pull()
+        return self.schema.concat(parts)
 
 
 class SimSource:
@@ -222,11 +220,11 @@ class SimSource:
 
     Steps the :class:`~repro.rtc.session.TwoPartySession` a scenario
     describes in *batch_us* slices of simulated time, draining the
-    telemetry collector behind a *settle_us* horizon so packet records
-    are emitted only after their receive side had time to join (the
-    collector mutates packet records in place when the far capture point
-    reports them; ``settle_us`` plays the role of the trace-join delay a
-    real two-point capture pipeline has).
+    telemetry collector behind a *settle_us* horizon so packet rows are
+    emitted only after their receive side had time to join (a drained
+    packet carries its receive time as of the drain, and a packet still
+    in flight comes out lost; ``settle_us`` plays the role of the
+    trace-join delay a real two-point capture pipeline has).
 
     Args:
         spec: the scenario to simulate.

@@ -21,7 +21,7 @@ from repro.rtc.pacer import Pacer
 from repro.rtc.receiver import MediaReceiver
 from repro.rtc.rtcp import FeedbackPayload
 from repro.telemetry.collect import TelemetryCollector
-from repro.telemetry.records import StreamKind, WebRtcStatsRecord
+from repro.telemetry.records import StreamKind
 
 
 @dataclass
@@ -283,26 +283,25 @@ class WebRtcClient:
         samples_delta = audio.total_samples - self._last_total_samples
         self._last_total_samples = audio.total_samples
         output = self._last_output
+        # The stats row in columns.WEBRTC_STATS order.
         self.collector.record_webrtc_stats(
-            WebRtcStatsRecord(
-                ts_us=now_us,
-                client=self.name,
-                outbound_fps=self.outbound_fps(now_us),
-                outbound_resolution_p=self._current_resolution,
-                target_bitrate_bps=output.target_bps,
-                pushback_bitrate_bps=output.pushback_bps,
-                gcc_state=output.state.value,
-                gcc_trend_slope=output.trend_slope_ms_per_s,
-                gcc_threshold=output.threshold,
-                outstanding_bytes=output.outstanding_bytes,
-                congestion_window_bytes=output.congestion_window_bytes,
-                inbound_fps=self.receiver.inbound_fps(now_us),
-                inbound_resolution_p=self.receiver.inbound_resolution(),
-                video_jitter_buffer_ms=video.current_delay_ms(),
-                audio_jitter_buffer_ms=audio.current_delay_ms(),
-                frozen=video.is_frozen(now_us),
-                freeze_duration_ms=max(0.0, freeze_delta_ms),
-                concealed_samples=concealed_delta,
-                total_samples=samples_delta,
-            )
+            now_us,
+            self.name,
+            self.outbound_fps(now_us),
+            self._current_resolution,
+            output.target_bps,
+            output.pushback_bps,
+            output.state.value,
+            output.trend_slope_ms_per_s,
+            output.threshold,
+            output.outstanding_bytes,
+            output.congestion_window_bytes,
+            self.receiver.inbound_fps(now_us),
+            self.receiver.inbound_resolution(),
+            video.current_delay_ms(),
+            audio.current_delay_ms(),
+            video.is_frozen(now_us),
+            max(0.0, freeze_delta_ms),
+            concealed_delta,
+            samples_delta,
         )

@@ -23,7 +23,11 @@ from repro.net.link import AccessLink, InternetSegment
 from repro.net.packet import Packet
 from repro.rtc.client import ClientConfig, WebRtcClient
 from repro.telemetry.collect import TelemetryCollector
-from repro.telemetry.records import PacketRecord, TelemetryBundle
+from repro.telemetry.columns import code
+from repro.telemetry.records import StreamKind, TelemetryBundle
+
+#: Column code of each stream kind, for packet rows.
+_STREAM_CODES = {kind: code(kind) for kind in StreamKind}
 
 
 @dataclass
@@ -90,15 +94,15 @@ class TwoPartySession:
         access = self.access_a if sender_is_a else self.access_b
         for packet in packets:
             self._packets[packet.packet_id] = packet
+            # The packet's row in columns.PACKETS order, not yet received.
             self.collector.record_packet_sent(
-                PacketRecord(
-                    packet_id=packet.packet_id,
-                    stream=packet.stream,
-                    size_bytes=packet.size_bytes,
-                    sent_us=packet.sent_us,
-                    is_uplink=sender_is_a,
-                    frame_id=packet.frame_id,
-                )
+                packet.packet_id,
+                _STREAM_CODES[packet.stream],
+                packet.size_bytes,
+                packet.sent_us,
+                None,
+                sender_is_a,
+                packet.frame_id,
             )
             access.send_up(packet.packet_id, packet.size_bytes, packet.sent_us)
 

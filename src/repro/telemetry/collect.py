@@ -6,24 +6,25 @@ records).  At the end of a run :meth:`TelemetryCollector.bundle` freezes
 everything into a :class:`~repro.telemetry.records.TelemetryBundle`,
 sorted by timestamp — the input format Domino consumes.
 
-Every source leaves the collector, from :meth:`~TelemetryCollector.bundle`
-and the live :meth:`~TelemetryCollector.drain` alike, as typed
-:class:`~repro.telemetry.columns.RecordColumns`.  The simulator passes
-each DCI or gNB-log row as its field values, which the collector keeps
-as plain tuples and packs into ``int64`` blocks of :data:`BLOCK_ROWS`
-rows, so a session builds no per-grant record object.  Packets (whose
-receive side joins later, in place) and WebRTC stats arrive as records
-and are walked into columns when they leave.
+Every source takes one path into columns.  A producer passes each row
+as its field values (or a record); the collector keeps rows as plain
+tuples and converts every :data:`BLOCK_ROWS` of them through
+:meth:`~repro.telemetry.columns.Schema.from_rows`, so a session builds
+no per-row record object.  :meth:`~TelemetryCollector.bundle` and the
+live :meth:`~TelemetryCollector.drain` hand out those blocks as typed
+:class:`~repro.telemetry.columns.RecordColumns`, stably sorted on time.
+A packet's receive time joins from a packet-id map when it leaves.
 """
 
 from __future__ import annotations
 
-import itertools
-from operator import attrgetter
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.errors import TelemetryError
+from repro.obs.logs import get_logger
+from repro.obs.metrics import get_registry
 from repro.telemetry.columns import (
     DCI,
     GNB_LOG,
@@ -32,30 +33,33 @@ from repro.telemetry.columns import (
     RecordColumns,
     Schema,
 )
-from repro.telemetry.records import (
-    PacketRecord,
-    TelemetryBundle,
-    WebRtcStatsRecord,
-)
+from repro.telemetry.records import TelemetryBundle
 
-#: Rows per ``int64`` block.  Rows wait as Python tuples only until
-#: their block fills: one list converted at bundle time would hold a
-#: whole session's rows as objects and raise peak memory.
+logger = get_logger(__name__)
+
+#: Rows per block.  Rows wait as Python tuples only until their block
+#: fills: one list converted at bundle time would hold a whole
+#: session's rows as objects and raise peak memory.
 BLOCK_ROWS = 4096
+
+#: Where a packet row holds its id and its receive time.
+_PACKET_ID, _RECEIVED_AT = map(
+    [f.attr for f in PACKETS.fields].index, ("packet_id", "received_us")
+)
+_RECEIVED = PACKETS.fields[_RECEIVED_AT]
 
 
 class _Rows:
-    """The rows of one all-integer source, in arrival order.
+    """The rows of one source, in arrival order.
 
-    Rows are tuples of field values in schema order (bools and enum
-    codes included), packed into ``int64`` blocks every
-    :data:`BLOCK_ROWS` rows.  ``ts_us`` is the first field.
+    Rows are tuples of field values in schema order, converted into
+    column blocks every :data:`BLOCK_ROWS` rows.
     """
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self.pending: List[tuple] = []
-        self.blocks: List[np.ndarray] = []
+        self.blocks: List[RecordColumns] = []
         self.drained = 0  # rows already handed out by drain()
 
     def append(self, row: tuple) -> None:
@@ -65,43 +69,23 @@ class _Rows:
             self.flush()
 
     def flush(self) -> None:
-        rows = self.pending
-        if rows:
-            width = len(self.schema.fields)
-            values = itertools.chain.from_iterable(rows)
-            block = np.fromiter(values, np.int64, len(rows) * width)
-            self.blocks.append(block.reshape(len(rows), width))
+        if self.pending:
+            self.blocks.append(self.schema.from_rows(self.pending))
             self.pending = []
 
-    def _sorted(self, blocks: List[np.ndarray]) -> RecordColumns:
-        """The rows of *blocks* as typed columns, stably sorted on
-        ``ts_us``, built one column at a time."""
-        if not blocks:
-            blocks = [np.empty((0, len(self.schema.fields)), np.int64)]
-
-        def column(j: int) -> np.ndarray:
-            return np.concatenate([block[:, j] for block in blocks])
-
-        order = np.argsort(column(0), kind="stable")
-        columns = {
-            f.attr: column(j)[order].astype(f.column_dtype, copy=False)
-            for j, f in enumerate(self.schema.fields)
-        }
-        return RecordColumns(self.schema, columns)
-
     def sorted(self) -> RecordColumns:
-        """Every row, stably sorted on ``ts_us``."""
+        """Every row, stably sorted on the schema's time column."""
         self.flush()
-        return self._sorted(self.blocks)
+        return self.schema.concat(self.blocks).in_time_order()
 
     def drain(self, up_to_us: int) -> RecordColumns:
         """The rows after the drained ones, up to the first row stamped
-        after *up_to_us*, stably sorted on ``ts_us``.
+        after *up_to_us*, stably sorted on the schema's time column.
 
-        A gNB log row can be stamped ahead of the rows appended after it
-        (an RLC retransmission's recovery time, an RRC reconnect): it
-        holds them back until a later drain, and the sort puts it in
-        its place among the rows drained with it.
+        A row can be stamped ahead of the rows appended after it (an RLC
+        retransmission's recovery time, an RRC reconnect): it holds them
+        back until a later drain, and the sort puts it in its place
+        among the rows drained with it.
         """
         self.flush()
         parts = []
@@ -109,20 +93,20 @@ class _Rows:
         for block in self.blocks:
             end = start + len(block)
             if end > self.drained:
-                rows = block[self.drained - start :]
-                later = np.flatnonzero(rows[:, 0] > up_to_us)
+                rows = block.take(slice(self.drained - start, None))
+                later = np.flatnonzero(rows.times > up_to_us)
                 if len(later):
-                    parts.append(rows[: later[0]])
+                    parts.append(rows.take(slice(None, later[0])))
                     self.drained += int(later[0])
                     break
                 parts.append(rows)
                 self.drained = end
             start = end
-        return self._sorted(parts)
+        return self.schema.concat(parts).in_time_order()
 
 
 class TelemetryCollector:
-    """Accumulates telemetry records during one simulated session."""
+    """Accumulates telemetry rows during one simulated session."""
 
     def __init__(
         self,
@@ -137,12 +121,11 @@ class TelemetryCollector:
         self.gnb_log_available = gnb_log_available
         self._dci = _Rows(DCI)
         self._gnb_log = _Rows(GNB_LOG)
-        self._packets: Dict[int, PacketRecord] = {}
-        self._packet_order: List[PacketRecord] = []  # send order
-        self._webrtc: List[WebRtcStatsRecord] = []
-        # Cursors for drain() into the two record lists: everything
-        # before these indices has been handed to a live consumer.
-        self._drained = [0, 0]
+        self._packets = _Rows(PACKETS)
+        self._webrtc = _Rows(WEBRTC_STATS)
+        # Every packet id sent, with its receive time so far (None
+        # until the receive side joins).
+        self._received: Dict[int, Optional[int]] = {}
 
     # -- RAN-side rows --------------------------------------------------------
 
@@ -159,23 +142,48 @@ class TelemetryCollector:
 
     # -- packet trace ---------------------------------------------------------
 
-    def record_packet_sent(self, record: PacketRecord) -> None:
-        """Register a packet at its sender-side capture point."""
-        self._packets[record.packet_id] = record
-        self._packet_order.append(record)
+    def record_packet_sent(self, *row) -> None:
+        """Register a packet at its sender-side capture point: a
+        ``PacketRecord``, or its field values in ``columns.PACKETS``
+        order with ``stream`` as its code.  An id sent twice raises
+        :class:`~repro.errors.TelemetryError`."""
+        if len(row) == 1:
+            row = PACKETS.row(row[0])
+        packet_id = row[_PACKET_ID]
+        if packet_id in self._received:
+            raise TelemetryError(f"packet {packet_id} sent twice")
+        self._received[packet_id] = row[_RECEIVED_AT]
+        self._packets.append(row)
 
     def record_packet_received(
         self, packet_id: int, received_us: int
     ) -> None:
-        """Join the receiver-side capture for *packet_id*."""
-        record = self._packets.get(packet_id)
-        if record is not None:
-            record.received_us = received_us
+        """Join the receiver-side capture for *packet_id*; a receive of
+        an id never sent is counted and logged, and otherwise ignored."""
+        if packet_id in self._received:
+            self._received[packet_id] = received_us
+            return
+        get_registry().counter(
+            "repro_telemetry_unmatched_receives_total",
+            help="Packet receives whose id was never sent.",
+        ).inc()
+        logger.warning(
+            "%s: packet %s received but never sent", self.session_name, packet_id
+        )
+
+    def _joined(self, packets: RecordColumns) -> RecordColumns:
+        """*packets* with each one's receive time as of now."""
+        ids = packets.column("packet_id").tolist()
+        arrays = dict(packets.arrays)
+        arrays.update(_RECEIVED.columns(list(map(self._received.get, ids))))
+        return RecordColumns(PACKETS, arrays)
 
     # -- application stats ------------------------------------------------------
 
-    def record_webrtc_stats(self, record: WebRtcStatsRecord) -> None:
-        self._webrtc.append(record)
+    def record_webrtc_stats(self, *row) -> None:
+        """Add one stats row: a ``WebRtcStatsRecord``, or its field
+        values in ``columns.WEBRTC_STATS`` order."""
+        self._webrtc.append(row if len(row) > 1 else WEBRTC_STATS.row(row[0]))
 
     # -- live draining ----------------------------------------------------------
 
@@ -190,26 +198,18 @@ class TelemetryCollector:
         its *send* time and holds its receive time as of the drain:
         drain with enough settling lag for in-flight packets to land.
         """
-        batch = {
+        return {
             "dci": self._dci.drain(up_to_us),
             "gnb_log": self._gnb_log.drain(up_to_us),
+            "packets": self._joined(self._packets.drain(up_to_us)),
+            "webrtc_stats": self._webrtc.drain(up_to_us),
         }
-        lists = ((PACKETS, self._packet_order), (WEBRTC_STATS, self._webrtc))
-        for index, (schema, records) in enumerate(lists):
-            start = stop = self._drained[index]
-            while stop < len(records) and (
-                getattr(records[stop], schema.time) <= up_to_us
-            ):
-                stop += 1
-            self._drained[index] = stop
-            batch[schema.source] = schema.columns(records[start:stop])
-        return batch
 
     # -- output -----------------------------------------------------------------
 
     def bundle(self, duration_us: int) -> TelemetryBundle:
         """Freeze everything into a bundle of typed columns, each source
-        stably sorted on its time column (one record per packet id)."""
+        stably sorted on its time column."""
         return TelemetryBundle(
             session_name=self.session_name,
             duration_us=duration_us,
@@ -218,10 +218,6 @@ class TelemetryCollector:
             gnb_log_available=self.gnb_log_available,
             dci=self._dci.sorted(),
             gnb_log=self._gnb_log.sorted(),
-            packets=PACKETS.columns(
-                sorted(self._packets.values(), key=attrgetter("sent_us"))
-            ),
-            webrtc_stats=WEBRTC_STATS.columns(
-                sorted(self._webrtc, key=attrgetter("ts_us"))
-            ),
+            packets=self._joined(self._packets.sorted()),
+            webrtc_stats=self._webrtc.sorted(),
         )

@@ -9,11 +9,10 @@ column dtype.  The table drives:
 * decoding JSONL rows straight into typed column arrays
   (:meth:`Schema.decode`), which is how
   :func:`~repro.telemetry.io.load_bundle` reads a trace;
-* the rows of field values the
-  :class:`~repro.telemetry.collect.TelemetryCollector` takes for the
-  all-integer sources, DCI and gNB log (:meth:`Schema.row`);
-* the one records→columns function (:meth:`Schema.walk`), which turns
-  a record list into columns once, where it enters;
+* the one rows→columns function (:meth:`Schema.from_rows`): a row is
+  a record's field values in schema order (:meth:`Schema.row`), which
+  is what the :class:`~repro.telemetry.collect.TelemetryCollector`
+  takes from every producer, and a record list enters as its rows;
 * building record objects from columns, lazily and once, in
   :class:`RecordColumns`;
 * the JSON values of every row (:meth:`Schema.json_rows`), which is how
@@ -34,7 +33,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -140,6 +139,20 @@ class Field:
         if self.dtype is str:
             return object
         return self.dtype
+
+    def columns(self, values: Sequence) -> Dict[str, np.ndarray]:
+        """The column of *values*, this field's row values (an enum as
+        its code, an absent optional as ``None``), and the presence mask
+        of an optional field."""
+        if not self.optional:
+            n = len(values)
+            return {self.attr: np.fromiter(values, self.column_dtype, n)}
+        present = [value is not None for value in values]
+        filled = [NONE if value is None else value for value in values]
+        return {
+            self.present_key: np.array(present, np.bool_),
+            self.attr: np.array(filled, np.int64),
+        }
 
     def parse(self, value):
         """The record value of one JSON value; raises on a bad one."""
@@ -259,43 +272,37 @@ class Schema:
         for start in range(0, len(rows), _JSON_ROWS):
             yield from zip(*rows.values(start, start + _JSON_ROWS, as_json=True))
 
-    # -- records --------------------------------------------------------------
+    # -- rows → columns ------------------------------------------------------
 
-    def walk(self, records: Sequence) -> Dict[str, np.ndarray]:
-        """Every column of *records*, as :meth:`decode` returns them.
-
-        The one records→columns function: one pass over the records
-        per field.
-        """
-        n = len(records)
+    def from_rows(self, rows: Iterable[tuple]) -> "RecordColumns":
+        """Typed columns of *rows*, each a tuple of field values as
+        :meth:`row` gives them: the one rows→columns function."""
+        rows = list(rows)
+        values = zip(*rows) if rows else [()] * len(self.fields)
         columns: Dict[str, np.ndarray] = {}
-        for f in self.fields:
-            values = map(operator.attrgetter(f.attr), records)
-            if f.is_enum:
-                lookup = {member: i for i, member in enumerate(f.dtype)}
-                values = map(lookup.__getitem__, values)
-            elif f.optional:
-                values = list(values)
-                columns[f.present_key] = np.fromiter(
-                    (value is not None for value in values), np.bool_, n
-                )
-                values = (NONE if value is None else value for value in values)
-            columns[f.attr] = np.fromiter(values, f.column_dtype, n)
-        return columns
+        for f, column in zip(self.fields, values):
+            columns.update(f.columns(column))
+        return RecordColumns(self, columns)
 
     def columns(self, records: Sequence) -> "RecordColumns":
         """*records* as typed columns: a :class:`RecordColumns` as is,
-        any other sequence of records walked once."""
+        any other sequence of records through its rows."""
         if isinstance(records, RecordColumns):
             return records
-        return RecordColumns(self, self.walk(records))
+        return self.from_rows(map(self.row, records))
 
-    def concat(self, parts: List[Dict[str, np.ndarray]]) -> "RecordColumns":
-        """One :class:`RecordColumns` from decoded or walked parts."""
-        parts = parts or [self.walk(())]
+    def concat(self, parts: List["RecordColumns"]) -> "RecordColumns":
+        """One :class:`RecordColumns` of *parts* in order: the only one
+        as is, none as empty columns."""
+        if len(parts) == 1:
+            return parts[0]
+        parts = parts or [self.from_rows(())]
         return RecordColumns(
             self,
-            {key: np.concatenate([part[key] for part in parts]) for key in parts[0]},
+            {
+                key: np.concatenate([part.arrays[key] for part in parts])
+                for key in parts[0].arrays
+            },
         )
 
 
@@ -496,7 +503,7 @@ def _named(kind: str) -> Schema:
 
 def typed_sources(holder) -> None:
     """Hold each of *holder*'s four sources (a bundle's or a live
-    batch's) as :class:`RecordColumns`, walking any held as records."""
+    batch's) as :class:`RecordColumns`, converting any held as records."""
     for schema in SCHEMAS.values():
         rows = getattr(holder, schema.source)
         setattr(holder, schema.source, schema.columns(rows))

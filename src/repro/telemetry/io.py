@@ -6,19 +6,21 @@ simple, stable on-disk format: one JSON object per record, each tagged
 with its source, plus a header line carrying session metadata.  Files
 round-trip exactly through :func:`save_bundle` / :func:`load_bundle`.
 
-:func:`load_bundle` reads a trace in chunks of ``_CHUNK_LINES`` lines.
+:func:`iter_chunks` reads a trace in chunks of ``_CHUNK_LINES`` lines.
 Each chunk is one ``json.loads`` of its lines joined into a JSON array,
 and each source's rows go straight into typed column arrays
 (:meth:`repro.telemetry.columns.Schema.decode`) without building a
-record object.  The bundle it returns is column-backed: its ``dci``,
+record object.  A chunk the array decoder does not take as is — a
+blank line, a float where an integer belongs, anything malformed — is
+parsed again line by line through :func:`_parse_line`, the parser
+:func:`iter_records` uses, so both readers accept the same files and
+an error names the same line in both.  :func:`load_bundle`
+concatenates the chunks into a column-backed bundle: its ``dci``,
 ``gnb_log``, ``packets`` and ``webrtc_stats`` are
 :class:`~repro.telemetry.columns.RecordColumns`, which build records
-only when a consumer indexes or iterates them.  A chunk the array
-decoder does not take as is — a blank line, a float where an integer
-belongs, anything malformed — is parsed again line by line through
-:func:`_parse_line`, the parser :func:`iter_records` uses.  So both
-readers accept the same files, and an error names the same line in
-both.
+only when a consumer indexes or iterates them.  A live replay reads one
+record type per pass through the same chunks
+(:class:`~repro.live.sources.ReplaySource`).
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ import operator
 from dataclasses import dataclass
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.errors import TelemetryError
 from repro.telemetry.columns import (
     RECORD_SCHEMAS,
     SCHEMAS,
     Irregular,
+    RecordColumns,
+    Schema,
     as_bool,
     as_int,
     as_str,
@@ -50,7 +52,7 @@ from repro.telemetry.records import (
 
 FORMAT_VERSION = 1
 
-#: Lines per chunk :func:`load_bundle` decodes with one ``json.loads``.
+#: Lines per chunk :func:`iter_chunks` decodes with one ``json.loads``.
 #: Measured on a 12 s busy-cell trace: 1024-line chunks were slower,
 #: and 16384-line chunks raised peak memory with no gain.
 _CHUNK_LINES = 4096
@@ -110,53 +112,24 @@ TraceItem = Union[
 ]
 
 
-def iter_records(
-    path_or_file: Union[str, IO[str]],
-    kinds: Optional[Tuple[str, ...]] = None,
-) -> Iterator[TraceItem]:
+def iter_records(path_or_file: Union[str, IO[str]]) -> Iterator[TraceItem]:
     """Incrementally parse a JSONL telemetry trace, one record at a time.
 
     Yields the :class:`TraceHeader` when its line is reached (first, for
     anything :func:`save_bundle` wrote), then each typed record in file
     order — so a consumer can stream an arbitrarily large trace without
-    materializing it the way :func:`load_bundle` does.  *kinds* filters
-    the record lines to a subset of ``("dci", "gnb", "pkt", "webrtc")``;
-    the header is always yielded.  Raises
+    materializing it the way :func:`load_bundle` does.  Raises
     :class:`~repro.errors.TelemetryError` exactly where
     :func:`load_bundle` would: malformed lines immediately, a missing
-    header at exhaustion — except that a filtered pass skips lines it
-    can positively identify as another kind *before* parsing them (a
-    replay over four filtered passes would otherwise JSON-decode every
-    line four times), so malformed content inside skipped lines goes
-    unreported until an unfiltered read.
+    header at exhaustion.
     """
     if isinstance(path_or_file, str):
         with open(path_or_file) as handle:
-            yield from iter_records(handle, kinds)
+            yield from iter_records(handle)
         return
-    skip_tokens: Tuple[str, ...] = ()
-    if kinds is not None:
-        # Exact tokens save_bundle writes.  A line bearing none of the
-        # wanted kinds' tokens (nor the header's) but some other kind's
-        # is skipped unparsed; anything ambiguous — foreign spacing, a
-        # wanted token appearing inside a string value — falls through
-        # to the full parse, whose post-parse kind check stays exact.
-        wanted = tuple(f'"type": "{kind}"' for kind in kinds) + (
-            '"type": "header"',
-        )
-        skip_tokens = tuple(
-            f'"type": "{kind}"' for kind in SCHEMAS if kind not in kinds
-        )
     saw_header = False
     for line_number, line in enumerate(path_or_file, start=1):
-        line = line.strip()
-        if (
-            skip_tokens
-            and not any(token in line for token in wanted)
-            and any(token in line for token in skip_tokens)
-        ):
-            continue
-        item = _parse_line(line_number, line, kinds)
+        item = _parse_line(line_number, line)
         if isinstance(item, TraceHeader):
             saw_header = True
         if item is not None:
@@ -181,13 +154,13 @@ def _header_from_json(data: dict) -> TraceHeader:
 
 
 def _parse_line(
-    line_number: int, line: str, kinds: Optional[Tuple[str, ...]] = None
+    line_number: int, line: str, kind: Optional[str] = None
 ) -> Optional[TraceItem]:
     """Line *line_number* of a trace as a header or record.
 
-    None for a blank line, or for a record whose type *kinds* leaves
-    out.  Raises :class:`~repro.errors.TelemetryError` naming the line
-    for anything malformed.
+    None for a blank line, or for a record of a type other than *kind*
+    when one is given.  Raises :class:`~repro.errors.TelemetryError`
+    naming the line for anything malformed.
     """
     line = line.strip()
     if not line:
@@ -203,36 +176,34 @@ def _parse_line(
             f"line {line_number}: malformed record: expected a JSON "
             f"object, got {type(data).__name__}"
         )
-    kind = data.get("type")
-    if kind == "header":
+    line_kind = data.get("type")
+    if line_kind == "header":
         parse = _header_from_json
     else:
         try:
-            parse = SCHEMAS[kind].parse
+            parse = SCHEMAS[line_kind].parse
         except (KeyError, TypeError):
             raise TelemetryError(
-                f"line {line_number}: unknown record type {kind!r}"
+                f"line {line_number}: unknown record type {line_kind!r}"
             ) from None
-        if kinds is not None and kind not in kinds:
+        if kind is not None and line_kind != kind:
             return None
     try:
         return parse(data)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TelemetryError(
-            f"line {line_number}: malformed {kind} record: {exc}"
+            f"line {line_number}: malformed {line_kind} record: {exc}"
         ) from exc
 
 
 _TYPE = operator.itemgetter("type")
 
-#: Columns of one source, as :meth:`~repro.telemetry.columns.Schema.decode`
-#: returns them.
-_Part = Dict[str, np.ndarray]
+#: One chunk of a trace: the last header line in it, if any, and the
+#: columns of each record type present.
+Chunk = Tuple[Optional[TraceHeader], Dict[str, RecordColumns]]
 
 
-def _decode_chunk(
-    lines: List[str],
-) -> Tuple[Optional[TraceHeader], Dict[str, _Part]]:
+def _decode_chunk(lines: List[str], kind: Optional[str]) -> Chunk:
     """The header and per-source columns of a chunk, in one JSON decode.
 
     Raises on anything the array decoder does not take as is, without
@@ -244,64 +215,90 @@ def _decode_chunk(
         groups = {kinds[0]: rows}
     else:
         groups = {}
-        for kind, row in zip(kinds, rows):
-            groups.setdefault(kind, []).append(row)
+        for row_kind, row in zip(kinds, rows):
+            groups.setdefault(row_kind, []).append(row)
     header = None
     parts = {}
-    for kind, group in groups.items():
-        if kind == "header":
+    for row_kind, group in groups.items():
+        if row_kind == "header":
             # Every header is checked; the last one wins, as line by line.
             for row in group:
                 header = _header_from_json(row)
         else:
-            parts[kind] = SCHEMAS[kind].decode(group)
+            schema = SCHEMAS[row_kind]
+            if kind is None or row_kind == kind:
+                parts[row_kind] = RecordColumns(schema, schema.decode(group))
     return header, parts
 
 
 def _parse_chunk(
-    lines: List[str], first_line: int
-) -> Tuple[Optional[TraceHeader], Dict[str, _Part]]:
+    lines: List[str], first_line: int, kind: Optional[str], keep
+) -> Chunk:
     """:func:`_decode_chunk`'s result, one line at a time."""
     header = None
-    records: Dict[str, list] = {kind: [] for kind in SCHEMAS}
+    records: Dict[Schema, list] = {}
     for line_number, line in enumerate(lines, start=first_line):
-        item = _parse_line(line_number, line)
+        if keep is not None and not keep(line):
+            continue
+        item = _parse_line(line_number, line, kind)
         if isinstance(item, TraceHeader):
             header = item
         elif item is not None:
-            records[RECORD_SCHEMAS[type(item)].kind].append(item)
-    parts = {
-        kind: SCHEMAS[kind].walk(items)
-        for kind, items in records.items()
-        if items
-    }
+            records.setdefault(RECORD_SCHEMAS[type(item)], []).append(item)
+    parts = {s.kind: s.columns(items) for s, items in records.items()}
     return header, parts
+
+
+def _kept_lines(kind: str):
+    """A filter for the lines that may hold a header or a *kind* record.
+
+    It matches the exact tokens :func:`save_bundle` writes and drops only
+    a line bearing another kind's token and no wanted one, unparsed, so
+    malformed content there goes unreported until a read of every kind.
+    """
+    wanted = (f'"type": "{kind}"', '"type": "header"')
+    others = [f'"type": "{other}"' for other in SCHEMAS if other != kind]
+    return lambda line: any(t in line for t in wanted) or not any(
+        t in line for t in others
+    )
+
+
+def iter_chunks(
+    path_or_file: Union[str, IO[str]], kind: Optional[str] = None
+) -> Iterator[Chunk]:
+    """Read a JSONL trace as ``(header, {kind: columns})`` chunks of
+    ``_CHUNK_LINES`` lines each, in file order; errors name the file's
+    true line.  With *kind* (a JSONL record type such as ``"pkt"``),
+    only headers and that type's records are read, and lines of other
+    types are skipped before JSON decoding (:func:`_kept_lines`).
+    """
+    if isinstance(path_or_file, str):
+        with open(path_or_file) as handle:
+            yield from iter_chunks(handle, kind)
+        return
+    keep = None if kind is None else _kept_lines(kind)
+    first_line = 1
+    while True:
+        lines = list(itertools.islice(path_or_file, _CHUNK_LINES))
+        if not lines:
+            return
+        kept = lines if keep is None else list(filter(keep, lines))
+        try:
+            chunk = _decode_chunk(kept, kind)
+        except (Irregular, TelemetryError, KeyError, TypeError, ValueError):
+            chunk = _parse_chunk(lines, first_line, kind, keep)
+        yield chunk
+        first_line += len(lines)
 
 
 def load_bundle(path_or_file: Union[str, IO[str]]) -> TelemetryBundle:
     """Read a JSONL telemetry file back into a column-backed bundle."""
-    if isinstance(path_or_file, str):
-        with open(path_or_file) as handle:
-            return _load(handle)
-    return _load(path_or_file)
-
-
-def _load(handle: IO[str]) -> TelemetryBundle:
     header = None
-    parts: Dict[str, List[_Part]] = {kind: [] for kind in SCHEMAS}
-    first_line = 1
-    while True:
-        lines = list(itertools.islice(handle, _CHUNK_LINES))
-        if not lines:
-            break
-        try:
-            chunk_header, chunk = _decode_chunk(lines)
-        except (Irregular, TelemetryError, KeyError, TypeError, ValueError):
-            chunk_header, chunk = _parse_chunk(lines, first_line)
+    parts: Dict[str, List[RecordColumns]] = {kind: [] for kind in SCHEMAS}
+    for chunk_header, chunk in iter_chunks(path_or_file):
         header = chunk_header or header
         for kind, part in chunk.items():
             parts[kind].append(part)
-        first_line += len(lines)
     if header is None:
         raise TelemetryError("missing header line")
     return TelemetryBundle(

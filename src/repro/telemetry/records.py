@@ -87,7 +87,7 @@ class GnbLogRecord:
     rnti: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PacketRecord:
     """One packet joined across sender- and receiver-side captures."""
 

@@ -492,6 +492,48 @@ def test_sim_source_detects_impaired_cell():
     assert final.top_chains  # the fade shows up in the rollup
 
 
+#: (profile, impairment) of the 10 s scenarios pinned live == offline.
+SIM_SCENARIOS = (
+    ("wired", None),
+    ("tmobile_fdd", None),
+    ("tmobile_tdd", None),
+    ("amarisoft", ("ul_fade", ((3.0, 1.5, 20.0),))),
+)
+
+
+@pytest.mark.parametrize(
+    "profile, impairment",
+    SIM_SCENARIOS,
+    ids=[profile for profile, _ in SIM_SCENARIOS],
+)
+def test_sim_source_matches_offline(profile, impairment):
+    """A call simulated live, its telemetry drained from the collector
+    as it runs, detects exactly like offline analysis of the same
+    scenario's bundle."""
+    from repro.fleet.scenarios import ImpairmentSpec
+
+    spec = ScenarioSpec(
+        name=f"live-vs-offline-{profile}",
+        profile=profile,
+        seed=5,
+        duration_s=10.0,
+        impairment=(
+            ImpairmentSpec(name=impairment[0], ul_fades=impairment[1])
+            if impairment
+            else ImpairmentSpec()
+        ),
+    )
+    service = api.serve([SimSource(spec)], backpressure="block")
+    live = _collect_live_detections(service)
+    asyncio.run(asyncio.wait_for(service.run(), timeout=120))
+    bundle = spec.build_session().run(spec.duration_us).bundle
+    offline = api.analyze(bundle)
+    assert len(offline.windows) == 11
+    assert canonical_detections(live[spec.name]) == canonical_detections(
+        offline.windows
+    )
+
+
 # -- snapshots ----------------------------------------------------------------------
 
 

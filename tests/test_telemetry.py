@@ -11,6 +11,7 @@ from repro.core.detector import DominoDetector
 from repro.datasets.cells import TMOBILE_FDD
 from repro.datasets.runner import make_cellular_session, make_wired_session
 from repro.errors import TelemetryError
+from repro.obs.metrics import get_registry
 from repro.telemetry import collect, columns
 from repro.telemetry.collect import TelemetryCollector
 from repro.telemetry.records import (
@@ -68,6 +69,104 @@ def test_collector_joins_packet_captures():
     collector.record_packet_received(99, 30_000)  # unknown id: ignored
     bundle = collector.bundle(1_000_000)
     assert bundle.packets[0].received_us == 30_000
+
+
+def test_bundle_packets_are_frozen():
+    collector = TelemetryCollector("s")
+    collector.record_packet_sent(_packet(1, 0))
+    packet = collector.bundle(1_000_000).packets[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        packet.received_us = 30_000
+
+
+def _packet(packet_id, sent_us):
+    return PacketRecord(
+        packet_id=packet_id, stream=StreamKind.VIDEO, size_bytes=1_000,
+        sent_us=sent_us,
+    )
+
+
+def _sent_twice(collector, log):
+    collector.record_packet_sent(_packet(1, 0))
+    with pytest.raises(TelemetryError, match="packet 1 sent twice"):
+        collector.record_packet_sent(_packet(1, 10_000))
+    drained = collector.drain(20_000)["packets"]
+    bundled = collector.bundle(20_000).packets
+    assert list(drained) == list(bundled) == [_packet(1, 0)]
+
+
+def _received_unsent(collector, log):
+    counter = get_registry().counter("repro_telemetry_unmatched_receives_total")
+    before = counter.total()
+    collector.record_packet_sent(_packet(1, 0))
+    collector.record_packet_received(99, 30_000)
+    assert counter.total() - before == 1
+    assert "packet 99 received but never sent" in log.text
+    assert list(collector.bundle(50_000).packets) == [_packet(1, 0)]
+
+
+#: Per source: how a row is recorded, and the field that tells rows
+#: with equal stamps apart.
+_RECORD_ROW = {
+    "dci": ("record_dci", "n_prb"),
+    "gnb_log": ("record_gnb_log", "buffer_bytes"),
+    "packets": ("record_packet_sent", "packet_id"),
+    "webrtc_stats": ("record_webrtc_stats", "total_samples"),
+}
+
+
+def _row(source, ts, i):
+    return {
+        "dci": lambda: _dci(ts, prbs=i),
+        "gnb_log": lambda: GnbLogRecord(
+            ts, GnbLogKind.RLC_BUFFER, True, i, 17_000
+        ),
+        "packets": lambda: _packet(i, ts),
+        "webrtc_stats": lambda: WebRtcStatsRecord(
+            ts_us=ts, client="cellular", total_samples=i
+        ),
+    }[source]()
+
+
+def _out_of_time_order(collector, log):
+    stamps = (20_000, 10_000, 10_000, 40_000, 30_000)
+    for i, ts in enumerate(stamps):
+        for source, (method, _) in _RECORD_ROW.items():
+            getattr(collector, method)(_row(source, ts, i))
+    first = collector.drain(25_000)
+    second = collector.drain(50_000)
+    bundle = collector.bundle(50_000)
+    for source, (_, key) in _RECORD_ROW.items():
+        # Rows 1 and 2 share a stamp and keep their arrival order; row 3
+        # holds row 4 back until the second drain.
+        assert [getattr(r, key) for r in first[source]] == [1, 2, 0]
+        assert [getattr(r, key) for r in second[source]] == [4, 3]
+        assert [getattr(r, key) for r in getattr(bundle, source)] == [
+            1, 2, 0, 4, 3
+        ]
+
+
+#: (id, fault): each fault drives a fresh collector, gNB log on, and
+#: checks its verdict.
+_COLLECTOR_FAULTS = (
+    ("packet_sent_twice", _sent_twice),
+    ("receive_without_send", _received_unsent),
+    ("rows_out_of_time_order", _out_of_time_order),
+)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [row[1] for row in _COLLECTOR_FAULTS],
+    ids=[row[0] for row in _COLLECTOR_FAULTS],
+)
+def test_collector_fault_table(fault, caplog):
+    collector = TelemetryCollector("faults", gnb_log_available=True)
+    collect.logger.addHandler(caplog.handler)
+    try:
+        fault(collector, caplog)
+    finally:
+        collect.logger.removeHandler(caplog.handler)
 
 
 def test_collector_gnb_log_gated():
@@ -245,10 +344,15 @@ def test_live_drain_is_exactly_once_and_ordered():
         collector=collector,
     )
     drained = []
-    for now in range(500_000, 6_000_001, 500_000):
+    drained_at = []  # the simulation clock at each drain
+    for i, now in enumerate(range(500_000, 6_000_001, 500_000)):
         session.advance_to(now)
-        drained.append(collector.drain(now - 300_000))
+        # Settled drains alternate with drains of packets in flight.
+        lag = 300_000 if i % 2 == 0 else 20_000
+        drained.append(collector.drain(now - lag))
+        drained_at.append(now)
     drained.append(collector.drain(6_000_000))
+    drained_at.append(6_000_000)
     for batch in drained:
         _assert_each_source_ordered(batch)
     records = [r for batch in drained for r in _drained_records(batch)]
@@ -256,12 +360,36 @@ def test_live_drain_is_exactly_once_and_ordered():
     assert [r for r in records if isinstance(r, DciRecord)] == list(bundle.dci)
     logs = [r for r in records if isinstance(r, GnbLogRecord)]
     assert Counter(logs) == Counter(bundle.gnb_log)
+    stats = [r for r in records if isinstance(r, WebRtcStatsRecord)]
+    assert stats == list(bundle.webrtc_stats)
     assert len(records) == sum(
         len(source)
         for source in (
             bundle.dci, bundle.gnb_log, bundle.packets, bundle.webrtc_stats
         )
     )
+    # Packets leave with the receive time joined by their drain: one
+    # that lands after its drain comes out lost.
+    drained_packets = [
+        (packet, now)
+        for batch, now in zip(drained, drained_at)
+        for packet in batch["packets"]
+    ]
+    assert [
+        dataclasses.replace(packet, received_us=None)
+        for packet, _ in drained_packets
+    ] == [
+        dataclasses.replace(packet, received_us=None)
+        for packet in bundle.packets
+    ]
+    landed_late = 0
+    for (packet, now), final in zip(drained_packets, bundle.packets):
+        if final.received_us is not None and final.received_us > now:
+            landed_late += 1
+            assert packet.received_us is None
+        else:
+            assert packet.received_us == final.received_us
+    assert landed_late > 0, "no drain saw a packet in flight"
 
 
 def test_wired_session_has_empty_typed_columns():

@@ -1,5 +1,6 @@
 """JSONL telemetry serialization round-trips."""
 
+import asyncio
 import dataclasses
 import io
 import json
@@ -10,12 +11,13 @@ import pytest
 
 from repro import api
 from repro.errors import TelemetryError
-from repro.live import canonical_detections
+from repro.live import ReplaySource, canonical_detections
 from repro.telemetry import columns
 from repro.telemetry import io as telemetry_io
 from repro.telemetry.io import (
     TraceHeader,
     dump_lines,
+    iter_chunks,
     iter_records,
     load_bundle,
     save_bundle,
@@ -147,13 +149,13 @@ def test_iter_records_is_lazy(private_bundle):
         list(iterator)
 
 
-def test_iter_records_kind_filter(private_bundle):
-    items = list(
-        iter_records(_saved(private_bundle), kinds=("webrtc",))
-    )
-    assert isinstance(items[0], TraceHeader)
-    assert all(isinstance(r, WebRtcStatsRecord) for r in items[1:])
-    assert len(items) - 1 == len(private_bundle.webrtc_stats)
+def test_iter_chunks_kind_filter(private_bundle):
+    chunks = list(iter_chunks(_saved(private_bundle), "webrtc"))
+    assert isinstance(chunks[0][0], TraceHeader)
+    assert all(set(parts) <= {"webrtc"} for _, parts in chunks)
+    stats = [r for _, parts in chunks for r in parts.get("webrtc", ())]
+    assert all(isinstance(r, WebRtcStatsRecord) for r in stats)
+    assert len(stats) == len(private_bundle.webrtc_stats)
 
 
 def test_iter_records_missing_header_raises():
@@ -281,15 +283,43 @@ def test_small_chunks_load_identically(monkeypatch, private_bundle):
     )
 
 
-def test_small_chunks_name_the_true_line(monkeypatch, private_bundle):
+async def _replayed(source):
+    return [batch async for batch in source.batches()]
+
+
+def test_small_chunks_name_the_true_line(monkeypatch, tmp_path, private_bundle):
     lines = _saved(private_bundle).getvalue().splitlines()
     line_number = 2 * 7 + 4  # the fourth line of the third chunk
     data = json.loads(lines[line_number - 1])
     data["ts_us"] = None
     lines[line_number - 1] = json.dumps(data)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines))
     monkeypatch.setattr(telemetry_io, "_CHUNK_LINES", 7)
     with pytest.raises(TelemetryError, match=f"^line {line_number}: "):
         load_bundle(io.StringIO("\n".join(lines)))
+    with pytest.raises(TelemetryError, match=f"^line {line_number}: "):
+        asyncio.run(_replayed(ReplaySource(str(path))))
+
+
+def test_small_chunk_replay_detects_like_offline(
+    monkeypatch, tmp_path, private_bundle
+):
+    """A JSONL path replayed through 7-line chunks, so most batch cuts
+    span several chunks of a source, detects like offline analysis."""
+    path = str(tmp_path / "trace.jsonl")
+    save_bundle(private_bundle, path)
+    monkeypatch.setattr(telemetry_io, "_CHUNK_LINES", 7)
+    source = ReplaySource(path)
+    stream = api.open_stream(gnb_log_available=source.gnb_log_available)
+    live = []
+    for batch in asyncio.run(_replayed(source)):
+        stream.feed_batch(batch)
+        live += stream.advance(batch.watermark_us)
+    assert live
+    assert canonical_detections(live) == canonical_detections(
+        api.analyze(private_bundle).windows
+    )
 
 
 # -- writing from columns -----------------------------------------------------
@@ -361,7 +391,7 @@ def _column_backed(bundle):
     return dataclasses.replace(
         bundle,
         **{
-            source: schema.concat([schema.walk(list(getattr(bundle, source)))])
+            source: schema.from_rows(map(schema.row, getattr(bundle, source)))
             for source, schema in zip(_SOURCES, columns.SCHEMAS.values())
         },
     )
