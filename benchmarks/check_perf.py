@@ -25,6 +25,14 @@ load effects out:
    ``list.append`` of the same row tuples, both timed in the same
    process (``collect_60s``; 32-41x with the columnar collector, 63-82x
    when each row became a ``DciRecord`` first).
+5. **Simulator gates** (``sim_60s``): simulation cost per simulated ms,
+   scaled to the reference core by a calibration loop timed around each
+   call in the same process, may be at most 90 us for the 60 s T-Mobile
+   FDD call and 70 us for the 12 s Amarisoft (TDD) call (measured 54-63
+   and 39-46 with the next-event client clock, 68 and 53-55 with every
+   client stepped on every tick).  The share of client ticks stepped on
+   the FDD call, deterministic, may be at most 0.30 (0.269 measured;
+   1.0 when every client steps on every tick).
 
 Usage: ``python benchmarks/check_perf.py [results_json] [baseline_json]``
 """
@@ -52,6 +60,13 @@ MAX_LOAD_VS_JSON = 1.2
 
 #: Ceiling on record_dci-plus-bundle() time over bare list.append time.
 MAX_COLLECT_VS_APPEND = 55.0
+
+#: Ceilings on simulation us per simulated ms at reference-core speed.
+MAX_FDD_60S_REF_US_PER_SIM_MS = 90.0
+MAX_AMARISOFT_12S_REF_US_PER_SIM_MS = 70.0
+
+#: Ceiling on the share of client ticks the session steps (FDD call).
+MAX_CLIENT_STEPS_PER_TICK = 0.30
 
 
 def main(argv):
@@ -123,6 +138,36 @@ def main(argv):
             failures.append(
                 f"the collector costs {ratio:.1f}x a bare list.append of "
                 f"the same rows (ceiling {MAX_COLLECT_VS_APPEND:.0f}x)"
+            )
+    sim_60s = results.get("sim_60s")
+    if sim_60s is None:
+        failures.append("results have no sim_60s block (simulator gates)")
+    else:
+        for key, ceiling, what in (
+            ("fdd_60s_ref_us_per_sim_ms", MAX_FDD_60S_REF_US_PER_SIM_MS,
+             "60s FDD call"),
+            ("amarisoft_12s_ref_us_per_sim_ms",
+             MAX_AMARISOFT_12S_REF_US_PER_SIM_MS, "12s Amarisoft call"),
+        ):
+            cost = sim_60s[key]
+            print(
+                f"{what}: {cost:.1f} us simulation per simulated ms at "
+                f"reference speed (gate: <= {ceiling:.0f})"
+            )
+            if cost > ceiling:
+                failures.append(
+                    f"the {what} costs {cost:.1f} us per simulated ms at "
+                    f"reference speed (ceiling {ceiling:.0f})"
+                )
+        ratio = sim_60s["client_steps_per_tick"]
+        print(
+            f"60s FDD call: {ratio:.3f} client steps per client-tick "
+            f"(gate: <= {MAX_CLIENT_STEPS_PER_TICK})"
+        )
+        if ratio > MAX_CLIENT_STEPS_PER_TICK:
+            failures.append(
+                f"clients step on {ratio:.3f} of their ticks "
+                f"(ceiling {MAX_CLIENT_STEPS_PER_TICK})"
             )
     if os.path.exists(baseline_path):
         with open(baseline_path) as handle:

@@ -16,6 +16,12 @@ read path (``io_60s``) against a bare per-line ``json.loads`` pass over
 the same file, and its DCI rows are fed through a fresh collector, to
 time the write path (``collect_60s``) against a bare ``list.append`` of
 the same row tuples.
+
+Simulation is ~99% of a scenario, so ``sim_60s`` times the simulator
+itself: a 60 s T-Mobile FDD call and a 12 s Amarisoft (TDD) call, in
+us per simulated ms scaled to the reference core by a calibration loop
+timed around each call, plus the deterministic share of client ticks
+the next-event clock actually steps.
 """
 
 import dataclasses
@@ -30,6 +36,8 @@ from repro.analysis.ascii import render_table
 from repro.core.detector import DominoDetector, DominoReport, WindowDetection
 from repro.core.features import FeatureExtractor
 from repro.core.trace import evaluate_chains
+from repro.datasets.cells import AMARISOFT, TMOBILE_FDD
+from repro.datasets.runner import make_cellular_session
 from repro.obs.metrics import get_registry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SPAN_HISTOGRAM
@@ -44,6 +52,17 @@ IO_REPEATS = 5
 
 #: Interleaved repeats of each write-path timing; each keeps its minimum.
 COLLECT_REPEATS = 5
+
+#: Seconds one repetition of the calibration loop takes on the reference
+#: core (perfbench's host_speed loop and constant: a 2-core x86-64 VM).
+REFERENCE_REP_S = 1.2e-3
+
+#: How long one calibration reading runs the loop.
+CALIBRATION_WINDOW_S = 0.2
+
+#: Timed repeats of the 12 s Amarisoft call; the fastest is kept.  The
+#: 60 s FDD call runs once.
+SIM_REPEATS = 3
 
 
 def _truncate(bundle: TelemetryBundle, duration_us: int) -> TelemetryBundle:
@@ -189,6 +208,73 @@ def _collect_60s(bundle: TelemetryBundle) -> dict:
     }
 
 
+def _calibration_rep() -> int:
+    total = 0
+    for i in range(20_000):
+        total += i * i % 7
+    return total
+
+
+def _rep_s() -> float:
+    """Seconds one calibration rep takes on this core now."""
+    reps, start = 0, time.perf_counter()
+    while True:
+        _calibration_rep()
+        reps += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= CALIBRATION_WINDOW_S:
+            return elapsed / reps
+
+
+def _counter_total(name: str) -> float:
+    metric = get_registry().get(name)
+    return metric.total() if metric is not None else 0.0
+
+
+def _timed_call(profile, duration_us: int) -> dict:
+    """One call of *profile*: us per simulated ms, raw and scaled to the
+    reference core by the calibration loop's speed around the call,
+    and the session clock's tick and client-step counts."""
+    session = make_cellular_session(profile, seed=1)
+    ticks = _counter_total("repro_sim_ticks_total")
+    steps = _counter_total("repro_sim_client_steps_total")
+    rep_before = _rep_s()
+    start = time.perf_counter()
+    session.run(duration_us)
+    elapsed = time.perf_counter() - start
+    rep_s = (rep_before + _rep_s()) / 2
+    us_per_sim_ms = elapsed * 1e6 / (duration_us / 1e3)
+    return {
+        "us_per_sim_ms": us_per_sim_ms,
+        "ref_us_per_sim_ms": us_per_sim_ms * REFERENCE_REP_S / rep_s,
+        "ticks": _counter_total("repro_sim_ticks_total") - ticks,
+        "client_steps": _counter_total("repro_sim_client_steps_total") - steps,
+    }
+
+
+def _sim_60s() -> dict:
+    """Simulator cost per simulated ms, normalised to the reference core.
+
+    ``client_steps_per_tick`` is client steps over client-ticks (two
+    clients per tick) of the FDD call: 1.0 when every client steps on
+    every tick, deterministic whatever the machine.
+    """
+    fdd = _timed_call(TMOBILE_FDD, 60_000_000)
+    tdd = min(
+        (_timed_call(AMARISOFT, 12_000_000) for _ in range(SIM_REPEATS)),
+        key=lambda call: call["ref_us_per_sim_ms"],
+    )
+    return {
+        "fdd_60s_us_per_sim_ms": fdd["us_per_sim_ms"],
+        "fdd_60s_ref_us_per_sim_ms": fdd["ref_us_per_sim_ms"],
+        "amarisoft_12s_us_per_sim_ms": tdd["us_per_sim_ms"],
+        "amarisoft_12s_ref_us_per_sim_ms": tdd["ref_us_per_sim_ms"],
+        "fdd_60s_ticks": fdd["ticks"],
+        "fdd_60s_client_steps": fdd["client_steps"],
+        "client_steps_per_tick": fdd["client_steps"] / (2 * fdd["ticks"]),
+    }
+
+
 def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
     bundle = fdd_results[0].bundle
     detector = DominoDetector()
@@ -289,6 +375,7 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
 
     io_60s = _io_60s(sixty, str(tmp_path / "trace_60s.jsonl"), batch_report)
     collect_60s = _collect_60s(sixty)
+    sim_60s = _sim_60s()
     save_result(
         "scaling_realtime",
         text
@@ -296,7 +383,11 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         + f"{io_60s['load_ns_per_record']:.0f} ns "
         + f"({io_60s['load_vs_json_ratio']:.2f}x json.loads), collector "
         + f"{collect_60s['collect_ns_per_row']:.0f} ns "
-        + f"({collect_60s['collect_vs_append_ratio']:.1f}x list.append)",
+        + f"({collect_60s['collect_vs_append_ratio']:.1f}x list.append)"
+        + "\nsimulation per simulated ms at reference speed: 60s FDD "
+        + f"{sim_60s['fdd_60s_ref_us_per_sim_ms']:.0f} us, 12s Amarisoft "
+        + f"{sim_60s['amarisoft_12s_ref_us_per_sim_ms']:.0f} us; "
+        + f"{sim_60s['client_steps_per_tick']:.3f} client steps per tick",
     )
 
     n_windows = max(len(batch_windows), 1)
@@ -306,6 +397,7 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         "phases_60s": phases_60s,
         "io_60s": io_60s,
         "collect_60s": collect_60s,
+        "sim_60s": sim_60s,
         "profile_60s": {
             "n_samples": profiler.n_samples,
             "cpu_fraction": cpu_attribution,

@@ -239,7 +239,7 @@ class ReactiveCrossTraffic:
             return
         if target < self.spec.trigger_fraction * self._peak_bps:
             hold_us = int(self.spec.hold_s * 1e6)
-            self.ue.scripted_bursts.append((now_us, hold_us, int(self.spec.prbs)))
+            self.ue.add_burst(now_us, hold_us, int(self.spec.prbs))
             self._active_until_us = now_us + hold_us
             self.interventions += 1
 
@@ -259,7 +259,7 @@ def attach_reactive_hook(session, conf: ConfounderSpec, seed: int):
         mean_prb_demand=0.0,
         seed=seed,
     )
-    session.access_a.ran.dl.cross.ues.append(ue)
+    session.access_a.ran.dl.cross.add_ue(ue)
     hook = ReactiveCrossTraffic(ue, conf)
     session.tick_hooks.append(hook)
     return hook

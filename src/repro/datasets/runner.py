@@ -84,7 +84,7 @@ def make_cellular_session(
     ul_cross = profile.ul_cross.build(seed + 41, first_rnti=41_000)
     dl_cross = profile.dl_cross.build(seed + 43, first_rnti=45_000)
     if dl_cross_bursts:
-        dl_cross.ues.append(
+        dl_cross.add_ue(
             CrossTrafficUe(
                 rnti=49_999,
                 mean_on_ms=0.0,  # purely scripted

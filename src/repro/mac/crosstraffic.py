@@ -10,14 +10,23 @@ separated by exponentially distributed idle gaps.
 
 Scripted bursts can be injected for the Fig. 13 reproduction, where a
 cross-traffic burst starts at a known time and squeezes the test UE.
+
+Demand is piecewise constant: a UE's changes only at a busy/idle timer
+or a scripted burst's start or end, and its RNG draws happen only at a
+busy/idle transition.  :meth:`CrossTrafficModel.demands_at` therefore
+keeps its demand list until the earliest such time over its UEs; a
+draw still happens on the first call at or after its timer, in UE
+order, exactly as if every UE were polled on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.units import NEVER_US
 
 
 @dataclass
@@ -30,7 +39,8 @@ class CrossTrafficUe:
         mean_off_ms: mean idle-gap duration.
         mean_prb_demand: mean PRBs per slot demanded while busy.
         scripted_bursts: optional list of (start_us, duration_us,
-            prb_demand) tuples that force the UE busy.
+            prb_demand) tuples that force the UE busy.  Once the UE is
+            in use, add bursts with :meth:`add_burst`.
         seed: RNG seed.
     """
 
@@ -50,6 +60,20 @@ class CrossTrafficUe:
         self._idle_until_us = int(
             self._rng.exponential(self.mean_off_ms) * 1000
         )
+        # The model caching this UE's demand, told when a burst is added.
+        self._model: Optional["CrossTrafficModel"] = None
+
+    def add_burst(
+        self, start_us: int, duration_us: int, prb_demand: int
+    ) -> None:
+        """Script one more burst (also mid-call, e.g. from a tick hook)."""
+        self.scripted_bursts.append((start_us, duration_us, prb_demand))
+        if self._model is not None:
+            self._model.invalidate()
+
+    @property
+    def _markov(self) -> bool:
+        return self.mean_on_ms > 0 and self.mean_prb_demand > 0
 
     def _scripted_demand(self, now_us: int) -> int:
         demand = 0
@@ -63,7 +87,7 @@ class CrossTrafficUe:
         scripted = self._scripted_demand(now_us)
         if scripted > 0:
             return scripted
-        if self.mean_on_ms <= 0 or self.mean_prb_demand <= 0:
+        if not self._markov:
             return 0
         if now_us < self._busy_until_us:
             return self._current_demand
@@ -79,12 +103,53 @@ class CrossTrafficUe:
         )
         return self._current_demand
 
+    def next_change_us(self, now_us: int) -> int:
+        """After a :meth:`demand_at` call at *now_us*: the earliest time
+        it may return another demand or draw, a busy/idle timer or a
+        scripted burst's start or end.  Before it, it returns the same
+        demand and changes no state."""
+        change = NEVER_US
+        for start, duration, _ in self.scripted_bursts:
+            if now_us < start:
+                change = min(change, start)
+            elif now_us < start + duration:
+                change = min(change, start + duration)
+        if self._markov:
+            # Timers that expired during a scripted burst draw at its
+            # end, which is already counted.
+            if now_us < self._busy_until_us:
+                change = min(change, self._busy_until_us)
+            elif now_us < self._idle_until_us:
+                change = min(change, self._idle_until_us)
+        return change
+
 
 @dataclass
 class CrossTrafficModel:
-    """A population of cross-traffic UEs sharing a cell direction."""
+    """A population of cross-traffic UEs sharing a cell direction.
+
+    Add UEs with :meth:`add_ue` once the model is in use, so its demand
+    cache sees them.
+    """
 
     ues: List[CrossTrafficUe] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for ue in self.ues:
+            ue._model = self
+        self.invalidate()
+
+    def add_ue(self, ue: CrossTrafficUe) -> None:
+        """Join *ue* to the population."""
+        ue._model = self
+        self.ues.append(ue)
+        self.invalidate()
+
+    def invalidate(self) -> None:
+        """Drop the cached demand list."""
+        self._demands: Tuple[Tuple[int, int], ...] = ()
+        self._valid_from_us = 0
+        self._valid_until_us = 0
 
     @classmethod
     def idle(cls) -> "CrossTrafficModel":
@@ -115,13 +180,23 @@ class CrossTrafficModel:
         return cls(ues=ues)
 
     def demands_at(self, now_us: int) -> Sequence[Tuple[int, int]]:
-        """Return ``(rnti, prb_demand)`` for every UE with demand > 0."""
-        out = []
-        for ue in self.ues:
-            demand = ue.demand_at(now_us)
-            if demand > 0:
-                out.append((ue.rnti, demand))
-        return out
+        """Return ``(rnti, prb_demand)`` for every UE with demand > 0.
+
+        The list is kept until the earliest UE's next change, so every
+        call before it returns the same tuple.
+        """
+        if not self._valid_from_us <= now_us < self._valid_until_us:
+            out = []
+            until = NEVER_US
+            for ue in self.ues:
+                demand = ue.demand_at(now_us)
+                if demand > 0:
+                    out.append((ue.rnti, demand))
+                until = min(until, ue.next_change_us(now_us))
+            self._demands = tuple(out)
+            self._valid_from_us = now_us
+            self._valid_until_us = until
+        return self._demands
 
     def total_demand_at(self, now_us: int) -> int:
         """Total PRBs demanded by all cross-traffic UEs at *now_us*."""

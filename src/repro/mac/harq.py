@@ -10,14 +10,15 @@ and recovery falls to the RLC layer (§5.2.3), which costs on the order of
 The entity is slot-stepped: the RAN simulator calls
 :meth:`HarqEntity.submit` for each freshly scheduled TB and then polls
 :meth:`HarqEntity.poll` every slot for TBs whose (re)transmission resolves
-in that slot.
+in that slot.  Pending attempts are indexed by resolution slot, so a
+poll costs nothing in a slot where none resolves.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,8 +101,9 @@ class HarqEntity:
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
-        # (resolution_slot, tb, attempt, bler_initial)
-        self._pending: List[Tuple[int, TransportBlock, int, float]] = []
+        # resolution_slot -> [(tb, attempt, bler_initial)], each list in
+        # insertion order, which is the order its RNG draws happen in.
+        self._pending: Dict[int, List[Tuple[TransportBlock, int, float]]] = {}
         self.total_transmissions = 0
         self.total_retransmissions = 0
         self.total_failures = 0
@@ -123,8 +125,8 @@ class HarqEntity:
         The decode outcome resolves ``decode_delay_slots`` after the
         attempt; a retransmission then waits a further ``rtt_slots``.
         """
-        self._pending.append(
-            (tb.slot + self.decode_delay_slots, tb, 0, bler)
+        self._pending.setdefault(tb.slot + self.decode_delay_slots, []).append(
+            (tb, 0, bler)
         )
         self.total_transmissions += 1
 
@@ -136,12 +138,11 @@ class HarqEntity:
         need to account for the resource usage / telemetry of the failed
         attempt.
         """
-        due = [entry for entry in self._pending if entry[0] == slot]
-        if not due:
+        due = self._pending.pop(slot, None)
+        if due is None:
             return []
-        self._pending = [entry for entry in self._pending if entry[0] != slot]
         resolutions: List[HarqResolution] = []
-        for _, tb, attempt, initial_bler in due:
+        for tb, attempt, initial_bler in due:
             p_fail = self._attempt_bler(tb, attempt, initial_bler)
             failed = bool(self._rng.random() < p_fail)
             if not failed:
@@ -156,8 +157,9 @@ class HarqEntity:
                 )
                 continue
             self.total_retransmissions += 1
-            next_slot = slot + self.rtt_slots
-            self._pending.append((next_slot, tb, attempt + 1, initial_bler))
+            self._pending.setdefault(slot + self.rtt_slots, []).append(
+                (tb, attempt + 1, initial_bler)
+            )
             resolutions.append(
                 HarqResolution(tb, HarqOutcome.RETRANSMIT, attempt, slot)
             )
@@ -165,4 +167,4 @@ class HarqEntity:
 
     def pending_count(self) -> int:
         """Number of TBs still awaiting resolution."""
-        return len(self._pending)
+        return sum(map(len, self._pending.values()))

@@ -84,6 +84,11 @@ class AccessLink:
         """Native time granularity of this access (session step hint)."""
         return ms(1)
 
+    @property
+    def slots(self) -> int:
+        """RAN slots simulated so far (0 for an access without a RAN)."""
+        return 0
+
 
 class WiredAccess(AccessLink):
     """Wired (or Wi-Fi) access: independent stochastic delay per packet.
@@ -146,6 +151,10 @@ class CellularAccess(AccessLink):
     @property
     def step_us(self) -> int:
         return self.ran.grid.slot_us
+
+    @property
+    def slots(self) -> int:
+        return self.ran.now_us // self.ran.grid.slot_us
 
 
 class InternetSegment:

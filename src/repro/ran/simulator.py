@@ -303,7 +303,7 @@ class RanSimulator:
 
     def _schedule_downlink(self, slot: int, ts: int, connected: bool) -> None:
         direction = self.dl
-        cross_demands = list(direction.cross.demands_at(ts))
+        cross_demands = direction.cross.demands_at(ts)
         exp_prbs = 0
         mcs = 0
         if connected and direction.buffer.buffered_bytes() > 0:
@@ -324,7 +324,7 @@ class RanSimulator:
         direction = self.ul
         loop = direction.grant_loop
         assert loop is not None
-        cross_demands = list(direction.cross.demands_at(ts))
+        cross_demands = direction.cross.demands_at(ts)
 
         if connected:
             loop.maybe_issue_proactive(slot)

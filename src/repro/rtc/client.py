@@ -86,6 +86,8 @@ class WebRtcClient:
         self._last_freeze_total_us = 0
         self._last_concealed = 0
         self._last_total_samples = 0
+        # Time of the last step, or of the last idle tick caught up.
+        self._now_us = 0
 
     @property
     def current_target_bps(self) -> float:
@@ -105,6 +107,7 @@ class WebRtcClient:
         Returns:
             Packets released onto the network this step.
         """
+        self._now_us = now_us
         for packet, arrival_us in arrivals:
             self._on_arrival(packet, arrival_us, now_us)
         self.receiver.step(now_us)
@@ -138,6 +141,37 @@ class WebRtcClient:
             self._record_stats(now_us)
             self._next_stats_us += self.config.stats_interval_us
         return outgoing
+
+    def next_due_us(self) -> int:
+        """Earliest time a step with no arrivals does more than an idle
+        tick (see :meth:`catch_up`): a capture, GCC process, feedback or
+        stats timer, the pacer's next release, or a jitter buffer's
+        playout, abandonment or freeze onset."""
+        return min(
+            self._next_frame_us,
+            self._next_audio_us,
+            self._next_process_us,
+            self._next_feedback_us,
+            self._next_stats_us,
+            self.pacer.next_release_us(),
+            self.receiver.next_due_us(),
+        )
+
+    def catch_up(self, now_us: int, tick_us: int) -> None:
+        """Apply the idle ticks of *tick_us* after the last step up to
+        *now_us*, as if :meth:`step` had run on each with no arrivals.
+
+        Call it only for ticks before :meth:`next_due_us`.  Such a tick
+        changes three floats and nothing else: both jitter-buffer
+        targets decay and the pacer's budget refills.
+        """
+        ticks = (now_us - self._now_us) // tick_us
+        if ticks <= 0:
+            return
+        self.receiver.video.idle_ticks(ticks, tick_us)
+        self.receiver.audio.idle_ticks(ticks, tick_us)
+        self.pacer.idle_ticks(ticks, tick_us)
+        self._now_us += ticks * tick_us
 
     # -- inbound ---------------------------------------------------------------
 

@@ -23,16 +23,20 @@ class AckedBitrateEstimator:
 
     window_us: int = WINDOW_US
     _samples: Deque[Tuple[int, int]] = field(default_factory=deque)
+    #: Sum of the window's sizes; ints, so the running sum is exact.
+    _total_bytes: int = 0
 
     def on_acked(self, arrival_us: int, size_bytes: int) -> None:
         """Record one acknowledged packet."""
         self._samples.append((arrival_us, size_bytes))
+        self._total_bytes += size_bytes
         self._trim(arrival_us)
 
     def _trim(self, now_us: int) -> None:
         cutoff = now_us - self.window_us
-        while self._samples and self._samples[0][0] < cutoff:
-            self._samples.popleft()
+        samples = self._samples
+        while samples and samples[0][0] < cutoff:
+            self._total_bytes -= samples.popleft()[1]
 
     def bitrate_bps(self, now_us: Optional[int] = None) -> Optional[float]:
         """Estimated throughput, or None without enough data."""
@@ -44,5 +48,4 @@ class AckedBitrateEstimator:
                 return None
         span_us = self._samples[-1][0] - self._samples[0][0]
         span_us = max(span_us, self.window_us // 2)
-        total_bytes = sum(size for _, size in self._samples)
-        return total_bytes * 8.0 * 1e6 / span_us
+        return self._total_bytes * 8.0 * 1e6 / span_us

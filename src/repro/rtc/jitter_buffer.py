@@ -20,8 +20,85 @@ Semantics used by the stats (matching the paper's event conditions):
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.units import NEVER_US
+
+#: Float slack (ms) on a decayed target's lower bound: far above the
+#: rounding of thousands of per-tick subtractions, far below 1 us.
+_DECAY_SLACK_MS = 1e-6
+
+
+def _decayed(
+    target_ms: float, floor_ms: float, step_ms: float, ticks: int
+) -> float:
+    """*target_ms* after *ticks* decay ticks of *step_ms* each.
+
+    A tick lowers a target above its floor by *step_ms*, down to the
+    floor, and leaves a target at or below its floor alone.  Each tick
+    is its own subtraction, so any split of the ticks gives the same
+    float; the loop ends at the floor, which absorbs every later tick.
+    """
+    while ticks > 0 and target_ms > floor_ms:
+        target_ms = max(floor_ms, target_ms - step_ms)
+        ticks -= 1
+    return target_ms
+
+
+class _AdaptiveTarget:
+    """The target delay both buffers share: it rises on late media (in
+    each buffer's playout) and decays toward an adaptive floor.
+
+    Needs ``base_delay_ms``, ``jitter_multiplier``, ``decay_ms_per_s``,
+    ``target_delay_ms``, ``_jitter_ms`` and ``_last_decay_us``.
+    """
+
+    def minimum_delay_ms(self) -> float:
+        """The adaptive floor (Fig. 3's 'minimum jitter-buffer delay')."""
+        return self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
+
+    def _decay_target(self, now_us: int) -> None:
+        dt_s = max(0, now_us - self._last_decay_us) / 1e6
+        self._last_decay_us = now_us
+        self.target_delay_ms = _decayed(
+            self.target_delay_ms,
+            self.minimum_delay_ms(),
+            self.decay_ms_per_s * dt_s,
+            1,
+        )
+
+    def idle_ticks(self, ticks: int, tick_us: int) -> None:
+        """Apply *ticks* steps of *tick_us* each, all before
+        ``next_due_us()``, with no packet arriving: their only effect
+        is the target's decay."""
+        self._last_decay_us += ticks * tick_us
+        self.target_delay_ms = _decayed(
+            self.target_delay_ms,
+            self.minimum_delay_ms(),
+            self.decay_ms_per_s * (tick_us / 1e6),
+            ticks,
+        )
+
+    def _playout_bound_us(self, capture_us: int) -> int:
+        """A lower bound on the playout time of media captured at
+        *capture_us*, valid for every step up to its playout at the
+        current target: until then, with no arrival, the target only
+        decays.
+
+        The floor bounds the decay only from above a target sitting on
+        or over it: the floor rises with jitter, so a target can sit
+        below it, and then it does not decay at all.
+        """
+        target_ms = self.target_delay_ms
+        horizon_us = capture_us + int(target_ms * 1000)
+        ahead_us = max(0, horizon_us - self._last_decay_us)
+        decay_ms = self.decay_ms_per_s * ahead_us / 1e6
+        lowest_ms = min(
+            target_ms, max(self.minimum_delay_ms(), target_ms - decay_ms)
+        )
+        return capture_us + int((lowest_ms - _DECAY_SLACK_MS) * 1000)
 
 
 @dataclass
@@ -49,7 +126,7 @@ class _PendingFrame:
 
 
 @dataclass
-class VideoJitterBuffer:
+class VideoJitterBuffer(_AdaptiveTarget):
     """Frame-level adaptive jitter buffer with freeze accounting.
 
     Args:
@@ -78,6 +155,8 @@ class VideoJitterBuffer:
     _frozen_since_us: Optional[int] = None
     _max_finished_frame_id: int = -1
     played: List[PlayedFrame] = field(default_factory=list)
+    #: Every ``played_us`` of ``played``, sorted, for :meth:`fps_over`.
+    _played_us: List[int] = field(default_factory=list)
     total_freeze_us: int = 0
     freeze_count: int = 0
     dropped_frames: int = 0
@@ -188,12 +267,19 @@ class VideoJitterBuffer:
                 resolution_p=frame.resolution_p,
             )
         )
+        if self._played_us and playout_us < self._played_us[-1]:
+            insort(self._played_us, playout_us)
+        else:
+            self._played_us.append(playout_us)
         self._last_played_us = playout_us
         self._max_finished_frame_id = max(self._max_finished_frame_id, frame_id)
         del self._frames[frame_id]
 
+    def _freeze_threshold_us(self) -> int:
+        return max(3 * self.frame_interval_us, 150_000)
+
     def _note_frozen(self, now_us: int) -> None:
-        threshold_us = max(3 * self.frame_interval_us, 150_000)
+        threshold_us = self._freeze_threshold_us()
         if self._last_played_us is None:
             return
         if now_us - self._last_played_us < threshold_us:
@@ -202,14 +288,23 @@ class VideoJitterBuffer:
             self._frozen_since_us = self._last_played_us + threshold_us
             self.freeze_count += 1
 
-    def _decay_target(self, now_us: int) -> None:
-        dt_s = max(0, now_us - self._last_decay_us) / 1e6
-        self._last_decay_us = now_us
-        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
-        if self.target_delay_ms > floor:
-            self.target_delay_ms = max(
-                floor, self.target_delay_ms - self.decay_ms_per_s * dt_s
-            )
+    def next_due_us(self) -> int:
+        """Earliest time a step can do more than decay the target,
+        counted from the last step, if no packet arrives before it: the
+        lowest pending frame's playout or abandonment, or a freeze's
+        onset."""
+        due = NEVER_US
+        if self._frames:
+            frame = self._frames[min(self._frames)]
+            if frame.complete_us is None:
+                due = frame.capture_us + self.incomplete_timeout_us + 1
+            else:
+                due = max(
+                    frame.complete_us, self._playout_bound_us(frame.capture_us)
+                )
+        if self._last_played_us is not None and self._frozen_since_us is None:
+            due = min(due, self._last_played_us + self._freeze_threshold_us())
+        return due
 
     # -- stats -------------------------------------------------------------------
 
@@ -224,13 +319,9 @@ class VideoJitterBuffer:
             return self.target_delay_ms
         return self.played[-1].buffer_delay_ms
 
-    def minimum_delay_ms(self) -> float:
-        """The adaptive floor (Fig. 3's 'minimum jitter-buffer delay')."""
-        return self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
-
     def fps_over(self, now_us: int, window_us: int = 1_000_000) -> float:
-        cutoff = now_us - window_us
-        count = sum(1 for f in self.played if f.played_us >= cutoff)
+        played = self._played_us
+        count = len(played) - bisect_left(played, now_us - window_us)
         return count * 1e6 / window_us
 
     def last_resolution(self) -> int:
@@ -240,7 +331,7 @@ class VideoJitterBuffer:
 
 
 @dataclass
-class AudioJitterBuffer:
+class AudioJitterBuffer(_AdaptiveTarget):
     """Packet-level adaptive audio buffer with concealment accounting.
 
     Audio packets carry ``samples_per_packet`` samples (20 ms at 48 kHz =
@@ -328,20 +419,21 @@ class AudioJitterBuffer:
         known_capture = self._captures[known_seq]
         return known_capture - (known_seq - seq) * self.packet_interval_us
 
-    def _decay_target(self, now_us: int) -> None:
-        dt_s = max(0, now_us - self._last_decay_us) / 1e6
-        self._last_decay_us = now_us
-        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
-        if self.target_delay_ms > floor:
-            self.target_delay_ms = max(
-                floor, self.target_delay_ms - self.decay_ms_per_s * dt_s
-            )
+    def next_due_us(self) -> int:
+        """Earliest time a step can do more than decay the target,
+        counted from the last step, if no packet arrives before it: the
+        next packet's playout tick."""
+        if self._next_play_seq is None:
+            return NEVER_US
+        capture = self._captures.get(self._next_play_seq)
+        if capture is None:
+            capture = self._estimated_capture(self._next_play_seq)
+            if capture is None:
+                return NEVER_US
+        return self._playout_bound_us(capture)
 
     def current_delay_ms(self) -> float:
         return self._last_buffer_delay_ms
-
-    def minimum_delay_ms(self) -> float:
-        return self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
 
     @property
     def concealment_fraction(self) -> float:

@@ -100,6 +100,11 @@ class MediaReceiver:
         self.video.step(now_us)
         self.audio.step(now_us)
 
+    def next_due_us(self) -> int:
+        """Earliest time :meth:`step` does more than decay the buffers'
+        targets, if no packet arrives before it."""
+        return min(self.video.next_due_us(), self.audio.next_due_us())
+
     def build_feedback(self, now_us: int) -> Optional[FeedbackPayload]:
         """Drain pending acks + expired gaps into one feedback payload."""
         entries: List[FeedbackEntry] = []

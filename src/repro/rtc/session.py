@@ -8,9 +8,17 @@ feedback through:
     A ──access_a.up──▶ internet(a→b) ──access_b.down──▶ B
     B ──access_b.up──▶ internet(b→a) ──access_a.down──▶ A
 
-The session owns the clock (stepped at the finest access granularity),
-routes packets hop by hop, and writes the packet trace + WebRTC stats
-into the shared telemetry collector.
+The session owns the clock, routes packets hop by hop, and writes the
+packet trace + WebRTC stats into the shared telemetry collector.
+
+The clock ticks at the finest access granularity, and the accesses and
+tick hooks run on every tick.  The clock is next-event for the clients:
+a client steps only on a tick where packets reach it or its
+:meth:`~repro.rtc.client.WebRtcClient.next_due_us` has come.  The ticks
+in between are idle, and the client replays their three float updates
+(:meth:`~repro.rtc.client.WebRtcClient.catch_up`) when it next steps,
+so every timestamp and every value matches a client stepped on every
+tick.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.link import AccessLink, InternetSegment
 from repro.net.packet import Packet
+from repro.obs.metrics import get_registry
 from repro.rtc.client import ClientConfig, WebRtcClient
 from repro.telemetry.collect import TelemetryCollector
 from repro.telemetry.columns import code
@@ -83,6 +92,9 @@ class TwoPartySession:
         self._packets: Dict[int, Packet] = {}
         self.step_us = min(access_a.step_us, access_b.step_us)
         self._now_us = 0
+        # Each client's next_due_us() as of its last step.
+        self._due_a = 0
+        self._due_b = 0
         # Deterministic per-step callbacks ``hook(session, now_us)`` —
         # the seam adversarial intervention axes (repro.causal) use to
         # react to in-call state.  Empty for every ordinary session.
@@ -154,18 +166,60 @@ class TwoPartySession:
         drives batch by batch; :meth:`run` is one advance_to over the
         whole duration.  Returns the clock after stepping (the first
         multiple of ``step_us`` at or past *target_us*).
+
+        Every tick pumps the accesses and runs the tick hooks.  A client
+        steps on a tick only when packets reach it or its
+        ``next_due_us()`` has come; it first catches up the idle ticks
+        since its last step.  On return both clients are caught up
+        through the returned clock, so their state is what stepping them
+        on every tick would give.  A tick hook that reads a client
+        mid-call sees it as of its last step: an idle tick changes only
+        its jitter-buffer targets and pacer budget.
         """
-        while self._now_us < target_us:
-            self._now_us += self.step_us
-            if self.tick_hooks:
-                for hook in self.tick_hooks:
-                    hook(self, self._now_us)
-            arrivals_a, arrivals_b = self._pump_access(self._now_us)
-            out_a = self.client_a.step(self._now_us, arrivals_a)
-            out_b = self.client_b.step(self._now_us, arrivals_b)
-            self._route_outgoing(True, out_a)
-            self._route_outgoing(False, out_b)
-        return self._now_us
+        step_us = self.step_us
+        client_a, client_b = self.client_a, self.client_b
+        due_a, due_b = self._due_a, self._due_b
+        hooks = self.tick_hooks
+        start_us = now_us = self._now_us
+        slots_before = self.access_a.slots + self.access_b.slots
+        steps = 0
+        while now_us < target_us:
+            now_us += step_us
+            self._now_us = now_us
+            for hook in hooks:
+                hook(self, now_us)
+            arrivals_a, arrivals_b = self._pump_access(now_us)
+            out_a = out_b = None
+            if arrivals_a or now_us >= due_a:
+                client_a.catch_up(now_us - step_us, step_us)
+                out_a = client_a.step(now_us, arrivals_a)
+                due_a = client_a.next_due_us()
+                steps += 1
+            if arrivals_b or now_us >= due_b:
+                client_b.catch_up(now_us - step_us, step_us)
+                out_b = client_b.step(now_us, arrivals_b)
+                due_b = client_b.next_due_us()
+                steps += 1
+            if out_a:
+                self._route_outgoing(True, out_a)
+            if out_b:
+                self._route_outgoing(False, out_b)
+        client_a.catch_up(now_us, step_us)
+        client_b.catch_up(now_us, step_us)
+        self._due_a, self._due_b = due_a, due_b
+        if now_us > start_us:
+            registry = get_registry()
+            registry.counter(
+                "repro_sim_ticks_total", help="Session clock ticks simulated."
+            ).inc((now_us - start_us) // step_us)
+            registry.counter(
+                "repro_sim_client_steps_total",
+                help="WebRTC client steps (on arrivals or a due event).",
+            ).inc(steps)
+            registry.counter(
+                "repro_sim_slots_total", help="RAN slots simulated."
+            ).inc(self.access_a.slots + self.access_b.slots - slots_before)
+        return now_us
 
     def run(self, duration_us: int) -> SessionResult:
         """Simulate the call for *duration_us* and return all telemetry."""

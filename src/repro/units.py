@@ -21,6 +21,10 @@ BITS_PER_BYTE = 8
 KBPS = 1_000.0
 MBPS = 1_000_000.0
 
+#: A time no simulation reaches: the "next event" of a component with
+#: nothing scheduled.
+NEVER_US = 1 << 62
+
 
 def us(value: float) -> int:
     """Return *value* microseconds as an integer microsecond count."""

@@ -1,5 +1,7 @@
 """GCC rate control: AIMD, loss-based bound, ack bitrate, pushback."""
 
+import random
+
 import pytest
 
 from repro.rtc.gcc.ack_bitrate import AckedBitrateEstimator
@@ -134,6 +136,31 @@ def test_ack_bitrate_window_expires():
     estimator.on_acked(10_000, 1200)
     assert estimator.bitrate_bps() is not None
     assert estimator.bitrate_bps(now_us=10_000_000) is None
+
+
+def test_ack_bitrate_running_sum_matches_resum():
+    """The running byte sum equals re-summing the window after every
+    ack and every trim, over a random ack sequence."""
+    rng = random.Random(7)
+    estimator = AckedBitrateEstimator(window_us=200_000)
+    now = 0
+    for _ in range(3_000):
+        now += rng.choice((0, 500, 3_000, 40_000, 400_000))
+        # Feedback may report arrivals a little out of order.
+        estimator.on_acked(
+            now - rng.randrange(0, 20_000), rng.randint(60, 1_500)
+        )
+        query = now + rng.choice((0, 0, 150_000))
+        rate = estimator.bitrate_bps(
+            now_us=query if rng.random() < 0.5 else None
+        )
+        samples = estimator._samples
+        if rate is None:
+            assert len(samples) < 2
+            continue
+        span_us = max(samples[-1][0] - samples[0][0], estimator.window_us // 2)
+        resummed = sum(size for _, size in samples) * 8.0 * 1e6 / span_us
+        assert rate == resummed
 
 
 # -- Pushback ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Adaptive jitter buffers: playout, adaptation, freezes, concealment."""
 
+import random
+
 import pytest
 
 from repro.rtc.jitter_buffer import AudioJitterBuffer, VideoJitterBuffer
@@ -99,6 +101,29 @@ def test_fps_measurement():
         buffer.step(t)
     fps = buffer.fps_over(now_us=2_000_000)
     assert 20 <= fps <= 35
+
+
+def test_fps_over_matches_counting_every_played_frame():
+    """fps_over's bisect count equals counting every played frame, over
+    random delays, losses and playout clocks."""
+    rng = random.Random(11)
+    buffer = VideoJitterBuffer()
+    for frame_id in range(400):
+        capture = frame_id * 33_333
+        n_packets = rng.randint(1, 3)
+        delivered = n_packets - (rng.random() < 0.05)
+        for _ in range(delivered):
+            buffer.on_packet(
+                frame_id, capture, n_packets, 540,
+                capture + rng.choice((20_000, 40_000, 90_000, 400_000)),
+            )
+    for now in range(0, 15_000_000, 50_000):
+        buffer.step(now)
+        for window in (200_000, 1_000_000):
+            cutoff = now - window
+            count = sum(1 for f in buffer.played if f.played_us >= cutoff)
+            assert buffer.fps_over(now, window) == count * 1e6 / window
+    assert len(buffer.played) > 300
 
 
 def test_audio_stable_no_concealment():

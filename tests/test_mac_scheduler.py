@@ -93,3 +93,34 @@ def test_cross_traffic_model_aggregates():
 def test_idle_model_empty():
     model = CrossTrafficModel.idle()
     assert model.total_demand_at(123_456) == 0
+
+
+def test_cross_traffic_cache_matches_polling_every_ue():
+    """demands_at's cached list equals polling every UE on every call,
+    draws included, with irregular call times and bursts added mid-call
+    through add_burst."""
+
+    def population():
+        model = CrossTrafficModel.build(
+            n_ues=4, mean_on_ms=40, mean_off_ms=120, mean_prb_demand=12, seed=5
+        )
+        model.ues[1].scripted_bursts.append((300_000, 200_000, 30))
+        model.add_ue(
+            CrossTrafficUe(rnti=49_000, mean_on_ms=0.0, mean_prb_demand=0.0)
+        )
+        return model
+
+    cached, polled = population(), population()
+    now = 0
+    for call in range(6_000):
+        now += 500 if call % 3 else 1_500  # a TDD-like call pattern
+        if call in (1_000, 2_500):
+            for model in (cached, polled):
+                model.ues[-1].add_burst(now + 7_000, 50_000, 25)
+                model.ues[2].add_burst(now, 2_000, 5)
+        expected = [
+            (ue.rnti, demand)
+            for ue in polled.ues
+            if (demand := ue.demand_at(now)) > 0
+        ]
+        assert list(cached.demands_at(now)) == expected

@@ -112,6 +112,36 @@ def test_pacer_respects_rate():
     assert sent_bytes <= 800_000 * 2.5 / 8 * 0.5 * 1.1
 
 
+def test_pacer_idle_ticks_and_next_release_match_per_tick_drains():
+    """A pacer drained on every tick and one drained only at its
+    next_release_us(), idle-ticking the rest, release the same packets
+    at the same times and end with the same budget."""
+    tick_us = 500
+    fixed, lazy = Pacer(), Pacer()
+    released = {id(fixed): [], id(lazy): []}
+    last = due = 0
+    for now in range(tick_us, 400_000, tick_us):
+        enqueue = now % 33_000 < tick_us
+        rate = 300_000 + (now // 50_000) * 150_000
+        wake = enqueue or now >= due
+        if wake:
+            lazy.idle_ticks((now - last) // tick_us - 1, tick_us)
+        for pacer in (fixed, lazy) if wake else (fixed,):
+            if enqueue:
+                for pid in range(4):
+                    pacer.enqueue(_video_packet(now + pid, size=1_100))
+            pacer.set_rate(rate if wake else pacer.rate_bps)
+            released[id(pacer)] += [
+                (p.packet_id, p.sent_us) for p in pacer.drain(now)
+            ]
+        if wake:
+            last, due = now, lazy.next_release_us()
+    assert released[id(lazy)] == released[id(fixed)]
+    assert len(released[id(fixed)]) > 40
+    lazy.idle_ticks((now - last) // tick_us, tick_us)
+    assert lazy._budget_bytes == fixed._budget_bytes
+
+
 def test_audio_bypasses_budget():
     pacer = Pacer()
     pacer.set_rate(30_000)  # tiny budget
