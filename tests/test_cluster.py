@@ -9,7 +9,7 @@ import socket
 
 import pytest
 
-from repro import api
+from repro import api, schema
 from repro.cluster import (
     CampaignJournal,
     ClusterCoordinator,
@@ -49,6 +49,8 @@ from repro.errors import ClusterError, ClusterProtocolError
 from repro.fleet.scenarios import ImpairmentSpec, ScenarioMatrix, ScenarioSpec
 from repro.live.service import LiveRcaService, canonical_detections
 from repro.live.sources import ReplaySource
+from repro.obs.metrics import get_registry
+from repro.store import RcaStore
 
 #: Four 8 s scenarios across two cells — enough for every worker to see
 #: work and for a killed worker to leave scenarios behind.
@@ -1030,6 +1032,160 @@ def test_watch_stream_serves_snapshots(private_bundle):
                 s.seq for s in received
             )
             assert received[0].n_sessions == 0
+        finally:
+            await coordinator.close()
+
+    asyncio.run(main())
+
+
+# -- live plane: publishing, shedding, control errors --------------------------
+
+
+class _PausedFoldCoordinator(ClusterCoordinator):
+    """Holds the live fold until ``fold_gate`` is set, so a drop_oldest
+    queue sheds a known set of frames."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fold_gate = asyncio.Event()
+
+    async def _fold_live(self):
+        await self.fold_gate.wait()
+        await super()._fold_live()
+
+
+def _detection_frame(session_id, n_windows, watermark_us):
+    windows = [
+        WindowDetection(
+            start_us=i * 1_000_000,
+            end_us=i * 1_000_000 + 5_000_000,
+            features={"a": float(i)},
+            consequences=[],
+            causes=[],
+            chain_ids=[0],
+        )
+        for i in range(n_windows)
+    ]
+    return {
+        "session_id": session_id,
+        "profile": "p",
+        "impairment": "none",
+        "detections": schema.detections_to_wire(windows),
+        "chains": [["a", "b"]],
+        "watermark_us": watermark_us,
+    }
+
+
+def _rollup(snapshot):
+    return (
+        snapshot.n_sessions,
+        snapshot.windows,
+        snapshot.detected_windows,
+        snapshot.total_minutes,
+        snapshot.lag_events,
+        snapshot.degradation_events_per_min,
+        snapshot.top_chains,
+        snapshot.cause_rates,
+        snapshot.consequence_rates,
+        snapshot.chain_totals,
+        [(s.session_id, s.windows) for s in snapshot.sessions],
+    )
+
+
+async def _until(predicate, attempts=500):
+    for _ in range(attempts):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+
+
+def test_coordinator_publishes_snapshots_and_counts_shed_detections(
+    tmp_path,
+):
+    """A coordinator with every publishing sink set writes the snapshot
+    file, tees the store and fires the callback; a flooded one-frame
+    drop_oldest queue counts exactly the shed detections as lag."""
+    snapshot_path = str(tmp_path / "snap.json")
+    store_dir = str(tmp_path / "store")
+    published = []
+    lag_counter = get_registry().counter("repro_live_lag_records_total")
+    lag_before = lag_counter.value()
+
+    async def main():
+        coordinator = _PausedFoldCoordinator(
+            snapshot_path=snapshot_path,
+            store_dir=store_dir,
+            on_snapshot=published.append,
+            live_backpressure="drop_oldest",
+            live_queue_frames=1,
+            snapshot_every_s=0.02,
+        )
+        await coordinator.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", coordinator.port
+            )
+            await send_frame(writer, HELLO, hello_payload(role="live"))
+            assert (await read_frame(reader)).type == HELLO
+            # 2 + 3 + 4 detections: the first frame fills the queue, the
+            # second sheds it (2), the third sheds the second (3).
+            for n_windows in (2, 3, 4):
+                await send_frame(
+                    writer,
+                    DETECTION,
+                    _detection_frame("s0", n_windows, n_windows * 1_000_000),
+                )
+            await _until(lambda: coordinator.lag_events >= 5)
+            await asyncio.sleep(0.05)  # nothing more may be shed
+            assert coordinator.lag_events == 5
+            assert lag_counter.value() - lag_before == 5
+            coordinator.fold_gate.set()
+            await _until(lambda: published and published[-1].windows == 4)
+            live = coordinator.live_snapshot()
+            assert live.windows == 4
+            assert live.lag_events == 5
+            assert _rollup(api.read_snapshot(snapshot_path)) == _rollup(live)
+            await send_frame(writer, BYE, {"reason": "done"})
+            writer.close()
+        finally:
+            await coordinator.close()
+
+    asyncio.run(main())
+    assert published, "on_snapshot never fired"
+    assert published[-1].windows == 4
+    store = RcaStore.open(store_dir, create=False)
+    try:
+        assert store.rows_total()["snapshots"] >= 1
+    finally:
+        store.close()
+
+
+def test_malformed_submit_gets_refusal_ack_and_connection_survives():
+    """A SUBMIT whose spec does not decode is answered ``ok: False``;
+    the same control connection then answers STATUS."""
+
+    async def main():
+        coordinator = ClusterCoordinator()
+        await coordinator.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", coordinator.port
+            )
+            await send_frame(writer, HELLO, hello_payload(role="control"))
+            assert (await read_frame(reader)).type == HELLO
+            await send_frame(
+                writer, SUBMIT, {"req": 1, "scenarios": [{"name": "x"}]}
+            )
+            refused = await read_frame(reader)
+            assert refused.type == ACK
+            assert refused.payload["req"] == 1
+            assert refused.payload["ok"] is False
+            assert refused.payload["error"]
+            await send_frame(writer, STATUS, {"req": 2})
+            status = await read_frame(reader)
+            assert status.type == ACK
+            assert status.payload == {"ok": True, "queue": [], "req": 2}
+            writer.close()
         finally:
             await coordinator.close()
 
