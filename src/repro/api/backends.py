@@ -150,9 +150,6 @@ class ClusterBackend:
             :func:`repro.cluster.protocol.server_ssl_context`).
         store_dir: land the finished campaign's distributed-trace spans
             (and periodic snapshots) in this historical store.
-        trace_campaigns: root a per-scenario distributed trace for the
-            campaign (on by default; off restores the exact pre-tracing
-            wire frames).
     """
 
     def __init__(
@@ -168,7 +165,6 @@ class ClusterBackend:
         auth_token: Optional[str] = None,
         ssl_context: Optional[object] = None,
         store_dir: Optional[str] = None,
-        trace_campaigns: bool = True,
     ) -> None:
         if min_workers < 0:
             raise ConfigError("min_workers must be >= 0")
@@ -182,7 +178,6 @@ class ClusterBackend:
         self.auth_token = auth_token
         self.ssl_context = ssl_context
         self.store_dir = store_dir
-        self.trace_campaigns = trace_campaigns
 
     def run(
         self,
@@ -213,7 +208,6 @@ class ClusterBackend:
             auth_token=self.auth_token,
             ssl_context=self.ssl_context,
             store_dir=self.store_dir,
-            trace_campaigns=self.trace_campaigns,
         )
 
 

@@ -153,15 +153,15 @@ class CausalReport:
         return self.scores.get(detector, {}).get("f1", 0.0)
 
     def to_json(self) -> dict:
-        from repro.schema import causal_report_to_wire
+        from repro import schema
 
-        return causal_report_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "CausalReport":
-        from repro.schema import causal_report_from_wire
+        from repro import schema
 
-        return causal_report_from_wire(data)
+        return schema.from_wire("causal_report", data)
 
 
 def _macro_scores(

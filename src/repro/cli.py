@@ -150,11 +150,16 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
+def _preset_scenarios(args: argparse.Namespace):
+    """``--preset`` (re-seeded by ``--base-seed``) → (matrix, scenarios)."""
     matrix = get_preset(args.preset)
     if args.base_seed is not None:
         matrix = matrix.with_base_seed(args.base_seed)
-    scenarios = matrix.expand()
+    return matrix, matrix.expand()
+
+
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    matrix, scenarios = _preset_scenarios(args)
     if args.out:
         # Fail on an unwritable destination now, not after the campaign.
         out_dir = os.path.dirname(args.out)
@@ -345,10 +350,7 @@ def _live_specs(args: argparse.Namespace):
 
     from repro.fleet.scenarios import derive_seed
 
-    matrix = get_preset(args.preset)
-    if args.base_seed is not None:
-        matrix = matrix.with_base_seed(args.base_seed)
-    base = matrix.expand()
+    matrix, base = _preset_scenarios(args)
     specs = []
     for index in range(args.sessions):
         spec = base[index % len(base)]
@@ -571,10 +573,7 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
                 )
                 while True:
                     await asyncio.sleep(3600)
-            matrix = get_preset(args.preset)
-            if args.base_seed is not None:
-                matrix = matrix.with_base_seed(args.base_seed)
-            scenarios = matrix.expand()
+            matrix, scenarios = _preset_scenarios(args)
 
             def progress(done: int, total: int, requeues: int) -> None:
                 print(
@@ -667,70 +666,23 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _control_client(args: argparse.Namespace):
+def _run_control(args: argparse.Namespace, request) -> int:
+    """Run ``await request(control)`` on a control connection to
+    ``--connect``; a cluster or transport failure logs and exits 1."""
+    import asyncio
+
     from repro.cluster import CoordinatorControl
 
     host, port = args.connect
-    return CoordinatorControl(
-        host,
-        port,
-        auth_token=_cluster_token(args),
-        ssl_context=_client_ssl(args),
-    )
-
-
-def _cmd_cluster_queue(args: argparse.Namespace) -> int:
-    import asyncio
-
-    matrix = get_preset(args.preset)
-    if args.base_seed is not None:
-        matrix = matrix.with_base_seed(args.base_seed)
-    scenarios = matrix.expand()
 
     async def _go() -> int:
-        async with _control_client(args) as control:
-            cid = await control.submit(
-                scenarios,
-                campaign_id=args.campaign_id,
-                trace_dir=args.trace_dir,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                fail_fast=args.fail_fast,
-            )
-            print(
-                f"queued campaign {cid}: {len(scenarios)} scenario(s)",
-                flush=True,
-            )
-            if not args.wait:
-                return 0
-            last_done = -1
-            while True:
-                entries = {
-                    entry["campaign_id"]: entry
-                    for entry in await control.status()
-                }
-                entry = entries.get(cid)
-                if entry is None or entry["state"] != "active":
-                    break
-                if entry["done"] != last_done:
-                    last_done = entry["done"]
-                    print(
-                        f"[{entry['done']}/{entry['total']}] outcomes "
-                        f"collected",
-                        flush=True,
-                    )
-                await asyncio.sleep(args.interval)
-            result = await control.fetch(cid)
-            outcomes = result["outcomes"]
-            for index, message in sorted(result["errors"].items()):
-                logger.error("scenario %s failed: %s", index, message)
-            if args.out:
-                save_outcomes(outcomes, args.out)
-                print(f"wrote {args.out}: {len(outcomes)} outcomes")
-            print()
-            print(
-                render_fleet_report(FleetAggregate.from_outcomes(outcomes))
-            )
-            return 0 if result["state"] == "completed" else 1
+        async with CoordinatorControl(
+            host,
+            port,
+            auth_token=_cluster_token(args),
+            ssl_context=_client_ssl(args),
+        ) as control:
+            return await request(control)
 
     try:
         return asyncio.run(_go())
@@ -739,12 +691,59 @@ def _cmd_cluster_queue(args: argparse.Namespace) -> int:
         return 1
 
 
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
+def _cmd_cluster_queue(args: argparse.Namespace) -> int:
     import asyncio
 
-    async def _go() -> int:
-        async with _control_client(args) as control:
-            entries = await control.status()
+    _, scenarios = _preset_scenarios(args)
+
+    async def _queue(control) -> int:
+        cid = await control.submit(
+            scenarios,
+            campaign_id=args.campaign_id,
+            trace_dir=args.trace_dir,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            fail_fast=args.fail_fast,
+        )
+        print(
+            f"queued campaign {cid}: {len(scenarios)} scenario(s)",
+            flush=True,
+        )
+        if not args.wait:
+            return 0
+        last_done = -1
+        while True:
+            entries = {
+                entry["campaign_id"]: entry
+                for entry in await control.status()
+            }
+            entry = entries.get(cid)
+            if entry is None or entry["state"] != "active":
+                break
+            if entry["done"] != last_done:
+                last_done = entry["done"]
+                print(
+                    f"[{entry['done']}/{entry['total']}] outcomes "
+                    f"collected",
+                    flush=True,
+                )
+            await asyncio.sleep(args.interval)
+        result = await control.fetch(cid)
+        outcomes = result["outcomes"]
+        for index, message in sorted(result["errors"].items()):
+            logger.error("scenario %s failed: %s", index, message)
+        if args.out:
+            save_outcomes(outcomes, args.out)
+            print(f"wrote {args.out}: {len(outcomes)} outcomes")
+        print()
+        print(render_fleet_report(FleetAggregate.from_outcomes(outcomes)))
+        return 0 if result["state"] == "completed" else 1
+
+    return _run_control(args, _queue)
+
+
+def _cmd_cluster_status(args: argparse.Namespace) -> int:
+    async def _status(control) -> int:
+        entries = await control.status()
         if not entries:
             print("queue is empty")
             return 0
@@ -760,20 +759,12 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
             print(line)
         return 0
 
-    try:
-        return asyncio.run(_go())
-    except (ClusterError, OSError) as exc:
-        logger.error("%s", exc)
-        return 1
+    return _run_control(args, _status)
 
 
 def _cmd_cluster_cancel(args: argparse.Namespace) -> int:
-    import asyncio
-
-    async def _go() -> int:
-        async with _control_client(args) as control:
-            cancelled = await control.cancel(args.campaign_id)
-        if cancelled:
+    async def _cancel(control) -> int:
+        if await control.cancel(args.campaign_id):
             print(f"cancelled campaign {args.campaign_id}")
             return 0
         print(
@@ -783,11 +774,7 @@ def _cmd_cluster_cancel(args: argparse.Namespace) -> int:
         )
         return 1
 
-    try:
-        return asyncio.run(_go())
-    except (ClusterError, OSError) as exc:
-        logger.error("%s", exc)
-        return 1
+    return _run_control(args, _cancel)
 
 
 def _open_store(args: argparse.Namespace, *, create: bool):
@@ -1126,10 +1113,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
 def _cmd_causal_bench(args: argparse.Namespace) -> int:
     from repro.causal import render_leaderboard
 
-    matrix = get_preset(args.preset)
-    if args.base_seed is not None:
-        matrix = matrix.with_base_seed(args.base_seed)
-    scenarios = matrix.expand()
+    matrix, scenarios = _preset_scenarios(args)
     print(
         f"causal bench {matrix.name}: {len(scenarios)} sessions, "
         f"workers={args.workers}"
@@ -1170,6 +1154,22 @@ def _cmd_causal_score(args: argparse.Namespace) -> int:
         return 1
     print(render_leaderboard(report))
     return 0
+
+
+def _add_connect_arg(
+    parser: argparse.ArgumentParser,
+    *,
+    required: bool = True,
+    help: str = "coordinator address",
+) -> None:
+    """``--connect HOST:PORT``: the coordinator a command dials."""
+    parser.add_argument(
+        "--connect",
+        required=required,
+        type=_parse_address,
+        metavar="HOST:PORT",
+        help=help,
+    )
 
 
 def _add_cluster_client_args(parser: argparse.ArgumentParser) -> None:
@@ -1447,10 +1447,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="snapshot JSON `repro live` or a coordinator wrote",
     )
-    watch.add_argument(
-        "--connect",
-        type=_parse_address,
-        metavar="HOST:PORT",
+    _add_connect_arg(
+        watch,
+        required=False,
         help="stream snapshots from a cluster coordinator instead of "
         "reading a file",
     )
@@ -1580,13 +1579,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker = csub.add_parser(
         "worker", help="run dispatched scenarios for a coordinator"
     )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        type=_parse_address,
-        metavar="HOST:PORT",
-        help="coordinator address",
-    )
+    _add_connect_arg(worker)
     worker.add_argument(
         "--slots",
         type=_positive_int,
@@ -1629,13 +1622,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a campaign preset to a standing coordinator's "
         "queue",
     )
-    queue.add_argument(
-        "--connect",
-        required=True,
-        type=_parse_address,
-        metavar="HOST:PORT",
-        help="coordinator address",
-    )
+    _add_connect_arg(queue)
     queue.add_argument(
         "--preset", default="smoke", choices=sorted(PRESETS)
     )
@@ -1679,12 +1666,7 @@ def build_parser() -> argparse.ArgumentParser:
     status = csub.add_parser(
         "status", help="show a coordinator's campaign queue"
     )
-    status.add_argument(
-        "--connect",
-        required=True,
-        type=_parse_address,
-        metavar="HOST:PORT",
-    )
+    _add_connect_arg(status)
     _add_cluster_client_args(status)
     status.set_defaults(fn=_cmd_cluster_status)
 
@@ -1692,12 +1674,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cancel", help="cancel an active campaign on a coordinator"
     )
     cancel.add_argument("campaign_id")
-    cancel.add_argument(
-        "--connect",
-        required=True,
-        type=_parse_address,
-        metavar="HOST:PORT",
-    )
+    _add_connect_arg(cancel)
     _add_cluster_client_args(cancel)
     cancel.set_defaults(fn=_cmd_cluster_cancel)
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import random
 import ssl as ssl_module
 from typing import (
     AsyncIterator,
@@ -45,16 +44,17 @@ from typing import (
     Tuple,
 )
 
+from repro import schema
 from repro.core.detector import DetectorConfig, WindowDetection
-from repro.errors import ClusterError, ClusterProtocolError
+from repro.errors import ClusterError, ClusterProtocolError, SchemaError
 from repro.fleet.executor import SessionOutcome
 from repro.fleet.scenarios import ScenarioSpec
 from repro.live.aggregator import FleetSnapshot
+from repro.live.supervisor import put_drop_oldest
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.spans import get_trace_context
 from repro.obs.trace import TraceSpan
-from repro.cluster import protocol
 from repro.cluster.protocol import (
     ACK,
     BYE,
@@ -62,15 +62,15 @@ from repro.cluster.protocol import (
     DETECTION,
     FETCH,
     HEARTBEAT,
-    HELLO,
     ROLE_CONTROL,
     ROLE_LIVE,
     ROLE_WATCH,
     SNAPSHOT,
     STATUS,
     SUBMIT,
-    check_hello,
-    hello_payload,
+    Backoff,
+    count_rejected,
+    dial,
     read_frame,
     send_frame,
 )
@@ -82,39 +82,12 @@ def _ambient_trace() -> Optional[dict]:
     """The caller's active trace context as a wire dict, if any.
 
     Attached to outgoing SUBMIT/FETCH/DETECTION frames so a client-side
-    trace can be joined to coordinator-side spans; ``None`` (and the
-    field's absence is fine for old coordinators) when no trace is
-    active.
+    trace can be joined to coordinator-side spans; ``None`` when no
+    trace is active.
     """
     ctx = get_trace_context()
     to_wire = getattr(ctx, "to_wire", None)
     return to_wire() if callable(to_wire) else None
-
-
-def _hello_extra(auth_token: Optional[str]) -> dict:
-    return {} if auth_token is None else {"token": auth_token}
-
-
-async def _handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    role: str,
-    auth_token: Optional[str],
-    **extra: object,
-) -> dict:
-    """HELLO as *role*; return the coordinator's HELLO payload."""
-    await send_frame(
-        writer,
-        HELLO,
-        hello_payload(role=role, **_hello_extra(auth_token), **extra),
-    )
-    reply = await read_frame(reader)
-    if reply is not None and reply.type == BYE:
-        raise ClusterError(
-            f"coordinator refused handshake: "
-            f"{reply.payload.get('reason', 'no reason given')}"
-        )
-    return check_hello(reply, expect_role=False)
 
 
 class DetectionForwarder:
@@ -170,14 +143,14 @@ class DetectionForwarder:
         self._closing = False
 
     async def _dial(self) -> None:
-        reader, writer = await asyncio.open_connection(
-            self.host, self.port, ssl=self.ssl_context
+        _, self._writer, self.heartbeat_s = await dial(
+            self.host,
+            self.port,
+            ROLE_LIVE,
+            auth_token=self.auth_token,
+            ssl_context=self.ssl_context,
+            heartbeat_s=self.heartbeat_s,
         )
-        self._writer = writer
-        hello = await _handshake(reader, writer, ROLE_LIVE, self.auth_token)
-        advertised = hello.get("heartbeat_s")
-        if isinstance(advertised, (int, float)) and advertised > 0:
-            self.heartbeat_s = min(self.heartbeat_s, float(advertised))
 
     async def start(self) -> "DetectionForwarder":
         """Connect and handshake as a live-plane peer."""
@@ -200,32 +173,25 @@ class DetectionForwarder:
         watermark_us: int,
     ) -> None:
         """DetectionSink-compatible enqueue (synchronous, never blocks)."""
+        if self._closing:
+            # close() already queued the shutdown sentinel, and the
+            # sender stops there: a frame behind it would never leave.
+            self.lag_events += len(detections)
+            return
         profile, impairment = self._meta.get(session_id, ("", "none"))
         payload = {
             "session_id": session_id,
             "profile": profile,
             "impairment": impairment,
-            "detections": protocol.detections_to_json(detections),
-            "chains": protocol.chains_to_json(chains),
+            "detections": schema.detections_to_wire(detections),
+            "chains": schema.chains_to_wire(chains),
             "watermark_us": watermark_us,
         }
         trace = _ambient_trace()
         if trace is not None:
             payload["trace"] = trace
-        while True:
-            try:
-                self._queue.put_nowait(payload)
-                return
-            except asyncio.QueueFull:
-                dropped = self._queue.get_nowait()
-                if dropped is None:
-                    # close() already queued the shutdown sentinel;
-                    # restore it (room exists: we just popped) and shed
-                    # this late frame instead.
-                    self._queue.put_nowait(None)
-                    self.lag_events += len(payload["detections"])
-                    return
-                self.lag_events += len(dropped.get("detections", ()))
+        shed = put_drop_oldest(self._queue, payload)
+        self.lag_events += sum(len(frame["detections"]) for frame in shed)
 
     async def _send_frame_locked(self, frame_type: str, payload: dict) -> None:
         # Sender and heartbeat share the socket; the lock keeps their
@@ -267,13 +233,12 @@ class DetectionForwarder:
         if self._writer is not None:
             self._writer.close()
             self._writer = None
-        delay = self.retry_s
+        backoff = Backoff(self.retry_s, self.reconnect_max_s)
         while not self._closing:
             try:
                 await self._dial()
-            except (OSError, ClusterError, ClusterProtocolError):
-                await asyncio.sleep(delay * random.uniform(0.5, 1.5))
-                delay = min(delay * 2.0, self.reconnect_max_s)
+            except (OSError, ClusterError):
+                await backoff.sleep()
                 continue
             get_registry().counter(
                 "repro_forwarder_reconnects_total",
@@ -309,18 +274,12 @@ class DetectionForwarder:
         self._closing = True
         if self._sender is not None:
             if not self._sender.done():
-                try:
-                    self._queue.put_nowait(None)  # sentinel: drain, stop
-                except asyncio.QueueFull:
-                    # Dead/slow consumer with a full queue: make room
-                    # (single-threaded, so the slot cannot be stolen
-                    # before the next put).
-                    dropped = self._queue.get_nowait()
-                    if dropped is not None:
-                        self.lag_events += len(
-                            dropped.get("detections", ())
-                        )
-                    self._queue.put_nowait(None)
+                # Sentinel: drain, then stop.  A dead or slow consumer
+                # with a full queue sheds its oldest frame for it.
+                shed = put_drop_oldest(self._queue, None)
+                self.lag_events += sum(
+                    len(frame["detections"]) for frame in shed
+                )
             try:
                 await asyncio.wait_for(
                     self._sender, timeout=self.drain_timeout_s
@@ -378,11 +337,10 @@ async def iter_snapshots(
     Yields each pushed fleet snapshot until the coordinator closes the
     connection.
     """
-    reader, writer = await asyncio.open_connection(
-        host, port, ssl=ssl_context
+    reader, writer, _ = await dial(
+        host, port, ROLE_WATCH, auth_token=auth_token, ssl_context=ssl_context
     )
     try:
-        await _handshake(reader, writer, ROLE_WATCH, auth_token)
         while True:
             frame = await read_frame(reader)
             if frame is None or frame.type == BYE:
@@ -435,12 +393,13 @@ class CoordinatorControl:
         self._req_ids = itertools.count(1)
 
     async def start(self) -> "CoordinatorControl":
-        reader, writer = await asyncio.open_connection(
-            self.host, self.port, ssl=self.ssl_context
+        self._reader, self._writer, _ = await dial(
+            self.host,
+            self.port,
+            ROLE_CONTROL,
+            auth_token=self.auth_token,
+            ssl_context=self.ssl_context,
         )
-        self._reader = reader
-        self._writer = writer
-        await _handshake(reader, writer, ROLE_CONTROL, self.auth_token)
         return self
 
     async def __aenter__(self) -> "CoordinatorControl":
@@ -491,13 +450,13 @@ class CoordinatorControl:
             SUBMIT,
             {
                 "scenarios": [
-                    protocol.spec_to_json(spec) for spec in scenarios
+                    schema.scenario_spec_to_wire(spec) for spec in scenarios
                 ],
                 "campaign_id": campaign_id,
                 "trace_dir": trace_dir,
                 "cache_dir": cache_dir,
                 "fail_fast": fail_fast,
-                "detector_config": protocol.detector_config_to_json(
+                "detector_config": schema.detector_config_to_wire(
                     detector_config
                 ),
                 "trace": _ambient_trace(),
@@ -521,7 +480,7 @@ class CoordinatorControl:
 
         Returns ``{"state", "outcomes" (decoded SessionOutcomes),
         "errors" (index → message), "trace_spans" (decoded
-        TraceSpans; empty against pre-tracing coordinators)}``; raises
+        TraceSpans)}``; raises
         :class:`ClusterError` while the campaign is still running or
         when it is unknown.
         """
@@ -531,12 +490,10 @@ class CoordinatorControl:
         )
         spans = []
         for data in reply.get("trace_spans", ()):
-            if not isinstance(data, dict):
-                continue
             try:
                 spans.append(TraceSpan.from_json(data))
-            except Exception:
-                continue  # tolerate a foreign span shape
+            except SchemaError as exc:
+                count_rejected("trace_span", exc)
         return {
             "state": reply.get("state", "completed"),
             "outcomes": [

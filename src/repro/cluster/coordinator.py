@@ -56,7 +56,10 @@ import itertools
 import ssl as ssl_module
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from typing import (
+    AsyncIterator,
+    Awaitable,
     Callable,
     Deque,
     Dict,
@@ -67,14 +70,15 @@ from typing import (
     Tuple,
 )
 
+from repro import schema
 from repro.core.detector import DetectorConfig
 from repro.errors import ClusterError, ClusterProtocolError, ConfigError, SchemaError
-from repro.schema import save_snapshot
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.executor import SessionOutcome
 from repro.fleet.scenarios import ScenarioSpec
 from repro.live.aggregator import FleetSnapshot, LiveAggregator
-from repro.live.supervisor import RUNNING, SessionSnapshot
+from repro.live.service import SnapshotPublisher
+from repro.live.supervisor import RUNNING, SessionSnapshot, put_drop_oldest
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.spans import new_span_id, span
@@ -98,7 +102,9 @@ from repro.cluster.protocol import (
     SNAPSHOT,
     STATUS,
     SUBMIT,
+    Frame,
     check_hello,
+    count_rejected,
     read_frame,
     send_frame,
 )
@@ -112,25 +118,41 @@ _HISTORY_LIMIT = 32
 logger = get_logger(__name__)
 
 
+async def _frames(reader: asyncio.StreamReader) -> AsyncIterator[Frame]:
+    """A peer's frames up to EOF or its BYE."""
+    while True:
+        frame = await read_frame(reader)
+        if frame is None or frame.type == BYE:
+            return
+        yield frame
+
+
+async def _send_or_abort(
+    writer: asyncio.StreamWriter, send: Awaitable[None], timeout_s: float
+) -> bool:
+    """Await a send for at most *timeout_s*, aborting the peer on
+    failure: a wedged peer must not stall what every other one is owed."""
+    try:
+        await asyncio.wait_for(send, timeout=timeout_s)
+        return True
+    except (asyncio.TimeoutError, OSError, ClusterProtocolError):
+        writer.transport.abort()
+        return False
+
+
+@dataclass(eq=False)
 class _WorkerConn:
     """Coordinator-side state for one connected worker."""
 
-    def __init__(
-        self,
-        worker_id: int,
-        name: str,
-        slots: int,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.worker_id = worker_id
-        self.name = name
-        self.slots = max(1, slots)
-        self.writer = writer
-        #: (campaign_id, scenario index) pairs currently on this worker.
-        self.in_flight: Set[Tuple[str, int]] = set()
-        self.last_seen = 0.0
-        self.closed = False
-        self.send_lock = asyncio.Lock()
+    worker_id: int
+    name: str
+    slots: int
+    writer: asyncio.StreamWriter
+    last_seen: float
+    #: (campaign_id, scenario index) pairs currently on this worker.
+    in_flight: Set[Tuple[str, int]] = field(default_factory=set)
+    closed: bool = False
+    send_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
     async def send(self, frame_type: str, payload: dict) -> None:
         async with self.send_lock:
@@ -149,6 +171,7 @@ class _Campaign:
         fail_fast: bool,
         detector_config: Optional[DetectorConfig],
         on_progress: Optional[ProgressCallback],
+        client_trace: object = None,
     ) -> None:
         #: Journal key and DISPATCH/OUTCOME correlation id; a late
         #: outcome from another campaign can never be recorded into this
@@ -171,64 +194,72 @@ class _Campaign:
         self.errors: Dict[int, str] = {}
         #: Indices ever requeued — only these can have a duplicate copy
         #: sitting in pending when an outcome arrives, so only these
-        #: pay the O(pending) deque removal.
+        #: pay the O(pending) deque removal; the rest are on their
+        #: first dispatch.
         self.requeued: Set[int] = set()
         self.n_done = 0
         self.requeues = 0
         self.cancelled = False
         self.close_reason: Optional[str] = None
         self.done = asyncio.Event()
-        #: Per-scenario trace roots (``None`` when tracing is disabled).
-        #: Each scenario gets its own trace, tagged with the campaign id,
-        #: so a retried scenario lands in the same trace as its
-        #: abandoned first attempt.
-        self.traces: Optional[List[TraceContext]] = None
+        #: Per-scenario trace roots, made at submission.  Each scenario
+        #: gets its own trace, tagged with the campaign id, so a retried
+        #: scenario lands in the same trace as its abandoned first
+        #: attempt.
+        self.submitted_ts = time.time()
+        self.traces = [
+            TraceContext.new(campaign_id=campaign_id, scenario=spec.name)
+            for spec in self.scenarios
+        ]
         #: Collected spans — coordinator-built plus worker-streamed.
         self.trace_spans: List[TraceSpan] = []
         #: scenario index → (dispatch span id, sent ts, worker name) for
         #: the dispatch currently in flight; popped when the outcome
         #: settles or the worker dies (abandoned span).
         self.dispatch_inflight: Dict[int, Tuple[str, float, str]] = {}
-        #: Indices whose queue-wait span was already recorded (requeues
-        #: do not get a second one; the abandoned dispatch covers them).
-        self.queue_span_done: Set[int] = set()
-        self.submitted_ts = 0.0
         #: Trace id of the submitting client's ambient context (from the
         #: SUBMIT frame's ``trace`` field), stamped onto queue spans so
         #: a client-side trace can be joined to the campaign's traces.
-        self.client_trace_id = ""
-
-    def init_traces(self) -> None:
-        """Root one trace per scenario at submission time."""
-        self.submitted_ts = time.time()
-        self.traces = [
-            TraceContext.new(
-                campaign_id=self.campaign_id, scenario=spec.name
-            )
-            for spec in self.scenarios
-        ]
+        self.client_trace_id = (
+            str(client_trace.get("trace_id", ""))
+            if isinstance(client_trace, dict)
+            else ""
+        )
 
     def settled(self, index: int) -> bool:
         return self.outcomes[index] is not None or index in self.errors
 
+    def unsettled(self, index: object) -> bool:
+        """True for an in-range scenario index not settled yet."""
+        return (
+            isinstance(index, int)
+            and 0 <= index < len(self.scenarios)
+            and not self.settled(index)
+        )
+
+    def settle(
+        self,
+        index: object,
+        outcome: Optional[SessionOutcome] = None,
+        error: Optional[object] = None,
+    ) -> None:
+        """Record one scenario's outcome or error (first settle wins)."""
+        if not self.unsettled(index):
+            return
+        if error is not None:
+            self.errors[index] = str(error)
+            if self.fail_fast:
+                self.pending.clear()
+        else:
+            self.outcomes[index] = outcome
+        self.n_done += 1
+
     def preload(self, replayed: ReplayedCampaign) -> int:
         """Adopt a journal replay's settled records; queue the rest."""
         for index, outcome in replayed.settled.items():
-            if (
-                isinstance(index, int)
-                and 0 <= index < len(self.scenarios)
-                and not self.settled(index)
-            ):
-                self.outcomes[index] = outcome
-                self.n_done += 1
+            self.settle(index, outcome=outcome)
         for index, error in replayed.errors.items():
-            if (
-                isinstance(index, int)
-                and 0 <= index < len(self.scenarios)
-                and not self.settled(index)
-            ):
-                self.errors[index] = str(error)
-                self.n_done += 1
+            self.settle(index, error=error)
         self.pending = deque(
             index
             for index in range(len(self.scenarios))
@@ -237,6 +268,31 @@ class _Campaign:
         if self.fail_fast and self.errors:
             self.pending.clear()
         return self.n_done
+
+    def close_dispatch(self, index: int, end_ts: float, status: str) -> str:
+        """Close the scenario's in-flight dispatch span; return its id
+        (``""`` when none was in flight).
+
+        A dead worker's dispatch closes :data:`ABANDONED`: it stays in
+        the trace as a first attempt that never settled, and the
+        requeued dispatch opens a fresh span under the same trace.
+        """
+        inflight = self.dispatch_inflight.pop(index, None)
+        if inflight is None:
+            return ""
+        span_id, sent_ts, worker_name = inflight
+        self.trace_spans.append(
+            self.traces[index].span(
+                "cluster.dispatch",
+                span_id=span_id,
+                ts_s=sent_ts,
+                duration_s=end_ts - sent_ts,
+                service="coordinator",
+                status=status,
+                attrs={"worker": worker_name},
+            )
+        )
+        return span_id
 
     def finished_state(self) -> Optional[str]:
         """``None`` while work remains, else the terminal state name."""
@@ -278,11 +334,11 @@ class ClusterCoordinator:
             ``token`` field or the peer is refused with BYE.
         ssl_context: serve TLS on the listener (see
             :func:`~repro.cluster.protocol.server_ssl_context`).
-        trace_campaigns: root a distributed trace per scenario at
-            submission; DISPATCH frames carry the context, workers
-            stream their spans back on OUTCOME, and finished campaigns'
-            spans are ingested into ``store_dir`` (when set) for
-            ``repro obs trace``.
+
+    Every scenario runs under its own distributed trace, rooted at
+    submission: DISPATCH frames carry the context, workers stream their
+    spans back on OUTCOME, and finished campaigns' spans are ingested
+    into ``store_dir`` (when set) for ``repro obs trace``.
     """
 
     def __init__(
@@ -302,7 +358,6 @@ class ClusterCoordinator:
         journal_path: Optional[str] = None,
         auth_token: Optional[str] = None,
         ssl_context: Optional[ssl_module.SSLContext] = None,
-        trace_campaigns: bool = True,
     ) -> None:
         if live_backpressure not in ("block", "drop_oldest"):
             raise ConfigError(
@@ -319,17 +374,15 @@ class ClusterCoordinator:
             else heartbeat_s * 5.0
         )
         self.live_backpressure = live_backpressure
-        self.snapshot_path = snapshot_path
         self.snapshot_every_s = snapshot_every_s
-        self.store_dir = store_dir
-        self._store = None  # opened lazily on the first snapshot tee
-        self.on_snapshot = on_snapshot
+        #: Periodic fleet snapshots' file/store/callback sinks; its
+        #: store also receives finished campaigns' trace spans.
+        self.publisher = SnapshotPublisher(
+            path=snapshot_path, store_dir=store_dir, on_snapshot=on_snapshot
+        )
         self.journal_path = journal_path
         self.auth_token = auth_token
         self.ssl_context = ssl_context
-        #: Root a per-scenario distributed trace for every campaign;
-        #: spans stream back on OUTCOME frames and land in the store.
-        self.trace_campaigns = trace_campaigns
 
         #: Central rollups: batch campaign outcomes and live detections.
         self.batch_aggregate = FleetAggregate()
@@ -358,7 +411,6 @@ class ClusterCoordinator:
         self._live_queue: asyncio.Queue = asyncio.Queue(
             maxsize=live_queue_frames
         )
-        self._live_seen: Set[str] = set()
         #: session_id → loop time its first frame folded, so dashboard
         #: realtime factors reflect each session's own forwarding span
         #: rather than coordinator uptime.
@@ -377,11 +429,13 @@ class ClusterCoordinator:
         if self.journal_path is not None:
             self._journal = CampaignJournal(self.journal_path)
             replayed = self._journal.replay()
-            for campaign_id, campaign in replayed.items():
-                self._known_ids.add(campaign_id)
-                if not campaign.closed:
-                    # Interrupted mid-campaign: resumable.
-                    self._replayed[campaign_id] = campaign
+            self._known_ids.update(replayed)
+            # Interrupted mid-campaign: resumable.
+            self._replayed = {
+                cid: campaign
+                for cid, campaign in replayed.items()
+                if not campaign.closed
+            }
             if self._replayed:
                 logger.info(
                     "journal %s: %d interrupted campaign(s) ready to "
@@ -428,17 +482,7 @@ class ClusterCoordinator:
         self._tasks = []
         if self._journal is not None:
             self._journal.close()
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-
-    @property
-    def n_workers(self) -> int:
-        return len(self._workers)
-
-    @property
-    def worker_names(self) -> List[str]:
-        return [w.name for w in self._workers.values()]
+        self.publisher.close()
 
     async def wait_for_workers(
         self, count: int, timeout_s: Optional[float] = None
@@ -497,11 +541,7 @@ class ClusterCoordinator:
         re-running them.  An id colliding with an *active* campaign
         gets a ``-N`` suffix (or raises, when the id was explicit).
         """
-        config = (
-            detector_config
-            if detector_config is not None
-            else self.detector_config
-        )
+        config = detector_config or self.detector_config
         base = campaign_id or campaign_id_for(scenarios, config)
         cid = base
         suffix = 1
@@ -520,13 +560,8 @@ class ClusterCoordinator:
             fail_fast,
             config,
             on_progress,
+            client_trace,
         )
-        if self.trace_campaigns:
-            campaign.init_traces()
-            if isinstance(client_trace, dict):
-                campaign.client_trace_id = str(
-                    client_trace.get("trace_id", "")
-                )
         replayed = self._replayed.pop(cid, None)
         if replayed is not None:
             preloaded = campaign.preload(replayed)
@@ -550,10 +585,7 @@ class ClusterCoordinator:
         self._known_ids.add(cid)
         self._campaigns[cid] = campaign
         self._rotation.append(cid)
-        get_registry().gauge(
-            "repro_campaigns_active",
-            help="Campaigns currently queued or dispatching.",
-        ).set(len(self._campaigns))
+        self._set_gauges()
         state = campaign.finished_state()
         if state is not None:
             # Nothing left to dispatch (empty submission, or the
@@ -570,11 +602,7 @@ class ClusterCoordinator:
         Raises :class:`ClusterError` carrying the first failing
         scenario's error (in scenario order), or on cancellation.
         """
-        campaign = self._campaigns.get(campaign_id) or self._history.get(
-            campaign_id
-        )
-        if campaign is None:
-            raise ClusterError(f"unknown campaign {campaign_id!r}")
+        campaign = self._campaign(campaign_id)
         await campaign.done.wait()
         if campaign.cancelled:
             raise ClusterError(f"campaign {campaign_id!r} was cancelled")
@@ -637,8 +665,7 @@ class ClusterCoordinator:
         client resubmitting them.
         """
         resumed = []
-        for cid in sorted(self._replayed):
-            replayed = self._replayed[cid]
+        for cid, replayed in sorted(self._replayed.items()):
             await self.submit_campaign(
                 replayed.scenarios,
                 campaign_id=cid,
@@ -652,36 +679,50 @@ class ClusterCoordinator:
 
     def campaign_finished(self, campaign_id: str) -> bool:
         """True once a campaign has reached a terminal state."""
+        try:
+            return self._campaign(campaign_id).done.is_set()
+        except ClusterError:
+            return False
+
+    def _campaign(self, campaign_id: object) -> _Campaign:
+        """An active or recently finished campaign by id."""
         campaign = self._campaigns.get(campaign_id) or self._history.get(
             campaign_id
         )
-        return campaign is not None and campaign.done.is_set()
+        if campaign is None:
+            raise ClusterError(f"unknown campaign {campaign_id!r}")
+        return campaign
+
+    def _set_gauges(self) -> None:
+        """The one writer of the campaign and worker gauges."""
+        registry = get_registry()
+        registry.gauge(
+            "repro_campaigns_active",
+            help="Campaigns currently queued or dispatching.",
+        ).set(len(self._campaigns))
+        registry.gauge(
+            "repro_cluster_workers",
+            help="Workers currently connected to the coordinator.",
+        ).set(len(self._workers))
 
     def queue_status(self) -> List[dict]:
         """Queue introspection: active campaigns first, then history."""
-        entries = []
-        for cid in list(self._rotation):
-            campaign = self._campaigns.get(cid)
-            if campaign is not None:
-                entries.append(self._status_entry(campaign, "active"))
-        for campaign in self._history.values():
-            entries.append(
-                self._status_entry(
-                    campaign, campaign.close_reason or "completed"
-                )
-            )
-        return entries
-
-    @staticmethod
-    def _status_entry(campaign: _Campaign, state: str) -> dict:
-        return {
-            "campaign_id": campaign.campaign_id,
-            "state": state,
-            "total": len(campaign.scenarios),
-            "done": campaign.n_done,
-            "errors": len(campaign.errors),
-            "requeues": campaign.requeues,
-        }
+        entries = [(self._campaigns[cid], "active") for cid in self._rotation]
+        entries += [
+            (campaign, campaign.close_reason or "completed")
+            for campaign in self._history.values()
+        ]
+        return [
+            {
+                "campaign_id": campaign.campaign_id,
+                "state": state,
+                "total": len(campaign.scenarios),
+                "done": campaign.n_done,
+                "errors": len(campaign.errors),
+                "requeues": campaign.requeues,
+            }
+            for campaign, state in entries
+        ]
 
     async def _finalize(self, campaign: _Campaign, reason: str) -> None:
         """Move a campaign out of the active queue; wake its waiters."""
@@ -697,10 +738,7 @@ class ClusterCoordinator:
         self._history[campaign.campaign_id] = campaign
         while len(self._history) > _HISTORY_LIMIT:
             self._history.pop(next(iter(self._history)))
-        get_registry().gauge(
-            "repro_campaigns_active",
-            help="Campaigns currently queued or dispatching.",
-        ).set(len(self._campaigns))
+        self._set_gauges()
         # Scenarios still on workers belong to the finished campaign
         # (fail_fast, cancel, or a duplicate settled first); their
         # OUTCOME frames will be ignored as stragglers, so free the
@@ -714,23 +752,18 @@ class ClusterCoordinator:
                 }
             self._work_available.notify_all()
         # The batch rollup covers the most recently finished campaign.
-        self.batch_aggregate = FleetAggregate()
-        for outcome in campaign.outcomes:
-            if outcome is not None:
-                self.batch_aggregate.update(outcome)
+        self.batch_aggregate = FleetAggregate(
+            outcome for outcome in campaign.outcomes if outcome is not None
+        )
         self._ingest_trace_spans(campaign)
         campaign.done.set()
 
     def _ingest_trace_spans(self, campaign: _Campaign) -> None:
         """Land a finished campaign's trace into the historical store."""
-        if self.store_dir is None or not campaign.trace_spans:
+        if not self.publisher.store_dir or not campaign.trace_spans:
             return
         try:
-            if self._store is None:
-                from repro.store import RcaStore
-
-                self._store = RcaStore.open(self.store_dir)
-            self._store.ingest_trace_spans(
+            self.publisher.store().ingest_trace_spans(
                 campaign.trace_spans, ts=time.time()
             )
         except Exception as exc:  # pragma: no cover - disk/store faults
@@ -744,12 +777,7 @@ class ClusterCoordinator:
 
     def trace_spans_for(self, campaign_id: str) -> List[TraceSpan]:
         """All collected spans for an active or recent campaign."""
-        campaign = self._campaigns.get(campaign_id) or self._history.get(
-            campaign_id
-        )
-        if campaign is None:
-            raise ClusterError(f"unknown campaign {campaign_id!r}")
-        return list(campaign.trace_spans)
+        return list(self._campaign(campaign_id).trace_spans)
 
     # -- connection handling ----------------------------------------------------
 
@@ -764,27 +792,22 @@ class ClusterCoordinator:
                 hello = check_hello(
                     await read_frame(reader), expect_role=True
                 )
+                if not protocol.auth_ok(self.auth_token, hello.get("token")):
+                    get_registry().counter(
+                        "repro_cluster_auth_failures_total",
+                        help="Peers refused for a missing or wrong auth "
+                        "token.",
+                    ).inc()
+                    logger.warning(
+                        "refused %s peer: auth token missing or wrong",
+                        hello.get("role"),
+                    )
+                    raise ClusterProtocolError("auth token rejected")
             except ClusterProtocolError as exc:
                 # Tell well-formed-but-incompatible peers why; a peer
                 # not speaking the protocol at all may not parse it.
                 try:
                     await send_frame(writer, BYE, {"reason": str(exc)})
-                except (ConnectionError, ClusterProtocolError):
-                    pass
-                return
-            if not protocol.auth_ok(self.auth_token, hello.get("token")):
-                get_registry().counter(
-                    "repro_cluster_auth_failures_total",
-                    help="Peers refused for a missing or wrong auth token.",
-                ).inc()
-                logger.warning(
-                    "refused %s peer: auth token missing or wrong",
-                    hello.get("role"),
-                )
-                try:
-                    await send_frame(
-                        writer, BYE, {"reason": "auth token rejected"}
-                    )
                 except (ConnectionError, ClusterProtocolError):
                     pass
                 return
@@ -840,31 +863,23 @@ class ClusterCoordinator:
         worker = _WorkerConn(
             worker_id,
             name=str(hello.get("name") or f"worker-{worker_id}"),
-            slots=slots,
+            slots=max(1, slots),
             writer=writer,
+            last_seen=loop.time(),
         )
-        worker.last_seen = loop.time()
         self._workers[worker_id] = worker
-        get_registry().gauge(
-            "repro_cluster_workers",
-            help="Workers currently connected to the coordinator.",
-        ).set(len(self._workers))
+        self._set_gauges()
         async with self._worker_joined:
             self._worker_joined.notify_all()
         dispatcher = asyncio.create_task(
             self._dispatch_loop(worker), name=f"cluster:dispatch:{worker_id}"
         )
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None or frame.type == BYE:
-                    break
+            async for frame in _frames(reader):
                 worker.last_seen = loop.time()
                 if frame.type == OUTCOME:
                     await self._record_outcome(worker, frame.payload)
-                elif frame.type == HEARTBEAT:
-                    continue
-                else:
+                elif frame.type != HEARTBEAT:
                     raise ClusterProtocolError(
                         f"unexpected {frame.type} frame from worker"
                     )
@@ -880,64 +895,54 @@ class ClusterCoordinator:
         """Push queued scenarios at one worker while it has free slots."""
         while True:
             async with self._work_available:
-                claimed = None
-                while claimed is None:
+                while True:
                     if worker.closed:
                         return
-                    if self._claim_ready(worker):
-                        claimed = self._claim(worker)
-                        if claimed is not None:
-                            break
+                    claimed = self._claim(worker)
+                    if claimed is not None:
+                        break
                     # No claimable work (idle, slots full, or every
                     # pending scenario excludes this worker): block
                     # until the next state change rather than re-spin.
                     await self._work_available.wait()
             campaign, index = claimed
             spec = campaign.scenarios[index]
+            ctx = campaign.traces[index]
+            sent_ts = time.time()
+            dispatch_span_id = new_span_id()
+            if index not in campaign.requeued:
+                # First dispatch: record the queue wait.  A requeue gets
+                # no second one; its abandoned dispatch covers the gap.
+                campaign.trace_spans.append(
+                    ctx.span(
+                        "cluster.queue",
+                        ts_s=campaign.submitted_ts,
+                        duration_s=sent_ts - campaign.submitted_ts,
+                        service="coordinator",
+                        attrs=(
+                            {"client_trace_id": campaign.client_trace_id}
+                            if campaign.client_trace_id
+                            else {}
+                        ),
+                    )
+                )
+            campaign.dispatch_inflight[index] = (
+                dispatch_span_id,
+                sent_ts,
+                worker.name,
+            )
             payload = {
                 "campaign": campaign.campaign_id,
                 "index": index,
-                "spec": protocol.spec_to_json(spec),
-                "detector_config": protocol.detector_config_to_json(
+                "spec": schema.scenario_spec_to_wire(spec),
+                "detector_config": schema.detector_config_to_wire(
                     campaign.detector_config
                 ),
                 "trace_dir": campaign.trace_dir,
                 "cache_dir": campaign.cache_dir,
+                "trace": ctx.child(dispatch_span_id).to_wire(),
+                "sent_ts": sent_ts,
             }
-            if campaign.traces is not None:
-                # Old workers ignore the extra fields; old coordinators
-                # simply never send them — no protocol bump needed.
-                ctx = campaign.traces[index]
-                sent_ts = time.time()
-                dispatch_span_id = new_span_id()
-                if index not in campaign.queue_span_done:
-                    campaign.queue_span_done.add(index)
-                    queue_attrs = (
-                        {"client_trace_id": campaign.client_trace_id}
-                        if campaign.client_trace_id
-                        else {}
-                    )
-                    campaign.trace_spans.append(
-                        TraceSpan(
-                            trace_id=ctx.trace_id,
-                            span_id=new_span_id(),
-                            parent_span_id=ctx.span_id,
-                            name="cluster.queue",
-                            ts_s=campaign.submitted_ts,
-                            duration_s=sent_ts - campaign.submitted_ts,
-                            service="coordinator",
-                            campaign_id=campaign.campaign_id,
-                            scenario=spec.name,
-                            attrs=queue_attrs,
-                        )
-                    )
-                campaign.dispatch_inflight[index] = (
-                    dispatch_span_id,
-                    sent_ts,
-                    worker.name,
-                )
-                payload["trace"] = ctx.child(dispatch_span_id).to_wire()
-                payload["sent_ts"] = sent_ts
             with span(
                 "cluster.dispatch", scenario=spec.name, worker=worker.name
             ):
@@ -947,20 +952,6 @@ class ClusterCoordinator:
                 help="Scenario dispatches pushed to cluster workers.",
             ).inc()
 
-    def _claim_ready(self, worker: _WorkerConn) -> bool:
-        """Cheap pre-check; exclusion filtering is _claim's job.
-
-        Kept near-constant-time deliberately (active campaigns are few;
-        their pending deques are not scanned): every recorded outcome
-        wakes every dispatcher, so scanning pending here would be
-        O(workers x scenarios) per outcome.  The rare false positive
-        (all pending scenarios exclude this worker) just makes _claim
-        return None and the dispatcher block again.
-        """
-        return len(worker.in_flight) < worker.slots and any(
-            campaign.pending for campaign in self._campaigns.values()
-        )
-
     def _claim(
         self, worker: _WorkerConn
     ) -> Optional[Tuple[_Campaign, int]]:
@@ -968,8 +959,13 @@ class ClusterCoordinator:
 
         The rotation deque advances one campaign per successful claim,
         so two queued campaigns each get every other free slot — fair
-        dispatch regardless of submission order or size.
+        dispatch regardless of submission order or size.  A fruitless
+        pass rotates it all the way round, back to where it was.  Only
+        campaigns with pending work are scanned (active campaigns are
+        few): every recorded outcome wakes every dispatcher.
         """
+        if len(worker.in_flight) >= worker.slots:
+            return None
         for _ in range(len(self._rotation)):
             cid = self._rotation[0]
             self._rotation.rotate(-1)
@@ -996,21 +992,19 @@ class ClusterCoordinator:
                 # A straggler for a campaign that already finished
                 # (fail_fast abandon, cancel, or a requeued duplicate
                 # settled first): free the slot, touch nothing else.
-                worker.in_flight.discard((cid, index))
-                async with self._work_available:
-                    self._work_available.notify_all()
+                await self._free_slot(worker, cid, index)
                 return
             # Not a campaign this coordinator has ever queued: the
             # worker is confused, and silently ignoring would wedge its
             # in-flight scenario.  Raising drops the worker and
             # requeues that scenario.
-            raise ClusterProtocolError(
-                f"OUTCOME for unknown campaign {cid!r}"
-            )
+            raise ClusterProtocolError(f"OUTCOME for unknown campaign {cid!r}")
         recv_ts = time.time()
         error = payload.get("error")
         outcome = None
-        if error is None:
+        if error is not None:
+            error = str(error)
+        else:
             # Parse before touching any dispatch state: a malformed
             # frame raises here, the serve loop drops the worker, and
             # the still-in-flight scenario gets requeued — not lost.
@@ -1018,24 +1012,14 @@ class ClusterCoordinator:
                 outcome = SessionOutcome.from_json(payload["outcome"])
             except (KeyError, SchemaError) as exc:
                 raise ClusterProtocolError(f"malformed OUTCOME frame: {exc}")
-        worker.in_flight.discard((cid, index))
-        async with self._work_available:
-            self._work_available.notify_all()  # a slot freed up
-        if (
-            not isinstance(index, int)
-            or not 0 <= index < len(campaign.scenarios)
-            or campaign.settled(index)
-        ):
+        await self._free_slot(worker, cid, index)
+        if not campaign.unsettled(index):
             return  # late duplicate from a worker we declared dead
         # Write-ahead: the journal records the settle before memory
         # does, so a crash between the two re-settles identically on
         # replay instead of losing the outcome.
-        if error is not None:
-            self._journal_op("settle", cid, index, error=str(error))
-        else:
-            self._journal_op("settle", cid, index, outcome=outcome)
-        if campaign.traces is not None:
-            self._collect_trace(campaign, index, payload, error, recv_ts)
+        self._journal_op("settle", cid, index, outcome=outcome, error=error)
+        self._collect_trace(campaign, index, payload, error, recv_ts)
         # Only a requeued index can have a duplicate copy sitting in
         # pending (outcomes are deterministic, so whichever worker
         # answered first settles it); gating on the set keeps outcome
@@ -1045,13 +1029,7 @@ class ClusterCoordinator:
                 campaign.pending.remove(index)
             except ValueError:
                 pass
-        if error is not None:
-            campaign.errors[index] = str(error)
-            if campaign.fail_fast:
-                campaign.pending.clear()
-        else:
-            campaign.outcomes[index] = outcome
-        campaign.n_done += 1
+        campaign.settle(index, outcome, error)
         if campaign.on_progress is not None:
             campaign.on_progress(
                 campaign.n_done, len(campaign.scenarios), campaign.requeues
@@ -1059,6 +1037,13 @@ class ClusterCoordinator:
         state = campaign.finished_state()
         if state is not None:
             await self._finalize(campaign, state)
+
+    async def _free_slot(
+        self, worker: _WorkerConn, cid: object, index: object
+    ) -> None:
+        worker.in_flight.discard((cid, index))
+        async with self._work_available:
+            self._work_available.notify_all()
 
     def _collect_trace(
         self,
@@ -1075,100 +1060,31 @@ class ClusterCoordinator:
         streamed spans, and stamps a settle span covering the
         parse + journal work on this side.
         """
-        assert campaign.traces is not None
         ctx = campaign.traces[index]
-        scenario = campaign.scenarios[index].name
         status = "error" if error is not None else "ok"
-        inflight = campaign.dispatch_inflight.pop(index, None)
-        if inflight is not None:
-            dispatch_span_id, sent_ts, worker_name = inflight
-            campaign.trace_spans.append(
-                TraceSpan(
-                    trace_id=ctx.trace_id,
-                    span_id=dispatch_span_id,
-                    parent_span_id=ctx.span_id,
-                    name="cluster.dispatch",
-                    ts_s=sent_ts,
-                    duration_s=recv_ts - sent_ts,
-                    service="coordinator",
-                    campaign_id=campaign.campaign_id,
-                    scenario=scenario,
-                    status=status,
-                    attrs={"worker": worker_name},
-                )
-            )
-        worker_sent = payload.get("sent_ts")
-        if (
-            isinstance(worker_sent, (int, float))
-            and not isinstance(worker_sent, bool)
-            and worker_sent <= recv_ts
-        ):
-            campaign.trace_spans.append(
-                TraceSpan(
-                    trace_id=ctx.trace_id,
-                    span_id=new_span_id(),
-                    parent_span_id=(
-                        inflight[0] if inflight is not None else ctx.span_id
-                    ),
-                    name="net.outcome",
-                    ts_s=float(worker_sent),
-                    duration_s=recv_ts - float(worker_sent),
-                    service="coordinator",
-                    campaign_id=campaign.campaign_id,
-                    scenario=scenario,
-                )
-            )
+        hop = ctx.hop(
+            "net.outcome",
+            payload.get("sent_ts"),
+            recv_ts,
+            service="coordinator",
+            parent_span_id=campaign.close_dispatch(index, recv_ts, status),
+        )
+        if hop is not None:
+            campaign.trace_spans.append(hop)
         spans = payload.get("trace_spans")
         if isinstance(spans, list):
             for item in spans:
-                if not isinstance(item, dict):
-                    continue
                 try:
                     campaign.trace_spans.append(TraceSpan.from_json(item))
-                except SchemaError:
-                    continue  # tolerate a foreign span shape
+                except SchemaError as exc:
+                    count_rejected("trace_span", exc)
         campaign.trace_spans.append(
-            TraceSpan(
-                trace_id=ctx.trace_id,
-                span_id=new_span_id(),
-                parent_span_id=ctx.span_id,
-                name="cluster.settle",
+            ctx.span(
+                "cluster.settle",
                 ts_s=recv_ts,
                 duration_s=time.time() - recv_ts,
                 service="coordinator",
-                campaign_id=campaign.campaign_id,
-                scenario=scenario,
                 status=status,
-            )
-        )
-
-    def _abandon_dispatch(self, campaign: _Campaign, index: int) -> None:
-        """Close a dead worker's dispatch span as abandoned.
-
-        The span stays in the trace — visible as a first attempt that
-        never settled — and the requeued dispatch opens a fresh span
-        under the same per-scenario trace.
-        """
-        if campaign.traces is None:
-            return
-        inflight = campaign.dispatch_inflight.pop(index, None)
-        if inflight is None:
-            return
-        dispatch_span_id, sent_ts, worker_name = inflight
-        ctx = campaign.traces[index]
-        campaign.trace_spans.append(
-            TraceSpan(
-                trace_id=ctx.trace_id,
-                span_id=dispatch_span_id,
-                parent_span_id=ctx.span_id,
-                name="cluster.dispatch",
-                ts_s=sent_ts,
-                duration_s=time.time() - sent_ts,
-                service="coordinator",
-                campaign_id=campaign.campaign_id,
-                scenario=campaign.scenarios[index].name,
-                status=ABANDONED,
-                attrs={"worker": worker_name},
             )
         )
 
@@ -1176,38 +1092,28 @@ class ClusterCoordinator:
         """Unregister a worker; requeue whatever it was running."""
         worker.closed = True
         self._workers.pop(worker.worker_id, None)
-        registry = get_registry()
-        registry.gauge(
-            "repro_cluster_workers",
-            help="Workers currently connected to the coordinator.",
-        ).set(len(self._workers))
+        self._set_gauges()
         requeued_here = 0
         async with self._work_available:
-            by_campaign: Dict[str, List[int]] = {}
-            for cid, index in worker.in_flight:
-                by_campaign.setdefault(cid, []).append(index)
-            for cid, indices in by_campaign.items():
+            # Front of the queue, lowest index first: a crashed worker's
+            # scenarios are the oldest work in flight, finish them first.
+            for cid, index in sorted(worker.in_flight, reverse=True):
                 campaign = self._campaigns.get(cid)
-                if campaign is None:
+                if campaign is None or campaign.settled(index):
                     continue
-                # Front of the queue: a crashed worker's scenarios are
-                # the oldest work in flight, finish them first.
-                for index in sorted(indices, reverse=True):
-                    if campaign.settled(index):
-                        continue
-                    campaign.excluded.setdefault(index, set()).add(
-                        worker.worker_id
-                    )
-                    campaign.pending.appendleft(index)
-                    campaign.requeued.add(index)
-                    campaign.requeues += 1
-                    self.requeues += 1
-                    requeued_here += 1
-                    self._abandon_dispatch(campaign, index)
+                campaign.excluded.setdefault(index, set()).add(
+                    worker.worker_id
+                )
+                campaign.pending.appendleft(index)
+                campaign.requeued.add(index)
+                campaign.requeues += 1
+                self.requeues += 1
+                requeued_here += 1
+                campaign.close_dispatch(index, time.time(), ABANDONED)
             worker.in_flight.clear()
             self._work_available.notify_all()
         if requeued_here:
-            registry.counter(
+            get_registry().counter(
                 "repro_cluster_requeues_total",
                 help="Scenarios requeued after losing their worker.",
             ).inc(requeued_here)
@@ -1240,27 +1146,18 @@ class ClusterCoordinator:
                     )
                     worker.writer.transport.abort()
                     continue
-                # Bounded send: a wedged peer whose socket buffer is
-                # full must not stall liveness checks for every other
-                # worker.
-                try:
-                    await asyncio.wait_for(
-                        worker.send(HEARTBEAT, {"t": now}),
-                        timeout=self.heartbeat_s,
-                    )
-                    heartbeats.inc()
-                except (
-                    asyncio.TimeoutError,
-                    ConnectionError,
-                    ClusterProtocolError,
-                    OSError,
+                if await _send_or_abort(
+                    worker.writer,
+                    worker.send(HEARTBEAT, {"t": now}),
+                    self.heartbeat_s,
                 ):
+                    heartbeats.inc()
+                else:
                     logger.warning(
-                        "heartbeat to worker %r failed; aborting its "
+                        "heartbeat to worker %r failed; aborted its "
                         "connection",
                         worker.name,
                     )
-                    worker.writer.transport.abort()
 
     # -- control plane: queue management ----------------------------------------
 
@@ -1268,10 +1165,7 @@ class ClusterCoordinator:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Answer SUBMIT/STATUS/CANCEL/FETCH requests with ACKs."""
-        while True:
-            frame = await read_frame(reader)
-            if frame is None or frame.type == BYE:
-                return
+        async for frame in _frames(reader):
             if frame.type == HEARTBEAT:
                 continue
             payload = frame.payload
@@ -1279,20 +1173,18 @@ class ClusterCoordinator:
             try:
                 if frame.type == SUBMIT:
                     scenarios = [
-                        protocol.spec_from_json(spec)
+                        schema.scenario_spec_from_wire(spec)
                         for spec in payload.get("scenarios", ())
                     ]
                     if not scenarios:
-                        raise ClusterError(
-                            "SUBMIT carries no scenarios"
-                        )
+                        raise ClusterError("SUBMIT carries no scenarios")
                     cid = await self.submit_campaign(
                         scenarios,
                         campaign_id=payload.get("campaign_id"),
                         trace_dir=payload.get("trace_dir"),
                         cache_dir=payload.get("cache_dir"),
                         fail_fast=bool(payload.get("fail_fast", False)),
-                        detector_config=protocol.detector_config_from_json(
+                        detector_config=schema.detector_config_from_wire(
                             payload.get("detector_config")
                         ),
                         client_trace=payload.get("trace"),
@@ -1310,28 +1202,18 @@ class ClusterCoordinator:
                     raise ClusterProtocolError(
                         f"unexpected {frame.type} frame from control client"
                     )
-            except ClusterError as exc:
+            except (ClusterError, SchemaError) as exc:
                 reply = {"ok": False, "error": str(exc)}
             reply["req"] = payload.get("req")
             await send_frame(writer, ACK, reply)
 
     def _fetch_reply(self, campaign_id: object) -> dict:
-        campaign = self._campaigns.get(campaign_id) or self._history.get(
-            campaign_id
-        )
-        if campaign is None:
-            return {
-                "ok": False,
-                "error": f"unknown campaign {campaign_id!r}",
-            }
+        campaign = self._campaign(campaign_id)
         if not campaign.done.is_set():
-            return {
-                "ok": False,
-                "error": (
-                    f"campaign {campaign_id!r} is still running "
-                    f"({campaign.n_done}/{len(campaign.scenarios)})"
-                ),
-            }
+            raise ClusterError(
+                f"campaign {campaign_id!r} is still running "
+                f"({campaign.n_done}/{len(campaign.scenarios)})"
+            )
         reply = {
             "ok": True,
             "state": campaign.close_reason or "completed",
@@ -1346,8 +1228,8 @@ class ClusterCoordinator:
             },
         }
         if campaign.trace_spans:
-            # Old clients ignore the extra field; new clients can land
-            # the spans in a local store without coordinator-side disk.
+            # Clients can land the spans in a local store without
+            # coordinator-side disk.
             reply["trace_spans"] = [
                 item.to_json() for item in campaign.trace_spans
             ]
@@ -1358,10 +1240,7 @@ class ClusterCoordinator:
     async def _serve_live(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        while True:
-            frame = await read_frame(reader)
-            if frame is None or frame.type == BYE:
-                return
+        async for frame in _frames(reader):
             if frame.type == HEARTBEAT:
                 continue
             if frame.type != DETECTION:
@@ -1372,21 +1251,17 @@ class ClusterCoordinator:
                 # Pausing this reader applies TCP backpressure all the
                 # way back to the remote supervisor's forwarder queue.
                 await self._live_queue.put(frame.payload)
-            else:
-                while True:
-                    try:
-                        self._live_queue.put_nowait(frame.payload)
-                        break
-                    except asyncio.QueueFull:
-                        dropped = self._live_queue.get_nowait()
-                        shed = len(dropped.get("detections", ()))
-                        self.lag_events += shed
-                        get_registry().counter(
-                            "repro_live_lag_records_total",
-                            help=(
-                                "Records shed by drop_oldest backpressure."
-                            ),
-                        ).inc(shed)
+                continue
+            shed = sum(
+                len(dropped.get("detections", ()))
+                for dropped in put_drop_oldest(self._live_queue, frame.payload)
+            )
+            if shed:
+                self.lag_events += shed
+                get_registry().counter(
+                    "repro_live_lag_records_total",
+                    help="Records shed by drop_oldest backpressure.",
+                ).inc(shed)
 
     async def _fold_live(self) -> None:
         """Single consumer folding live-plane frames into the rollups."""
@@ -1398,15 +1273,14 @@ class ClusterCoordinator:
             # must cost that one frame, never the live plane.
             try:
                 session_id = str(payload["session_id"])
-                detections = protocol.detections_from_json(
+                detections = schema.detections_from_wire(
                     payload.get("detections", ())
                 )
-                chains = protocol.chains_from_json(payload.get("chains", ()))
+                chains = schema.chains_from_wire(payload.get("chains", ()))
                 watermark = payload.get("watermark_us")
                 if watermark is not None:
                     watermark = int(watermark)
-                if session_id not in self._live_seen:
-                    self._live_seen.add(session_id)
+                if session_id not in self._live_started:
                     self._live_started[session_id] = (
                         asyncio.get_running_loop().time()
                     )
@@ -1416,8 +1290,10 @@ class ClusterCoordinator:
                         impairment=str(payload.get("impairment", "none")),
                     )
                 self.live.update(session_id, detections, chains, watermark)
-            except Exception:
-                continue
+            except Exception as exc:
+                count_rejected(
+                    "detection_frame", f"{type(exc).__name__}: {exc}"
+                )
 
     async def _serve_watch(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -1427,10 +1303,8 @@ class ClusterCoordinator:
         )
         self._watchers.append(writer)
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None or frame.type == BYE:
-                    return
+            async for _ in _frames(reader):
+                pass
         finally:
             if writer in self._watchers:
                 self._watchers.remove(writer)
@@ -1441,56 +1315,37 @@ class ClusterCoordinator:
             now = asyncio.get_running_loop().time()
         except RuntimeError:
             now = self._started_at or 0.0
-        wall_s = max(
-            now - (self._started_at if self._started_at is not None else now),
-            1e-9,
-        )
-        outcomes = self.live.session_outcomes()
-        fleet = self.live.fleet()
-        sessions = [
-            SessionSnapshot(
-                session_id=outcome.scenario,
-                profile=outcome.profile,
-                impairment=outcome.impairment,
-                state=RUNNING,  # remote: liveness is the supervisor's call
-                watermark_s=outcome.duration_s,
-                wall_s=(
-                    session_wall := max(
-                        now - self._live_started.get(outcome.scenario, now),
-                        1e-9,
-                    )
-                ),
-                realtime_factor=outcome.duration_s / session_wall,
-                lag_events=0,
-                queue_depth=0,
-                buffered_records=0,
-                pending_records=0,
-                eviction_watermark_s=0.0,
-                windows=outcome.n_windows,
-                detected_windows=outcome.n_detected_windows,
+        started = self._started_at if self._started_at is not None else now
+        sessions = []
+        for outcome in self.live.session_outcomes():
+            wall_s = max(
+                now - self._live_started.get(outcome.scenario, now), 1e-9
             )
-            for outcome in outcomes
-        ]
+            sessions.append(
+                SessionSnapshot(
+                    session_id=outcome.scenario,
+                    profile=outcome.profile,
+                    impairment=outcome.impairment,
+                    # Remote: liveness is the supervisor's call.
+                    state=RUNNING,
+                    watermark_s=outcome.duration_s,
+                    wall_s=wall_s,
+                    realtime_factor=outcome.duration_s / wall_s,
+                    lag_events=0,
+                    queue_depth=0,
+                    buffered_records=0,
+                    pending_records=0,
+                    eviction_watermark_s=0.0,
+                    windows=outcome.n_windows,
+                    detected_windows=outcome.n_detected_windows,
+                )
+            )
         self._seq += 1
-        return FleetSnapshot(
+        return self.live.snapshot(
             seq=self._seq,
-            wall_s=wall_s,
-            n_sessions=len(sessions),
-            n_running=len(sessions),
-            n_done=0,
-            n_evicted=0,
-            n_failed=0,
-            total_minutes=self.live.total_minutes,
-            windows=sum(s.windows for s in sessions),
-            detected_windows=sum(s.detected_windows for s in sessions),
+            wall_s=max(now - started, 1e-9),
+            sessions=sessions,
             lag_events=self.lag_events,
-            degradation_events_per_min=(
-                self.live.degradation_events_per_min
-            ),
-            top_chains=fleet.top_chains(),
-            cause_rates=fleet.fleet_cause_rates(),
-            consequence_rates=fleet.fleet_consequence_rates(),
-            chain_totals=fleet.fleet_chain_totals(),
             health={
                 "workers_alive": float(len(self._workers)),
                 "requeues": float(self.requeues),
@@ -1498,56 +1353,26 @@ class ClusterCoordinator:
                 "lag_records": float(self.lag_events),
                 "campaigns_active": float(len(self._campaigns)),
                 "journal_records": float(
-                    self._journal.records_total
-                    if self._journal is not None
-                    else 0
+                    getattr(self._journal, "records_total", 0)
                 ),
             },
-            sessions=sessions,
         )
 
     async def _snapshot_loop(self) -> None:
         while True:
             await asyncio.sleep(self.snapshot_every_s)
-            if not (
-                self.snapshot_path
-                or self.store_dir
-                or self.on_snapshot
-                or self._watchers
-            ):
+            if not (self.publisher.active or self._watchers):
                 continue
             snapshot = self.live_snapshot()
-            if self.snapshot_path:
-                # Canonical versioned artifact, atomic for `repro watch`.
-                save_snapshot(snapshot, self.snapshot_path)
-            if self.store_dir:
-                import time as _time
-
-                if self._store is None:
-                    from repro.store import RcaStore
-
-                    self._store = RcaStore.open(self.store_dir)
-                self._store.ingest_snapshot(snapshot, ts=_time.time())
-            if self.on_snapshot is not None:
-                self.on_snapshot(snapshot)
+            self.publisher.publish(snapshot)
             payload = {"snapshot": snapshot.to_json()}
             for writer in list(self._watchers):
-                # Bounded like the watchdog's sends: a stopped watcher
-                # must not stall snapshot delivery to everyone else.
-                try:
-                    await asyncio.wait_for(
-                        send_frame(writer, SNAPSHOT, payload),
-                        timeout=self.snapshot_every_s,
-                    )
-                except (
-                    asyncio.TimeoutError,
-                    ConnectionError,
-                    ClusterProtocolError,
-                    OSError,
-                ):
-                    writer.transport.abort()
-                    if writer in self._watchers:
-                        self._watchers.remove(writer)
+                if not await _send_or_abort(
+                    writer,
+                    send_frame(writer, SNAPSHOT, payload),
+                    self.snapshot_every_s,
+                ) and writer in self._watchers:
+                    self._watchers.remove(writer)
 
 
 def run_cluster_campaign(
@@ -1568,21 +1393,20 @@ def run_cluster_campaign(
     auth_token: Optional[str] = None,
     ssl_context: Optional[ssl_module.SSLContext] = None,
     store_dir: Optional[str] = None,
-    trace_campaigns: bool = True,
 ) -> List[SessionOutcome]:
     """Synchronous one-shot coordinator: serve one campaign, then stop.
 
     This is the engine behind
-    :class:`~repro.api.backends.ClusterBackend`: bind, submit the campaign (resuming from *journal_path*'s
-    settled records when they exist), wait for *min_workers*
+    :class:`~repro.api.backends.ClusterBackend`: bind, submit the
+    campaign (resuming from *journal_path*'s settled records when they
+    exist), wait for *min_workers*
     :class:`~repro.cluster.worker.ClusterWorker` peers unless the
     journal already settled everything, dispatch the remainder, and
     return outcomes in scenario order.  *on_listening* fires with the
     bound ``(host, port)`` so callers can advertise an ephemeral port
-    to workers.  Each scenario runs under its own distributed trace
-    (disable with ``trace_campaigns=False``); with *store_dir* set the
-    finished campaign's spans land in that historical store for
-    ``repro obs trace``.
+    to workers.  Each scenario runs under its own distributed trace;
+    with *store_dir* set the finished campaign's spans land in that
+    historical store for ``repro obs trace``.
     """
 
     async def _run() -> List[SessionOutcome]:
@@ -1594,7 +1418,6 @@ def run_cluster_campaign(
             auth_token=auth_token,
             ssl_context=ssl_context,
             store_dir=store_dir,
-            trace_campaigns=trace_campaigns,
         )
         await coordinator.start()
         try:

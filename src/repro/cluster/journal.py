@@ -69,15 +69,15 @@ class JournalRecord:
 
     def to_json(self) -> Dict[str, Any]:
         """Versioned wire form (lazy schema import to avoid a cycle)."""
-        from repro.schema import journal_record_to_wire
+        from repro import schema
 
-        return journal_record_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "JournalRecord":
-        from repro.schema import journal_record_from_wire
+        from repro import schema
 
-        return journal_record_from_wire(data)
+        return schema.from_wire("journal_record", data)
 
 
 class ReplayedCampaign:

@@ -36,15 +36,14 @@ a matching ``token`` field (checked in constant time via
 :func:`auth_ok`); with a TLS context (:func:`server_ssl_context` /
 :func:`client_ssl_context`) the whole link is encrypted.
 
-The dataclass payloads that cross the wire (:class:`ScenarioSpec`,
-:class:`DetectorConfig`, :class:`WindowDetection`) are encoded through
-the canonical :mod:`repro.schema` registry — the same serde the fleet
-JSONL and live snapshots use, so no peer can drift apart on
-serialization details.  The ``*_to_json`` / ``*_from_json`` names below
-are kept as thin compatibility wrappers that translate
-:class:`~repro.errors.SchemaError` into
-:class:`ClusterProtocolError` (a malformed payload is a protocol
-offence on this layer).
+The dataclass payloads that cross the wire (scenario specs, detector
+configs, window detections, outcomes) are encoded by the peers straight
+through the canonical :mod:`repro.schema` registry — the same serde the
+fleet JSONL and live snapshots use, so no peer can drift apart on
+serialization details.
+
+Every peer reaches a coordinator through :func:`dial` (handshake plus
+keepalive adoption) and paces its redials with :class:`Backoff`.
 """
 
 from __future__ import annotations
@@ -52,14 +51,18 @@ from __future__ import annotations
 import asyncio
 import hmac
 import json
+import math
+import random
 import ssl
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.core.detector import DetectorConfig, WindowDetection
-from repro.errors import ClusterProtocolError, SchemaError
-from repro.fleet.scenarios import ScenarioSpec
 from repro import schema
+from repro.errors import ClusterError, ClusterProtocolError
+from repro.obs.logs import get_logger
+from repro.obs.metrics import get_registry
+
+logger = get_logger(__name__)
 
 #: Bump on any incompatible frame/payload change.  Peers exchange it in
 #: HELLO and refuse to talk across versions.  v2: payloads are encoded
@@ -290,56 +293,85 @@ def check_hello(frame: Optional[Frame], *, expect_role: bool) -> dict:
     return frame.payload
 
 
-# -- dataclass codecs (canonical schema, protocol-flavoured errors) ------------
+# -- dialing a coordinator -----------------------------------------------------
 
 
-def _frame_decode(decode: Callable, what: str) -> Callable:
-    """Wrap a schema decoder: malformed payloads are protocol offences."""
+async def dial(
+    host: str,
+    port: int,
+    role: str,
+    *,
+    auth_token: Optional[str] = None,
+    ssl_context: Optional[ssl.SSLContext] = None,
+    heartbeat_s: float = math.inf,
+    **extra: object,
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, float]:
+    """Connect to a coordinator and HELLO as *role*.
 
-    def wrapper(data):
-        try:
-            return decode(data)
-        except SchemaError as exc:
-            raise ClusterProtocolError(f"malformed {what}: {exc}")
+    Returns ``(reader, writer, heartbeat_s)``, where the keepalive is
+    the shorter of the caller's *heartbeat_s* and the coordinator's
+    advertised one: its watchdog declares peers dead at a multiple of
+    *its* cadence, so heartbeating slower than it expects would get a
+    healthy peer aborted.
 
-    wrapper.__name__ = decode.__name__
-    return wrapper
-
-
-def spec_to_json(spec: ScenarioSpec) -> dict:
-    """ScenarioSpec → canonical wire object (nested impairment included)."""
-    return schema.scenario_spec_to_wire(spec)
-
-
-#: Rebuild a ScenarioSpec (tuples restored from JSON lists).
-spec_from_json = _frame_decode(schema.scenario_spec_from_wire, "scenario spec")
-
-
-def detector_config_to_json(config: Optional[DetectorConfig]) -> Optional[dict]:
-    """DetectorConfig → canonical wire object (None passes through)."""
-    return schema.detector_config_to_wire(config)
-
-
-detector_config_from_json = _frame_decode(
-    schema.detector_config_from_wire, "detector config"
-)
-
-
-def detections_to_json(detections: Sequence[WindowDetection]) -> List[dict]:
-    """WindowDetections → JSON list (floats round-trip bit-exactly)."""
-    return schema.detections_to_wire(detections)
-
-
-detections_from_json = _frame_decode(
-    schema.detections_from_wire, "detection batch"
-)
+    Transport failures raise :class:`OSError`, and so does EOF before
+    the coordinator's HELLO (a coordinator caught restarting resets
+    half-open connections).  A BYE raises :class:`ClusterError`, a
+    version mismatch :class:`ClusterProtocolError`; the connection is
+    closed on every failure.
+    """
+    reader, writer = await asyncio.open_connection(host, port, ssl=ssl_context)
+    if auth_token is not None:
+        extra["token"] = auth_token
+    try:
+        await send_frame(writer, HELLO, hello_payload(role=role, **extra))
+        reply = await read_frame(reader)
+        if reply is None:
+            raise ConnectionResetError(
+                "coordinator closed the connection before its HELLO"
+            )
+        if reply.type == BYE:
+            raise ClusterError(
+                f"coordinator refused handshake: "
+                f"{reply.payload.get('reason', 'no reason given')}"
+            )
+        advertised = check_hello(reply, expect_role=False).get("heartbeat_s")
+    except BaseException:
+        writer.close()
+        raise
+    if isinstance(advertised, (int, float)) and advertised > 0:
+        heartbeat_s = min(heartbeat_s, float(advertised))
+    return reader, writer, heartbeat_s
 
 
-def chains_to_json(chains: Sequence[Tuple[str, ...]]) -> List[List[str]]:
-    return schema.chains_to_wire(chains)
+class Backoff:
+    """Jittered doubling delays between redial attempts.
+
+    Doubling keeps a long outage cheap; the jitter keeps a fleet of
+    peers from redialing a restarted coordinator in lockstep.
+    """
+
+    def __init__(self, first_s: float, max_s: float) -> None:
+        self.delay_s = first_s
+        self.max_s = max_s
+
+    async def sleep(self) -> None:
+        await asyncio.sleep(self.delay_s * random.uniform(0.5, 1.5))
+        self.delay_s = min(self.delay_s * 2.0, self.max_s)
 
 
-chains_from_json = _frame_decode(schema.chains_from_wire, "chain list")
+def count_rejected(what: str, detail: object) -> None:
+    """Count and log one malformed peer item a seam skipped.
+
+    The seams that tolerate a bad item (a live frame, a foreign trace
+    span) keep serving the rest; this keeps the skip visible as
+    ``repro_cluster_rejected_total{what=...}`` and a warning.
+    """
+    get_registry().counter(
+        "repro_cluster_rejected_total",
+        help="Malformed peer items a cluster seam skipped.",
+    ).inc(what=what)
+    logger.warning("skipped a malformed %s: %s", what, detail)
 
 
 __all__ = [
@@ -365,21 +397,16 @@ __all__ = [
     "SNAPSHOT",
     "STATUS",
     "SUBMIT",
+    "Backoff",
     "auth_ok",
-    "chains_from_json",
     "client_ssl_context",
     "server_ssl_context",
-    "chains_to_json",
     "check_hello",
+    "count_rejected",
     "decode_frame",
-    "detections_from_json",
-    "detections_to_json",
-    "detector_config_from_json",
-    "detector_config_to_json",
+    "dial",
     "encode_frame",
     "hello_payload",
     "read_frame",
     "send_frame",
-    "spec_from_json",
-    "spec_to_json",
 ]

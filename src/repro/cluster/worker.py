@@ -33,28 +33,26 @@ from __future__ import annotations
 import asyncio
 import functools
 import multiprocessing
-import random
 import ssl as ssl_module
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Set
 
+from repro import schema
 from repro.errors import ClusterError, ClusterProtocolError, ConfigError
-from repro.fleet.executor import run_scenario, run_scenario_traced
+from repro.fleet.executor import run_scenario_traced
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.spans import new_span_id, span
-from repro.obs.trace import TraceContext, TraceSpan
-from repro.cluster import protocol
+from repro.obs.trace import TraceContext
 from repro.cluster.protocol import (
     BYE,
     DISPATCH,
     HEARTBEAT,
-    HELLO,
     OUTCOME,
     ROLE_WORKER,
-    check_hello,
-    hello_payload,
+    Backoff,
+    dial,
     read_frame,
     send_frame,
 )
@@ -153,74 +151,38 @@ class ClusterWorker:
     async def _connect(
         self, timeout_s: Optional[float]
     ) -> asyncio.StreamReader:
+        """Dial until the coordinator says HELLO.
+
+        Transport errors and EOF before its HELLO (a coordinator caught
+        restarting) are retried with backoff until *timeout_s*; a BYE
+        or a version mismatch is final.
+        """
         loop = asyncio.get_running_loop()
         deadline = None if timeout_s is None else loop.time() + timeout_s
-        # Jittered exponential backoff: doubling keeps a long outage
-        # cheap, the jitter keeps a worker fleet from redialing a
-        # restarted coordinator in lockstep.
-        delay = self.retry_s
-
-        async def backoff() -> None:
-            nonlocal delay
+        backoff = Backoff(self.retry_s, self.reconnect_max_s)
+        while True:
+            if self._stop:
+                raise ClusterError("worker stop requested")
+            try:
+                reader, self._writer, self.heartbeat_s = await dial(
+                    self.host,
+                    self.port,
+                    ROLE_WORKER,
+                    auth_token=self.auth_token,
+                    ssl_context=self.ssl_context,
+                    heartbeat_s=self.heartbeat_s,
+                    slots=self.slots,
+                    name=self.name,
+                )
+                return reader
+            except OSError:
+                pass
             if deadline is not None and loop.time() >= deadline:
                 raise ClusterError(
                     f"could not reach coordinator at "
                     f"{self.host}:{self.port} within {timeout_s:.0f}s"
                 )
-            await asyncio.sleep(delay * random.uniform(0.5, 1.5))
-            delay = min(delay * 2.0, self.reconnect_max_s)
-
-        while True:
-            if self._stop:
-                raise ClusterError("worker stop requested")
-            try:
-                reader, writer = await asyncio.open_connection(
-                    self.host, self.port, ssl=self.ssl_context
-                )
-            except OSError:
-                await backoff()
-                continue
-            self._writer = writer
-            extra = (
-                {} if self.auth_token is None else {"token": self.auth_token}
-            )
-            try:
-                await self._send(
-                    HELLO,
-                    hello_payload(
-                        role=ROLE_WORKER,
-                        slots=self.slots,
-                        name=self.name,
-                        **extra,
-                    ),
-                )
-                reply = await read_frame(reader)
-            except (ConnectionError, OSError):
-                # The link died mid-handshake — a coordinator caught
-                # restarting resets half-open connections.  Retryable.
-                await self._close_writer()
-                await backoff()
-                continue
-            if reply is None:
-                # EOF before any reply: same restart race, retryable.
-                await self._close_writer()
-                await backoff()
-                continue
-            break
-        if reply.type == BYE:
-            raise ClusterError(
-                f"coordinator refused handshake: "
-                f"{reply.payload.get('reason', 'no reason given')}"
-            )
-        hello = check_hello(reply, expect_role=False)
-        # Adopt the coordinator's (shorter) keepalive cadence: its
-        # watchdog declares workers dead at a multiple of *its*
-        # heartbeat_s, so heartbeating slower than it expects would get
-        # healthy workers aborted mid-scenario.
-        advertised = hello.get("heartbeat_s")
-        if isinstance(advertised, (int, float)) and advertised > 0:
-            self.heartbeat_s = min(self.heartbeat_s, float(advertised))
-        return reader
+            await backoff.sleep()
 
     async def _send(self, frame_type: str, payload: dict) -> None:
         if self._writer is None:
@@ -371,90 +333,61 @@ class ClusterWorker:
         job.add_done_callback(self._jobs.discard)
 
     async def _run_one(self, payload: dict) -> None:
-        index = payload.get("index")
         recv_ts = time.time()
-        # Trace context, when present, rides the DISPATCH frame as a
-        # plain dict (old coordinators simply never send one).  The
-        # worker contributes: a net.dispatch hop span (frame send →
-        # receipt), its own cluster.scenario span, and — via the
-        # executor seam — every span the pool child records.
+        # The DISPATCH's trace context roots this worker's spans: a
+        # net.dispatch hop (frame send → receipt), its own
+        # cluster.scenario span, and — via the executor seam — every
+        # span the pool child records.  A DISPATCH without one is
+        # served untraced.
         ctx = TraceContext.from_wire(payload.get("trace"))
         trace_spans: List[dict] = []
-        scenario_span_id = new_span_id() if ctx is not None else ""
-        if ctx is not None:
-            sent_ts = payload.get("sent_ts")
-            if isinstance(sent_ts, (int, float)) and sent_ts <= recv_ts:
-                trace_spans.append(
-                    TraceSpan(
-                        trace_id=ctx.trace_id,
-                        span_id=new_span_id(),
-                        parent_span_id=ctx.span_id,
-                        name="net.dispatch",
-                        service="worker",
-                        ts_s=float(sent_ts),
-                        duration_s=recv_ts - float(sent_ts),
-                        campaign_id=ctx.campaign_id,
-                        scenario=ctx.scenario,
-                    ).to_json()
-                )
+        hop = None if ctx is None else ctx.hop(
+            "net.dispatch", payload.get("sent_ts"), recv_ts, service="worker"
+        )
+        if hop is not None:
+            trace_spans.append(hop.to_json())
+        scenario_span_id = new_span_id()
+        reply = {
+            "campaign": payload.get("campaign"),
+            "index": payload.get("index"),
+        }
+        status, attrs = "ok", {}
         try:
-            spec = protocol.spec_from_json(payload["spec"])
-            config = protocol.detector_config_from_json(
+            spec = schema.scenario_spec_from_wire(payload["spec"])
+            config = schema.detector_config_from_wire(
                 payload.get("detector_config")
             )
             loop = asyncio.get_running_loop()
             with span("cluster.scenario", scenario=spec.name):
-                if ctx is None:
-                    outcome = await loop.run_in_executor(
-                        self._pool,
-                        functools.partial(
-                            run_scenario,
-                            spec,
-                            config,
-                            self.trace_dir or payload.get("trace_dir"),
-                            self.cache_dir or payload.get("cache_dir"),
-                        ),
-                    )
-                else:
-                    outcome, child_spans = await loop.run_in_executor(
-                        self._pool,
-                        functools.partial(
-                            run_scenario_traced,
-                            spec,
-                            config,
-                            self.trace_dir or payload.get("trace_dir"),
-                            self.cache_dir or payload.get("cache_dir"),
-                            ctx.child(scenario_span_id).to_wire(),
-                        ),
-                    )
-                    trace_spans.extend(child_spans)
-                    trace_spans.append(
-                        TraceSpan(
-                            trace_id=ctx.trace_id,
-                            span_id=scenario_span_id,
-                            parent_span_id=ctx.span_id,
-                            name="cluster.scenario",
-                            service="worker",
-                            ts_s=recv_ts,
-                            duration_s=time.time() - recv_ts,
-                            campaign_id=ctx.campaign_id,
-                            scenario=ctx.scenario,
-                        ).to_json()
-                    )
+                outcome, child_spans = await loop.run_in_executor(
+                    self._pool,
+                    functools.partial(
+                        run_scenario_traced,
+                        spec,
+                        config,
+                        self.trace_dir or payload.get("trace_dir"),
+                        self.cache_dir or payload.get("cache_dir"),
+                        None
+                        if ctx is None
+                        else ctx.child(scenario_span_id).to_wire(),
+                    ),
+                )
+            trace_spans.extend(child_spans)
+            reply["outcome"] = outcome.to_json()
+            self.scenarios_run += 1
         except asyncio.CancelledError:
             raise
         except BaseException as exc:
             # Report instead of dying: one bad scenario (or a broken
             # pool process) must not cost the worker its other slots.
             spec_payload = payload.get("spec")
-            scenario_name = (
-                spec_payload.get("name", index)
-                if isinstance(spec_payload, dict)
-                else index
-            )
             logger.warning(
                 "scenario %r failed on this worker: %s: %s",
-                scenario_name,
+                (
+                    spec_payload.get("name", reply["index"])
+                    if isinstance(spec_payload, dict)
+                    else reply["index"]
+                ),
                 type(exc).__name__,
                 exc,
             )
@@ -462,48 +395,24 @@ class ClusterWorker:
                 "repro_cluster_scenario_errors_total",
                 help="Dispatched scenarios that raised on this worker.",
             ).inc()
-            if ctx is not None:
-                trace_spans.append(
-                    TraceSpan(
-                        trace_id=ctx.trace_id,
-                        span_id=scenario_span_id,
-                        parent_span_id=ctx.span_id,
-                        name="cluster.scenario",
-                        service="worker",
-                        ts_s=recv_ts,
-                        duration_s=time.time() - recv_ts,
-                        campaign_id=ctx.campaign_id,
-                        scenario=ctx.scenario,
-                        status="error",
-                        attrs={"error": type(exc).__name__},
-                    ).to_json()
-                )
-            try:
-                await self._send(
-                    OUTCOME,
-                    {
-                        "campaign": payload.get("campaign"),
-                        "index": index,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "trace_spans": trace_spans,
-                        "sent_ts": time.time(),
-                    },
-                )
-            except (ConnectionError, ClusterError, OSError):
-                pass
-            return
-        self.scenarios_run += 1
-        try:
-            await self._send(
-                OUTCOME,
-                {
-                    "campaign": payload.get("campaign"),
-                    "index": index,
-                    "outcome": outcome.to_json(),
-                    "trace_spans": trace_spans,
-                    "sent_ts": time.time(),
-                },
+            reply["error"] = f"{type(exc).__name__}: {exc}"
+            status, attrs = "error", {"error": type(exc).__name__}
+        if ctx is not None:
+            trace_spans.append(
+                ctx.span(
+                    "cluster.scenario",
+                    span_id=scenario_span_id,
+                    ts_s=recv_ts,
+                    duration_s=time.time() - recv_ts,
+                    service="worker",
+                    status=status,
+                    attrs=attrs,
+                ).to_json()
             )
+        reply["trace_spans"] = trace_spans
+        reply["sent_ts"] = time.time()
+        try:
+            await self._send(OUTCOME, reply)
         except (ConnectionError, ClusterError, OSError):
             pass  # coordinator gone; it will requeue this scenario
 

@@ -75,15 +75,15 @@ class SessionOutcome:
     def to_json(self) -> dict:
         # Canonical serde lives in repro.schema; the import is lazy
         # because schema's registry imports this module's dataclass.
-        from repro.schema import session_outcome_to_wire
+        from repro import schema
 
-        return session_outcome_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "SessionOutcome":
-        from repro.schema import session_outcome_from_wire
+        from repro import schema
 
-        return session_outcome_from_wire(data)
+        return schema.from_wire("session_outcome", data)
 
 
 def _trace_path(trace_dir: str, scenario_name: str) -> str:

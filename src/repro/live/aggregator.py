@@ -24,7 +24,13 @@ from repro.core.detector import WindowDetection
 from repro.core.stats import active_cause_kinds, active_consequence_kinds
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.executor import CHAIN_SEPARATOR, SessionOutcome
-from repro.live.supervisor import SessionSnapshot
+from repro.live.supervisor import (
+    DONE,
+    EVICTED,
+    FAILED,
+    RUNNING,
+    SessionSnapshot,
+)
 
 
 class _SessionTally:
@@ -133,15 +139,15 @@ class FleetSnapshot:
         # Canonical serde lives in repro.schema; the import is lazy
         # because schema's registry imports this module's dataclass.
         # The wire dict carries a schema-version stamp for artifacts.
-        from repro.schema import fleet_snapshot_to_wire
+        from repro import schema
 
-        return fleet_snapshot_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "FleetSnapshot":
-        from repro.schema import fleet_snapshot_from_wire
+        from repro import schema
 
-        return fleet_snapshot_from_wire(data)
+        return schema.from_wire("fleet_snapshot", data)
 
 
 class LiveAggregator:
@@ -184,6 +190,44 @@ class LiveAggregator:
             tally.duration_us = max(tally.duration_us, watermark_us)
 
     # -- rollups ----------------------------------------------------------------
+
+    def snapshot(
+        self,
+        *,
+        seq: int,
+        wall_s: float,
+        sessions: List[SessionSnapshot],
+        lag_events: int,
+        health: Dict[str, float],
+    ) -> FleetSnapshot:
+        """The fleet rollup over *sessions*' lines (incremental, O(N)).
+
+        The caller owns what only it knows: the sequence number, its
+        wall clock, the per-session lines, the lag it shed and its
+        pipeline-health pane.
+        """
+        fleet = self.fleet()
+        states = Counter(s.state for s in sessions)
+        return FleetSnapshot(
+            seq=seq,
+            wall_s=wall_s,
+            n_sessions=len(sessions),
+            n_running=states[RUNNING],
+            n_done=states[DONE],
+            n_evicted=states[EVICTED],
+            n_failed=states[FAILED],
+            total_minutes=self.total_minutes,
+            windows=sum(s.windows for s in sessions),
+            detected_windows=sum(s.detected_windows for s in sessions),
+            lag_events=lag_events,
+            degradation_events_per_min=self.degradation_events_per_min,
+            top_chains=fleet.top_chains(),
+            cause_rates=fleet.fleet_cause_rates(),
+            consequence_rates=fleet.fleet_consequence_rates(),
+            chain_totals=fleet.fleet_chain_totals(),
+            health=health,
+            sessions=sessions,
+        )
 
     def session_outcomes(self) -> List[SessionOutcome]:
         """Live partial outcomes, in registration order."""

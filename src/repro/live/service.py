@@ -21,21 +21,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.detector import DetectorConfig, WindowDetection
 from repro.errors import ConfigError
 from repro.live.aggregator import FleetSnapshot, LiveAggregator
 from repro.live.sources import TelemetrySource
-from repro.live.supervisor import (
-    DONE,
-    EVICTED,
-    FAILED,
-    RUNNING,
-    SessionSupervisor,
-)
+from repro.live.supervisor import SessionSupervisor
+from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry, write_metrics_file
 from repro.obs.spans import span_quantile_s
+
+logger = get_logger(__name__)
 
 
 def canonical_detections(detections: Sequence[WindowDetection]) -> str:
@@ -63,6 +61,92 @@ def canonical_detections(detections: Sequence[WindowDetection]) -> str:
         ],
         sort_keys=True,
     )
+
+
+class SnapshotPublisher:
+    """Where each fleet snapshot goes, for both live planes.
+
+    The live service and the cluster coordinator each build one
+    snapshot per tick and hand it here.  It lands, in order, as an
+    atomic versioned file (what ``repro watch`` and
+    ``api.read_snapshot`` read), a tee into the historical store
+    (opened on first use), a Prometheus-text metrics file, and the
+    callback.  A failing sink (missing directory, full disk) is logged
+    and counted in ``repro_snapshot_publish_errors_total{sink=...}``,
+    and the next snapshot tries it again: a publish problem degrades
+    that sink, never the plane publishing it.
+    """
+
+    def __init__(
+        self,
+        *,
+        path: Optional[str] = None,
+        store_dir: Optional[str] = None,
+        metrics_path: Optional[str] = None,
+        on_snapshot: Optional[Callable[[FleetSnapshot], None]] = None,
+    ) -> None:
+        self.path = path
+        self.store_dir = store_dir
+        self.metrics_path = metrics_path
+        self.on_snapshot = on_snapshot
+        self._store = None
+
+    @property
+    def active(self) -> bool:
+        """Whether publishing a snapshot reaches anything at all."""
+        return bool(
+            self.path or self.store_dir or self.metrics_path or self.on_snapshot
+        )
+
+    def store(self):
+        """The historical store at ``store_dir``, opened on first use
+        (``None`` without one)."""
+        if self._store is None and self.store_dir:
+            from repro.store import RcaStore
+
+            self._store = RcaStore.open(self.store_dir)
+        return self._store
+
+    def publish(self, snapshot: FleetSnapshot) -> None:
+        # Lazy: repro.schema's registry imports this package's types.
+        from repro.schema import save_snapshot
+
+        if self.path:
+            self._guard("file", save_snapshot, snapshot, self.path)
+        if self.store_dir:
+            self._guard(
+                "store",
+                lambda: self.store().ingest_snapshot(snapshot, ts=time.time()),
+            )
+        if self.metrics_path:
+            self._guard(
+                "metrics", write_metrics_file, get_registry(), self.metrics_path
+            )
+        if self.on_snapshot is not None:
+            self.on_snapshot(snapshot)
+
+    @staticmethod
+    def _guard(sink: str, write: Callable, *args: object) -> None:
+        try:
+            write(*args)
+        except Exception as exc:
+            get_registry().counter(
+                "repro_snapshot_publish_errors_total",
+                help="Fleet snapshot publishes that failed (retried on "
+                "the next snapshot).",
+            ).inc(sink=sink)
+            logger.warning(
+                "snapshot %s publish failed (%s: %s); retrying on the "
+                "next snapshot",
+                sink,
+                type(exc).__name__,
+                exc,
+            )
+
+    def close(self) -> None:
+        if self._store is not None:
+            self._store.close()
+            self._store = None
 
 
 class LiveRcaService:
@@ -131,11 +215,12 @@ class LiveRcaService:
             )
         self.snapshot_every_s = snapshot_every_s
         self.idle_timeout_s = idle_timeout_s
-        self.snapshot_path = snapshot_path
-        self.metrics_path = metrics_path
-        self.store_dir = store_dir
-        self._store = None  # opened lazily on the first snapshot tee
-        self.on_snapshot = on_snapshot
+        self.publisher = SnapshotPublisher(
+            path=snapshot_path,
+            store_dir=store_dir,
+            metrics_path=metrics_path,
+            on_snapshot=on_snapshot,
+        )
         self._seq = 0
         self._started_at: Optional[float] = None
         self._last_now = 0.0
@@ -164,38 +249,15 @@ class LiveRcaService:
                 supervisor.session_id, supervisor.watermark_us
             )
             sessions.append(supervisor.snapshot(now))
-        fleet = self.aggregator.fleet()
         self._seq += 1
-        snapshot = FleetSnapshot(
+        snapshot = self.aggregator.snapshot(
             seq=self._seq,
             wall_s=now - started,
-            n_sessions=len(sessions),
-            n_running=sum(1 for s in sessions if s.state == RUNNING),
-            n_done=sum(1 for s in sessions if s.state == DONE),
-            n_evicted=sum(1 for s in sessions if s.state == EVICTED),
-            n_failed=sum(1 for s in sessions if s.state == FAILED),
-            total_minutes=self.aggregator.total_minutes,
-            windows=sum(s.windows for s in sessions),
-            detected_windows=sum(s.detected_windows for s in sessions),
-            lag_events=sum(s.lag_events for s in sessions),
-            degradation_events_per_min=(
-                self.aggregator.degradation_events_per_min
-            ),
-            top_chains=fleet.top_chains(),
-            cause_rates=fleet.fleet_cause_rates(),
-            consequence_rates=fleet.fleet_consequence_rates(),
-            chain_totals=fleet.fleet_chain_totals(),
-            health=self._health(sessions),
             sessions=sessions,
+            lag_events=sum(s.lag_events for s in sessions),
+            health=self._health(sessions),
         )
-        if self.snapshot_path:
-            self._write_snapshot(snapshot)
-        if self.store_dir:
-            self._tee_store(snapshot)
-        if self.metrics_path:
-            write_metrics_file(get_registry(), self.metrics_path)
-        if self.on_snapshot is not None:
-            self.on_snapshot(snapshot)
+        self.publisher.publish(snapshot)
         return snapshot
 
     @staticmethod
@@ -221,22 +283,6 @@ class LiveRcaService:
             if quantile is not None:
                 health[f"advance_{label}_ms"] = quantile * 1e3
         return health
-
-    def _write_snapshot(self, snapshot: FleetSnapshot) -> None:
-        # Canonical versioned artifact (atomic write): what `repro
-        # watch` and api.read_snapshot read back, version-checked.
-        from repro.schema import save_snapshot
-
-        save_snapshot(snapshot, self.snapshot_path)
-
-    def _tee_store(self, snapshot: FleetSnapshot) -> None:
-        import time
-
-        if self._store is None:
-            from repro.store import RcaStore
-
-            self._store = RcaStore.open(self.store_dir)
-        self._store.ingest_snapshot(snapshot, ts=time.time())
 
     # -- main loop --------------------------------------------------------------
 
@@ -277,10 +323,8 @@ class LiveRcaService:
             pass
         self._last_now = loop.time()
         final = self.snapshot()
-        if self._store is not None:
-            self._store.close()
-            self._store = None
+        self.publisher.close()
         return final
 
 
-__all__ = ["LiveRcaService", "canonical_detections"]
+__all__ = ["LiveRcaService", "SnapshotPublisher", "canonical_detections"]

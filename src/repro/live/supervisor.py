@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.detector import DetectorConfig, WindowDetection
 from repro.core.streaming import StreamingDomino
@@ -45,6 +45,24 @@ RUNNING, DONE, EVICTED, FAILED = "running", "done", "evicted", "failed"
 DetectionSink = Callable[
     [str, List[WindowDetection], List[Tuple[str, ...]], int], None
 ]
+
+
+def put_drop_oldest(queue: asyncio.Queue, item: Any) -> List[Any]:
+    """Queue *item* without waiting; return the oldest items shed to
+    make room for it (empty when it fit).
+
+    The one ``drop_oldest`` put: the supervisor's ingest queue, the
+    coordinator's live-plane queue and the detection forwarder's send
+    queue all shed through it and count what it returns in their own
+    unit (records, detections).
+    """
+    shed = []
+    while True:
+        try:
+            queue.put_nowait(item)
+            return shed
+        except asyncio.QueueFull:
+            shed.append(queue.get_nowait())
 
 
 @dataclass
@@ -69,15 +87,15 @@ class SessionSnapshot:
     def to_json(self) -> dict:
         # Canonical serde lives in repro.schema; the import is lazy
         # because schema's registry imports this module's dataclass.
-        from repro.schema import session_snapshot_to_wire
+        from repro import schema
 
-        return session_snapshot_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "SessionSnapshot":
-        from repro.schema import session_snapshot_from_wire
+        from repro import schema
 
-        return session_snapshot_from_wire(data)
+        return schema.from_wire("session_snapshot", data)
 
 
 class SessionSupervisor:
@@ -145,18 +163,15 @@ class SessionSupervisor:
         if self.backpressure == "block":
             await self._queue.put(batch)
             return
-        while True:
-            try:
-                self._queue.put_nowait(batch)
-                return
-            except asyncio.QueueFull:
-                dropped = self._queue.get_nowait()
-                if dropped is not None:
-                    self.lag_events += dropped.n_records
-                    get_registry().counter(
-                        "repro_live_lag_records_total",
-                        help="Records shed by drop_oldest backpressure.",
-                    ).inc(dropped.n_records)
+        # The end-of-feed sentinel is the last put, so it is never shed.
+        shed = put_drop_oldest(self._queue, batch)
+        if shed:
+            records = sum(dropped.n_records for dropped in shed)
+            self.lag_events += records
+            get_registry().counter(
+                "repro_live_lag_records_total",
+                help="Records shed by drop_oldest backpressure.",
+            ).inc(records)
             # Yield so the consumer can run between forced drops.
             await asyncio.sleep(0)
 
@@ -275,4 +290,5 @@ __all__ = [
     "RUNNING",
     "SessionSnapshot",
     "SessionSupervisor",
+    "put_drop_oldest",
 ]

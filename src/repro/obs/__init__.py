@@ -70,7 +70,6 @@ from repro.obs.trace import (
     TraceContext,
     TraceSpan,
     assemble_traces,
-    make_span,
     new_trace_id,
     orphan_spans,
     render_trace_timeline,
@@ -105,7 +104,6 @@ __all__ = [
     "get_trace_context",
     "is_enabled",
     "iter_events",
-    "make_span",
     "new_span_id",
     "new_trace_id",
     "orphan_spans",

@@ -44,15 +44,15 @@ class ObsEvent:
 
     def to_json(self) -> Dict[str, Any]:
         """Versioned wire form (lazy schema import to avoid a cycle)."""
-        from repro.schema import obs_event_to_wire
+        from repro import schema
 
-        return obs_event_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "ObsEvent":
-        from repro.schema import obs_event_from_wire
+        from repro import schema
 
-        return obs_event_from_wire(payload)
+        return schema.from_wire("obs_event", payload)
 
 
 def iter_events(path: str) -> Iterator[ObsEvent]:

@@ -8,8 +8,8 @@ traceparent-style traces:
 
 * :class:`TraceContext` — the ``trace_id``/``span_id`` pair generated
   per scenario at campaign submission and propagated as a plain
-  ``trace`` dict on cluster frames (old peers ignore unknown keys, so
-  no protocol bump).
+  ``trace`` dict on cluster frames; :meth:`TraceContext.span` builds
+  the spans of phases no single ``with span()`` block can wrap.
 * :func:`trace_scope` — installs a context as the ambient trace via the
   contextvar in :mod:`repro.obs.spans`, so every existing ``span()``
   inside the scope is annotated with trace/span/parent ids for free.
@@ -101,6 +101,66 @@ class TraceContext:
             "scenario": self.scenario,
         }
 
+    def span(
+        self,
+        name: str,
+        *,
+        ts_s: float,
+        duration_s: float,
+        service: str,
+        span_id: str = "",
+        parent_span_id: str = "",
+        status: str = "ok",
+        attrs: Optional[Dict[str, Any]] = None,
+    ) -> "TraceSpan":
+        """A hand-built span in this trace, for phases no single ``with
+        span()`` block can wrap (a dispatch that settles on another
+        frame, a network hop stamped by two processes).
+
+        It parents to this context's span unless *parent_span_id* says
+        otherwise; *span_id* reuses an id handed out earlier (say, one
+        already propagated to a worker) instead of minting one.
+        """
+        return TraceSpan(
+            trace_id=self.trace_id,
+            span_id=span_id or new_span_id(),
+            parent_span_id=parent_span_id or self.span_id,
+            name=name,
+            ts_s=ts_s,
+            duration_s=duration_s,
+            service=service,
+            campaign_id=self.campaign_id,
+            scenario=self.scenario,
+            status=status,
+            attrs=dict(attrs or {}),
+        )
+
+    def hop(
+        self,
+        name: str,
+        sent_ts: object,
+        recv_ts: float,
+        *,
+        service: str,
+        parent_span_id: str = "",
+    ) -> Optional["TraceSpan"]:
+        """The network hop from a peer's frame send stamp to its
+        receipt at *recv_ts*; ``None`` when the stamp is missing, not a
+        number, or later than the receipt (skewed clocks)."""
+        if (
+            isinstance(sent_ts, bool)
+            or not isinstance(sent_ts, (int, float))
+            or sent_ts > recv_ts
+        ):
+            return None
+        return self.span(
+            name,
+            ts_s=float(sent_ts),
+            duration_s=recv_ts - float(sent_ts),
+            service=service,
+            parent_span_id=parent_span_id,
+        )
+
     @classmethod
     def from_wire(
         cls, payload: Optional[Dict[str, Any]]
@@ -168,43 +228,15 @@ class TraceSpan:
     attrs: Dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, Any]:
-        from repro.schema import trace_span_to_wire
+        from repro import schema
 
-        return trace_span_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "TraceSpan":
-        from repro.schema import trace_span_from_wire
+        from repro import schema
 
-        return trace_span_from_wire(payload)
-
-
-def make_span(
-    ctx: TraceContext,
-    name: str,
-    *,
-    ts_s: float,
-    duration_s: float,
-    parent_span_id: str = "",
-    service: str = "",
-    status: str = "ok",
-    **attrs: Any,
-) -> TraceSpan:
-    """A hand-built span under *ctx* (for async coordinator phases that
-    cannot be wrapped in a single ``with span()`` block)."""
-    return TraceSpan(
-        trace_id=ctx.trace_id,
-        span_id=new_span_id(),
-        parent_span_id=parent_span_id or ctx.span_id,
-        name=name,
-        service=service,
-        ts_s=ts_s,
-        duration_s=duration_s,
-        campaign_id=ctx.campaign_id,
-        scenario=ctx.scenario,
-        status=status,
-        attrs=dict(attrs),
-    )
+        return schema.from_wire("trace_span", payload)
 
 
 class TraceCollector(EventSink):
@@ -401,7 +433,6 @@ __all__ = [
     "TraceContext",
     "TraceSpan",
     "assemble_traces",
-    "make_span",
     "new_trace_id",
     "orphan_spans",
     "render_trace_timeline",

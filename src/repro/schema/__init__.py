@@ -22,50 +22,22 @@ from repro.schema.wire import (
     WIRE_KINDS,
     WireCodec,
     WireField,
-    alert_event_from_wire,
-    alert_event_to_wire,
-    causal_report_from_wire,
-    causal_report_to_wire,
     chains_from_wire,
     chains_to_wire,
     check_schema_version,
-    confounder_spec_from_wire,
-    confounder_spec_to_wire,
     detections_from_wire,
     detections_to_wire,
     detector_config_from_wire,
     detector_config_to_wire,
-    domino_report_from_wire,
-    domino_report_to_wire,
     dumps,
-    fleet_snapshot_from_wire,
-    fleet_snapshot_to_wire,
     from_wire,
-    ground_truth_from_wire,
-    ground_truth_to_wire,
-    journal_record_from_wire,
-    journal_record_to_wire,
     kind_of,
     load_snapshot,
     loads,
-    metric_sample_from_wire,
-    metric_sample_to_wire,
-    obs_event_from_wire,
-    obs_event_to_wire,
     save_snapshot,
     scenario_spec_from_wire,
     scenario_spec_to_wire,
-    session_outcome_from_wire,
-    session_outcome_to_wire,
-    session_snapshot_from_wire,
-    session_snapshot_to_wire,
-    store_manifest_from_wire,
-    store_manifest_to_wire,
     to_wire,
-    trace_span_from_wire,
-    trace_span_to_wire,
-    window_detection_from_wire,
-    window_detection_to_wire,
 )
 
 __all__ = [
@@ -76,48 +48,20 @@ __all__ = [
     "WIRE_KINDS",
     "WireCodec",
     "WireField",
-    "alert_event_from_wire",
-    "alert_event_to_wire",
     "chains_from_wire",
     "chains_to_wire",
-    "causal_report_from_wire",
-    "causal_report_to_wire",
-    "confounder_spec_from_wire",
-    "confounder_spec_to_wire",
-    "ground_truth_from_wire",
-    "ground_truth_to_wire",
     "check_schema_version",
     "detections_from_wire",
     "detections_to_wire",
     "detector_config_from_wire",
     "detector_config_to_wire",
-    "domino_report_from_wire",
-    "domino_report_to_wire",
     "dumps",
-    "fleet_snapshot_from_wire",
-    "fleet_snapshot_to_wire",
     "from_wire",
-    "journal_record_from_wire",
-    "journal_record_to_wire",
     "kind_of",
     "load_snapshot",
     "loads",
-    "metric_sample_from_wire",
-    "metric_sample_to_wire",
-    "obs_event_from_wire",
-    "obs_event_to_wire",
     "save_snapshot",
     "scenario_spec_from_wire",
     "scenario_spec_to_wire",
-    "session_outcome_from_wire",
-    "session_outcome_to_wire",
-    "session_snapshot_from_wire",
-    "session_snapshot_to_wire",
-    "store_manifest_from_wire",
-    "store_manifest_to_wire",
     "to_wire",
-    "trace_span_from_wire",
-    "trace_span_to_wire",
-    "window_detection_from_wire",
-    "window_detection_to_wire",
 ]

@@ -646,14 +646,6 @@ def detector_config_from_wire(data: Any) -> Optional[DetectorConfig]:
     return None if data is None else _DETECTOR_CONFIG.from_wire(data)
 
 
-def window_detection_to_wire(detection: WindowDetection) -> dict:
-    return _WINDOW_DETECTION.to_wire(detection)
-
-
-def window_detection_from_wire(data: Any) -> WindowDetection:
-    return _WINDOW_DETECTION.from_wire(data)
-
-
 def detections_to_wire(
     detections: Sequence[WindowDetection],
 ) -> List[dict]:
@@ -679,126 +671,6 @@ def chains_from_wire(data: Sequence[Sequence[str]]) -> List[Tuple[str, ...]]:
         raise SchemaError(f"malformed chain list: {exc}")
 
 
-def confounder_spec_to_wire(spec: ConfounderSpec) -> dict:
-    return _CONFOUNDER_SPEC.to_wire(spec)
-
-
-def confounder_spec_from_wire(data: Any) -> ConfounderSpec:
-    return _CONFOUNDER_SPEC.from_wire(data)
-
-
-def ground_truth_to_wire(label: GroundTruthLabel) -> dict:
-    return _GROUND_TRUTH.to_wire(label)
-
-
-def ground_truth_from_wire(data: Any) -> GroundTruthLabel:
-    return _GROUND_TRUTH.from_wire(data)
-
-
-def causal_report_to_wire(report: CausalReport) -> dict:
-    """CausalReport → stamped wire dict (leaderboards are artifacts)."""
-    return _CAUSAL_REPORT.to_wire(report)
-
-
-def causal_report_from_wire(data: Any) -> CausalReport:
-    """Decode a causal report, schema stamp validated."""
-    return _CAUSAL_REPORT.from_wire(data)
-
-
-def session_outcome_to_wire(outcome: SessionOutcome) -> dict:
-    return _SESSION_OUTCOME.to_wire(outcome)
-
-
-def session_outcome_from_wire(data: Any) -> SessionOutcome:
-    return _SESSION_OUTCOME.from_wire(data)
-
-
-def session_snapshot_to_wire(snapshot: SessionSnapshot) -> dict:
-    return _SESSION_SNAPSHOT.to_wire(snapshot)
-
-
-def session_snapshot_from_wire(data: Any) -> SessionSnapshot:
-    return _SESSION_SNAPSHOT.from_wire(data)
-
-
-def fleet_snapshot_to_wire(snapshot: FleetSnapshot) -> dict:
-    """FleetSnapshot → stamped wire dict (an artifact kind)."""
-    return _FLEET_SNAPSHOT.to_wire(snapshot)
-
-
-def fleet_snapshot_from_wire(data: Any) -> FleetSnapshot:
-    """Decode a snapshot, schema stamp validated (missing stamp = v1)."""
-    return _FLEET_SNAPSHOT.from_wire(data)
-
-
-def obs_event_to_wire(event: ObsEvent) -> dict:
-    """ObsEvent → stamped wire dict (trace lines are artifacts)."""
-    return _OBS_EVENT.to_wire(event)
-
-
-def obs_event_from_wire(data: Any) -> ObsEvent:
-    """Decode a trace line, schema stamp validated."""
-    return _OBS_EVENT.from_wire(data)
-
-
-def journal_record_to_wire(record: JournalRecord) -> dict:
-    """JournalRecord → stamped wire dict (journal lines are artifacts)."""
-    return _JOURNAL_RECORD.to_wire(record)
-
-
-def journal_record_from_wire(data: Any) -> JournalRecord:
-    """Decode a journal line, schema stamp validated."""
-    return _JOURNAL_RECORD.from_wire(data)
-
-
-def trace_span_to_wire(span: TraceSpan) -> dict:
-    """TraceSpan → stamped wire dict (store segment lines)."""
-    return _TRACE_SPAN.to_wire(span)
-
-
-def trace_span_from_wire(data: Any) -> TraceSpan:
-    """Decode a stored trace span, schema stamp validated."""
-    return _TRACE_SPAN.from_wire(data)
-
-
-def store_manifest_to_wire(manifest: StoreManifest) -> dict:
-    """StoreManifest → stamped wire dict (the store's identity card)."""
-    return _STORE_MANIFEST.to_wire(manifest)
-
-
-def store_manifest_from_wire(data: Any) -> StoreManifest:
-    """Decode a store manifest, schema stamp validated."""
-    return _STORE_MANIFEST.from_wire(data)
-
-
-def metric_sample_to_wire(sample: MetricSample) -> dict:
-    """MetricSample → stamped wire dict (store segment lines)."""
-    return _METRIC_SAMPLE.to_wire(sample)
-
-
-def metric_sample_from_wire(data: Any) -> MetricSample:
-    """Decode a stored metric sample, schema stamp validated."""
-    return _METRIC_SAMPLE.from_wire(data)
-
-
-def alert_event_to_wire(event: AlertEvent) -> dict:
-    """AlertEvent → stamped wire dict (alert logs are artifacts)."""
-    return _ALERT_EVENT.to_wire(event)
-
-
-def alert_event_from_wire(data: Any) -> AlertEvent:
-    """Decode an alert event, schema stamp validated."""
-    return _ALERT_EVENT.from_wire(data)
-
-
-def domino_report_to_wire(report: DominoReport) -> dict:
-    return _DOMINO_REPORT.to_wire(report)
-
-
-def domino_report_from_wire(data: Any) -> DominoReport:
-    return _DOMINO_REPORT.from_wire(data)
-
-
 # -- versioned artifacts --------------------------------------------------------
 
 
@@ -821,7 +693,7 @@ def save_snapshot(snapshot: FleetSnapshot, path: str) -> None:
     """Atomically write a fleet snapshot artifact (for ``repro watch``)."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as handle:
-        json.dump(fleet_snapshot_to_wire(snapshot), handle)
+        json.dump(_FLEET_SNAPSHOT.to_wire(snapshot), handle)
     os.replace(tmp, path)  # watchers never observe a torn write
 
 
@@ -832,7 +704,7 @@ def load_snapshot(path: str) -> FleetSnapshot:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: undecodable snapshot: {exc}")
-    return fleet_snapshot_from_wire(data)
+    return _FLEET_SNAPSHOT.from_wire(data)
 
 
 __all__ = [
@@ -841,48 +713,20 @@ __all__ = [
     "WIRE_KINDS",
     "WireCodec",
     "WireField",
-    "alert_event_from_wire",
-    "alert_event_to_wire",
     "chains_from_wire",
     "chains_to_wire",
-    "causal_report_from_wire",
-    "causal_report_to_wire",
-    "confounder_spec_from_wire",
-    "confounder_spec_to_wire",
-    "ground_truth_from_wire",
-    "ground_truth_to_wire",
     "check_schema_version",
     "detections_from_wire",
     "detections_to_wire",
     "detector_config_from_wire",
     "detector_config_to_wire",
-    "domino_report_from_wire",
-    "domino_report_to_wire",
     "dumps",
-    "fleet_snapshot_from_wire",
-    "fleet_snapshot_to_wire",
     "from_wire",
-    "journal_record_from_wire",
-    "journal_record_to_wire",
     "kind_of",
     "load_snapshot",
     "loads",
-    "metric_sample_from_wire",
-    "metric_sample_to_wire",
-    "obs_event_from_wire",
-    "obs_event_to_wire",
     "save_snapshot",
     "scenario_spec_from_wire",
     "scenario_spec_to_wire",
-    "session_outcome_from_wire",
-    "session_outcome_to_wire",
-    "session_snapshot_from_wire",
-    "session_snapshot_to_wire",
-    "store_manifest_from_wire",
-    "store_manifest_to_wire",
     "to_wire",
-    "trace_span_from_wire",
-    "trace_span_to_wire",
-    "window_detection_from_wire",
-    "window_detection_to_wire",
 ]

@@ -41,15 +41,15 @@ class StoreManifest:
     partition_s: float = 86400.0  # segment partition width (seconds)
 
     def to_json(self) -> Dict[str, Any]:
-        from repro.schema import store_manifest_to_wire
+        from repro import schema
 
-        return store_manifest_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "StoreManifest":
-        from repro.schema import store_manifest_from_wire
+        from repro import schema
 
-        return store_manifest_from_wire(payload)
+        return schema.from_wire("store_manifest", payload)
 
 
 @dataclass
@@ -68,15 +68,15 @@ class MetricSample:
     labels: Dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, Any]:
-        from repro.schema import metric_sample_to_wire
+        from repro import schema
 
-        return metric_sample_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "MetricSample":
-        from repro.schema import metric_sample_from_wire
+        from repro import schema
 
-        return metric_sample_from_wire(payload)
+        return schema.from_wire("metric_sample", payload)
 
 
 #: Alert lifecycle states an :class:`AlertEvent` can announce.
@@ -106,15 +106,15 @@ class AlertEvent:
     labels: Dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, Any]:
-        from repro.schema import alert_event_to_wire
+        from repro import schema
 
-        return alert_event_to_wire(self)
+        return schema.to_wire(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "AlertEvent":
-        from repro.schema import alert_event_from_wire
+        from repro import schema
 
-        return alert_event_from_wire(payload)
+        return schema.from_wire("alert_event", payload)
 
 
 __all__ = [

@@ -45,7 +45,7 @@ from repro.cluster.protocol import (
     send_frame,
 )
 from repro.core.detector import DetectorConfig, DominoDetector, WindowDetection
-from repro.errors import ClusterError, ClusterProtocolError
+from repro.errors import ClusterError, ClusterProtocolError, SchemaError
 from repro.fleet.scenarios import ImpairmentSpec, ScenarioMatrix, ScenarioSpec
 from repro.live.service import LiveRcaService, canonical_detections
 from repro.live.sources import ReplaySource
@@ -199,13 +199,13 @@ def test_spec_and_config_codecs_roundtrip(scenarios):
         ),
     )
     # Through actual JSON text, as the wire does.
-    data = json.loads(json.dumps(protocol.spec_to_json(spec)))
-    assert protocol.spec_from_json(data) == spec
+    data = json.loads(json.dumps(schema.scenario_spec_to_wire(spec)))
+    assert schema.scenario_spec_from_wire(data) == spec
 
     config = DetectorConfig(window_us=4_000_000, step_us=250_000)
-    data = json.loads(json.dumps(protocol.detector_config_to_json(config)))
-    assert protocol.detector_config_from_json(data) == config
-    assert protocol.detector_config_from_json(None) is None
+    data = json.loads(json.dumps(schema.detector_config_to_wire(config)))
+    assert schema.detector_config_from_wire(data) == config
+    assert schema.detector_config_from_wire(None) is None
 
     detection = WindowDetection(
         start_us=0,
@@ -215,24 +215,24 @@ def test_spec_and_config_codecs_roundtrip(scenarios):
         causes=["y"],
         chain_ids=[0, 2],
     )
-    data = json.loads(json.dumps(protocol.detections_to_json([detection])))
-    [back] = protocol.detections_from_json(data)
+    data = json.loads(json.dumps(schema.detections_to_wire([detection])))
+    [back] = schema.detections_from_wire(data)
     assert canonical_detections([back]) == canonical_detections([detection])
 
     chains = [("a", "b"), ("c",)]
     assert (
-        protocol.chains_from_json(
-            json.loads(json.dumps(protocol.chains_to_json(chains)))
+        schema.chains_from_wire(
+            json.loads(json.dumps(schema.chains_to_wire(chains)))
         )
         == chains
     )
 
 
 def test_malformed_spec_and_batch_rejected():
-    with pytest.raises(ClusterProtocolError):
-        protocol.spec_from_json({"name": "x"})
-    with pytest.raises(ClusterProtocolError):
-        protocol.detections_from_json([{"nope": 1}])
+    with pytest.raises(SchemaError):
+        schema.scenario_spec_from_wire({"name": "x"})
+    with pytest.raises(SchemaError):
+        schema.detections_from_wire([{"nope": 1}])
 
 
 # -- batch plane ---------------------------------------------------------------
@@ -335,8 +335,10 @@ def test_malformed_outcome_requeues_not_loses(scenarios, local_outcomes):
 
 
 def test_malformed_detection_frame_does_not_kill_live_fold():
-    """One bad live-plane frame (wrong watermark type) is dropped; the
-    fold keeps serving later well-formed frames."""
+    """One bad live-plane frame (wrong watermark type) is dropped and
+    counted; the fold keeps serving later well-formed frames."""
+    rejected = get_registry().counter("repro_cluster_rejected_total")
+    rejected_before = rejected.value(what="detection_frame")
 
     async def main():
         coordinator = ClusterCoordinator()
@@ -380,6 +382,9 @@ def test_malformed_detection_frame_does_not_kill_live_fold():
             [outcome] = coordinator.live.session_outcomes()
             assert outcome.duration_s == 2.0
             assert outcome.profile == "p"
+            assert rejected.value(what="detection_frame") == (
+                rejected_before + 1
+            )
             writer.close()
         finally:
             await coordinator.close()
@@ -1186,6 +1191,31 @@ def test_malformed_submit_gets_refusal_ack_and_connection_survives():
             assert status.type == ACK
             assert status.payload == {"ok": True, "queue": [], "req": 2}
             writer.close()
+        finally:
+            await coordinator.close()
+
+    asyncio.run(main())
+
+
+def test_coordinator_snapshot_publish_survives_missing_directory(tmp_path):
+    """A snapshot path whose directory is missing costs the failed
+    publishes (logged and counted), not the snapshot loop: once the
+    directory appears, a later snapshot lands."""
+    snapshot_path = tmp_path / "later" / "snap.json"
+    errors = get_registry().counter("repro_snapshot_publish_errors_total")
+    errors_before = errors.value(sink="file")
+
+    async def main():
+        coordinator = ClusterCoordinator(
+            snapshot_path=str(snapshot_path), snapshot_every_s=0.02
+        )
+        await coordinator.start()
+        try:
+            await _until(lambda: errors.value(sink="file") > errors_before)
+            assert errors.value(sink="file") > errors_before
+            snapshot_path.parent.mkdir()
+            await _until(snapshot_path.exists)
+            assert api.read_snapshot(str(snapshot_path)).n_sessions == 0
         finally:
             await coordinator.close()
 

@@ -559,6 +559,49 @@ def test_snapshot_roundtrip_and_dashboard(tmp_path, short_bundle):
     assert "rtf" in text
 
 
+class _PacedSource:
+    """Ten empty batches, 30 ms apart: a feed spanning many ticks."""
+
+    session_id = "paced"
+    profile = "scripted"
+    impairment = "none"
+    gnb_log_available = False
+
+    async def batches(self):
+        for i in range(1, 11):
+            await asyncio.sleep(0.03)
+            yield TelemetryBatch(watermark_us=i * 100_000)
+
+
+def test_snapshot_publish_survives_missing_directory(tmp_path):
+    """A snapshot path whose directory is missing costs the failed
+    publishes (logged and counted), not the housekeeping loop: once the
+    directory appears, the next tick's snapshot lands."""
+    from repro.obs.metrics import get_registry
+
+    path = tmp_path / "later" / "snap.json"
+    errors = get_registry().counter("repro_snapshot_publish_errors_total")
+    errors_before = errors.value(sink="file")
+    landed = []
+
+    def on_snapshot(snapshot):
+        landed.append(path.exists())
+        path.parent.mkdir(exist_ok=True)
+
+    service = LiveRcaService(
+        [_PacedSource()],
+        snapshot_every_s=0.02,
+        snapshot_path=str(path),
+        on_snapshot=on_snapshot,
+    )
+    final = asyncio.run(asyncio.wait_for(service.run(), timeout=30))
+    assert landed[0] is False
+    assert errors.value(sink="file") == errors_before + 1
+    # A housekeeping tick, not only the final snapshot, wrote the file.
+    assert any(landed[1:-1])
+    assert api.read_snapshot(str(path)).seq == final.seq
+
+
 def test_duplicate_session_ids_rejected(short_bundle):
     with pytest.raises(ValueError):
         LiveRcaService(

@@ -222,21 +222,3 @@ def test_worker_death_abandons_span_and_requeues_under_same_trace(
     for members in traces.values():
         assert orphan_spans(members) == []
     assert "(abandoned)" in render_trace_timeline(spans)
-
-
-def test_tracing_disabled_leaves_no_spans_and_identical_outcomes(
-    scenarios, local_outcomes
-):
-    """`trace_campaigns=False` is a true off switch: no spans collected,
-    detections byte-identical to the instrumented and local runs."""
-
-    async def run(coordinator):
-        cid = await coordinator.submit_campaign(scenarios)
-        outcomes = await coordinator.wait_campaign(cid)
-        return outcomes, coordinator.trace_spans_for(cid)
-
-    outcomes, spans = asyncio.run(
-        _with_cluster(_two_workers, run, trace_campaigns=False)
-    )
-    assert spans == []
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)

@@ -8,9 +8,10 @@ Three end-to-end assertions nothing unit-sized can cover:
    scenario — coordinator, worker, and pool-child spans share the
    scenario's trace id with no orphan spans — and the spans must be
    queryable from the store by campaign id.
-2. **Tracing is inert.** The same campaign run with
-   ``trace_campaigns=False`` must produce byte-identical outcomes (and
-   collect no spans), so tracing can never perturb detections.
+2. **Tracing is inert.** The traced cluster campaign's outcomes must be
+   byte-identical to an inline ``api.campaign`` run of the same
+   scenarios, with exactly one trace per scenario, so tracing can never
+   perturb detections.
 3. **Profiling is affordable and useful.** A sampling profile of a 60 s
    analyze pass must cost < 5% over an unprofiled run (min-of-N,
    interleaved), emit valid collapsed-stack output, and attribute at
@@ -115,22 +116,26 @@ def check_stitching(scenarios, tmp: str):
     rendered = api.store_trace(store_dir, cid, render=True)
     if "trace " not in rendered:
         failures.append("store_trace(render=True) produced no timeline")
-    return failures, outcomes
+    return failures, outcomes, spans
 
 
-def check_byte_identity(scenarios, traced_outcomes):
-    """trace_campaigns=False: zero spans, byte-identical outcomes."""
-    cid, outcomes, spans = asyncio.run(
-        _campaign(scenarios, trace_campaigns=False)
-    )
+def check_byte_identity(scenarios, traced_outcomes, traced_spans):
+    """Traced cluster outcomes == an inline run's, one trace each."""
     failures = []
-    if spans:
+    inline = api.campaign(scenarios, backend=api.InlineBackend())
+    if _outcome_bytes(traced_outcomes) != _outcome_bytes(inline):
         failures.append(
-            f"tracing disabled but {len(spans)} span(s) collected"
+            "traced cluster outcomes differ from an inline campaign"
         )
-    if _outcome_bytes(outcomes) != _outcome_bytes(traced_outcomes):
+    per_trace = []
+    for members in assemble_traces(traced_spans).values():
+        labels = sorted({s.scenario for s in members})
+        per_trace.append(labels[0] if len(labels) == 1 else str(labels))
+    per_trace.sort()
+    if per_trace != sorted(spec.name for spec in scenarios):
         failures.append(
-            "outcomes differ with tracing on vs off"
+            f"traced run yields traces for {per_trace}, not exactly one "
+            f"per scenario"
         )
     return failures
 
@@ -198,9 +203,13 @@ def main() -> int:
     failures = []
     scenarios = _MATRIX.expand()
     with tempfile.TemporaryDirectory() as tmp:
-        stitch_failures, traced_outcomes = check_stitching(scenarios, tmp)
+        stitch_failures, traced_outcomes, traced_spans = check_stitching(
+            scenarios, tmp
+        )
         failures += stitch_failures
-        failures += check_byte_identity(scenarios, traced_outcomes)
+        failures += check_byte_identity(
+            scenarios, traced_outcomes, traced_spans
+        )
     bundle = run_cellular_session(TMOBILE_FDD, duration_s=60, seed=7).bundle
     failures += check_profiler(bundle)
     if failures:
