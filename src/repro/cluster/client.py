@@ -136,6 +136,7 @@ class DetectionForwarder:
         self.lag_events = 0
         self._meta: Dict[str, Tuple[str, str]] = {}
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_frames)
+        self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._send_lock = asyncio.Lock()
         self._sender: Optional[asyncio.Task] = None
@@ -143,7 +144,7 @@ class DetectionForwarder:
         self._closing = False
 
     async def _dial(self) -> None:
-        _, self._writer, self.heartbeat_s = await dial(
+        self._reader, self._writer, self.heartbeat_s = await dial(
             self.host,
             self.port,
             ROLE_LIVE,
@@ -197,7 +198,26 @@ class DetectionForwarder:
         # Sender and heartbeat share the socket; the lock keeps their
         # frames from interleaving mid-write.
         async with self._send_lock:
+            if self._reader.at_eof():
+                # The coordinator sends nothing after HELLO, so EOF means
+                # it closed its end: a write would still succeed locally
+                # and the frame would vanish uncounted.
+                raise ConnectionResetError("coordinator closed the connection")
             await send_frame(self._writer, frame_type, payload)
+
+    def _drop(self, frames: Sequence[Optional[dict]], why: str) -> None:
+        """Count undelivered *frames* in :attr:`lag_events`, logged."""
+        frames = [frame for frame in frames if frame is not None]
+        if not frames:
+            return
+        records = sum(len(frame.get("detections", ())) for frame in frames)
+        self.lag_events += records
+        logger.warning(
+            "forwarder %s: dropping %d frame(s) (%d detection record(s))",
+            why,
+            len(frames),
+            records,
+        )
 
     async def _send_loop(self) -> None:
         while True:
@@ -212,20 +232,19 @@ class DetectionForwarder:
                     # Unsendable frame (e.g. a batch over
                     # MAX_FRAME_BYTES): shed it — redialing would just
                     # fail on the same frame forever.
-                    self.lag_events += len(payload.get("detections", ()))
-                    logger.warning(
-                        "shedding one unsendable detection frame "
-                        "(%d record(s))",
-                        len(payload.get("detections", ())),
-                    )
+                    self._drop([payload], "cannot send a frame")
                     break
                 except Exception:
                     # Coordinator gone.  Without reconnect, forwarding
-                    # stops; the local service keeps running and sheds
-                    # into lag_events.
-                    if not self.reconnect or self._closing:
-                        return
-                    if not await self._redial():
+                    # stops with this frame undelivered; the local
+                    # service keeps running and sheds into lag_events,
+                    # and close() counts what is left queued.
+                    if (
+                        not self.reconnect
+                        or self._closing
+                        or not await self._redial()
+                    ):
+                        self._drop([payload], "lost the coordinator")
                         return
 
     async def _redial(self) -> bool:
@@ -267,9 +286,10 @@ class DetectionForwarder:
         """Flush queued frames, say BYE, and disconnect.
 
         Never blocks indefinitely: the sender gets ``drain_timeout_s``
-        to flush, after which whatever is still queued is dropped with
-        a logged count (and folded into :attr:`lag_events`) rather than
-        silently discarded.
+        to flush.  Whatever is still queued after that, or after a lost
+        coordinator ended the sender early, is dropped with a logged
+        count (and folded into :attr:`lag_events`) rather than silently
+        discarded.
         """
         self._closing = True
         if self._sender is not None:
@@ -280,30 +300,20 @@ class DetectionForwarder:
                 self.lag_events += sum(
                     len(frame["detections"]) for frame in shed
                 )
+            why = "sender stopped early"
             try:
                 await asyncio.wait_for(
                     self._sender, timeout=self.drain_timeout_s
                 )
             except (asyncio.TimeoutError, asyncio.CancelledError):
-                # wait_for cancelled the wedged sender; count what it
-                # never delivered instead of pretending it drained.
-                frames = 0
-                records = 0
-                while not self._queue.empty():
-                    item = self._queue.get_nowait()
-                    if item is not None:
-                        frames += 1
-                        records += len(item.get("detections", ()))
-                self.lag_events += records
-                logger.warning(
-                    "forwarder drain timed out after %.1fs; dropping %d "
-                    "queued frame(s) (%d detection record(s))",
-                    self.drain_timeout_s,
-                    frames,
-                    records,
-                )
+                # wait_for cancelled the wedged sender.
+                why = f"drain timed out after {self.drain_timeout_s:.1f}s"
             except Exception:
                 pass  # the sender's stored failure; close() stays quiet
+            left = []
+            while not self._queue.empty():
+                left.append(self._queue.get_nowait())
+            self._drop(left, why)
             self._sender = None
         if self._heartbeat is not None:
             self._heartbeat.cancel()

@@ -1247,6 +1247,16 @@ class ClusterCoordinator:
                 raise ClusterProtocolError(
                     f"unexpected {frame.type} frame from live supervisor"
                 )
+            # Shedding counts a queued frame's detections, so a frame
+            # without a detection list is refused here, not in the fold.
+            detections = frame.payload.get("detections", [])
+            if not isinstance(detections, list):
+                count_rejected(
+                    "detection_frame",
+                    f"detections is a {type(detections).__name__}, "
+                    "not a list",
+                )
+                continue
             if self.live_backpressure == "block":
                 # Pausing this reader applies TCP backpressure all the
                 # way back to the remote supervisor's forwarder queue.

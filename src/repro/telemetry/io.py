@@ -7,14 +7,22 @@ with its source, plus a header line carrying session metadata.  Files
 round-trip exactly through :func:`save_bundle` / :func:`load_bundle`.
 
 :func:`iter_chunks` reads a trace in chunks of ``_CHUNK_LINES`` lines.
-Each chunk is one ``json.loads`` of its lines joined into a JSON array,
-and each source's rows go straight into typed column arrays
+Each chunk is one ``orjson.loads`` of its lines joined into a JSON
+array, and each source's rows go straight into typed column arrays
 (:meth:`repro.telemetry.columns.Schema.decode`) without building a
 record object.  A chunk the array decoder does not take as is — a
-blank line, a float where an integer belongs, anything malformed — is
-parsed again line by line through :func:`_parse_line`, the parser
-:func:`iter_records` uses, so both readers accept the same files and
-an error names the same line in both.  :func:`load_bundle`
+blank line, a float where an integer belongs, anything malformed, and
+anything ``orjson`` refuses (NaN, Infinity, 1E400, a lone surrogate) —
+is parsed again line by line through :func:`_parse_line`, the parser
+:func:`iter_records` uses.  That parser stays on the standard
+library's ``json`` and is the reference: both readers accept the same
+files with the same values, and an error names the same line in both.
+``orjson`` reads an integer outside [-2**63, 2**64 - 1] as a float
+where ``json`` keeps an exact ``int``: an integer column or a header
+duration refuses that float, so the line path decides, and a float
+column gets the same correctly rounded value either way.  The writer
+stays on ``json`` too: :func:`_kept_lines` and the golden lines rely on
+its ``": "`` spacing.  :func:`load_bundle`
 concatenates the chunks into a column-backed bundle: its ``dci``,
 ``gnb_log``, ``packets`` and ``webrtc_stats`` are
 :class:`~repro.telemetry.columns.RecordColumns`, which build records
@@ -30,6 +38,8 @@ import json
 import operator
 from dataclasses import dataclass
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+
+import orjson
 
 from repro.errors import TelemetryError
 from repro.telemetry.columns import (
@@ -52,7 +62,7 @@ from repro.telemetry.records import (
 
 FORMAT_VERSION = 1
 
-#: Lines per chunk :func:`iter_chunks` decodes with one ``json.loads``.
+#: Lines per chunk :func:`iter_chunks` decodes with one ``orjson.loads``.
 #: Measured on a 12 s busy-cell trace: 1024-line chunks were slower,
 #: and 16384-line chunks raised peak memory with no gain.
 _CHUNK_LINES = 4096
@@ -209,7 +219,7 @@ def _decode_chunk(lines: List[str], kind: Optional[str]) -> Chunk:
     Raises on anything the array decoder does not take as is, without
     saying which line: the caller then parses the chunk line by line.
     """
-    rows = json.loads("[" + ",".join(lines) + "]")
+    rows = orjson.loads("[" + ",".join(lines) + "]")
     kinds = list(map(_TYPE, rows))
     if kinds and kinds.count(kinds[0]) == len(kinds):
         groups = {kinds[0]: rows}
@@ -223,6 +233,10 @@ def _decode_chunk(lines: List[str], kind: Optional[str]) -> Chunk:
         if row_kind == "header":
             # Every header is checked; the last one wins, as line by line.
             for row in group:
+                if not isinstance(row.get("duration_us"), int):
+                    # orjson reads an integer past 64 bits as a float,
+                    # which as_int would truncate instead of refusing.
+                    raise Irregular("non-integer duration_us")
                 header = _header_from_json(row)
         else:
             schema = SCHEMAS[row_kind]

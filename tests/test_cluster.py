@@ -621,6 +621,53 @@ def test_forwarder_close_survives_dead_coordinator():
     asyncio.run(main())
 
 
+def _windows(n):
+    """*n* one-chain detections, a second apart."""
+    return [
+        WindowDetection(
+            start_us=i * 1_000_000,
+            end_us=i * 1_000_000 + 5_000_000,
+            features={"a": float(i)},
+            consequences=[],
+            causes=[],
+            chain_ids=[0],
+        )
+        for i in range(n)
+    ]
+
+
+def test_forwarder_counts_every_frame_a_dead_coordinator_never_got(
+    caplog, monkeypatch
+):
+    """Without reconnect, a closed coordinator ends the sender: the frame
+    it was sending and the frames still queued all count as lag, and
+    close() leaves the queue empty."""
+
+    async def main():
+        coordinator = ClusterCoordinator()
+        await coordinator.start()
+        forwarder = DetectionForwarder(
+            "127.0.0.1", coordinator.port, queue_frames=8
+        )
+        await forwarder.start()
+        await coordinator.close()
+        await _until(forwarder._reader.at_eof)
+        forwarder.sink("s0", _windows(1), [], 1_000)
+        for _ in range(3):
+            forwarder.sink("s0", _windows(2), [], 2_000)
+        await _until(forwarder._sender.done)
+        await asyncio.wait_for(forwarder.close(), timeout=15)
+        assert forwarder.lag_events == 7
+        assert forwarder._queue.empty()
+
+    # An earlier CLI test's setup_logging may have stopped the "repro"
+    # logger propagating to the root logger caplog listens on.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    with caplog.at_level(logging.WARNING, logger="repro.cluster.client"):
+        asyncio.run(main())
+    assert "dropping 3 frame(s) (6 detection record(s))" in caplog.text
+
+
 # -- durability & hardened links -----------------------------------------------
 
 
@@ -1060,22 +1107,11 @@ class _PausedFoldCoordinator(ClusterCoordinator):
 
 
 def _detection_frame(session_id, n_windows, watermark_us):
-    windows = [
-        WindowDetection(
-            start_us=i * 1_000_000,
-            end_us=i * 1_000_000 + 5_000_000,
-            features={"a": float(i)},
-            consequences=[],
-            causes=[],
-            chain_ids=[0],
-        )
-        for i in range(n_windows)
-    ]
     return {
         "session_id": session_id,
         "profile": "p",
         "impairment": "none",
-        "detections": schema.detections_to_wire(windows),
+        "detections": schema.detections_to_wire(_windows(n_windows)),
         "chains": [["a", "b"]],
         "watermark_us": watermark_us,
     }
@@ -1163,6 +1199,48 @@ def test_coordinator_publishes_snapshots_and_counts_shed_detections(
         assert store.rows_total()["snapshots"] >= 1
     finally:
         store.close()
+
+
+def test_drop_oldest_refuses_frame_without_detection_list():
+    """Under drop_oldest, a frame whose detections are not a list is
+    refused and counted at the seam (shedding it would raise); the
+    connection keeps serving and a later good frame folds."""
+    rejected = get_registry().counter("repro_cluster_rejected_total")
+    rejected_before = rejected.value(what="detection_frame")
+
+    async def main():
+        coordinator = _PausedFoldCoordinator(
+            live_backpressure="drop_oldest", live_queue_frames=1
+        )
+        await coordinator.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", coordinator.port
+            )
+            await send_frame(writer, HELLO, hello_payload(role="live"))
+            assert (await read_frame(reader)).type == HELLO
+            bad = dict(_detection_frame("s0", 1, 1_000_000), detections=5)
+            await send_frame(writer, DETECTION, bad)
+            await send_frame(
+                writer, DETECTION, _detection_frame("s0", 2, 2_000_000)
+            )
+            await _until(
+                lambda: rejected.value(what="detection_frame")
+                > rejected_before
+            )
+            coordinator.fold_gate.set()
+            await _until(lambda: coordinator.live_snapshot().windows == 2)
+            assert coordinator.live_snapshot().windows == 2
+            assert coordinator.lag_events == 0
+            assert rejected.value(what="detection_frame") == (
+                rejected_before + 1
+            )
+            await send_frame(writer, BYE, {"reason": "done"})
+            writer.close()
+        finally:
+            await coordinator.close()
+
+    asyncio.run(main())
 
 
 def test_malformed_submit_gets_refusal_ack_and_connection_survives():

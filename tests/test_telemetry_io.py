@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -663,3 +664,170 @@ def test_fault_table_accepted_rows_give_identical_timelines(make, expected):
     _assert_same_timeline(Timeline.from_bundle(iterated), want)
     for source in _SOURCES:
         assert list(getattr(loaded, source)) == getattr(iterated, source)
+
+
+# -- differential: the chunk decoder against the line-by-line reference ------
+
+
+#: Raw JSON tokens the two decoders may read differently: integers past
+#: 64 bits (orjson gives a float, json an exact int), tokens only json
+#: accepts, and floats at the edges.
+_HOSTILE_TOKENS = (
+    ("pow2_63", str(2**63)),
+    ("pow2_64", str(2**64)),
+    ("pow2_70", str(2**70)),
+    ("neg_pow2_63_minus_1", str(-(2**63) - 1)),
+    ("nan", "NaN"),
+    ("infinity", "Infinity"),
+    ("1e400", "1E400"),
+    ("lone_surrogate", '"\\ud800"'),
+    ("neg_zero", "-0.0"),
+    ("min_subnormal", "5e-324"),
+)
+
+#: (JSONL type, key) of an int, a bool, a float, an optional and a
+#: string field across the four sources, and the header's duration.
+_HOSTILE_KEYS = (
+    ("header", "duration_us"),
+    ("dci", "ts_us"),
+    ("dci", "ul"),
+    ("gnb", "buffer"),
+    ("gnb", "ul"),
+    ("pkt", "size"),
+    ("pkt", "ul"),
+    ("pkt", "recv_us"),
+    ("pkt", "frame"),
+    ("webrtc", "out_res"),
+    ("webrtc", "frozen"),
+    ("webrtc", "slope"),
+    ("webrtc", "target"),
+    ("webrtc", "client"),
+)
+
+_LINE_OF = dict(_FIRST_LINE, header=1)
+
+
+def _with_token(kind, key, token, duplicate=None):
+    """The fault trace with *token* as the raw value of *key* on the
+    first *kind* line.  With *duplicate* the key appears twice: its
+    original value ``"after"`` the token wins, ``"before"`` it loses."""
+    lines = _fault_lines()
+    number = _LINE_OF[kind]
+    data = json.loads(lines[number - 1])
+    original = json.dumps(data[key])
+    data[key] = "@@"
+    line = json.dumps(data).replace('"@@"', token)
+    if duplicate == "after":
+        line = line[:-1] + f', "{key}": {original}}}'
+    elif duplicate == "before":
+        line = line.replace(
+            f'"{key}": {token}', f'"{key}": {original}, "{key}": {token}'
+        )
+    lines[number - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_columns(got, want):
+    assert got.arrays.keys() == want.arrays.keys()
+    for key, array in want.arrays.items():
+        assert got.arrays[key].dtype == array.dtype, key
+        if array.dtype == object:
+            assert list(got.arrays[key]) == list(array), key
+        else:
+            assert got.arrays[key].tobytes() == array.tobytes(), key
+
+
+def _assert_loads_like_reference(text):
+    """load_bundle of *text* equals the line-by-line parse of its lines
+    column for column, dtypes and bits included, or raises the same
+    TelemetryError (same message, same line)."""
+    lines = io.StringIO(text).readlines()
+    try:
+        header, parts = telemetry_io._parse_chunk(lines, 1, None, None)
+    except TelemetryError as reference:
+        with pytest.raises(TelemetryError) as loaded:
+            load_bundle(io.StringIO(text))
+        assert str(loaded.value) == str(reference)
+        return "raised"
+    loaded = load_bundle(io.StringIO(text))
+    assert loaded.duration_us == header.duration_us
+    assert type(loaded.duration_us) is type(header.duration_us)
+    for kind, schema in columns.SCHEMAS.items():
+        want = parts.get(kind) or schema.from_rows(())
+        _assert_same_columns(getattr(loaded, schema.source), want)
+    return "accepted"
+
+
+@pytest.mark.parametrize(
+    "token",
+    [token for _, token in _HOSTILE_TOKENS],
+    ids=[label for label, _ in _HOSTILE_TOKENS],
+)
+def test_chunk_decoder_matches_line_parser_on_hostile_values(token):
+    verdicts = set()
+    for kind, key in _HOSTILE_KEYS:
+        for duplicate in (None, "after", "before"):
+            text = _with_token(kind, key, token, duplicate)
+            verdicts.add(_assert_loads_like_reference(text))
+    # Every token is refused somewhere and accepted somewhere (a
+    # duplicate key whose last value is the original is always fine).
+    assert verdicts == {"raised", "accepted"}
+
+
+def test_header_duration_past_int64_is_refused_like_the_line_parser():
+    """orjson reads -2**63 - 1 as the float -2**63, which as_int would
+    take; the array path refuses the float so the line parser rejects."""
+    text = _with_token("header", "duration_us", str(-(2**63) - 1))
+    with pytest.raises(TelemetryError, match=r"^line 1: malformed header"):
+        load_bundle(io.StringIO(text))
+
+
+def _random_floats(rng, n):
+    """Finite floats of every exponent: random bit patterns, then
+    uniform and log-uniform draws."""
+    values = []
+    while len(values) < n // 3:
+        value = np.frombuffer(
+            rng.getrandbits(64).to_bytes(8, "little"), np.float64
+        )[0]
+        if np.isfinite(value):
+            values.append(float(value))
+    while len(values) < 2 * n // 3:
+        values.append(rng.uniform(-1e6, 1e6))
+    while len(values) < n:
+        values.append(rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300))
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("form", ["repr", "%.17g", "%.6e"])
+def test_random_floats_decode_bit_identically(monkeypatch, form):
+    """Seeded random floats written in *form* into every float field
+    decode through the array path to the bits of the line parser."""
+    rng = random.Random(20_26)
+    render = repr if form == "repr" else (lambda value: form % value)
+    schema = columns.WEBRTC_STATS
+    float_keys = [f.key for f in schema.fields if f.dtype is np.float64]
+    base = json.loads(_fault_lines()[_FIRST_LINE["webrtc"] - 1])
+    n_rows = 3_000
+    values = iter(_random_floats(rng, n_rows * len(float_keys)))
+    lines = [_fault_lines()[0]]
+    for _ in range(n_rows):
+        data = dict(base, **{key: f"@{key}@" for key in float_keys})
+        line = json.dumps(data)
+        for key in float_keys:
+            line = line.replace(f'"@{key}@"', render(next(values)))
+        lines.append(line)
+    text = "\n".join(lines) + "\n"
+    assert len(lines) <= telemetry_io._CHUNK_LINES  # one chunk
+    _, parts = telemetry_io._parse_chunk(
+        io.StringIO(text).readlines(), 1, None, None
+    )
+
+    def no_fallback(*args):
+        raise AssertionError("the chunk fell back to the line parser")
+
+    monkeypatch.setattr(telemetry_io, "_parse_chunk", no_fallback)
+    loaded = load_bundle(io.StringIO(text))
+    assert len(loaded.webrtc_stats) == n_rows
+    _assert_same_columns(loaded.webrtc_stats, parts["webrtc"])
