@@ -348,3 +348,209 @@ def test_causal_score_rejects_unlabeled_campaign(tmp_path, capsys):
     save_outcomes([outcome], path)
     assert main(["causal", "score", path]) == 1
     assert "no outcome carries ground-truth labels" in capsys.readouterr().out
+
+
+# -- error exits ---------------------------------------------------------------
+
+
+@pytest.fixture()
+def cli_stderr(capsys):
+    """Everything a CLI run reported as an error: what it printed to
+    stderr plus every record the ``repro`` loggers emitted (collected
+    by a handler of this fixture's own, whatever stream ``main()``'s
+    logging setup is bound to)."""
+    import logging
+
+    messages = []
+
+    class _Collect(logging.Handler):
+        def emit(self, record):
+            messages.append(record.getMessage())
+
+    handler = _Collect(level=logging.DEBUG)
+    logger = logging.getLogger("repro")
+    logger.addHandler(handler)
+
+    def read():
+        return capsys.readouterr().err + "\n".join(messages)
+
+    try:
+        yield read
+    finally:
+        logger.removeHandler(handler)
+
+
+def _closed_port():
+    import socket
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.mark.parametrize("command", ["alerts", "report", "compact", "reindex"])
+def test_store_command_on_missing_store_exits_1(tmp_path, cli_stderr, command):
+    missing = str(tmp_path / "nope")
+    assert main(["store", command, missing]) == 1
+    assert "not a store" in cli_stderr()
+
+
+def test_watch_without_snapshot_or_connect_exits_1(cli_stderr):
+    assert main(["watch"]) == 1
+    assert "need a snapshot file or --connect" in cli_stderr()
+
+
+def test_watch_foreign_schema_snapshot_exits_1(tmp_path, cli_stderr):
+    import json
+
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps({"schema": 42}))
+    assert main(["watch", str(path)]) == 1
+    assert "schema version 42 vs" in cli_stderr()
+
+
+def test_fleet_report_on_major_version_file_exits_1(tmp_path, cli_stderr):
+    import json
+
+    from repro.fleet.executor import SessionOutcome, save_outcomes
+
+    path = str(tmp_path / "fleet.jsonl")
+    save_outcomes(
+        [
+            SessionOutcome(
+                scenario="s0",
+                profile="wired",
+                impairment="none",
+                seed=0,
+                duration_s=8.0,
+                n_windows=1,
+                n_detected_windows=0,
+                degradation_events_per_min=0.0,
+            )
+        ],
+        path,
+    )
+    lines = open(path).read().splitlines()
+    header = json.loads(lines[0])
+    header["version"] = 99
+    lines[0] = json.dumps(header)
+    open(path, "w").write("\n".join(lines) + "\n")
+    assert main(["fleet-report", path]) == 1
+    assert "schema version 99 vs" in cli_stderr()
+
+
+def test_cluster_status_on_closed_port_exits_1(cli_stderr):
+    port = _closed_port()
+    assert main(["cluster", "status", "--connect", f"127.0.0.1:{port}"]) == 1
+    assert str(port) in cli_stderr()
+
+
+def test_obs_report_on_missing_file_exits_1(tmp_path, cli_stderr):
+    missing = str(tmp_path / "events.jsonl")
+    assert main(["obs", "report", missing]) == 1
+    assert missing in cli_stderr()
+
+
+def test_obs_report_on_garbled_file_exits_1(tmp_path, cli_stderr):
+    path = tmp_path / "events.jsonl"
+    path.write_text("{not json\n")
+    assert main(["obs", "report", str(path)]) == 1
+    assert str(path) in cli_stderr()
+
+
+def test_obs_trace_on_missing_store_exits_1(tmp_path, cli_stderr):
+    assert main(["obs", "trace", "--store", str(tmp_path / "nope")]) == 1
+    assert "not a store" in cli_stderr()
+
+
+def test_obs_trace_on_empty_store_exits_1(tmp_path, capsys):
+    from repro.store import RcaStore
+
+    store_dir = str(tmp_path / "st")
+    RcaStore.open(store_dir).close()
+    assert main(["obs", "trace", "--store", store_dir]) == 1
+    assert "no trace spans" in capsys.readouterr().out
+
+
+def test_store_query_qoe_without_metric_exits_2(tmp_path, cli_stderr):
+    prom = tmp_path / "m.prom"
+    prom.write_text("repro_pin_total 3\n")
+    store_dir = str(tmp_path / "st")
+    assert main(
+        ["store", "ingest", store_dir, "--prom", str(prom), "--at", "1000"]
+    ) == 0
+    assert main(["store", "query", store_dir, "qoe"]) == 2
+    assert "need --metric" in cli_stderr()
+
+
+def test_coordinator_tls_cert_without_key_exits_2(cli_stderr):
+    assert main(["cluster", "coordinator", "--tls-cert", "x"]) == 2
+    assert "--tls-cert and --tls-key must be given together" in cli_stderr()
+
+
+def test_cluster_queue_wait_matches_inline_campaign(tmp_path, capsys):
+    """`cluster queue --wait --out` against a standing loopback
+    coordinator with one worker writes the outcomes an inline campaign
+    of the same preset returns, byte for byte."""
+    import asyncio
+    import threading
+
+    from repro import api
+    from repro.cluster import ClusterCoordinator, ClusterWorker
+    from repro.fleet.executor import save_outcomes
+
+    ready = threading.Event()
+    state = {}
+
+    def serve():
+        async def run():
+            coordinator = ClusterCoordinator(port=0)
+            await coordinator.start()
+            worker = asyncio.ensure_future(
+                ClusterWorker(
+                    "127.0.0.1", coordinator.port, connect_timeout_s=60
+                ).run()
+            )
+            state["loop"] = asyncio.get_running_loop()
+            state["stop"] = stop = asyncio.Event()
+            state["port"] = coordinator.port
+            ready.set()
+            try:
+                await stop.wait()
+            finally:
+                await coordinator.close()
+                await asyncio.gather(worker, return_exceptions=True)
+
+        asyncio.run(run())
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert ready.wait(timeout=60)
+    out = str(tmp_path / "queued.jsonl")
+    try:
+        code = main(
+            [
+                "cluster",
+                "queue",
+                "--connect",
+                f"127.0.0.1:{state['port']}",
+                "--preset",
+                "smoke",
+                "--no-cache",
+                "--wait",
+                "--interval",
+                "0.2",
+                "--out",
+                out,
+            ]
+        )
+    finally:
+        state["loop"].call_soon_threadsafe(state["stop"].set)
+        thread.join(timeout=60)
+    assert code == 0
+    assert not thread.is_alive()
+    assert "Top root causes fleet-wide" in capsys.readouterr().out
+    reference = str(tmp_path / "inline.jsonl")
+    save_outcomes(api.campaign("smoke"), reference)
+    with open(out, "rb") as got, open(reference, "rb") as want:
+        assert got.read() == want.read()
