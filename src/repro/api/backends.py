@@ -123,9 +123,10 @@ class ClusterBackend:
     """Serve the campaign to remote ``repro cluster worker`` peers.
 
     Binds a one-shot :class:`~repro.cluster.coordinator.ClusterCoordinator`,
-    waits for *min_workers* peers, dispatches every scenario over TCP,
-    and returns outcomes in scenario order — byte-identical to local
-    backends because scenario seeds ride inside the specs.
+    dispatches every scenario over TCP to workers as they join, and
+    returns outcomes in scenario order as soon as the campaign settles
+    — byte-identical to local backends because scenario seeds ride
+    inside the specs.
 
     With *journal_path* set, every campaign transition is journaled
     before it takes effect, so a coordinator killed mid-campaign
@@ -136,8 +137,6 @@ class ClusterBackend:
 
     Args:
         host / port: coordinator bind address (``port=0`` = ephemeral).
-        min_workers: wait for this many workers before dispatching.
-        worker_wait_s: bound the worker wait (``None`` = forever).
         on_listening: called with the bound ``(host, port)`` so callers
             can advertise an ephemeral port to workers.
         journal_path: the write-ahead campaign journal (created on
@@ -157,8 +156,6 @@ class ClusterBackend:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        min_workers: int = 1,
-        worker_wait_s: Optional[float] = None,
         on_listening: Optional[Callable[[str, int], None]] = None,
         journal_path: Optional[str] = None,
         campaign_id: Optional[str] = None,
@@ -166,12 +163,8 @@ class ClusterBackend:
         ssl_context: Optional[object] = None,
         store_dir: Optional[str] = None,
     ) -> None:
-        if min_workers < 0:
-            raise ConfigError("min_workers must be >= 0")
         self.host = host
         self.port = port
-        self.min_workers = min_workers
-        self.worker_wait_s = worker_wait_s
         self.on_listening = on_listening
         self.journal_path = journal_path
         self.campaign_id = campaign_id
@@ -200,8 +193,6 @@ class ClusterBackend:
             fail_fast=fail_fast,
             host=self.host,
             port=self.port,
-            min_workers=self.min_workers,
-            worker_wait_s=self.worker_wait_s,
             on_listening=self.on_listening,
             journal_path=self.journal_path,
             campaign_id=self.campaign_id,

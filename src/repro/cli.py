@@ -39,13 +39,7 @@ from repro.core.report import render_frequency_table
 from repro.core.stats import DominoStats
 from repro.datasets.cells import CELL_PROFILES, get_profile
 from repro.datasets.runner import make_cellular_session, make_wired_session
-from repro.errors import (
-    ClusterError,
-    ConfigError,
-    ReproError,
-    SchemaError,
-    TelemetryError,
-)
+from repro.errors import ConfigError, ReproError
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.executor import iter_outcomes, save_outcomes
 from repro.fleet.report import render_fleet_report
@@ -150,6 +144,11 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """``--cache-dir`` unless ``--no-cache``."""
+    return None if args.no_cache else args.cache_dir
+
+
 def _preset_scenarios(args: argparse.Namespace):
     """``--preset`` (re-seeded by ``--base-seed``) → (matrix, scenarios)."""
     matrix = get_preset(args.preset)
@@ -167,14 +166,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             os.makedirs(out_dir, exist_ok=True)
         with open(args.out, "a"):
             pass
-    cache_dir = None if args.no_cache else args.cache_dir
-    dispatch = args.dispatch
+    cache_dir = _cache_dir(args)
+    cluster = args.dispatch == "cluster"
     print(
         f"campaign {matrix.name}: {len(scenarios)} sessions, "
         + (
-            f"dispatch=cluster ({args.bind}:{args.port}, "
-            f"min {args.min_workers} workers)"
-            if dispatch == "cluster"
+            f"dispatch=cluster ({args.bind}:{args.port})"
+            if cluster
             else f"workers={args.workers}"
         )
         + (f", cache={cache_dir}" if cache_dir else ", cache off")
@@ -187,11 +185,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    if dispatch == "cluster":
+    if cluster:
+        from repro.cluster.journal import campaign_id_for
+
+        # The id the coordinator journals and traces the campaign
+        # under (`repro obs trace <id>`).
+        print(f"campaign id {campaign_id_for(scenarios, None)}", flush=True)
         backend = api.ClusterBackend(
             args.bind,
             args.port,
-            min_workers=args.min_workers,
             on_listening=listening,
             journal_path=args.journal,
             auth_token=_cluster_token(args),
@@ -229,19 +231,13 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     # short (killed worker, crashed run) leaves a partial trailing line
     # and a count shortfall — report what survived, loudly.
     stats: dict = {}
-    try:
-        print(
-            render_fleet_report(
-                FleetAggregate(
-                    iter_outcomes(args.outcomes, tolerant=True, stats=stats)
-                )
+    print(
+        render_fleet_report(
+            FleetAggregate(
+                iter_outcomes(args.outcomes, tolerant=True, stats=stats)
             )
         )
-    except TelemetryError as exc:
-        # Includes SchemaVersionError: a mismatched artifact reports
-        # "schema version X vs Y", never a traceback mid-decode.
-        logger.error("%s", exc)
-        return 1
+    )
     if stats.get("skipped_lines"):
         logger.warning(
             "skipped %d undecodable line(s) (truncated save?)",
@@ -325,7 +321,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
             snapshot_every_s=args.snapshot_every,
             idle_timeout_s=args.idle_timeout,
             snapshot_path=args.snapshot,
-            metrics_path=getattr(args, "live_metrics_file", None),
+            metrics_path=args.metrics_file,
             store_dir=args.store,
             on_snapshot=progress if not args.quiet else None,
             detection_sink=sink,
@@ -346,8 +342,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
 def _live_specs(args: argparse.Namespace):
     """Expand a preset into N live session specs at the CLI duration."""
-    from dataclasses import replace as dc_replace
-
     from repro.fleet.scenarios import derive_seed
 
     matrix, base = _preset_scenarios(args)
@@ -356,7 +350,7 @@ def _live_specs(args: argparse.Namespace):
         spec = base[index % len(base)]
         name = f"live/{index}/{spec.profile}/{spec.impairment.name}"
         specs.append(
-            dc_replace(
+            replace(
                 spec,
                 name=name,
                 duration_s=args.duration,
@@ -401,22 +395,15 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.live.dashboard import SnapshotHistory, render_snapshot, render_trend
 
     if args.snapshot is None and not args.connect:
-        print(
-            "need a snapshot file or --connect HOST:PORT", file=sys.stderr
-        )
-        return 1
+        raise ConfigError("need a snapshot file or --connect HOST:PORT")
     history = SnapshotHistory() if args.follow else None
     engine = None
     alert_store = None
     recent_alerts: list = []
     if args.rules:
-        try:
-            if args.store:
-                alert_store = api.store_open(args.store)
-            engine = api.store_alerts(args.rules, store=alert_store)
-        except ConfigError as exc:
-            logger.error("%s", exc)
-            return 1
+        if args.store:
+            alert_store = api.store_open(args.store)
+        engine = api.store_alerts(args.rules, store=alert_store)
 
     def show(snapshot: FleetSnapshot) -> None:
         print(render_snapshot(snapshot))
@@ -449,8 +436,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         host, port = args.connect
 
         async def _stream() -> None:
-            import asyncio as aio
-
             while True:
                 try:
                     async for snapshot in api.watch(
@@ -476,40 +461,29 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                     flush=True,
                 )
-                await aio.sleep(args.interval)
+                await asyncio.sleep(args.interval)
 
-        try:
-            asyncio.run(_stream())
-        except (SchemaError, ClusterError) as exc:
-            # An incompatible coordinator surfaces as a refused
-            # handshake (ClusterError carrying the coordinator's
-            # "schema/protocol version mismatch" reason), a malformed
-            # frame (ClusterProtocolError), or a mismatched snapshot
-            # stamp (SchemaVersionError).  None of these heal by
-            # retrying: report the reason cleanly and exit non-zero.
-            logger.error("%s", exc)
-            return 1
+        # An incompatible coordinator (refused handshake, malformed
+        # frame, mismatched snapshot stamp) raises a ReproError that
+        # no retry heals: it ends the command through main().
+        asyncio.run(_stream())
         return 0
 
     while True:
         try:
             snapshot = api.read_snapshot(args.snapshot)
-        except SchemaError as exc:
-            logger.error("%s", exc)
-            return 1
         except FileNotFoundError:
-            if args.follow:
-                # The service writes its first snapshot after one
-                # interval; keep waiting instead of racing it.
-                print(
-                    f"waiting for {args.snapshot} ...",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                time.sleep(args.interval)
-                continue
-            print(f"no snapshot at {args.snapshot}", file=sys.stderr)
-            return 1
+            if not args.follow:
+                raise
+            # The service writes its first snapshot after one interval;
+            # keep waiting instead of racing it.
+            print(
+                f"waiting for {args.snapshot} ...",
+                file=sys.stderr,
+                flush=True,
+            )
+            time.sleep(args.interval)
+            continue
         show(snapshot)
         if not args.follow:
             return 0
@@ -518,10 +492,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
+    """Standing coordinator: the live plane and the campaign queue
+    (``repro cluster queue|status|cancel``) until Ctrl-C."""
     import asyncio
 
     from repro.cluster import ClusterCoordinator
-    from repro.fleet.executor import save_outcomes as save
 
     if bool(args.tls_cert) != bool(args.tls_key):
         logger.error("--tls-cert and --tls-key must be given together")
@@ -532,7 +507,7 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
 
         ssl_context = server_ssl_context(args.tls_cert, args.tls_key)
 
-    async def _serve() -> int:
+    async def _serve() -> None:
         coordinator = ClusterCoordinator(
             args.bind,
             args.port,
@@ -555,71 +530,25 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
             flush=True,
         )
         try:
-            if args.preset is None:
-                # Standing mode: serve the live plane and the campaign
-                # queue (repro cluster queue|status|cancel).  With a
-                # journal, campaigns interrupted by a previous crash
-                # pick themselves back up first.
-                if args.journal:
-                    for cid in await coordinator.resume_pending_campaigns():
-                        print(
-                            f"resuming campaign {cid} from journal",
-                            flush=True,
-                        )
-                print(
-                    "serving live plane and campaign queue "
-                    "(Ctrl-C to stop)",
-                    flush=True,
-                )
-                while True:
-                    await asyncio.sleep(3600)
-            matrix, scenarios = _preset_scenarios(args)
-
-            def progress(done: int, total: int, requeues: int) -> None:
-                print(
-                    f"[{done}/{total}] outcomes collected"
-                    + (f", {requeues} requeued" if requeues else ""),
-                    flush=True,
-                )
-
-            # Submit before waiting for workers: with a journal whose
-            # records already settle every scenario, the campaign
-            # finishes right here and no worker is needed at all.
-            cid = await coordinator.submit_campaign(
-                scenarios,
-                trace_dir=args.trace_dir,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                fail_fast=args.fail_fast,
-                on_progress=progress,
-            )
+            # With a journal, campaigns interrupted by a previous crash
+            # pick themselves back up first.
+            if args.journal:
+                for cid in await coordinator.resume_pending_campaigns():
+                    print(f"resuming campaign {cid} from journal", flush=True)
             print(
-                f"campaign {matrix.name} ({cid}): "
-                f"{len(scenarios)} scenarios",
+                "serving live plane and campaign queue (Ctrl-C to stop)",
                 flush=True,
             )
-            if not coordinator.campaign_finished(cid):
-                print(
-                    f"waiting for {args.min_workers} worker(s)",
-                    flush=True,
-                )
-                await coordinator.wait_for_workers(args.min_workers)
-            outcomes = await coordinator.wait_campaign(cid)
-            if args.out:
-                save(outcomes, args.out)
-                print(f"wrote {args.out}: {len(outcomes)} outcomes")
-            print()
-            # The coordinator folded each outcome as it arrived; render
-            # that incremental aggregate rather than re-scanning.
-            print(render_fleet_report(coordinator.batch_aggregate))
-            return 0
+            while True:
+                await asyncio.sleep(3600)
         finally:
             await coordinator.close()
 
     try:
-        return asyncio.run(_serve())
+        asyncio.run(_serve())
     except KeyboardInterrupt:
         print("\ncoordinator stopped")
-        return 0
+    return 0
 
 
 def _cmd_cluster_worker(args: argparse.Namespace) -> int:
@@ -668,7 +597,7 @@ def _cmd_cluster_worker(args: argparse.Namespace) -> int:
 
 def _run_control(args: argparse.Namespace, request) -> int:
     """Run ``await request(control)`` on a control connection to
-    ``--connect``; a cluster or transport failure logs and exits 1."""
+    ``--connect``."""
     import asyncio
 
     from repro.cluster import CoordinatorControl
@@ -684,11 +613,7 @@ def _run_control(args: argparse.Namespace, request) -> int:
         ) as control:
             return await request(control)
 
-    try:
-        return asyncio.run(_go())
-    except (ClusterError, OSError) as exc:
-        logger.error("%s", exc)
-        return 1
+    return asyncio.run(_go())
 
 
 def _cmd_cluster_queue(args: argparse.Namespace) -> int:
@@ -701,7 +626,7 @@ def _cmd_cluster_queue(args: argparse.Namespace) -> int:
             scenarios,
             campaign_id=args.campaign_id,
             trace_dir=args.trace_dir,
-            cache_dir=None if args.no_cache else args.cache_dir,
+            cache_dir=_cache_dir(args),
             fail_fast=args.fail_fast,
         )
         print(
@@ -777,30 +702,17 @@ def _cmd_cluster_cancel(args: argparse.Namespace) -> int:
     return _run_control(args, _cancel)
 
 
-def _open_store(args: argparse.Namespace, *, create: bool):
-    from repro.store import RcaStore
-
-    return RcaStore.open(args.store_dir, create=create)
-
-
 def _cmd_store_ingest(args: argparse.Namespace) -> int:
     if not (args.outcomes or args.prom or args.snapshot_file):
         logger.error(
             "nothing to ingest: give outcome files, --prom, or --snapshot"
         )
         return 2
-    store = _open_store(args, create=True)
-    try:
+    with api.store_open(args.store_dir) as store:
         for path in args.outcomes:
-            try:
-                stats = store.ingest_outcomes_file(
-                    path, ts=args.at, tolerant=not args.strict
-                )
-            except (TelemetryError, SchemaError) as exc:
-                # Includes SchemaVersionError: a major-version artifact
-                # reports "schema version X vs Y", never a traceback.
-                logger.error("%s", exc)
-                return 1
+            stats = store.ingest_outcomes_file(
+                path, ts=args.at, tolerant=not args.strict
+            )
             line = f"{path}: ingested {stats['ingested']} outcome(s)"
             if stats.get("skipped_lines"):
                 line += f", skipped {stats['skipped_lines']} line(s)"
@@ -812,15 +724,9 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
                 n = store.ingest_prom_text(handle.read(), ts=args.at)
             print(f"{path}: ingested {n} metric sample(s)")
         for path in args.snapshot_file:
-            try:
-                snapshot = api.read_snapshot(path)
-            except SchemaError as exc:
-                logger.error("%s", exc)
-                return 1
+            snapshot = api.read_snapshot(path)
             store.ingest_snapshot(snapshot, ts=args.at)
             print(f"{path}: ingested fleet snapshot #{snapshot.seq}")
-    finally:
-        store.close()
     return 0
 
 
@@ -835,16 +741,9 @@ def _store_range(args: argparse.Namespace, query):
 
 
 def _cmd_store_query(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.store import StoreQuery
 
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
+    with api.store_open(args.store_dir, create=False) as store:
         query = StoreQuery(store)
         since, until = _store_range(args, query)
         if args.what != "totals" and since is None:
@@ -906,35 +805,24 @@ def _cmd_store_query(args: argparse.Namespace) -> int:
                     args.match or "*", since=since, until=until
                 )
             ]
-        if args.json:
-            print(_json.dumps(result, indent=2, sort_keys=True))
-        elif isinstance(result, dict):
-            for key, value in result.items():
-                print(f"{key}: {value}")
-        else:
-            for row in result:
-                if isinstance(row, dict):
-                    print(
-                        "  ".join(
-                            f"{key}={value}" for key, value in row.items()
-                        )
-                    )
-                else:
-                    print(row)
-    finally:
-        store.close()
+    if args.json:
+        print(json.dumps(result, indent=2, sort_keys=True))
+    elif isinstance(result, dict):
+        for key, value in result.items():
+            print(f"{key}: {value}")
+    else:
+        for row in result:
+            if isinstance(row, dict):
+                print("  ".join(f"{key}={value}" for key, value in row.items()))
+            else:
+                print(row)
     return 0
 
 
 def _cmd_store_alerts(args: argparse.Namespace) -> int:
     from repro.store import StoreQuery
 
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
+    with api.store_open(args.store_dir, create=False) as store:
         query = StoreQuery(store)
         if not args.rules:
             # No rule file: list the transitions already on record.
@@ -943,7 +831,6 @@ def _cmd_store_alerts(args: argparse.Namespace) -> int:
             )
             if not recorded:
                 print("no recorded alerts")
-                return 0
             for entry in recorded:
                 print(
                     f"[{entry['ts']:.0f}] {entry['severity']:<5} "
@@ -960,34 +847,24 @@ def _cmd_store_alerts(args: argparse.Namespace) -> int:
         events = engine.evaluate_range(
             query, since=since, until=until, step_s=args.step
         )
-        for event in events:
-            print(
-                f"[{event.ts:.0f}] {event.severity:<5} {event.rule} "
-                f"{event.state}: {event.message}"
-            )
-        firing = engine.firing
+    for event in events:
         print(
-            f"{len(events)} transition(s); "
-            + (f"firing at end: {', '.join(firing)}" if firing else
-               "nothing firing at end")
+            f"[{event.ts:.0f}] {event.severity:<5} {event.rule} "
+            f"{event.state}: {event.message}"
         )
-    except ConfigError as exc:
-        logger.error("%s", exc)
-        return 1
-    finally:
-        store.close()
+    firing = engine.firing
+    print(
+        f"{len(events)} transition(s); "
+        + (f"firing at end: {', '.join(firing)}" if firing else
+           "nothing firing at end")
+    )
     return 0
 
 
 def _cmd_store_report(args: argparse.Namespace) -> int:
     from repro.store import AlertEvent, StoreQuery, render_incident_report
 
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
+    with api.store_open(args.store_dir, create=False) as store:
         query = StoreQuery(store)
         recorded = query.alerts(rule=args.rule, state=args.state)
         if not recorded:
@@ -1011,57 +888,38 @@ def _cmd_store_report(args: argparse.Namespace) -> int:
             labels=dict(entry["labels"]),
         )
         report = render_incident_report(event, query)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report)
-            print(f"wrote {args.out}")
-        else:
-            print(report)
-    finally:
-        store.close()
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(report)
+        print(f"wrote {args.out}")
+    else:
+        print(report)
     return 0
 
 
 def _cmd_store_compact(args: argparse.Namespace) -> int:
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
+    with api.store_open(args.store_dir, create=False) as store:
         summary = store.compact(
             max_age_s=args.max_age_s, max_bytes=args.max_bytes
         )
-        print(
-            f"removed {summary['partitions_removed']} partition(s), "
-            f"{summary['bytes_removed']} segment byte(s), "
-            f"{summary['rows_deleted']} index row(s)"
-        )
-    finally:
-        store.close()
+    print(
+        f"removed {summary['partitions_removed']} partition(s), "
+        f"{summary['bytes_removed']} segment byte(s), "
+        f"{summary['rows_deleted']} index row(s)"
+    )
     return 0
 
 
 def _cmd_store_reindex(args: argparse.Namespace) -> int:
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
+    with api.store_open(args.store_dir, create=False) as store:
         counts = store.reindex()
-        print(
-            f"reindexed {counts['outcomes']} outcome(s), "
-            f"{counts['snapshots']} snapshot(s), "
-            f"{counts['metrics']} metric sample(s), "
-            f"{counts['alerts']} alert(s), "
-            f"{counts['trace_spans']} trace span(s)"
-        )
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    finally:
-        store.close()
+    print(
+        f"reindexed {counts['outcomes']} outcome(s), "
+        f"{counts['snapshots']} snapshot(s), "
+        f"{counts['metrics']} metric sample(s), "
+        f"{counts['alerts']} alert(s), "
+        f"{counts['trace_spans']} trace span(s)"
+    )
     return 0
 
 
@@ -1076,16 +934,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs import report_from_files
 
-    try:
-        print(report_from_files(args.events))
-    except FileNotFoundError as exc:
-        logger.error("%s", exc)
-        return 1
-    except (OSError, ValueError, SchemaError) as exc:
-        logger.error(
-            "%s: unreadable event log: %s", " ".join(args.events), exc
-        )
-        return 1
+    print(report_from_files(args.events))
     return 0
 
 
@@ -1093,15 +942,9 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     from repro.api import store_trace
     from repro.obs.trace import render_trace_timeline
 
-    try:
-        spans = store_trace(
-            args.store,
-            campaign_id=args.campaign_id,
-            trace_id=args.trace_id,
-        )
-    except (OSError, ReproError) as exc:
-        logger.error("%s: %s", args.store, exc)
-        return 1
+    spans = store_trace(
+        args.store, campaign_id=args.campaign_id, trace_id=args.trace_id
+    )
     if not spans:
         selector = args.campaign_id or args.trace_id or "any"
         print(f"no trace spans in {args.store} for {selector}")
@@ -1140,11 +983,7 @@ def _cmd_causal_bench(args: argparse.Namespace) -> int:
 def _cmd_causal_score(args: argparse.Namespace) -> int:
     from repro.causal import render_leaderboard, score_outcomes
 
-    try:
-        outcomes = list(iter_outcomes(args.outcomes))
-    except TelemetryError as exc:
-        logger.error("%s", exc)
-        return 1
+    outcomes = list(iter_outcomes(args.outcomes))
     report = score_outcomes(outcomes, campaign=args.outcomes)
     if not report.n_labeled:
         print(
@@ -1172,14 +1011,20 @@ def _add_connect_arg(
     )
 
 
-def _add_cluster_client_args(parser: argparse.ArgumentParser) -> None:
-    """Auth/TLS options shared by every cluster-connecting command."""
+def _add_auth_token_arg(parser: argparse.ArgumentParser) -> None:
+    """``--auth-token``, read through :func:`_cluster_token`."""
     parser.add_argument(
         "--auth-token",
         default=None,
-        help="shared cluster auth token presented at handshake "
+        help="shared cluster auth token: presented at handshake, or "
+        "required of every peer by a coordinator "
         "(default: $REPRO_CLUSTER_TOKEN)",
     )
+
+
+def _add_cluster_client_args(parser: argparse.ArgumentParser) -> None:
+    """Auth/TLS options shared by every cluster-connecting command."""
+    _add_auth_token_arg(parser)
     parser.add_argument(
         "--tls",
         action="store_true",
@@ -1191,6 +1036,52 @@ def _add_cluster_client_args(parser: argparse.ArgumentParser) -> None:
         metavar="PEM",
         help="connect over TLS, trusting exactly this CA / self-signed "
         "coordinator certificate",
+    )
+
+
+def _add_preset_args(
+    parser: argparse.ArgumentParser, default: str = "smoke"
+) -> None:
+    """``--preset``/``--base-seed``, read through
+    :func:`_preset_scenarios`."""
+    parser.add_argument(
+        "--preset",
+        default=default,
+        choices=sorted(PRESETS),
+        help=f"scenario preset (default: {default})",
+    )
+    parser.add_argument(
+        "--base-seed",
+        type=int,
+        default=None,
+        help="re-seed the preset's scenario matrix",
+    )
+
+
+def _add_campaign_run_args(parser: argparse.ArgumentParser) -> None:
+    """Outputs and outcome cache of one campaign run; the cache pair is
+    read through :func:`_cache_dir`.  On cluster workers the trace and
+    cache directories are worker-local paths."""
+    parser.add_argument("--out", help="write per-session outcomes JSONL here")
+    parser.add_argument(
+        "--trace-dir",
+        help="also export each session's full telemetry as a JSONL shard",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=".fleet-cache",
+        help="per-scenario outcome cache (keyed on scenario fingerprint "
+        "+ detector config hash); repeat runs skip simulation",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="ignore and do not update the outcome cache",
+    )
+    parser.add_argument(
+        "--fail-fast",
+        action="store_true",
+        help="cancel queued scenarios as soon as one errors",
     )
 
 
@@ -1274,35 +1165,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet", help="run a multi-session campaign and aggregate RCA"
     )
-    fleet.add_argument("--preset", default="smoke", choices=sorted(PRESETS))
+    _add_preset_args(fleet)
     fleet.add_argument("--workers", type=_positive_int, default=1)
-    fleet.add_argument("--out", help="write per-session outcomes JSONL here")
-    fleet.add_argument(
-        "--trace-dir",
-        help="also export each session's full telemetry as a JSONL shard",
-    )
-    fleet.add_argument(
-        "--base-seed",
-        type=int,
-        default=None,
-        help="override the preset's campaign base seed",
-    )
-    fleet.add_argument(
-        "--cache-dir",
-        default=".fleet-cache",
-        help="per-scenario outcome cache (keyed on scenario fingerprint "
-        "+ detector config hash); repeat runs skip simulation",
-    )
-    fleet.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the outcome cache",
-    )
-    fleet.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="cancel queued scenarios as soon as one errors",
-    )
+    _add_campaign_run_args(fleet)
     fleet.add_argument(
         "--dispatch",
         default="local",
@@ -1320,12 +1185,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="cluster coordinator port (0 = ephemeral, printed at start)",
-    )
-    fleet.add_argument(
-        "--min-workers",
-        type=_positive_int,
-        default=1,
-        help="wait for this many workers before dispatching",
     )
     fleet.add_argument(
         "--journal",
@@ -1373,12 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=20.0,
         help="telemetry seconds per session",
     )
-    live.add_argument(
-        "--preset",
-        default="smoke",
-        choices=sorted(PRESETS),
-        help="scenario preset the sessions cycle through",
-    )
+    _add_preset_args(live)
     live.add_argument(
         "--source",
         default="replay",
@@ -1416,7 +1270,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="evict sessions idle longer than this many seconds",
     )
-    live.add_argument("--base-seed", type=int, default=None)
     live.add_argument(
         "--quiet", action="store_true", help="suppress per-snapshot lines"
     )
@@ -1484,8 +1337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     coordinator = csub.add_parser(
         "coordinator",
-        help="serve workers and live supervisors; optionally run a "
-        "campaign preset",
+        help="standing server for workers, live supervisors and the "
+        "campaign queue (one-shot campaigns: `fleet --dispatch cluster`)",
     )
     coordinator.add_argument("--bind", default="127.0.0.1")
     coordinator.add_argument(
@@ -1494,31 +1347,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=7077,
         help="listen port (0 = ephemeral, printed at start)",
     )
-    coordinator.add_argument(
-        "--preset",
-        default=None,
-        choices=sorted(PRESETS),
-        help="run this campaign over connected workers, then exit "
-        "(omit to serve the live plane until Ctrl-C)",
-    )
-    coordinator.add_argument("--base-seed", type=int, default=None)
-    coordinator.add_argument(
-        "--min-workers", type=_positive_int, default=1
-    )
-    coordinator.add_argument(
-        "--out", help="write per-session outcomes JSONL here"
-    )
-    coordinator.add_argument(
-        "--trace-dir",
-        help="ask workers to export telemetry shards (worker-local path)",
-    )
-    coordinator.add_argument(
-        "--cache-dir",
-        default=".fleet-cache",
-        help="ask workers to cache outcomes (worker-local path)",
-    )
-    coordinator.add_argument("--no-cache", action="store_true")
-    coordinator.add_argument("--fail-fast", action="store_true")
     coordinator.add_argument(
         "--heartbeat", type=float, default=2.0, help="seconds"
     )
@@ -1556,12 +1384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaigns interrupted by a crash resume from their settled "
         "outcomes",
     )
-    coordinator.add_argument(
-        "--auth-token",
-        default=None,
-        help="require this token from every connecting peer "
-        "(default: $REPRO_CLUSTER_TOKEN)",
-    )
+    _add_auth_token_arg(coordinator)
     coordinator.add_argument(
         "--tls-cert",
         default=None,
@@ -1620,45 +1443,28 @@ def build_parser() -> argparse.ArgumentParser:
     queue = csub.add_parser(
         "queue",
         help="submit a campaign preset to a standing coordinator's "
-        "queue",
+        "queue (--trace-dir/--cache-dir are paths on the workers)",
     )
     _add_connect_arg(queue)
-    queue.add_argument(
-        "--preset", default="smoke", choices=sorted(PRESETS)
-    )
-    queue.add_argument("--base-seed", type=int, default=None)
+    _add_preset_args(queue)
     queue.add_argument(
         "--campaign-id",
         default=None,
         help="explicit campaign id (default: deterministic digest of "
         "the scenarios)",
     )
-    queue.add_argument(
-        "--trace-dir",
-        help="ask workers to export telemetry shards (worker-local "
-        "path)",
-    )
-    queue.add_argument(
-        "--cache-dir",
-        default=".fleet-cache",
-        help="ask workers to cache outcomes (worker-local path)",
-    )
-    queue.add_argument("--no-cache", action="store_true")
-    queue.add_argument("--fail-fast", action="store_true")
+    _add_campaign_run_args(queue)
     queue.add_argument(
         "--wait",
         action="store_true",
         help="stay connected until the campaign finishes, then fetch "
-        "and report its outcomes",
+        "and report its outcomes (and write --out)",
     )
     queue.add_argument(
         "--interval",
         type=float,
         default=1.0,
         help="progress poll interval with --wait (seconds)",
-    )
-    queue.add_argument(
-        "--out", help="write fetched outcomes JSONL here (--wait only)"
     )
     _add_cluster_client_args(queue)
     queue.set_defaults(fn=_cmd_cluster_queue)
@@ -1737,23 +1543,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a confounder campaign and print the ground-truth "
         "leaderboard (F1 per detector, confusion per axis)",
     )
-    causal_bench.add_argument(
-        "--preset",
-        default="adversarial",
-        choices=sorted(PRESETS),
-        help="scenario preset (default: adversarial)",
-    )
+    _add_preset_args(causal_bench, default="adversarial")
     causal_bench.add_argument(
         "--workers",
         type=_positive_int,
         default=os.cpu_count() or 4,
         help="parallel session workers (default: CPU count)",
-    )
-    causal_bench.add_argument(
-        "--base-seed",
-        type=int,
-        default=None,
-        help="re-seed the preset's scenario matrix",
     )
     causal_bench.add_argument(
         "--cache-dir",
@@ -2008,11 +1803,19 @@ def _install_sigterm_exit():
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; a :class:`ReproError` or :class:`OSError` it
+    raises is logged and exits 1."""
     import signal
 
     from repro import obs
 
     args = build_parser().parse_args(argv)
+    repro_logger = get_logger()
+    previous_logging = (
+        repro_logger.level,
+        repro_logger.propagate,
+        list(repro_logger.handlers),
+    )
     setup_logging(verbose=args.log_verbose, quiet=args.log_quiet)
     previous_sigterm = _install_sigterm_exit()
     sink = None
@@ -2020,13 +1823,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.events_file:
         sink = obs.JsonlSink(args.events_file)
         previous_sink = obs.set_sink(sink)
-    # Long-running service commands also flush periodically (the live
-    # service's metrics_path); every command flushes a final snapshot.
-    if args.metrics_file and getattr(args, "fn", None) is _cmd_live:
-        args.live_metrics_file = args.metrics_file
     try:
         with obs.profile_to_file(getattr(args, "profile_out", None)):
             return args.fn(args)
+    except (ReproError, OSError) as exc:
+        logger.error("%s", exc)
+        return 1
     finally:
         if sink is not None:
             obs.set_sink(previous_sink)
@@ -2035,6 +1837,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             obs.write_metrics_file(obs.get_registry(), args.metrics_file)
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
+        # Hand the "repro" logger back as found, so an in-process run
+        # leaves no handler bound to this call's stderr.
+        level, propagate, handlers = previous_logging
+        repro_logger.setLevel(level)
+        repro_logger.propagate = propagate
+        for handler in repro_logger.handlers[:]:
+            if handler not in handlers:
+                repro_logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -32,8 +32,10 @@ length-prefixed JSON frame protocol:
   control-plane client behind ``repro cluster queue|status|cancel``).
 
 Exposed as ``repro.api.campaign(..., backend=ClusterBackend(...))``
-for API-compatible campaigns (byte-identical to local execution) and on
-the CLI as ``repro cluster coordinator`` / ``repro cluster worker``.
+for API-compatible campaigns (byte-identical to local execution), on
+the CLI as ``repro fleet --dispatch cluster`` for one-shot campaigns,
+and as ``repro cluster coordinator`` (standing server) /
+``repro cluster worker``.
 
 This ``__init__`` resolves its exports lazily (PEP 562):
 ``repro.schema`` registers the journal-record codec by importing

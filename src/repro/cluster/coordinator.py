@@ -73,7 +73,6 @@ from typing import (
 from repro import schema
 from repro.core.detector import DetectorConfig
 from repro.errors import ClusterError, ClusterProtocolError, ConfigError, SchemaError
-from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.executor import SessionOutcome
 from repro.fleet.scenarios import ScenarioSpec
 from repro.live.aggregator import FleetSnapshot, LiveAggregator
@@ -384,8 +383,7 @@ class ClusterCoordinator:
         self.auth_token = auth_token
         self.ssl_context = ssl_context
 
-        #: Central rollups: batch campaign outcomes and live detections.
-        self.batch_aggregate = FleetAggregate()
+        #: Central rollup of live detections.
         self.live = LiveAggregator()
         #: Live-plane records shed by drop_oldest backpressure.
         self.lag_events = 0
@@ -677,13 +675,6 @@ class ClusterCoordinator:
             resumed.append(cid)
         return resumed
 
-    def campaign_finished(self, campaign_id: str) -> bool:
-        """True once a campaign has reached a terminal state."""
-        try:
-            return self._campaign(campaign_id).done.is_set()
-        except ClusterError:
-            return False
-
     def _campaign(self, campaign_id: object) -> _Campaign:
         """An active or recently finished campaign by id."""
         campaign = self._campaigns.get(campaign_id) or self._history.get(
@@ -751,10 +742,6 @@ class ClusterCoordinator:
                     if item[0] != campaign.campaign_id
                 }
             self._work_available.notify_all()
-        # The batch rollup covers the most recently finished campaign.
-        self.batch_aggregate = FleetAggregate(
-            outcome for outcome in campaign.outcomes if outcome is not None
-        )
         self._ingest_trace_spans(campaign)
         campaign.done.set()
 
@@ -1394,8 +1381,6 @@ def run_cluster_campaign(
     fail_fast: bool = False,
     host: str = "127.0.0.1",
     port: int = 0,
-    min_workers: int = 1,
-    worker_wait_s: Optional[float] = None,
     on_listening: Optional[Callable[[str, int], None]] = None,
     on_progress: Optional[ProgressCallback] = None,
     journal_path: Optional[str] = None,
@@ -1409,12 +1394,11 @@ def run_cluster_campaign(
     This is the engine behind
     :class:`~repro.api.backends.ClusterBackend`: bind, submit the
     campaign (resuming from *journal_path*'s settled records when they
-    exist), wait for *min_workers*
-    :class:`~repro.cluster.worker.ClusterWorker` peers unless the
-    journal already settled everything, dispatch the remainder, and
-    return outcomes in scenario order.  *on_listening* fires with the
-    bound ``(host, port)`` so callers can advertise an ephemeral port
-    to workers.  Each scenario runs under its own distributed trace;
+    exist), dispatch the remainder to
+    :class:`~repro.cluster.worker.ClusterWorker` peers as they join,
+    and return outcomes in scenario order as soon as the campaign
+    settles.  *on_listening* fires with the bound ``(host, port)`` so
+    callers can advertise an ephemeral port to workers.  Each scenario runs under its own distributed trace;
     with *store_dir* set the finished campaign's spans land in that
     historical store for ``repro obs trace``.
     """
@@ -1443,12 +1427,6 @@ def run_cluster_campaign(
                 fail_fast=fail_fast,
                 on_progress=on_progress,
             )
-            # A journal that already settled every scenario needs no
-            # workers at all; don't block waiting for them.
-            if not coordinator.campaign_finished(cid) and min_workers > 0:
-                await coordinator.wait_for_workers(
-                    min_workers, timeout_s=worker_wait_s
-                )
             return await coordinator.wait_campaign(cid)
         finally:
             await coordinator.close()

@@ -58,18 +58,31 @@ class ObsEvent:
 def iter_events(path: str) -> Iterator[ObsEvent]:
     """Stream ObsEvents out of a JSONL trace file.
 
-    Blank lines are skipped; malformed lines raise, because a trace
-    file is written by one process with atomic line appends and damage
-    means something is actually wrong.
+    Blank lines are skipped; an undecodable or non-object line raises
+    :class:`~repro.errors.TelemetryError` naming ``path:line``, because
+    a trace file is written by one process with atomic line appends
+    and damage means something is actually wrong.
     """
     import json
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+    from repro.errors import TelemetryError
+
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
-            yield ObsEvent.from_json(json.loads(line))
+            try:
+                payload = json.loads(line)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise TelemetryError(
+                    f"{path}:{number}: undecodable event line: {exc}"
+                ) from None
+            if not isinstance(payload, dict):
+                raise TelemetryError(
+                    f"{path}:{number}: event line is not a JSON object"
+                )
+            yield ObsEvent.from_json(payload)
 
 
 __all__ = ["ObsEvent", "iter_events"]

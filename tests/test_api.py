@@ -170,14 +170,10 @@ def test_cluster_backend_wires_through_coordinator(monkeypatch):
     monkeypatch.setattr(
         coordinator, "run_cluster_campaign", fake_run_cluster_campaign
     )
-    backend = api.ClusterBackend(
-        "127.0.0.1", 7099, min_workers=3, worker_wait_s=1.5
-    )
+    backend = api.ClusterBackend("127.0.0.1", 7099)
     api.campaign(TINY_MATRIX, backend=backend, fail_fast=True)
     assert calls["host"] == "127.0.0.1"
     assert calls["port"] == 7099
-    assert calls["min_workers"] == 3
-    assert calls["worker_wait_s"] == 1.5
     assert calls["fail_fast"] is True
     assert calls["scenarios"] == TINY_MATRIX.expand()
     # The journal, auth and TLS options default to off ...

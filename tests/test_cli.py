@@ -430,11 +430,11 @@ def test_fleet_report_on_major_version_file_exits_1(tmp_path, cli_stderr):
         ],
         path,
     )
-    lines = open(path).read().splitlines()
+    lines = (tmp_path / "fleet.jsonl").read_text().splitlines()
     header = json.loads(lines[0])
     header["version"] = 99
     lines[0] = json.dumps(header)
-    open(path, "w").write("\n".join(lines) + "\n")
+    (tmp_path / "fleet.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["fleet-report", path]) == 1
     assert "schema version 99 vs" in cli_stderr()
 
@@ -554,3 +554,36 @@ def test_cluster_queue_wait_matches_inline_campaign(tmp_path, capsys):
     save_outcomes(api.campaign("smoke"), reference)
     with open(out, "rb") as got, open(reference, "rb") as want:
         assert got.read() == want.read()
+
+
+def test_main_hands_the_repro_logger_back(tmp_path, capsys, caplog):
+    """An in-process run leaves no handler bound to its own stderr: a
+    later ``repro.*`` warning reaches caplog, and nothing writes into
+    the run's stderr once that stream is closed."""
+    import io
+    import logging
+    import sys
+
+    repro_logger = logging.getLogger("repro")
+    before = (
+        repro_logger.level,
+        repro_logger.propagate,
+        list(repro_logger.handlers),
+    )
+    run_stderr = io.StringIO()
+    real_stderr, sys.stderr = sys.stderr, run_stderr
+    try:
+        assert main(["obs", "report", str(tmp_path / "none.jsonl")]) == 1
+    finally:
+        sys.stderr = real_stderr
+    assert "none.jsonl" in run_stderr.getvalue()
+    run_stderr.close()
+    assert (
+        repro_logger.level,
+        repro_logger.propagate,
+        list(repro_logger.handlers),
+    ) == before
+    with caplog.at_level(logging.WARNING):
+        logging.getLogger("repro.cluster.client").warning("after main")
+    assert "after main" in caplog.text
+    assert "Logging error" not in capsys.readouterr().err

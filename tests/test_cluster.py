@@ -418,9 +418,7 @@ def test_sequential_campaigns_on_one_coordinator(
     scenarios, local_outcomes
 ):
     """A standing coordinator serves campaigns back to back; each gets
-    its own epoch, so nothing leaks across (and the per-campaign
-    incremental aggregate matches a from-scratch one)."""
-    from repro.fleet.aggregate import FleetAggregate
+    its own epoch, so nothing leaks across."""
 
     def workers(port):
         return [ClusterWorker("127.0.0.1", port, slots=2, name="w")]
@@ -428,16 +426,10 @@ def test_sequential_campaigns_on_one_coordinator(
     async def run(coordinator):
         first = await coordinator.run_campaign(scenarios[:2])
         second = await coordinator.run_campaign(scenarios[2:])
-        return first, second, coordinator.batch_aggregate
+        return first, second
 
-    first, second, aggregate = asyncio.run(
-        _with_cluster(scenarios, workers, run)
-    )
+    first, second = asyncio.run(_with_cluster(scenarios, workers, run))
     assert _outcome_bytes(first + second) == _outcome_bytes(local_outcomes)
-    # batch_aggregate covers exactly the most recent campaign.
-    fresh = FleetAggregate.from_outcomes(second)
-    assert aggregate.n_sessions == fresh.n_sessions
-    assert aggregate.fleet_chain_totals() == fresh.fleet_chain_totals()
 
 
 def _campaign_with_threaded_worker(scenarios, **backend_kwargs):
@@ -488,6 +480,33 @@ def test_run_campaign_cluster_dispatch_api(scenarios, local_outcomes):
     assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
 
 
+def test_one_worker_cluster_backend_returns_once_settled(
+    monkeypatch, scenarios, local_outcomes
+):
+    """A one-worker ``ClusterBackend`` campaign hands its outcomes back
+    as soon as the campaign settles: the one-shot coordinator starts
+    closing right after, with nothing waiting on further workers."""
+    import time
+
+    stamps = {}
+    finalize = ClusterCoordinator._finalize
+    close = ClusterCoordinator.close
+
+    async def timed_finalize(self, campaign, reason):
+        await finalize(self, campaign, reason)
+        stamps["settled"] = time.monotonic()
+
+    async def timed_close(self):
+        stamps["closing"] = time.monotonic()
+        await close(self)
+
+    monkeypatch.setattr(ClusterCoordinator, "_finalize", timed_finalize)
+    monkeypatch.setattr(ClusterCoordinator, "close", timed_close)
+    outcomes = _campaign_with_threaded_worker(scenarios[:1])
+    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes[:1])
+    assert 0.0 <= stamps["closing"] - stamps["settled"] < 1.0
+
+
 def test_journaled_cluster_backend_rerun_replays_without_workers(
     tmp_path, scenarios, local_outcomes
 ):
@@ -509,13 +528,23 @@ def test_journaled_cluster_backend_rerun_replays_without_workers(
     assert json.loads(lines[-1])["type"] == CAMPAIGN_CLOSED
     with open(journal_path, "w", encoding="utf-8") as handle:
         handle.writelines(lines[:-1])
-    # No worker joins: a rerun that dispatched anything would time out.
-    again = api.campaign(
-        scenarios[:2],
-        backend=api.ClusterBackend(
-            journal_path=journal_path, worker_wait_s=5.0
+    # No worker joins: a rerun that dispatched anything would never
+    # settle.
+    import threading
+
+    again = []
+    rerun = threading.Thread(
+        target=lambda: again.extend(
+            api.campaign(
+                scenarios[:2],
+                backend=api.ClusterBackend(journal_path=journal_path),
+            )
         ),
+        daemon=True,
     )
+    rerun.start()
+    rerun.join(timeout=5.0)
+    assert not rerun.is_alive()
     assert _outcome_bytes(again) == _outcome_bytes(first)
     assert len(_settled_pairs(journal_path)) == 2
 
@@ -636,9 +665,7 @@ def _windows(n):
     ]
 
 
-def test_forwarder_counts_every_frame_a_dead_coordinator_never_got(
-    caplog, monkeypatch
-):
+def test_forwarder_counts_every_frame_a_dead_coordinator_never_got(caplog):
     """Without reconnect, a closed coordinator ends the sender: the frame
     it was sending and the frames still queued all count as lag, and
     close() leaves the queue empty."""
@@ -660,9 +687,6 @@ def test_forwarder_counts_every_frame_a_dead_coordinator_never_got(
         assert forwarder.lag_events == 7
         assert forwarder._queue.empty()
 
-    # An earlier CLI test's setup_logging may have stopped the "repro"
-    # logger propagating to the root logger caplog listens on.
-    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
     with caplog.at_level(logging.WARNING, logger="repro.cluster.client"):
         asyncio.run(main())
     assert "dropping 3 frame(s) (6 detection record(s))" in caplog.text
@@ -766,20 +790,9 @@ def test_torn_trailing_journal_record(tmp_path, scenarios, caplog):
     journal.close()
     with open(journal_path, "a", encoding="utf-8") as handle:
         handle.write('{"type": "outcome_settled", "campaign_id": "ca')
-    # The CLI's setup_logging (run by earlier tests in a full suite)
-    # sets propagate=False on the "repro" logger; caplog listens on the
-    # root logger, so re-enable propagation for the capture window.
-    repro_logger = logging.getLogger("repro")
-    old_propagate = repro_logger.propagate
-    repro_logger.propagate = True
-    try:
-        with caplog.at_level(
-            logging.WARNING, logger="repro.cluster.journal"
-        ):
-            resumed = CampaignJournal(journal_path)
-            campaigns = resumed.replay()
-    finally:
-        repro_logger.propagate = old_propagate
+    with caplog.at_level(logging.WARNING, logger="repro.cluster.journal"):
+        resumed = CampaignJournal(journal_path)
+        campaigns = resumed.replay()
     assert "torn trailing" in caplog.text
     assert campaigns["camp"].errors == {0: "boom"}
     # The torn bytes are gone and new appends decode cleanly.

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro import schema
-from repro.errors import SchemaError
+from repro.errors import TelemetryError
 from repro.obs import (
     DEFAULT_BUCKETS,
     JsonlSink,
@@ -226,8 +226,26 @@ class TestEvents:
     def test_iter_events_rejects_garbage(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text("not json\n")
-        with pytest.raises((SchemaError, ValueError)):
+        with pytest.raises(TelemetryError, match=f"{path}:1: undecodable"):
             list(iter_events(str(path)))
+
+    @pytest.mark.parametrize(
+        "bad, why",
+        [
+            (b"{not json", "undecodable"),
+            (b"\xff\xfe{}", "undecodable"),
+            (b"[1, 2]", "not a JSON object"),
+            (b"42", "not a JSON object"),
+        ],
+    )
+    def test_iter_events_names_the_bad_line(self, tmp_path, bad, why):
+        good = json.dumps(ObsEvent("a", "a", 0.0, 0.1, {}).to_json())
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(good.encode() + b"\n\n" + bad + b"\n")
+        events = iter_events(str(path))
+        assert next(events).name == "a"
+        with pytest.raises(TelemetryError, match=f"{path}:3: .*{why}"):
+            next(events)
 
     def test_report_summarizes_per_stage(self, tmp_path):
         events = [

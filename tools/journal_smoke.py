@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """CI gate for the durable control plane (exit 1 on any failure).
 
-The one scenario no unit test can fake: a real coordinator *process*
-is SIGKILLed mid-campaign and restarted on the same write-ahead
-journal, with a reconnect-enabled worker riding through the outage.
+The one scenario no unit test can fake: a real one-shot cluster
+campaign *process* (``repro fleet --dispatch cluster --journal``) is
+SIGKILLed mid-campaign and restarted on the same write-ahead journal,
+with a reconnect-enabled worker riding through the outage.
 The gate passes only if:
 
 1. **Resume is exact.** The outcomes file written by the restarted
-   coordinator is byte-identical to a local in-process run of the same
+   campaign is byte-identical to a local in-process run of the same
    preset (same specs, same seeds).
 2. **No double execution.** The journal settles every
    ``(campaign_id, index)`` pair exactly once across both coordinator
@@ -54,11 +55,11 @@ def free_port() -> int:
 def spawn_coordinator(port: int, journal: str, out: str) -> subprocess.Popen:
     return subprocess.Popen(
         [
-            sys.executable, "-m", "repro.cli", "cluster", "coordinator",
+            sys.executable, "-m", "repro.cli", "fleet",
+            "--dispatch", "cluster",
             "--port", str(port),
             "--preset", PRESET,
             "--base-seed", str(BASE_SEED),
-            "--min-workers", "1",
             "--no-cache",
             "--journal", journal,
             "--out", out,
