@@ -69,10 +69,6 @@ class CausalResult:
     def top_cause(self) -> str:
         return self.ranking[0][0] if self.ranking else "none"
 
-    @property
-    def top_score(self) -> float:
-        return self.ranking[0][1] if self.ranking else 0.0
-
 
 def _lag_matrix(series: np.ndarray, lags: int) -> np.ndarray:
     """Columns ``series[t-1] ... series[t-lags]`` aligned to ``t >= lags``."""

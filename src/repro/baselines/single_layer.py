@@ -30,10 +30,6 @@ class AlertReport:
     def total_alerts(self) -> int:
         return sum(self.alert_counts.values())
 
-    def alerts_per_minute(self, duration_us: int) -> float:
-        minutes = max(duration_us / 60e6, 1e-9)
-        return self.total_alerts / minutes
-
     def reduction_vs(self, report: DominoReport) -> float:
         """Alert-volume ratio: raw alerts per Domino chain detection."""
         domino_detections = sum(len(w.chain_ids) for w in report.windows)

@@ -389,6 +389,7 @@ def _client_ssl(args: argparse.Namespace):
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
+    import asyncio
     import time
 
     from repro.live.aggregator import FleetSnapshot
@@ -414,81 +415,63 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         if engine is not None:
             from repro.store import render_alerts_pane
 
-            for event in engine.observe_snapshot(
-                snapshot, ts=time.time()
-            ):
-                recent_alerts.append(
-                    {
-                        "ts": event.ts,
-                        "rule": event.rule,
-                        "state": event.state,
-                        "message": event.message,
-                    }
-                )
+            recent_alerts.extend(
+                engine.observe_snapshot(snapshot, ts=time.time())
+            )
             print()
             print(render_alerts_pane(engine.firing, recent_alerts))
 
     if args.connect:
         # Stream SNAPSHOT frames straight off the coordinator socket —
         # the fleet-wide dashboard with no shared filesystem.
-        import asyncio
-
         host, port = args.connect
+        waiting = f"coordinator at {host}:{port} unreachable; retrying ..."
 
-        async def _stream() -> None:
-            while True:
-                try:
-                    async for snapshot in api.watch(
-                        host,
-                        port,
-                        auth_token=_cluster_token(args),
-                        ssl_context=_client_ssl(args),
-                    ):
-                        show(snapshot)
-                        if not args.follow:
-                            return
-                        print()
-                except (ConnectionError, OSError):
-                    pass
-                if not args.follow:
-                    return
-                # Like file-follow mode racing the first write: a
-                # restarting coordinator is something to wait out, not
-                # a reason for an always-on dashboard to exit silently.
-                print(
-                    f"coordinator at {host}:{port} unreachable; "
-                    f"retrying ...",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                await asyncio.sleep(args.interval)
-
-        # An incompatible coordinator (refused handshake, malformed
-        # frame, mismatched snapshot stamp) raises a ReproError that
-        # no retry heals: it ends the command through main().
-        asyncio.run(_stream())
-        return 0
-
-    while True:
-        try:
-            snapshot = api.read_snapshot(args.snapshot)
-        except FileNotFoundError:
-            if not args.follow:
-                raise
-            # The service writes its first snapshot after one interval;
-            # keep waiting instead of racing it.
-            print(
-                f"waiting for {args.snapshot} ...",
-                file=sys.stderr,
-                flush=True,
+        async def attempt():
+            async for snapshot in api.watch(
+                host,
+                port,
+                auth_token=_cluster_token(args),
+                ssl_context=_client_ssl(args),
+            ):
+                yield snapshot
+            raise ConnectionError(
+                f"coordinator at {host}:{port} closed the snapshot stream"
             )
-            time.sleep(args.interval)
-            continue
-        show(snapshot)
-        if not args.follow:
-            return 0
-        time.sleep(args.interval)
-        print()
+
+    else:
+        waiting = f"waiting for {args.snapshot} ..."
+
+        async def attempt():
+            yield api.read_snapshot(args.snapshot)
+
+    async def snapshots():
+        """Each snapshot the source gives.  Under --follow, a file not
+        written yet (the service writes its first snapshot after one
+        interval) or a restarting coordinator is waited out; a one-shot
+        watch fails through main()."""
+        while True:
+            try:
+                async for snapshot in attempt():
+                    yield snapshot
+            except OSError:
+                if not args.follow:
+                    raise
+                print(waiting, file=sys.stderr, flush=True)
+            await asyncio.sleep(args.interval)
+
+    async def _watch() -> None:
+        async for snapshot in snapshots():
+            show(snapshot)
+            if not args.follow:
+                return
+            print()
+
+    # An incompatible coordinator or snapshot (refused handshake,
+    # malformed frame, mismatched schema stamp) raises a ReproError
+    # that no retry heals: it ends the command through main().
+    asyncio.run(_watch())
+    return 0
 
 
 def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
@@ -822,47 +805,44 @@ def _cmd_store_query(args: argparse.Namespace) -> int:
 def _cmd_store_alerts(args: argparse.Namespace) -> int:
     from repro.store import StoreQuery
 
+    engine = None
     with api.store_open(args.store_dir, create=False) as store:
         query = StoreQuery(store)
         if not args.rules:
             # No rule file: list the transitions already on record.
-            recorded = query.alerts(
+            events = query.alerts(
                 since=args.since, until=args.until, rule=args.rule
             )
-            if not recorded:
+            if not events:
                 print("no recorded alerts")
-            for entry in recorded:
-                print(
-                    f"[{entry['ts']:.0f}] {entry['severity']:<5} "
-                    f"{entry['rule']} {entry['state']}: {entry['message']}"
-                )
-            return 0
-        engine = api.store_alerts(
-            args.rules, store=store if args.record else None
-        )
-        since, until = _store_range(args, query)
-        if since is None:
-            print("store is empty")
-            return 0
-        events = engine.evaluate_range(
-            query, since=since, until=until, step_s=args.step
-        )
+        else:
+            engine = api.store_alerts(
+                args.rules, store=store if args.record else None
+            )
+            since, until = _store_range(args, query)
+            if since is None:
+                print("store is empty")
+                return 0
+            events = engine.evaluate_range(
+                query, since=since, until=until, step_s=args.step
+            )
     for event in events:
         print(
             f"[{event.ts:.0f}] {event.severity:<5} {event.rule} "
             f"{event.state}: {event.message}"
         )
-    firing = engine.firing
-    print(
-        f"{len(events)} transition(s); "
-        + (f"firing at end: {', '.join(firing)}" if firing else
-           "nothing firing at end")
-    )
+    if engine is not None:
+        firing = engine.firing
+        print(
+            f"{len(events)} transition(s); "
+            + (f"firing at end: {', '.join(firing)}" if firing else
+               "nothing firing at end")
+        )
     return 0
 
 
 def _cmd_store_report(args: argparse.Namespace) -> int:
-    from repro.store import AlertEvent, StoreQuery, render_incident_report
+    from repro.store import StoreQuery, render_incident_report
 
     with api.store_open(args.store_dir, create=False) as store:
         query = StoreQuery(store)
@@ -874,20 +854,8 @@ def _cmd_store_report(args: argparse.Namespace) -> int:
                 + " — run `repro store alerts --rules FILE --record` first"
             )
             return 1
-        entry = recorded[-1]  # newest transition wins
-        event = AlertEvent(
-            rule=str(entry["rule"]),
-            state=str(entry["state"]),
-            ts=float(entry["ts"]),
-            signal=str(entry["signal"]),
-            value=float(entry["value"]),
-            threshold=float(entry["threshold"]),
-            window_s=float(entry["window_s"]),
-            severity=str(entry["severity"]),
-            message=str(entry["message"]),
-            labels=dict(entry["labels"]),
-        )
-        report = render_incident_report(event, query)
+        # The newest transition wins.
+        report = render_incident_report(recorded[-1], query)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.graph import NodeKind, classify_node
-
 
 class _TrieNode:
     """Prefix-tree node over reversed chains."""
@@ -105,17 +103,3 @@ def compile_chains(
     code = compile(source, filename="<domino-codegen>", mode="exec")
     exec(code, namespace)  # noqa: S102 - code is generated locally above
     return namespace[function_name]  # type: ignore[return-value]
-
-
-def describe_chain(chain: Sequence[str]) -> str:
-    """Human-readable one-line description with node roles."""
-    parts = []
-    for name in chain:
-        kind = classify_node(name)
-        marker = {
-            NodeKind.CAUSE: "[cause]",
-            NodeKind.INTERMEDIATE: "",
-            NodeKind.CONSEQUENCE: "[consequence]",
-        }[kind]
-        parts.append(f"{name}{marker}")
-    return " --> ".join(parts)

@@ -79,15 +79,6 @@ class DominoReport:
     def windows_with_detections(self) -> List[WindowDetection]:
         return [w for w in self.windows if w.chain_ids]
 
-    def detected_chain_tuples(self) -> List[Tuple[str, ...]]:
-        """Concrete chains detected anywhere in the session (unique)."""
-        seen = {
-            chain_id
-            for window in self.windows
-            for chain_id in window.chain_ids
-        }
-        return [self.chains[i] for i in sorted(seen)]
-
 
 class DominoDetector:
     """End-to-end Domino analysis over telemetry bundles.

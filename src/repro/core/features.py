@@ -107,9 +107,6 @@ class FeatureWindow:
     end_us: int
     features: Dict[str, bool]
 
-    def true_features(self) -> List[str]:
-        return [name for name, value in self.features.items() if value]
-
     def as_tuple(self) -> Tuple[bool, ...]:
         return tuple(self.features[name] for name in FEATURE_NAMES)
 

@@ -3,9 +3,9 @@
 §1 positions Domino for telemetry "network operators can provide on a
 continuous, near real-time basis".  :class:`StreamingDomino` consumes
 telemetry incrementally: feed it batches of typed columns (or single
-records) as they arrive, call :meth:`advance` with the feed's
-watermark, and receive detections for every window whose data is
-complete.
+records, each buffered as a one-row batch) as they arrive, call
+:meth:`advance` with the feed's watermark, and receive detections for
+every window whose data is complete.
 
 The stream owns one append-only :class:`~repro.telemetry.timeline.Timeline`
 in session time.  Each advance ingests the bins the watermark made
@@ -69,10 +69,9 @@ class StreamingDomino:
         self._timeline: Optional[Timeline] = None
         self._ingested_bin = 0
         self._next_window_bin = 0
-        # Per source, by bundle attribute: chunks awaiting ingest in
-        # feed order (argsorted only when out of order, and cut with
-        # searchsorted at each ingest).  A chunk is a batch's columns,
-        # or a list of the records fed one at a time in between.
+        # Per source, by bundle attribute: column chunks awaiting
+        # ingest in feed order (argsorted only when out of order, and
+        # cut with searchsorted at each ingest).
         self._chunks = {schema.source: [] for schema in SCHEMAS.values()}
         self._kept = [
             schema
@@ -93,48 +92,38 @@ class StreamingDomino:
         ).inc(n)
 
     def feed(self, record) -> None:
-        """Buffer one telemetry record of any type.
-
-        A record timestamped before the ingested horizon (a late record,
-        or a re-feed of one already ingested) cannot change a final bin:
-        it is counted in :attr:`late_records` and not buffered.
-        """
+        """Buffer one telemetry record of any type, as a one-row batch
+        of its source (see :meth:`feed_batch`)."""
         schema = RECORD_SCHEMAS.get(type(record))
         if schema is None:
             raise TypeError(f"not a telemetry record: {record!r}")
-        if schema not in self._kept:
-            return
-        horizon_us = self._ingested_bin * self.config.dt_us
-        if getattr(record, schema.time) < horizon_us:
-            self._count_late(1)
-            return
-        chunks = self._chunks[schema.source]
-        if not chunks or not isinstance(chunks[-1], list):
-            chunks.append([])
-        chunks[-1].append(record)
+        if schema in self._kept:
+            self._buffer(schema, schema.from_rows([schema.row(record)]))
 
     def feed_batch(self, batch) -> None:
         """Buffer every source of *batch* (a live ``TelemetryBatch`` or
-        a ``TelemetryBundle``), rows in any order; rows behind the
-        ingested horizon are counted late, as :meth:`feed` counts them.
-        """
-        horizon_us = self._ingested_bin * self.config.dt_us
+        a ``TelemetryBundle``), rows in any order."""
         for schema in self._kept:
-            rows = getattr(batch, schema.source)
-            if not len(rows):
-                continue
-            late = rows.times < horizon_us
-            n_late = int(np.count_nonzero(late))
-            if n_late:
-                self._count_late(n_late)
-                rows = rows.take(~late)
+            self._buffer(schema, getattr(batch, schema.source))
+
+    def _buffer(self, schema: Schema, rows: RecordColumns) -> None:
+        """Buffer one source's *rows*.
+
+        A row timestamped before the ingested horizon (a late row, or a
+        re-feed of one already ingested) cannot change a final bin: it
+        is counted in :attr:`late_records` and not buffered.
+        """
+        late = rows.times < self._ingested_bin * self.config.dt_us
+        if late.any():
+            self._count_late(int(np.count_nonzero(late)))
+            rows = rows.take(~late)
+        if len(rows):
             self._chunks[schema.source].append(rows)
 
     def _cut(self, schema: Schema, end_us: int) -> RecordColumns:
         """The buffered rows of one source stamped before *end_us*, in
         time order; the rest stay buffered as one ordered chunk."""
-        chunks = list(map(schema.columns, self._chunks[schema.source]))
-        rows = schema.concat(chunks)
+        rows = schema.concat(self._chunks[schema.source])
         ordered = rows.in_time_order()
         if ordered is not rows:
             self.sorts_performed += 1

@@ -21,10 +21,6 @@ class ConfigError(ReproError, ValueError):
     """
 
 
-class SimulationError(ReproError):
-    """The simulator reached an impossible state (internal invariant broken)."""
-
-
 class DslError(ReproError):
     """The causal-chain text DSL could not be parsed."""
 

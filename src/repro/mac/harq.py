@@ -50,10 +50,6 @@ class TransportBlock:
     used_bytes: int = 0
 
     @property
-    def capacity_bytes(self) -> int:
-        return self.tbs_bits // 8
-
-    @property
     def payload_bytes(self) -> int:
         return sum(end - start for start, end in self.ranges)
 

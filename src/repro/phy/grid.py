@@ -117,10 +117,6 @@ class ResourceGrid:
     def is_fdd(self) -> bool:
         return self.tdd_pattern is None
 
-    @property
-    def pattern_length(self) -> int:
-        return len(self._pattern)
-
     def slot_type(self, slot_index: int) -> SlotType:
         """Slot type for absolute slot number *slot_index*."""
         return self._pattern[slot_index % len(self._pattern)]

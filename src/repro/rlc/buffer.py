@@ -108,11 +108,3 @@ class RlcSendBuffer:
         while self._packets and self._packets[0].end_offset <= delivered_offset:
             released.append(self._packets.popleft())
         return released
-
-    @property
-    def write_offset(self) -> int:
-        return self._write_offset
-
-    @property
-    def read_offset(self) -> int:
-        return self._read_offset

@@ -61,11 +61,6 @@ class _LinkCapacityEstimate:
             return math.inf
         return self.estimate_bps + 3.0 * max(self.deviation_bps, 1000.0)
 
-    def lower_bound(self) -> float:
-        if self.estimate_bps is None:
-            return 0.0
-        return self.estimate_bps - 3.0 * max(self.deviation_bps, 1000.0)
-
 
 @dataclass
 class AimdRateControl:
@@ -199,7 +194,3 @@ class AimdRateControl:
                 )
             cap = 1.5 * max(self._smoothed_ack_bps, acked_bitrate_bps)
             self.target_bps = min(self.target_bps, cap + 10_000.0)
-
-    @property
-    def link_capacity_bps(self) -> Optional[float]:
-        return self._capacity.estimate_bps

@@ -95,9 +95,5 @@ class Pacer:
                 break
         self._budget_bytes = budget
 
-    @property
-    def queue_bytes(self) -> int:
-        return sum(p.size_bytes for p in self._queue)
-
     def __len__(self) -> int:
         return len(self._queue)

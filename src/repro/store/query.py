@@ -15,6 +15,7 @@ pushback consequence.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
@@ -23,11 +24,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.obs.trace import TraceSpan
 from repro.store.db import RcaStore
+from repro.store.model import AlertEvent
 
 #: Histogram of store query calls, labelled by op (the method name).
 QUERY_METRIC = "repro_store_query_seconds"
 
 _GLOB_CHARS = set("*?[")
+
+#: The alerts table's columns, in :class:`AlertEvent` field order.
+_ALERT_COLUMNS = ", ".join(f.name for f in dataclasses.fields(AlertEvent))
 
 
 def _is_glob(pattern: str) -> bool:
@@ -382,15 +387,13 @@ class StoreQuery:
         until: Optional[float] = None,
         rule: Optional[str] = None,
         state: Optional[str] = None,
-    ) -> List[Dict[str, object]]:
-        """Recorded alert transitions, time-ordered."""
+    ) -> List[AlertEvent]:
+        """Recorded alert transitions, time-ordered, as the events the
+        alert engine recorded."""
         import json as _json
 
         where, params = self._range(since, until)
-        sql = (
-            f"SELECT ts, rule, state, signal, value, threshold, window_s,"
-            f" severity, message, labels FROM alerts WHERE {where}"
-        )
+        sql = f"SELECT {_ALERT_COLUMNS} FROM alerts WHERE {where}"
         args: List[object] = list(params)
         if rule is not None:
             sql += " AND rule GLOB ?" if _is_glob(rule) else " AND rule = ?"
@@ -400,30 +403,8 @@ class StoreQuery:
             args.append(state)
         sql += " ORDER BY ts ASC"
         return [
-            {
-                "ts": ts,
-                "rule": rule_name,
-                "state": alert_state,
-                "signal": signal,
-                "value": value,
-                "threshold": threshold,
-                "window_s": window_s,
-                "severity": severity,
-                "message": message,
-                "labels": _json.loads(labels),
-            }
-            for (
-                ts,
-                rule_name,
-                alert_state,
-                signal,
-                value,
-                threshold,
-                window_s,
-                severity,
-                message,
-                labels,
-            ) in self._conn.execute(sql, args)
+            AlertEvent(*row[:-1], labels=_json.loads(row[-1]))
+            for row in self._conn.execute(sql, args)
         ]
 
     # -- traces ------------------------------------------------------------

@@ -11,7 +11,7 @@ opening the store themselves.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.live.dashboard import sparkline
 from repro.store.model import ALERT_FIRING, AlertEvent
@@ -133,18 +133,19 @@ def render_incident_report(
 
 
 def render_alerts_pane(
-    firing: List[str], recent: List[Dict[str, object]], max_rows: int = 4
+    firing: List[str], recent: List[AlertEvent], max_rows: int = 4
 ) -> str:
-    """Compact "Alerts" pane for the `repro watch` dashboard."""
+    """Compact "Alerts" pane for the `repro watch` dashboard: the rules
+    firing now, then the newest *max_rows* of *recent* transitions."""
     if firing:
         head = f"Alerts: {len(firing)} FIRING — " + ", ".join(firing)
     else:
         head = "Alerts: none firing"
     lines = [head]
-    for entry in recent[-max_rows:]:
+    for event in recent[-max_rows:]:
         lines.append(
-            f"  [{_fmt_ts(float(entry['ts']))}] {entry['rule']} "
-            f"{entry['state']}: {entry['message']}"
+            f"  [{_fmt_ts(event.ts)}] {event.rule} "
+            f"{event.state}: {event.message}"
         )
     return "\n".join(lines)
 

@@ -7,8 +7,10 @@ everything into a :class:`~repro.telemetry.records.TelemetryBundle`,
 sorted by timestamp — the input format Domino consumes.
 
 Every source takes one path into columns.  A producer passes each row
-as its field values (or a record); the collector keeps rows as plain
-tuples and converts every :data:`BLOCK_ROWS` of them through
+as its field values in schema order, an enum as its code (a caller
+holding a record unpacks what :meth:`~repro.telemetry.columns.Schema.row`
+gives for it).  The collector keeps rows as plain tuples and converts
+every :data:`BLOCK_ROWS` of them through
 :meth:`~repro.telemetry.columns.Schema.from_rows`, so a session builds
 no per-row record object.  :meth:`~TelemetryCollector.bundle` and the
 live :meth:`~TelemetryCollector.drain` hand out those blocks as typed
@@ -130,25 +132,21 @@ class TelemetryCollector:
     # -- RAN-side rows --------------------------------------------------------
 
     def record_dci(self, *row) -> None:
-        """Add one DCI row: a ``DciRecord``, or its field values in
-        ``columns.DCI`` order."""
-        self._dci.append(row if len(row) > 1 else DCI.row(row[0]))
+        """Add one DCI row: its field values in ``columns.DCI`` order."""
+        self._dci.append(row)
 
     def record_gnb_log(self, *row) -> None:
-        """Add one gNB-log row: a ``GnbLogRecord``, or its field values
-        in ``columns.GNB_LOG`` order with ``kind`` as its code."""
+        """Add one gNB-log row: its field values in ``columns.GNB_LOG``
+        order, ``kind`` as its code."""
         if self.gnb_log_available:
-            self._gnb_log.append(row if len(row) > 1 else GNB_LOG.row(row[0]))
+            self._gnb_log.append(row)
 
     # -- packet trace ---------------------------------------------------------
 
     def record_packet_sent(self, *row) -> None:
-        """Register a packet at its sender-side capture point: a
-        ``PacketRecord``, or its field values in ``columns.PACKETS``
-        order with ``stream`` as its code.  An id sent twice raises
-        :class:`~repro.errors.TelemetryError`."""
-        if len(row) == 1:
-            row = PACKETS.row(row[0])
+        """Register a packet at its sender-side capture point: its field
+        values in ``columns.PACKETS`` order, ``stream`` as its code.  An
+        id sent twice raises :class:`~repro.errors.TelemetryError`."""
         packet_id = row[_PACKET_ID]
         if packet_id in self._received:
             raise TelemetryError(f"packet {packet_id} sent twice")
@@ -181,9 +179,9 @@ class TelemetryCollector:
     # -- application stats ------------------------------------------------------
 
     def record_webrtc_stats(self, *row) -> None:
-        """Add one stats row: a ``WebRtcStatsRecord``, or its field
-        values in ``columns.WEBRTC_STATS`` order."""
-        self._webrtc.append(row if len(row) > 1 else WEBRTC_STATS.row(row[0]))
+        """Add one stats row: its field values in
+        ``columns.WEBRTC_STATS`` order."""
+        self._webrtc.append(row)
 
     # -- live draining ----------------------------------------------------------
 

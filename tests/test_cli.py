@@ -445,6 +445,12 @@ def test_cluster_status_on_closed_port_exits_1(cli_stderr):
     assert str(port) in cli_stderr()
 
 
+def test_watch_connect_on_closed_port_exits_1(cli_stderr):
+    port = _closed_port()
+    assert main(["watch", "--connect", f"127.0.0.1:{port}"]) == 1
+    assert str(port) in cli_stderr()
+
+
 def test_obs_report_on_missing_file_exits_1(tmp_path, cli_stderr):
     missing = str(tmp_path / "events.jsonl")
     assert main(["obs", "report", missing]) == 1

@@ -458,27 +458,36 @@ _STREAM_FAULTS = (
 )
 
 
+def _feed_each_record(stream, batch):
+    """Feed *batch* one record at a time, each source in its row order."""
+    for schema in SCHEMAS.values():
+        for record in getattr(batch, schema.source):
+            stream.feed(record)
+
+
 @pytest.mark.parametrize(
     "fault",
     [row[1] for row in _STREAM_FAULTS],
     ids=[row[0] for row in _STREAM_FAULTS],
 )
 def test_stream_fault_table(private_bundle, fault):
-    """Every row of a faulty batch feed either lands exactly where
-    offline analysis of the same rows puts it, or is counted late."""
+    """Every row of a faulty feed, whether fed as batches or record by
+    record, either lands exactly where offline analysis of the same
+    rows puts it, or is counted late."""
     expected, feeds, n_late, gnb_log_available = fault(private_bundle)
-    late_counter = get_registry().counter("repro_stream_late_records_total")
-    late_before = late_counter.total()
-    stream = StreamingDomino(gnb_log_available=gnb_log_available)
-    windows = []
-    for batches in feeds:
-        for batch in batches:
-            stream.feed_batch(batch)
-        windows += stream.advance(batches[-1].watermark_us)
     offline = DominoDetector().analyze(expected)
     assert offline.windows
-    assert canonical_detections(windows) == canonical_detections(
-        offline.windows
-    )
-    assert stream.late_records == n_late
-    assert late_counter.total() - late_before == n_late
+    late_counter = get_registry().counter("repro_stream_late_records_total")
+    for feed in (StreamingDomino.feed_batch, _feed_each_record):
+        late_before = late_counter.total()
+        stream = StreamingDomino(gnb_log_available=gnb_log_available)
+        windows = []
+        for batches in feeds:
+            for batch in batches:
+                feed(stream, batch)
+            windows += stream.advance(batches[-1].watermark_us)
+        assert canonical_detections(windows) == canonical_detections(
+            offline.windows
+        ), feed.__name__
+        assert stream.late_records == n_late, feed.__name__
+        assert late_counter.total() - late_before == n_late, feed.__name__

@@ -26,6 +26,7 @@ from repro.store import (
     ROWS_METRIC,
     STORE_LAYOUT_VERSION,
     AlertEngine,
+    AlertEvent,
     AlertRule,
     MetricSample,
     RcaStore,
@@ -582,10 +583,10 @@ class TestAlertEngine:
         )
         recorded = StoreQuery(store).alerts(rule="pushback-surge")
         assert len(recorded) == 1
-        entry = recorded[0]
-        assert entry["state"] == ALERT_FIRING
-        assert entry["window_s"] == pytest.approx(1000.0)
-        assert entry["labels"]["match"] == "*local_pushback_rate_down"
+        event = recorded[0]
+        assert event.state == ALERT_FIRING
+        assert event.window_s == pytest.approx(1000.0)
+        assert event.labels["match"] == "*local_pushback_rate_down"
         # Reindex rebuilds the alert from its segment envelope too.
         store.reindex()
         assert StoreQuery(store).alerts(rule="pushback-surge") == recorded
@@ -639,8 +640,6 @@ class TestReports:
         assert "## Triggering series" in report  # the sparkline line
 
     def test_incident_report_degrades_without_query(self):
-        from repro.store import AlertEvent
-
         event = AlertEvent(
             rule="r",
             state=ALERT_FIRING,
@@ -659,6 +658,27 @@ class TestReports:
             [],
         )
         assert "pushback-surge" in pane
+
+    def test_alerts_pane_lists_recent_transitions(self):
+        recent = [
+            AlertEvent(
+                rule=f"r{i}",
+                state=ALERT_FIRING,
+                ts=float(i),
+                signal="qoe",
+                value=2.0,
+                threshold=1.0,
+                window_s=60.0,
+                message=f"crossed {i}",
+            )
+            for i in range(6)
+        ]
+        pane = render_alerts_pane([], recent, max_rows=2)
+        assert pane.splitlines() == [
+            "Alerts: none firing",
+            "  [1970-01-01 00:00:04Z] r4 firing: crossed 4",
+            "  [1970-01-01 00:00:05Z] r5 firing: crossed 5",
+        ]
 
 
 # -- CLI surface -----------------------------------------------------------
@@ -774,6 +794,44 @@ class TestStoreCli:
         assert code == 0
         report = open(report_path).read()
         assert "# Incident: `pushback-surge` firing" in report
+
+    def test_recorded_alerts_are_the_evaluated_events(
+        self, populated, tmp_path
+    ):
+        """`store alerts --record` stores the events evaluate_range
+        returns, and StoreQuery.alerts() gives those same AlertEvents
+        back, before and after a reindex."""
+        rules = tmp_path / "rules.toml"
+        rules.write_text(RULES_TOML)
+        window = ["--since", "500", "--until", "2500", "--step", "1000"]
+        assert main(
+            ["store", "alerts", populated, "--rules", str(rules), *window,
+             "--record"]
+        ) == 0
+        with RcaStore.open(populated, create=False) as store:
+            events = AlertEngine(load_rules(str(rules))).evaluate_range(
+                StoreQuery(store), since=500.0, until=2500.0, step_s=1000.0
+            )
+            assert [e.rule for e in events] == ["pushback-surge"]
+            assert StoreQuery(store).alerts() == events
+            store.reindex()
+            assert StoreQuery(store).alerts() == events
+
+    def test_watch_rules_pane_lists_the_transition(self, tmp_path, capsys):
+        from repro.schema import save_snapshot
+
+        snap = str(tmp_path / "snap.json")
+        save_snapshot(_snapshot(1, 2.0, {CHAIN_PUSH: 3}), snap)
+        rules = tmp_path / "rules.toml"
+        rules.write_text(
+            '[[rule]]\nname = "degraded"\nsignal = "degradation_rate"\n'
+            'match = "*"\nthreshold = 0.25\nwindow_s = 60.0\n'
+        )
+        assert main(["watch", snap, "--rules", str(rules)]) == 0
+        out = capsys.readouterr().out
+        assert "Alerts: 1 FIRING — degraded" in out
+        pane_row = "] degraded firing: degraded: degradation_rate[*] = 0.5 >"
+        assert pane_row in out
 
     def test_report_without_recorded_alert_exits_1(self, populated):
         assert main(["store", "report", populated]) == 1

@@ -62,9 +62,10 @@ def test_packet_record_delay():
 
 def test_collector_joins_packet_captures():
     collector = TelemetryCollector("s")
-    collector.record_packet_sent(
-        PacketRecord(packet_id=1, stream=StreamKind.AUDIO, size_bytes=160, sent_us=0)
+    sent = PacketRecord(
+        packet_id=1, stream=StreamKind.AUDIO, size_bytes=160, sent_us=0
     )
+    collector.record_packet_sent(*columns.PACKETS.row(sent))
     collector.record_packet_received(1, 30_000)
     collector.record_packet_received(99, 30_000)  # unknown id: ignored
     bundle = collector.bundle(1_000_000)
@@ -73,7 +74,7 @@ def test_collector_joins_packet_captures():
 
 def test_bundle_packets_are_frozen():
     collector = TelemetryCollector("s")
-    collector.record_packet_sent(_packet(1, 0))
+    collector.record_packet_sent(*columns.PACKETS.row(_packet(1, 0)))
     packet = collector.bundle(1_000_000).packets[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         packet.received_us = 30_000
@@ -87,9 +88,9 @@ def _packet(packet_id, sent_us):
 
 
 def _sent_twice(collector, log):
-    collector.record_packet_sent(_packet(1, 0))
+    collector.record_packet_sent(*columns.PACKETS.row(_packet(1, 0)))
     with pytest.raises(TelemetryError, match="packet 1 sent twice"):
-        collector.record_packet_sent(_packet(1, 10_000))
+        collector.record_packet_sent(*columns.PACKETS.row(_packet(1, 10_000)))
     drained = collector.drain(20_000)["packets"]
     bundled = collector.bundle(20_000).packets
     assert list(drained) == list(bundled) == [_packet(1, 0)]
@@ -98,7 +99,7 @@ def _sent_twice(collector, log):
 def _received_unsent(collector, log):
     counter = get_registry().counter("repro_telemetry_unmatched_receives_total")
     before = counter.total()
-    collector.record_packet_sent(_packet(1, 0))
+    collector.record_packet_sent(*columns.PACKETS.row(_packet(1, 0)))
     collector.record_packet_received(99, 30_000)
     assert counter.total() - before == 1
     assert "packet 99 received but never sent" in log.text
@@ -132,7 +133,9 @@ def _out_of_time_order(collector, log):
     stamps = (20_000, 10_000, 10_000, 40_000, 30_000)
     for i, ts in enumerate(stamps):
         for source, (method, _) in _RECORD_ROW.items():
-            getattr(collector, method)(_row(source, ts, i))
+            record = _row(source, ts, i)
+            row = columns.RECORD_SCHEMAS[type(record)].row(record)
+            getattr(collector, method)(*row)
     first = collector.drain(25_000)
     second = collector.drain(50_000)
     bundle = collector.bundle(50_000)
@@ -171,44 +174,46 @@ def test_collector_fault_table(fault, caplog):
 
 def test_collector_gnb_log_gated():
     silent = TelemetryCollector("s", gnb_log_available=False)
-    silent.record_gnb_log(GnbLogRecord(ts_us=0, kind=GnbLogKind.RLC_RETX))
+    row = columns.GNB_LOG.row(GnbLogRecord(ts_us=0, kind=GnbLogKind.RLC_RETX))
+    silent.record_gnb_log(*row)
     assert silent.bundle(1_000).gnb_log == []
     loud = TelemetryCollector("s", gnb_log_available=True)
-    loud.record_gnb_log(GnbLogRecord(ts_us=0, kind=GnbLogKind.RLC_RETX))
+    loud.record_gnb_log(*row)
     assert len(loud.bundle(1_000).gnb_log) == 1
 
 
 def test_bundle_sorted_and_rates():
     collector = TelemetryCollector("s")
-    collector.record_dci(_dci(5_000))
-    collector.record_dci(_dci(1_000))
+    collector.record_dci(*columns.DCI.row(_dci(5_000)))
+    collector.record_dci(*columns.DCI.row(_dci(1_000)))
     bundle = collector.bundle(60_000_000)
     assert [r.ts_us for r in bundle.dci] == [1_000, 5_000]
     assert bundle.event_rates_per_minute()["dci"] == pytest.approx(2.0)
 
 
 def test_records_and_rows_collect_alike():
-    """record_dci / record_gnb_log take a record or its row of field
-    values (an enum as its code); out-of-order rows sort stably on
-    ts_us, across a block boundary too."""
+    """record_dci / record_gnb_log take a row of field values (an enum
+    as its code) and hand back its record; out-of-order rows sort
+    stably on ts_us, across a block boundary too."""
     stamps = [9_000, 1_000, 5_000, 1_000] * (collect.BLOCK_ROWS // 2)
-    by_record = TelemetryCollector("s", gnb_log_available=True)
     by_row = TelemetryCollector("s", gnb_log_available=True)
+    want = {"dci": [], "gnb_log": []}
     for i, ts in enumerate(stamps):
         record = _dci(ts, prbs=i % 50, retx=i % 3 == 0)
-        by_record.record_dci(record)
+        want["dci"].append(record)
         by_row.record_dci(*columns.DCI.row(record))
-        log = GnbLogRecord(ts, GnbLogKind.RLC_RETX, i % 2 == 0, i, 17_000)
-        by_record.record_gnb_log(log)
+        want["gnb_log"].append(
+            GnbLogRecord(ts, GnbLogKind.RLC_RETX, i % 2 == 0, i, 17_000)
+        )
         by_row.record_gnb_log(
             ts, columns.code(GnbLogKind.RLC_RETX), i % 2 == 0, i, 17_000
         )
-    want = by_record.bundle(10_000)
     got = by_row.bundle(10_000)
     assert len(stamps) > collect.BLOCK_ROWS
     for source in ("dci", "gnb_log"):
         records = list(getattr(got, source))
-        assert records == list(getattr(want, source))
+        want_sorted = sorted(want[source], key=lambda r: r.ts_us)
+        assert records == want_sorted
         assert [r.ts_us for r in records] == sorted(stamps)
     # Equal stamps keep their arrival order.
     assert [r.n_prb for r in got.dci[:4]] == [1, 3, 5, 7]
@@ -414,10 +419,11 @@ def test_timeline_rejects_bad_dt():
 
 def test_timeline_dci_binning():
     collector = TelemetryCollector("s")
-    collector.record_dci(_dci(10_000, prbs=10))
-    collector.record_dci(_dci(20_000, prbs=5))
-    collector.record_dci(_dci(60_000, prbs=7, retx=True))
-    collector.record_dci(_dci(10_000, rnti=41_000, prbs=50))  # cross UE
+    collector.record_dci(*columns.DCI.row(_dci(10_000, prbs=10)))
+    collector.record_dci(*columns.DCI.row(_dci(20_000, prbs=5)))
+    collector.record_dci(*columns.DCI.row(_dci(60_000, prbs=7, retx=True)))
+    # A cross-traffic UE's grant.
+    collector.record_dci(*columns.DCI.row(_dci(10_000, rnti=41_000, prbs=50)))
     timeline = Timeline.from_bundle(collector.bundle(200_000), dt_us=50_000)
     assert timeline["ul_exp_prbs"][0] == 15
     assert timeline["ul_other_prbs"][0] == 50
@@ -429,15 +435,14 @@ def test_timeline_dci_binning():
 def test_timeline_packet_delay_and_rate():
     collector = TelemetryCollector("s")
     for i in range(10):
-        collector.record_packet_sent(
-            PacketRecord(
-                packet_id=i,
-                stream=StreamKind.VIDEO,
-                size_bytes=1_000,
-                sent_us=i * 10_000,
-                is_uplink=True,
-            )
+        sent = PacketRecord(
+            packet_id=i,
+            stream=StreamKind.VIDEO,
+            size_bytes=1_000,
+            sent_us=i * 10_000,
+            is_uplink=True,
         )
+        collector.record_packet_sent(*columns.PACKETS.row(sent))
         collector.record_packet_received(i, i * 10_000 + 25_000)
     timeline = Timeline.from_bundle(collector.bundle(200_000), dt_us=50_000)
     assert timeline["ul_packet_delay_ms"][0] == pytest.approx(25.0)
@@ -447,9 +452,8 @@ def test_timeline_packet_delay_and_rate():
 
 def test_timeline_forward_fill_of_app_stats():
     collector = TelemetryCollector("s", cellular_client="a", wired_client="b")
-    collector.record_webrtc_stats(
-        WebRtcStatsRecord(ts_us=0, client="a", target_bitrate_bps=1e6)
-    )
+    stats = WebRtcStatsRecord(ts_us=0, client="a", target_bitrate_bps=1e6)
+    collector.record_webrtc_stats(*columns.WEBRTC_STATS.row(stats))
     timeline = Timeline.from_bundle(collector.bundle(500_000), dt_us=50_000)
     target = timeline["local_target_bitrate_bps"]
     assert np.all(target == 1e6)  # forward-filled across empty bins
@@ -457,15 +461,14 @@ def test_timeline_forward_fill_of_app_stats():
 
 def test_timeline_rtcp_delay_separated():
     collector = TelemetryCollector("s")
-    collector.record_packet_sent(
-        PacketRecord(
-            packet_id=1,
-            stream=StreamKind.RTCP,
-            size_bytes=80,
-            sent_us=0,
-            is_uplink=False,
-        )
+    sent = PacketRecord(
+        packet_id=1,
+        stream=StreamKind.RTCP,
+        size_bytes=80,
+        sent_us=0,
+        is_uplink=False,
     )
+    collector.record_packet_sent(*columns.PACKETS.row(sent))
     collector.record_packet_received(1, 120_000)
     timeline = Timeline.from_bundle(collector.bundle(200_000), dt_us=50_000)
     assert timeline["dl_rtcp_delay_ms"][0] == pytest.approx(120.0)
@@ -475,8 +478,8 @@ def test_timeline_rtcp_delay_separated():
 
 def test_timeline_rnti_changes_visible():
     collector = TelemetryCollector("s")
-    collector.record_dci(_dci(10_000, rnti=17_000))
-    collector.record_dci(_dci(200_000, rnti=23_456))
+    collector.record_dci(*columns.DCI.row(_dci(10_000, rnti=17_000)))
+    collector.record_dci(*columns.DCI.row(_dci(200_000, rnti=23_456)))
     timeline = Timeline.from_bundle(collector.bundle(400_000), dt_us=50_000)
     rnti = timeline["ul_rnti"]
     assert rnti[0] == 17_000
@@ -485,7 +488,7 @@ def test_timeline_rnti_changes_visible():
 
 def test_timeline_window_slicing():
     collector = TelemetryCollector("s")
-    collector.record_dci(_dci(10_000))
+    collector.record_dci(*columns.DCI.row(_dci(10_000)))
     timeline = Timeline.from_bundle(collector.bundle(1_000_000), dt_us=50_000)
     view = timeline.window(0, 10)
     assert all(len(v) == 10 for v in view.values())
