@@ -34,6 +34,12 @@ load effects out:
    client stepped on every tick).  The share of client ticks stepped on
    the FDD call, deterministic, may be at most 0.30 (0.269 measured;
    1.0 when every client steps on every tick).
+6. **Live-plane gate** (``stream_60s``): one ``StreamingDomino`` fed
+   the 60 s FDD trace in 500 ms batches and advanced after each may
+   spend at most 2.6 ms per feed plus advance, scaled to the
+   reference core by the same calibration loop as ``sim_60s``
+   (1.5-1.8 ms measured with one stacked strided feature view,
+   2.3-2.4 ms with one view per series).
 
 Usage: ``python benchmarks/check_perf.py [results_json] [baseline_json]``
 """
@@ -68,6 +74,9 @@ MAX_AMARISOFT_12S_REF_US_PER_SIM_MS = 70.0
 
 #: Ceiling on the share of client ticks the session steps (FDD call).
 MAX_CLIENT_STEPS_PER_TICK = 0.30
+
+#: Ceiling on streaming ms per feed plus advance at reference-core speed.
+MAX_STREAM_60S_REF_MS_PER_ADVANCE = 2.6
 
 
 def main(argv):
@@ -169,6 +178,21 @@ def main(argv):
             failures.append(
                 f"clients step on {ratio:.3f} of their ticks "
                 f"(ceiling {MAX_CLIENT_STEPS_PER_TICK})"
+            )
+    stream_60s = results.get("stream_60s")
+    if stream_60s is None:
+        failures.append("results have no stream_60s block (live-plane gate)")
+    else:
+        cost = stream_60s["ref_ms_per_advance"]
+        ceiling = MAX_STREAM_60S_REF_MS_PER_ADVANCE
+        print(
+            f"60s FDD stream: {cost:.2f} ms per 500 ms feed plus advance "
+            f"at reference speed (gate: <= {ceiling})"
+        )
+        if cost > ceiling:
+            failures.append(
+                f"a streaming advance costs {cost:.2f} ms at reference "
+                f"speed (ceiling {ceiling})"
             )
     if os.path.exists(baseline_path):
         with open(baseline_path) as handle:

@@ -22,6 +22,12 @@ itself: a 60 s T-Mobile FDD call and a 12 s Amarisoft (TDD) call, in
 us per simulated ms scaled to the reference core by a calibration loop
 timed around each call, plus the deterministic share of client ticks
 the next-event clock actually steps.
+
+The live plane's unit is one session advance, so ``stream_60s`` feeds
+the same 60 s trace to one ``StreamingDomino`` in 500 ms batches,
+advancing after each, and reports ms per advance scaled to the
+reference core the same way; its detections must equal the offline
+report's.
 """
 
 import dataclasses
@@ -35,9 +41,11 @@ from repro import api
 from repro.analysis.ascii import render_table
 from repro.core.detector import DominoDetector, DominoReport, WindowDetection
 from repro.core.features import FeatureExtractor
+from repro.core.streaming import StreamingDomino
 from repro.core.trace import evaluate_chains
 from repro.datasets.cells import AMARISOFT, TMOBILE_FDD
 from repro.datasets.runner import make_cellular_session
+from repro.live.sources import TelemetryBatch
 from repro.obs.metrics import get_registry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SPAN_HISTOGRAM
@@ -63,6 +71,13 @@ CALIBRATION_WINDOW_S = 0.2
 #: Timed repeats of the 12 s Amarisoft call; the fastest is kept.  The
 #: 60 s FDD call runs once.
 SIM_REPEATS = 3
+
+#: Telemetry time between the stream's feeds, each followed by one
+#: advance.
+STREAM_STEP_US = 500_000
+
+#: Timed repeats of the 60 s stream; the fastest is kept.
+STREAM_REPEATS = 3
 
 
 def _truncate(bundle: TelemetryBundle, duration_us: int) -> TelemetryBundle:
@@ -275,6 +290,59 @@ def _sim_60s() -> dict:
     }
 
 
+def _stream_batches(bundle: TelemetryBundle) -> list:
+    """*bundle* cut into consecutive ``STREAM_STEP_US`` batches, each
+    source's columns masked on its time column."""
+    batches = []
+    for start_us in range(0, bundle.duration_us, STREAM_STEP_US):
+        end_us = min(start_us + STREAM_STEP_US, bundle.duration_us)
+        sources = {}
+        for schema in SCHEMAS.values():
+            rows = getattr(bundle, schema.source)
+            sources[schema.source] = rows.take(
+                (rows.times >= start_us) & (rows.times < end_us)
+            )
+        batches.append(TelemetryBatch(watermark_us=end_us, **sources))
+    return batches
+
+
+def _stream_60s(bundle: TelemetryBundle, reference) -> dict:
+    """Live-plane cost of *bundle* fed to one ``StreamingDomino``.
+
+    ``ref_ms_per_advance`` is the fastest repeat's wall time per feed
+    plus advance, scaled to the reference core by the calibration
+    loop's speed around the repeat, as ``sim_60s`` scales its calls.
+    """
+    batches = _stream_batches(bundle)
+    repeats = []
+    for _ in range(STREAM_REPEATS):
+        stream = StreamingDomino(
+            cellular_client=bundle.cellular_client,
+            wired_client=bundle.wired_client,
+            gnb_log_available=bundle.gnb_log_available,
+        )
+        windows = []
+        rep_before = _rep_s()
+        start = time.perf_counter()
+        for batch in batches:
+            stream.feed_batch(batch)
+            windows.extend(stream.advance(batch.watermark_us))
+        elapsed = time.perf_counter() - start
+        rep_s = (rep_before + _rep_s()) / 2
+        assert windows == reference.windows
+        ms_per_advance = elapsed * 1e3 / len(batches)
+        repeats.append(
+            (ms_per_advance * REFERENCE_REP_S / rep_s, ms_per_advance)
+        )
+    ref_ms, ms = min(repeats)
+    return {
+        "advances": len(batches),
+        "windows": len(windows),
+        "ms_per_advance": ms,
+        "ref_ms_per_advance": ref_ms,
+    }
+
+
 def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
     bundle = fdd_results[0].bundle
     detector = DominoDetector()
@@ -375,6 +443,7 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
 
     io_60s = _io_60s(sixty, str(tmp_path / "trace_60s.jsonl"), batch_report)
     collect_60s = _collect_60s(sixty)
+    stream_60s = _stream_60s(sixty, batch_report)
     sim_60s = _sim_60s()
     # Timing-bearing, so written rather than checked like the paper
     # tables (save_result).
@@ -389,6 +458,8 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         + f"{sim_60s['fdd_60s_ref_us_per_sim_ms']:.0f} us, 12s Amarisoft "
         + f"{sim_60s['amarisoft_12s_ref_us_per_sim_ms']:.0f} us; "
         + f"{sim_60s['client_steps_per_tick']:.3f} client steps per tick"
+        + "\nstreaming advance every 500 ms at reference speed: "
+        + f"{stream_60s['ref_ms_per_advance']:.2f} ms"
     )
     print(f"\n=== scaling_realtime ===\n{text}")
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -404,6 +475,7 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         "io_60s": io_60s,
         "collect_60s": collect_60s,
         "sim_60s": sim_60s,
+        "stream_60s": stream_60s,
         "profile_60s": {
             "n_samples": profiler.n_samples,
             "cpu_fraction": cpu_attribution,

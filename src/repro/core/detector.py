@@ -8,11 +8,12 @@ paper's Fig. 10 / Table 2 / Table 4 outputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.chains import DEFAULT_CHAINS_TEXT
-from repro.core.codegen import compile_chains
+from repro.core.codegen import TraceFn, compile_chains
 from repro.core.dsl import parse_chains
 from repro.core.events import EventConfig
 from repro.core.features import BatchFeatureExtractor
@@ -80,6 +81,23 @@ class DominoReport:
         return [w for w in self.windows if w.chain_ids]
 
 
+@functools.lru_cache(maxsize=32)
+def _compiled_chains(
+    chains_text: str, feature_names: Tuple[str, ...]
+) -> Tuple[Tuple[Tuple[str, ...], ...], CausalGraph, TraceFn]:
+    """The parsed chains, their graph and the compiled backward trace
+    for one chain text over one feature vocabulary.
+
+    Cached per process, so every detector built from the same text
+    (one per streaming session, one per ``api.analyze`` call) shares
+    one compiled trace.  A DSL error is not cached: it is raised again
+    on every construction.
+    """
+    chains = parse_chains(chains_text, known_events=feature_names)
+    graph = CausalGraph.from_chains(chains)
+    return tuple(chains), graph, compile_chains(chains)
+
+
 class DominoDetector:
     """End-to-end Domino analysis over telemetry bundles.
 
@@ -107,11 +125,12 @@ class DominoDetector:
             config=self.config.events,
             extra_detectors=dict(extra_detectors or {}),
         )
-        self.chains = parse_chains(
-            self.config.chains_text, known_events=self.extractor.feature_names
+        chains, self.graph, self._trace = _compiled_chains(
+            self.config.chains_text, self.extractor.feature_names
         )
-        self.graph = CausalGraph.from_chains(self.chains)
-        self._trace = compile_chains(self.chains)
+        # A list of its own: a caller mutating report.chains cannot
+        # reach another detector's.
+        self.chains = list(chains)
 
     # -- evaluation -----------------------------------------------------------
 

@@ -10,15 +10,20 @@ in.  The per-window registry is the semantic oracle; these tests are
 what lets the production pipeline run the batch engine alone.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.detector import DominoDetector, WindowDetection
+from repro.core.events import build_batch_registry
 from repro.core.extension import ExtensibleDomino
 from repro.core.features import (
     FEATURE_NAMES,
     BatchFeatureExtractor,
     FeatureExtractor,
+    _strided_windows,
 )
 from repro.core.trace import evaluate_chains
 from repro.telemetry.timeline import Timeline
@@ -293,3 +298,116 @@ def test_feature_matrix_shape_and_column_order(cellular_bundle):
             matrix[row, column]
             for column in range(len(FEATURE_NAMES))
         ] == [window.features[name] for name in FEATURE_NAMES]
+
+
+# -- the stacked strided view against per-series views ------------------------
+
+
+def _per_series_feature_matrix(extractor, timeline):
+    """``feature_matrix`` as one ``sliding_window_view`` per series
+    formulates it: the oracle for the stacked view."""
+    window_bins, step_bins = extractor.window_bins(timeline)
+    names = extractor.feature_names
+    if timeline.n_bins < window_bins:
+        return np.empty(0, dtype=np.int64), np.empty((0, len(names)), bool)
+    starts = np.arange(
+        0, timeline.n_bins - window_bins + 1, step_bins, dtype=np.int64
+    )
+    windows = {
+        name: sliding_window_view(values, window_bins)[::step_bins]
+        for name, values in timeline.series.items()
+    }
+    registry = build_batch_registry()
+    matrix = np.empty((len(starts), len(names)), dtype=bool)
+    for column, name in enumerate(FEATURE_NAMES):
+        matrix[:, column] = registry[name](windows, extractor.config)
+    for offset, name in enumerate(sorted(extractor.extra_detectors)):
+        detector = extractor.extra_detectors[name]
+        for row, start in enumerate(starts):
+            view = timeline.window(int(start), window_bins)
+            matrix[row, len(FEATURE_NAMES) + offset] = bool(
+                detector(view, extractor.config)
+            )
+    return starts, matrix
+
+
+def _assert_matrix_matches_per_series(extractor, timeline):
+    starts, matrix = extractor.feature_matrix(timeline)
+    want_starts, want_matrix = _per_series_feature_matrix(extractor, timeline)
+    assert starts.dtype == want_starts.dtype
+    assert np.array_equal(starts, want_starts)
+    assert matrix.dtype == want_matrix.dtype == bool
+    assert matrix.shape == want_matrix.shape
+    assert np.array_equal(matrix, want_matrix)
+    return matrix
+
+
+@pytest.mark.parametrize("extra_bins", [0, -1])
+def test_stacked_view_at_exactly_one_window_and_one_bin_short(extra_bins):
+    batch = BatchFeatureExtractor()
+    window_bins = 100  # 5 s windows over 50 ms bins
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        timeline = _random_timeline(rng, window_bins + extra_bins, 50_000)
+        matrix = _assert_matrix_matches_per_series(batch, timeline)
+        assert len(matrix) == (1 if extra_bins == 0 else 0)
+
+
+@pytest.mark.parametrize(
+    "window_us,step_us", [(1_000_000, 700_000), (5_000_000, 1_500_000)]
+)
+def test_stacked_view_with_a_step_that_does_not_divide_the_window(
+    window_us, step_us
+):
+    batch = BatchFeatureExtractor(window_us=window_us, step_us=step_us)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        timeline = _random_timeline(rng, int(rng.integers(60, 160)), 100_000)
+        _assert_matrix_matches_per_series(batch, timeline)
+
+
+def test_stacked_view_over_all_nan_series():
+    rng = np.random.default_rng(3)
+    timeline = _random_timeline(rng, 150, 50_000)
+    for values in timeline.series.values():
+        values[:] = np.nan
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_matrix_matches_per_series(BatchFeatureExtractor(), timeline)
+
+
+def test_stacked_view_with_extra_detectors():
+    rng = np.random.default_rng(11)
+    timeline = _random_timeline(rng, 150, 50_000)
+    batch = BatchFeatureExtractor(extra_detectors=_extra_detectors())
+    matrix = _assert_matrix_matches_per_series(batch, timeline)
+    assert matrix.shape[1] == len(FEATURE_NAMES) + 2
+
+
+def test_non_float64_series_keep_their_own_view():
+    """A hand-built timeline may hold series of other dtypes: each keeps
+    the values and dtype a per-series view gives, not a float64 copy."""
+    dtypes = {
+        "ul_harq_retx": np.int64,
+        "dl_scheduled": np.bool_,
+        "ul_packet_delay_ms": np.float32,
+        "ul_rnti": np.uint16,
+        "rrc_events": np.int8,
+    }
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        timeline = _random_timeline(rng, 150, 50_000)
+        for name, dtype in dtypes.items():
+            values = timeline.series[name]
+            if np.issubdtype(dtype, np.integer) or dtype is np.bool_:
+                values = np.nan_to_num(values)
+            timeline.series[name] = values.astype(dtype)
+        _assert_matrix_matches_per_series(BatchFeatureExtractor(), timeline)
+        windows = _strided_windows(timeline.series, 100, 10)
+        for name, values in timeline.series.items():
+            assert windows[name].dtype == values.dtype
+            assert np.array_equal(
+                windows[name],
+                sliding_window_view(values, 100)[::10],
+                equal_nan=values.dtype.kind == "f",
+            )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import detector as detector_module
 from repro.core.chains import (
     CANONICAL_CHAINS,
     DEFAULT_CHAINS_TEXT,
@@ -14,6 +15,7 @@ from repro.core.chains import (
     classify_cause,
     classify_consequence,
 )
+from repro.core.codegen import compile_chains
 from repro.core.detector import (
     DetectorConfig,
     DominoDetector,
@@ -21,9 +23,12 @@ from repro.core.detector import (
     WindowDetection,
 )
 from repro.core.dsl import parse_chains
+from repro.core.extension import ExtensibleDomino
 from repro.core.features import FEATURE_NAMES, FeatureExtractor
 from repro.core.stats import DominoStats, _episode_count
+from repro.core.streaming import StreamingDomino
 from repro.core.trace import evaluate_chains
+from repro.errors import UnknownEventError
 from repro.telemetry.timeline import Timeline
 
 
@@ -139,6 +144,75 @@ def test_wired_session_mostly_clean(wired_bundle):
     report = detector.analyze(wired_bundle)
     assert all(not w.causes for w in report.windows)
     assert all(not w.chain_ids for w in report.windows)
+
+
+# -- compiled-trace cache ---------------------------------------------------------
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Counts the detector's calls of ``compile_chains``."""
+    calls = []
+
+    def counted(chains):
+        calls.append(chains)
+        return compile_chains(chains)
+
+    monkeypatch.setattr(detector_module, "compile_chains", counted)
+    return calls
+
+
+def _fresh_text(tag: str) -> str:
+    """The default chains under a comment no other test uses, so the
+    text is a cache key of its own whatever ran before."""
+    return f"{DEFAULT_CHAINS_TEXT}\n# compile-cache test: {tag}\n"
+
+
+def test_streams_of_one_config_compile_the_chains_once(compile_calls):
+    config = DetectorConfig(chains_text=_fresh_text("64 streams"))
+    streams = [StreamingDomino(config) for _ in range(64)]
+    assert len(compile_calls) == 1
+    traces = {id(stream._detector._trace) for stream in streams}
+    assert len(traces) == 1
+    assert streams[-1].chains == parse_chains(DEFAULT_CHAINS_TEXT)
+
+
+def test_each_chain_text_and_vocabulary_gets_its_own_trace(compile_calls):
+    text = _fresh_text("own entry")
+    DominoDetector(DetectorConfig(chains_text=text))
+    DominoDetector(DetectorConfig(chains_text=text))
+    assert len(compile_calls) == 1
+    other = DominoDetector(DetectorConfig(chains_text=_fresh_text("other")))
+    assert len(compile_calls) == 2
+    # Same text, but a custom event widens the vocabulary: its own entry.
+    extended = ExtensibleDomino(include_default_chains=False)
+    extended.register_event("ul_cache_probe", lambda window, config: False)
+    extended.add_chains(text)
+    first = extended.build()
+    assert len(compile_calls) == 3
+    assert extended.build()._trace is first._trace
+    assert len(compile_calls) == 3
+    assert first._trace is not other._trace
+
+
+def test_mutating_one_detectors_chains_leaves_a_fresh_one_intact():
+    expected = parse_chains(DEFAULT_CHAINS_TEXT)
+    detector = DominoDetector()
+    detector.chains.clear()
+    empty = Timeline(dt_us=50_000, n_bins=1)
+    report = DominoDetector().analyze_timeline(empty)
+    report.chains.append(("ul_harq_retx", "ul_delay_up"))
+    assert DominoDetector().chains == expected
+    assert StreamingDomino().chains == expected
+
+
+def test_unknown_event_raises_on_every_construction():
+    config = DetectorConfig(
+        chains_text="made_up_event --> ul_delay_up --> local_jitter_buffer_drain"
+    )
+    for _ in range(3):
+        with pytest.raises(UnknownEventError):
+            DominoDetector(config)
 
 
 # -- statistics --------------------------------------------------------------------------
