@@ -39,7 +39,13 @@ load effects out:
    spend at most 2.6 ms per feed plus advance, scaled to the
    reference core by the same calibration loop as ``sim_60s``
    (1.5-1.8 ms measured with one stacked strided feature view,
-   2.3-2.4 ms with one view per series).
+   1.9-2.4 ms with one view per series).  The ceiling is ~1.5x the
+   measurement, so it catches a large live-plane regression but not a
+   return to per-series views, whose cost overlaps it within the run
+   spread; perfbench ``live_replay``'s paired runs measure that gain.
+   Detector construction is not timed: that each chain text is
+   compiled once per process is pinned by a unit test that counts
+   ``compile_chains`` calls (``tests/test_core_detector.py``).
 
 Usage: ``python benchmarks/check_perf.py [results_json] [baseline_json]``
 """

@@ -84,18 +84,20 @@ class DominoReport:
 @functools.lru_cache(maxsize=32)
 def _compiled_chains(
     chains_text: str, feature_names: Tuple[str, ...]
-) -> Tuple[Tuple[Tuple[str, ...], ...], CausalGraph, TraceFn]:
-    """The parsed chains, their graph and the compiled backward trace
-    for one chain text over one feature vocabulary.
+) -> Tuple[Tuple[Tuple[str, ...], ...], TraceFn]:
+    """The parsed chains and the compiled backward trace for one chain
+    text over one feature vocabulary.
 
     Cached per process, so every detector built from the same text
     (one per streaming session, one per ``api.analyze`` call) shares
-    one compiled trace.  A DSL error is not cached: it is raised again
-    on every construction.
+    one compiled trace.  The chains are validated as a
+    :class:`CausalGraph` (no cycle, each ends in a consequence).  A DSL
+    or graph error is not cached: it is raised again on every
+    construction.
     """
     chains = parse_chains(chains_text, known_events=feature_names)
-    graph = CausalGraph.from_chains(chains)
-    return tuple(chains), graph, compile_chains(chains)
+    CausalGraph.from_chains(chains)
+    return tuple(chains), compile_chains(chains)
 
 
 class DominoDetector:
@@ -125,7 +127,7 @@ class DominoDetector:
             config=self.config.events,
             extra_detectors=dict(extra_detectors or {}),
         )
-        chains, self.graph, self._trace = _compiled_chains(
+        chains, self._trace = _compiled_chains(
             self.config.chains_text, self.extractor.feature_names
         )
         # A list of its own: a caller mutating report.chains cannot

@@ -206,24 +206,20 @@ def _strided_windows(
 ) -> Dict[str, np.ndarray]:
     """Every series' ``(n_windows, W)`` window matrix.
 
-    The float64 series (every one ingest writes) are stacked once and
-    share one strided view, each taking its row; a series of any other
-    dtype keeps a view of its own, so its values and dtype are the ones
-    a per-series view gives.
+    The series are grouped by dtype (ingest writes only float64, so
+    there is one group); each group is stacked once and shares one
+    strided view, each series taking its row, so every window keeps its
+    series' dtype and values.
     """
-    stacked = [
-        name for name, values in series.items() if values.dtype == np.float64
-    ]
-    windows: Dict[str, np.ndarray] = {}
-    if stacked:
-        view = sliding_window_view(
-            np.stack([series[name] for name in stacked]), window_bins, axis=1
-        )[:, ::step_bins]
-        windows.update(zip(stacked, view))
+    groups: Dict[np.dtype, List[str]] = {}
     for name, values in series.items():
-        if name not in windows:
-            view = sliding_window_view(values, window_bins)
-            windows[name] = view[::step_bins]
+        groups.setdefault(values.dtype, []).append(name)
+    windows: Dict[str, np.ndarray] = {}
+    for names in groups.values():
+        view = sliding_window_view(
+            np.stack([series[name] for name in names]), window_bins, axis=1
+        )[:, ::step_bins]
+        windows.update(zip(names, view))
     return windows
 
 

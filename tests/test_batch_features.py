@@ -384,11 +384,13 @@ def test_stacked_view_with_extra_detectors():
     assert matrix.shape[1] == len(FEATURE_NAMES) + 2
 
 
-def test_non_float64_series_keep_their_own_view():
-    """A hand-built timeline may hold series of other dtypes: each keeps
-    the values and dtype a per-series view gives, not a float64 copy."""
+def test_non_float64_series_keep_their_dtype_and_values():
+    """A hand-built timeline may hold series of other dtypes: each is
+    stacked with the series of its own dtype and keeps the values and
+    dtype a per-series view gives, not a float64 copy."""
     dtypes = {
         "ul_harq_retx": np.int64,
+        "dl_harq_retx": np.int64,
         "dl_scheduled": np.bool_,
         "ul_packet_delay_ms": np.float32,
         "ul_rnti": np.uint16,

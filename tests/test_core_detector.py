@@ -28,7 +28,7 @@ from repro.core.features import FEATURE_NAMES, FeatureExtractor
 from repro.core.stats import DominoStats, _episode_count
 from repro.core.streaming import StreamingDomino
 from repro.core.trace import evaluate_chains
-from repro.errors import UnknownEventError
+from repro.errors import GraphError, UnknownEventError
 from repro.telemetry.timeline import Timeline
 
 
@@ -151,7 +151,8 @@ def test_wired_session_mostly_clean(wired_bundle):
 
 @pytest.fixture
 def compile_calls(monkeypatch):
-    """Counts the detector's calls of ``compile_chains``."""
+    """Counts the detector's calls of ``compile_chains``, from an empty
+    compiled-trace cache."""
     calls = []
 
     def counted(chains):
@@ -159,18 +160,18 @@ def compile_calls(monkeypatch):
         return compile_chains(chains)
 
     monkeypatch.setattr(detector_module, "compile_chains", counted)
-    return calls
+    detector_module._compiled_chains.cache_clear()
+    yield calls
+    detector_module._compiled_chains.cache_clear()
 
 
-def _fresh_text(tag: str) -> str:
-    """The default chains under a comment no other test uses, so the
-    text is a cache key of its own whatever ran before."""
-    return f"{DEFAULT_CHAINS_TEXT}\n# compile-cache test: {tag}\n"
+_ONE_CHAIN_TEXT = (
+    "ul_channel_degrades --> ul_delay_up --> remote_jitter_buffer_drain"
+)
 
 
 def test_streams_of_one_config_compile_the_chains_once(compile_calls):
-    config = DetectorConfig(chains_text=_fresh_text("64 streams"))
-    streams = [StreamingDomino(config) for _ in range(64)]
+    streams = [StreamingDomino(DetectorConfig()) for _ in range(64)]
     assert len(compile_calls) == 1
     traces = {id(stream._detector._trace) for stream in streams}
     assert len(traces) == 1
@@ -178,16 +179,15 @@ def test_streams_of_one_config_compile_the_chains_once(compile_calls):
 
 
 def test_each_chain_text_and_vocabulary_gets_its_own_trace(compile_calls):
-    text = _fresh_text("own entry")
-    DominoDetector(DetectorConfig(chains_text=text))
-    DominoDetector(DetectorConfig(chains_text=text))
+    DominoDetector()
+    DominoDetector()
     assert len(compile_calls) == 1
-    other = DominoDetector(DetectorConfig(chains_text=_fresh_text("other")))
+    other = DominoDetector(DetectorConfig(chains_text=_ONE_CHAIN_TEXT))
     assert len(compile_calls) == 2
     # Same text, but a custom event widens the vocabulary: its own entry.
     extended = ExtensibleDomino(include_default_chains=False)
     extended.register_event("ul_cache_probe", lambda window, config: False)
-    extended.add_chains(text)
+    extended.add_chains(_ONE_CHAIN_TEXT)
     first = extended.build()
     assert len(compile_calls) == 3
     assert extended.build()._trace is first._trace
@@ -206,12 +206,25 @@ def test_mutating_one_detectors_chains_leaves_a_fresh_one_intact():
     assert StreamingDomino().chains == expected
 
 
-def test_unknown_event_raises_on_every_construction():
-    config = DetectorConfig(
-        chains_text="made_up_event --> ul_delay_up --> local_jitter_buffer_drain"
-    )
+@pytest.mark.parametrize(
+    "chains_text,error",
+    [
+        (
+            "made_up_event --> ul_delay_up --> local_jitter_buffer_drain",
+            UnknownEventError,
+        ),
+        ("ul_channel_degrades --> ul_delay_up", GraphError),
+        (
+            "ul_delay_up --> ul_channel_degrades --> ul_delay_up"
+            " --> remote_jitter_buffer_drain",
+            GraphError,
+        ),
+    ],
+)
+def test_invalid_chains_raise_on_every_construction(chains_text, error):
+    config = DetectorConfig(chains_text=chains_text)
     for _ in range(3):
-        with pytest.raises(UnknownEventError):
+        with pytest.raises(error):
             DominoDetector(config)
 
 
