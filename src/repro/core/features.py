@@ -17,10 +17,11 @@ Two engines produce the same feature windows:
 * :class:`FeatureExtractor` — the per-window reference: slice every
   series per window position, call each detector on the slice.  Simple,
   and the semantic oracle the batch engine is tested against.
-* :class:`BatchFeatureExtractor` — the production path: stacks the
-  series once, takes one strided ``(series, n_windows, W)`` view of the
-  stack, and evaluates each detector's vectorized counterpart over
-  *all* windows in one numpy pass, each series reading its row.  With
+* :class:`BatchFeatureExtractor` — the production path: takes one
+  strided ``(series, n_windows, W)`` view of an ingested timeline's
+  float64 block (a hand-built timeline's series are stacked once per
+  dtype first), and evaluates each detector's vectorized counterpart
+  over *all* windows in one numpy pass, each series reading its row.  With
   the paper's 90 % window overlap this removes the ~10× re-slicing of
   every bin and the per-window Python dispatch.  Custom
   ``extra_detectors`` (arbitrary callables) fall back to per-window
@@ -40,7 +41,7 @@ from repro.core.events import (
     build_batch_registry,
     build_registry,
 )
-from repro.telemetry.timeline import Timeline
+from repro.telemetry.timeline import SERIES, Timeline
 
 #: Canonical feature ordering (36 names).
 FEATURE_NAMES: Tuple[str, ...] = tuple(
@@ -204,11 +205,14 @@ class _WindowSlice(Mapping):
 def _strided_windows(
     series: Dict[str, np.ndarray], window_bins: int, step_bins: int
 ) -> Dict[str, np.ndarray]:
-    """Every series' ``(n_windows, W)`` window matrix.
+    """Every series' ``(n_windows, W)`` window matrix, for a hand-built
+    timeline's series.
 
-    The series are grouped by dtype (ingest writes only float64, so
-    there is one group); each group is stacked once and shares one
-    strided view, each series taking its row, so every window keeps its
+    An ingested timeline's series are rows of its one float64 block,
+    which :meth:`BatchFeatureExtractor.feature_matrix` windows directly
+    with no copy.  Hand-built series may be of any dtype: they are
+    grouped by dtype, each group is stacked once and shares one strided
+    view, each series taking its row, so every window keeps its
     series' dtype and values.
     """
     groups: Dict[np.dtype, List[str]] = {}
@@ -278,7 +282,11 @@ class BatchFeatureExtractor:
         starts = np.arange(
             0, timeline.n_bins - window_bins + 1, step_bins, dtype=np.int64
         )
-        windows = _strided_windows(timeline.series, window_bins, step_bins)
+        if timeline.block is None:
+            windows = _strided_windows(timeline.series, window_bins, step_bins)
+        else:  # one view of the ingested block, no copy
+            view = sliding_window_view(timeline.block, window_bins, axis=1)
+            windows = dict(zip(SERIES, view[:, ::step_bins]))
         matrix = np.empty((len(starts), len(names)), dtype=bool)
         for column, name in enumerate(FEATURE_NAMES):
             matrix[:, column] = self._batch_registry[name](

@@ -185,9 +185,11 @@ class span:
 
     Attributes given to a span are visible (merged) on every event
     emitted by spans nested inside it; inner values win on collision.
+    Values known only as the block ends go on its own event through
+    :meth:`set`.
     """
 
-    __slots__ = ("name", "attrs", "_t0", "_ts", "_token", "_active")
+    __slots__ = ("name", "attrs", "_t0", "_ts", "_token", "_active", "_merged")
 
     def __init__(self, name: str, **attrs: Any) -> None:
         self.name = name
@@ -196,6 +198,12 @@ class span:
         self._token = None
         self._t0 = 0.0
         self._ts = 0.0
+
+    def set(self, **attrs: Any) -> None:
+        """Add *attrs* to this span's event (a no-op when spans are
+        disabled); spans already opened inside it keep what they saw."""
+        if self._active:
+            self._merged.update(attrs)
 
     def __enter__(self) -> "span":
         if not _enabled:
@@ -207,6 +215,7 @@ class span:
             merged.update(self.attrs)
         else:
             merged = dict(self.attrs)
+        self._merged = merged
         span_id = "" if _trace.get() is None else new_span_id()
         self._token = _stack.set(stack + ((self.name, merged, span_id),))
         self._ts = time.time()

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.link import AccessLink, InternetSegment
 from repro.net.packet import Packet
 from repro.obs.metrics import get_registry
+from repro.obs.spans import span
 from repro.rtc.client import ClientConfig, WebRtcClient
 from repro.telemetry.collect import TelemetryCollector
 from repro.telemetry.columns import code
@@ -175,6 +176,10 @@ class TwoPartySession:
         on every tick would give.  A tick hook that reads a client
         mid-call sees it as of its last step: an idle tick changes only
         its jitter-buffer targets and pacer budget.
+
+        Each call is one ``sim.advance`` span whose ``ticks``, ``slots``
+        and ``client_steps`` attributes are what it adds to the
+        ``repro_sim_*_total`` counters.
         """
         step_us = self.step_us
         client_a, client_b = self.client_a, self.client_b
@@ -183,42 +188,46 @@ class TwoPartySession:
         start_us = now_us = self._now_us
         slots_before = self.access_a.slots + self.access_b.slots
         steps = 0
-        while now_us < target_us:
-            now_us += step_us
-            self._now_us = now_us
-            for hook in hooks:
-                hook(self, now_us)
-            arrivals_a, arrivals_b = self._pump_access(now_us)
-            out_a = out_b = None
-            if arrivals_a or now_us >= due_a:
-                client_a.catch_up(now_us - step_us, step_us)
-                out_a = client_a.step(now_us, arrivals_a)
-                due_a = client_a.next_due_us()
-                steps += 1
-            if arrivals_b or now_us >= due_b:
-                client_b.catch_up(now_us - step_us, step_us)
-                out_b = client_b.step(now_us, arrivals_b)
-                due_b = client_b.next_due_us()
-                steps += 1
-            if out_a:
-                self._route_outgoing(True, out_a)
-            if out_b:
-                self._route_outgoing(False, out_b)
-        client_a.catch_up(now_us, step_us)
-        client_b.catch_up(now_us, step_us)
-        self._due_a, self._due_b = due_a, due_b
-        if now_us > start_us:
+        with span("sim.advance") as advance:
+            while now_us < target_us:
+                now_us += step_us
+                self._now_us = now_us
+                for hook in hooks:
+                    hook(self, now_us)
+                arrivals_a, arrivals_b = self._pump_access(now_us)
+                out_a = out_b = None
+                if arrivals_a or now_us >= due_a:
+                    client_a.catch_up(now_us - step_us, step_us)
+                    out_a = client_a.step(now_us, arrivals_a)
+                    due_a = client_a.next_due_us()
+                    steps += 1
+                if arrivals_b or now_us >= due_b:
+                    client_b.catch_up(now_us - step_us, step_us)
+                    out_b = client_b.step(now_us, arrivals_b)
+                    due_b = client_b.next_due_us()
+                    steps += 1
+                if out_a:
+                    self._route_outgoing(True, out_a)
+                if out_b:
+                    self._route_outgoing(False, out_b)
+            client_a.catch_up(now_us, step_us)
+            client_b.catch_up(now_us, step_us)
+            self._due_a, self._due_b = due_a, due_b
+            ticks = (now_us - start_us) // step_us
+            slots = self.access_a.slots + self.access_b.slots - slots_before
+            advance.set(ticks=ticks, slots=slots, client_steps=steps)
+        if ticks:
             registry = get_registry()
             registry.counter(
                 "repro_sim_ticks_total", help="Session clock ticks simulated."
-            ).inc((now_us - start_us) // step_us)
+            ).inc(ticks)
             registry.counter(
                 "repro_sim_client_steps_total",
                 help="WebRTC client steps (on arrivals or a due event).",
             ).inc(steps)
             registry.counter(
                 "repro_sim_slots_total", help="RAN slots simulated."
-            ).inc(self.access_a.slots + self.access_b.slots - slots_before)
+            ).inc(slots)
         return now_us
 
     def run(self, duration_us: int) -> SessionResult:

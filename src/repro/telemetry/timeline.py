@@ -17,11 +17,21 @@ Naming convention (all per-bin):
 
 Ingestion is array code over each source's typed columns
 (:class:`~repro.telemetry.columns.RecordColumns`, the one form a
-bundle holds its sources in): every per-bin aggregate is a
-``np.bincount`` / ``np.minimum.at`` / fancy-assignment over them, and
-no record object is built.  Accumulation order per bin equals record
+bundle holds its sources in), and no record object is built.  Every
+series is written into one preallocated float64 block of shape
+``(len(SERIES), n_bins)``, one row per name of :data:`SERIES`: per
+source, fused ``np.bincount``s keyed on ``bin + n_bins * category``
+(direction, traffic class), one assignment of each bin's last record,
+and one 2-D forward fill.  Accumulation order per bin equals record
 order — the same order the per-record loops used — so the resulting
-series are bit-identical to the loop formulation.
+series are bit-identical to the loop formulation.  An ingested
+timeline's :attr:`Timeline.series` is a read-only mapping of the
+block's rows, so the block cannot go stale, and ``extend``, ``since``
+and the batch feature engine each work on the block in one step.
+
+A hand-built timeline (``Timeline(dt_us, n_bins)`` with a ``series``
+dict the caller fills, of any dtype) has no block: ``extend`` and
+``since`` work series by series, and every series keeps its dtype.
 
 A timeline can also be built in time-ordered segments: every per-bin
 aggregate depends only on that bin's records, and forward-fill carries
@@ -32,15 +42,15 @@ with :meth:`Timeline.extend` equal one ingest of the whole bundle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TelemetryError
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
-from repro.telemetry.columns import code
+from repro.telemetry.columns import RecordColumns, code
 from repro.telemetry.records import (
     GnbLogKind,
     StreamKind,
@@ -55,52 +65,256 @@ _RLC_BUFFER = code(GnbLogKind.RLC_BUFFER)
 _RLC_RETX = code(GnbLogKind.RLC_RETX)
 _RRC = (code(GnbLogKind.RRC_RELEASE), code(GnbLogKind.RRC_CONNECT))
 
+#: Cross-traffic UEs use RNTIs at or above this value by convention
+#: (see :class:`repro.mac.crosstraffic.CrossTrafficUe`); everything
+#: below belongs to the experiment UE (whose RNTI changes across RRC
+#: transitions).
+_CROSS_TRAFFIC_RNTI_FLOOR = 40_000
 
-def _forward_fill(values: np.ndarray, fill: float) -> np.ndarray:
-    """Forward-fill NaNs (leading NaNs become *fill*)."""
-    mask = np.isnan(values)
-    if not mask.any():
-        return values
-    idx = np.where(~mask, np.arange(len(values)), 0)
-    np.maximum.accumulate(idx, out=idx)
-    filled = values[idx]
-    filled[np.isnan(filled)] = fill
-    return filled
+#: App-stat fields copied per client from WebRtcStatsRecord.
+_APP_FIELDS = (
+    "inbound_fps", "outbound_fps", "outbound_resolution_p",
+    "inbound_resolution_p", "video_jitter_buffer_ms", "audio_jitter_buffer_ms",
+    "target_bitrate_bps", "pushback_bitrate_bps", "outstanding_bytes",
+    "congestion_window_bytes", "gcc_trend_slope", "gcc_threshold",
+)
+#: Per role: the last record in a bin wins for all but the two sample
+#: counters, which accumulate.
+_WEBRTC = _APP_FIELDS + ("gcc_state", "frozen", "concealed", "total_samples")
+_PACKETS = (
+    "packet_delay_ms", "rtcp_delay_ms", "lost_packets", "app_bitrate_bps",
+)
+_DCI = (
+    "exp_prbs", "other_prbs", "tbs_bits", "tbs_bitrate_bps", "harq_retx",
+    "mcs_mean", "mcs_min", "scheduled", "rnti",
+)
+_GNB = ("rlc_buffer_bytes", "rlc_retx")
+
+#: Row order of an ingested timeline's block, and of its ``series``.
+SERIES: Tuple[str, ...] = (
+    tuple(f"{role}_{name}" for role in ("local", "remote") for name in _WEBRTC)
+    + tuple(
+        f"{direction}_{name}"
+        for names in (_PACKETS, _DCI, _GNB)
+        for direction in ("ul", "dl")
+        for name in names
+    )
+    + ("rrc_events",)
+)
+_PACKET_ROW = 2 * len(_WEBRTC)
+_DCI_ROW = _PACKET_ROW + 2 * len(_PACKETS)
+_GNB_ROW = _DCI_ROW + 2 * len(_DCI)
+#: Rows whose empty bins hold the last value seen (sparse state).
+_FILLED = np.array([
+    row
+    for row, name in enumerate(SERIES)
+    if name.split("_", 1)[1] in _APP_FIELDS
+    or name.endswith(("_gcc_state", "_delay_ms", "_rnti", "_rlc_buffer_bytes"))
+])
+_FILLED_ROWS = np.arange(len(_FILLED))[:, None]
 
 
-@dataclass
+def _direction(rows: RecordColumns) -> np.ndarray:
+    """0 for uplink rows, 1 for downlink: the direction axis of a view."""
+    return (~rows.column("is_uplink")).astype(np.intp)
+
+
+def _webrtc_rows(block, index, stats, bundle, dt_us) -> None:
+    """Both roles' WebRTC rows: each bin's last record per role."""
+    out = block[:_PACKET_ROW].reshape(2, len(_WEBRTC), -1)
+    n_bins = out.shape[2]
+    clients = stats.column("client")
+    remote = clients == bundle.wired_client
+    known = remote.copy()
+    if bundle.cellular_client != bundle.wired_client:
+        # With one name for both clients, dict-lookup ingestion
+        # resolved it to "remote"; keep that.
+        known |= clients == bundle.cellular_client
+    kept = np.flatnonzero(known)
+    role = remote[kept].astype(np.intp)
+    # Fancy assignment with repeated indices promises no order in 2-D,
+    # so pick each bin's last record first (in 1-D the last one wins).
+    last = np.full(2 * n_bins, -1)
+    last[index[kept] + n_bins * role] = kept
+    slots = np.flatnonzero(last >= 0)
+    picked = last[slots]
+    gcc_state = np.zeros(len(picked))
+    states = stats.column("gcc_state")[picked]
+    for state, state_code in GCC_STATE_CODE.items():
+        gcc_state[states == state] = state_code
+    values = [stats.column(name)[picked] for name in _APP_FIELDS]
+    values += [gcc_state, stats.column("frozen")[picked]]
+    out[:, :-3] = np.nan  # app stats and GCC state until a record lands
+    out[:, -3:] = 0.0  # frozen and the sample counters
+    out[slots // n_bins, :-2, slots % n_bins] = np.array(values, np.float64).T
+    samples = [stats.column(name) for name in ("concealed_samples", "total_samples")]
+    np.add.at(
+        out,
+        (role, slice(-2, None), index[kept]),
+        np.array(samples, np.float64)[:, kept].T,
+    )
+
+
+def _packet_rows(block, index, packets, bundle, dt_us) -> None:
+    """Per direction: mean data and RTCP delay, losses, send rate."""
+    out = block[_PACKET_ROW:_DCI_ROW].reshape(2, len(_PACKETS), -1)
+    n_bins = out.shape[2]
+    direction = _direction(packets)
+    slot = index + n_bins * direction
+    size = packets.column("size_bytes")
+    bytes_sent = np.bincount(slot, weights=size, minlength=2 * n_bins)
+    # App send rate in bit/s over each bin (condition 14 input).
+    out[:, 3] = bytes_sent.reshape(2, n_bins) * 8.0 * 1e6 / dt_us
+    # NONE (-1) marks a lost packet; real receive times are >= 0.
+    received = packets.column("received_us")
+    delivered = received >= 0
+    lost = np.bincount(slot[~delivered], minlength=2 * n_bins)
+    out[:, 2] = lost.reshape(2, n_bins)
+    # Delivered packets' delays per (direction, data or RTCP).
+    rtcp = packets.column("stream") == _RTCP
+    slot = (index + n_bins * (2 * direction + rtcp))[delivered]
+    delay = (received - packets.column("sent_us"))[delivered]
+    delay_sum = np.bincount(slot, weights=delay, minlength=4 * n_bins)
+    delay_count = np.bincount(slot, minlength=4 * n_bins)
+    with np.errstate(invalid="ignore"):
+        delay_ms = np.where(
+            delay_count > 0, delay_sum / np.maximum(delay_count, 1), np.nan
+        ) / 1000.0
+    out[:, :2] = delay_ms.reshape(2, 2, n_bins)
+
+
+def _dci_rows(block, index, dci, bundle, dt_us) -> None:
+    """Per direction: PRBs by UE class, the experiment UE's grants."""
+    out = block[_DCI_ROW:_GNB_ROW].reshape(2, len(_DCI), -1)
+    n_bins = out.shape[2]
+    direction = _direction(dci)
+    rnti = dci.column("rnti")
+    other = rnti >= _CROSS_TRAFFIC_RNTI_FLOOR
+    prbs = np.bincount(
+        index + n_bins * (2 * direction + other),
+        weights=dci.column("n_prb"),
+        minlength=4 * n_bins,
+    )
+    out[:, :2] = prbs.reshape(2, 2, n_bins)
+    # MCS/TBS/retx only matter for the experiment UE, typically a
+    # small minority of grants next to cross traffic.
+    exp = ~other
+    slot = (index + n_bins * direction)[exp]
+    mcs = dci.column("mcs")[exp].astype(np.float64)
+    is_retx = dci.column("is_retx")[exp]
+    new_data = slot[~is_retx]
+    tbs = dci.column("tbs_bits")[exp][~is_retx]
+    tbs_bits = np.bincount(new_data, weights=tbs, minlength=2 * n_bins)
+    out[:, 2] = tbs_bits.reshape(2, n_bins)
+    out[:, 3] = out[:, 2] * 1e6 / dt_us
+    harq_retx = np.bincount(slot[is_retx], minlength=2 * n_bins)
+    mcs_count = np.bincount(slot, minlength=2 * n_bins)
+    mcs_sum = np.bincount(slot, weights=mcs, minlength=2 * n_bins)
+    mcs_min = np.full(2 * n_bins, np.inf)
+    np.minimum.at(mcs_min, slot, mcs)
+    mcs_min[mcs_count == 0] = np.nan
+    rnti_series = np.full(2 * n_bins, np.nan)
+    rnti_series[slot] = rnti[exp]  # duplicates: last record wins
+    with np.errstate(invalid="ignore"):
+        mcs_mean = np.where(
+            mcs_count > 0, mcs_sum / np.maximum(mcs_count, 1), np.nan
+        )
+    rest = (harq_retx, mcs_mean, mcs_min, mcs_count > 0, rnti_series)
+    for column, values in enumerate(rest, start=4):
+        out[:, column] = values.reshape(2, n_bins)
+
+
+def _gnb_rows(block, index, logs, bundle, dt_us) -> None:
+    """Per direction: RLC buffer and retransmissions; RRC events."""
+    rows = block[_GNB_ROW:-1].reshape(2, len(_GNB), -1)
+    n_bins = rows.shape[2]
+    kind = logs.column("kind")
+    slot = index + n_bins * _direction(logs)
+    buffered = kind == _RLC_BUFFER
+    buffer_bytes = np.full(2 * n_bins, np.nan)
+    # Duplicates: the last record in a bin wins.
+    buffer_bytes[slot[buffered]] = logs.column("buffer_bytes")[buffered]
+    rows[:, 0] = buffer_bytes.reshape(2, n_bins)
+    # RLC retransmissions per direction, then RRC events in either.
+    is_rrc = (kind == _RRC[0]) | (kind == _RRC[1])
+    counted = is_rrc | (kind == _RLC_RETX)
+    counts = np.bincount(
+        np.where(is_rrc, index + 2 * n_bins, slot)[counted],
+        minlength=3 * n_bins,
+    )
+    rows[:, 1] = counts[: 2 * n_bins].reshape(2, n_bins)
+    block[-1] = counts[2 * n_bins:]
+
+
+def _ingest(
+    bundle: TelemetryBundle, dt_us: int, start_us: int, n_bins: int,
+    fills: np.ndarray,
+) -> np.ndarray:
+    """The float64 ``(len(SERIES), n_bins)`` block of *bundle*'s bins
+    from *start_us*; forward-filled rows start from *fills*."""
+    block = np.empty((len(SERIES), n_bins))
+    for rows, fill in (
+        (bundle.webrtc_stats, _webrtc_rows),
+        (bundle.packets, _packet_rows),
+        (bundle.dci, _dci_rows),
+        (bundle.gnb_log, _gnb_rows),
+    ):
+        # Each fill sees only the rows that land on the grid.
+        index = rows.times // dt_us - start_us // dt_us
+        in_range = (index >= 0) & (index < n_bins)
+        if not in_range.all():
+            index, rows = index[in_range], rows.take(in_range)
+        fill(block, index, rows, bundle, dt_us)
+    # Forward fill: a NaN takes the last value before it in its row, a
+    # leading NaN the row's fill (prepended as column 0).
+    values = np.concatenate((fills[:, None], block[_FILLED]), axis=1)
+    last = np.where(np.isnan(values), 0, np.arange(n_bins + 1))
+    np.maximum.accumulate(last, axis=1, out=last)
+    block[_FILLED] = values[_FILLED_ROWS, last[:, 1:]]
+    return block
+
+
 class Timeline:
     """Uniform cross-layer time series for one session.
 
     Attributes:
         dt_us: bin width of the grid.
         n_bins: number of bins.
-        series: mapping from variable name to a float array of length
-            ``n_bins``.
+        series: mapping from variable name to an array of length
+            ``n_bins``: the rows of :attr:`block` (read-only) for an
+            ingested timeline, a dict the caller fills for a hand-built
+            one.
         start_us: session time of the first bin (0 unless the timeline
             continues an earlier segment).
+        block: an ingested timeline's float64 ``(len(SERIES), n_bins)``
+            array, rows in :data:`SERIES` order; None when hand-built.
     """
 
-    dt_us: int
-    n_bins: int
-    series: Dict[str, np.ndarray] = field(default_factory=dict)
-    start_us: int = 0
+    def __init__(
+        self,
+        dt_us: int,
+        n_bins: int,
+        series: Optional[Dict[str, np.ndarray]] = None,
+        start_us: int = 0,
+    ) -> None:
+        self.dt_us = dt_us
+        self.n_bins = n_bins
+        self.start_us = start_us
+        self.block: Optional[np.ndarray] = None
+        self._series = {} if series is None else series
 
-    #: App-stat fields copied per client from WebRtcStatsRecord.
-    _APP_FIELDS = (
-        "inbound_fps",
-        "outbound_fps",
-        "outbound_resolution_p",
-        "inbound_resolution_p",
-        "video_jitter_buffer_ms",
-        "audio_jitter_buffer_ms",
-        "target_bitrate_bps",
-        "pushback_bitrate_bps",
-        "outstanding_bytes",
-        "congestion_window_bytes",
-        "gcc_trend_slope",
-        "gcc_threshold",
-    )
+    @classmethod
+    def _of_block(cls, block: np.ndarray, dt_us: int, start_us: int):
+        timeline = cls(dt_us, block.shape[1], start_us=start_us)
+        timeline.block = block
+        timeline._series = None  # built on first read
+        return timeline
+
+    @property
+    def series(self) -> Mapping[str, np.ndarray]:
+        if self._series is None:
+            self._series = MappingProxyType(dict(zip(SERIES, self.block)))
+        return self._series
 
     @classmethod
     def from_bundle(
@@ -111,37 +325,31 @@ class Timeline:
     ) -> "Timeline":
         """Resample *bundle* onto a uniform grid of *dt_us* bins.
 
-        With *after*, the result is the segment that continues that
-        timeline: its bins run from ``after.end_us`` up to the bundle's
-        ``duration_us`` (a session time), records before ``after.end_us``
-        fall outside it, and forward-filled series start from *after*'s
-        last values instead of 0.
+        With *after* (an ingested timeline), the result is the segment
+        that continues it: its bins run from ``after.end_us`` up to the
+        bundle's ``duration_us`` (a session time), records before
+        ``after.end_us`` fall outside it, and forward-filled series start
+        from *after*'s last values instead of 0.
         """
         if dt_us <= 0:
             raise TelemetryError("dt_us must be positive")
         start_us = 0
-        fills: Dict[str, float] = {}
+        fills = np.zeros(len(_FILLED))
         if after is not None:
-            if after.dt_us != dt_us or after.n_bins == 0:
+            if after.block is None or after.dt_us != dt_us or not after.n_bins:
                 raise TelemetryError(
-                    "after= must share dt_us and hold at least one bin"
+                    "after= must be an ingested timeline that shares dt_us "
+                    "and holds at least one bin"
                 )
             start_us = after.end_us
             if bundle.duration_us <= start_us:
                 raise TelemetryError(
                     "bundle ends before the timeline it continues"
                 )
-            fills = {
-                name: float(values[-1])
-                for name, values in after.series.items()
-            }
+            fills = after.block[_FILLED, -1]
         n_bins = max(1, math.ceil((bundle.duration_us - start_us) / dt_us))
         with span("ingest.from_bundle", n_bins=n_bins):
-            timeline = cls(dt_us=dt_us, n_bins=n_bins, start_us=start_us)
-            timeline._ingest_webrtc(bundle, fills)
-            timeline._ingest_packets(bundle, fills)
-            timeline._ingest_dci(bundle, fills)
-            timeline._ingest_gnb_log(bundle, fills)
+            block = _ingest(bundle, dt_us, start_us, n_bins, fills)
         registry = get_registry()
         registry.counter(
             "repro_bundles_ingested_total",
@@ -151,226 +359,7 @@ class Timeline:
             "repro_bins_ingested_total",
             help="Uniform timeline bins produced by ingest.",
         ).inc(n_bins)
-        return timeline
-
-    # -- construction helpers -------------------------------------------------
-
-    def _new(self, name: str, fill: float = np.nan) -> np.ndarray:
-        array = np.full(self.n_bins, fill, dtype=float)
-        self.series[name] = array
-        return array
-
-    def _bin_indices(self, ts_us: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """(bin index, in-range mask) of each timestamp."""
-        index = ts_us // self.dt_us - self.start_us // self.dt_us
-        return index, (index >= 0) & (index < self.n_bins)
-
-    def _ingest_webrtc(
-        self, bundle: TelemetryBundle, fills: Dict[str, float]
-    ) -> None:
-        for role in ("local", "remote"):
-            for fieldname in self._APP_FIELDS:
-                self._new(f"{role}_{fieldname}")
-            self._new(f"{role}_gcc_state")
-            self._new(f"{role}_frozen", 0.0)
-            self._new(f"{role}_concealed", 0.0)
-            self._new(f"{role}_total_samples", 0.0)
-        stats = bundle.webrtc_stats
-        index, in_range = self._bin_indices(stats.column("ts_us"))
-        clients = stats.column("client")
-        remote_mask = clients == bundle.wired_client
-        if bundle.cellular_client == bundle.wired_client:
-            # Degenerate naming: dict-lookup ingestion resolved the
-            # shared name to "remote"; keep that.
-            local_mask = np.zeros(len(stats), dtype=np.bool_)
-        else:
-            local_mask = clients == bundle.cellular_client
-        columns = {
-            fieldname: stats.column(fieldname).astype(np.float64)
-            for fieldname in self._APP_FIELDS
-        }
-        states = stats.column("gcc_state")
-        gcc_state = np.zeros(len(stats))
-        for state, state_code in GCC_STATE_CODE.items():
-            gcc_state[states == state] = state_code
-        columns["gcc_state"] = gcc_state
-        columns["frozen"] = stats.column("frozen").astype(np.float64)
-        concealed = stats.column("concealed_samples").astype(np.float64)
-        total = stats.column("total_samples").astype(np.float64)
-        for role, role_mask in (("local", local_mask), ("remote", remote_mask)):
-            mask = in_range & role_mask
-            idx = index[mask]
-            # Fancy assignment applies duplicates in order: the last
-            # record landing in a bin wins, as in per-record ingestion.
-            for name, values in columns.items():
-                self.series[f"{role}_{name}"][idx] = values[mask]
-            np.add.at(self.series[f"{role}_concealed"], idx, concealed[mask])
-            np.add.at(self.series[f"{role}_total_samples"], idx, total[mask])
-        for name in list(self.series):
-            if name.endswith(("_frozen", "_concealed", "_total_samples")):
-                continue
-            if name.startswith(("local_", "remote_")):
-                self.series[name] = _forward_fill(
-                    self.series[name], fills.get(name, 0.0)
-                )
-
-    def _ingest_packets(
-        self, bundle: TelemetryBundle, fills: Dict[str, float]
-    ) -> None:
-        packets = bundle.packets
-        sent = packets.column("sent_us")
-        is_uplink = packets.column("is_uplink")
-        size = packets.column("size_bytes").astype(np.float64)
-        # NONE (-1) marks a lost packet; real receive times are >= 0.
-        received = packets.column("received_us")
-        is_rtcp = packets.column("stream") == _RTCP
-        index, in_range = self._bin_indices(sent)
-        delivered = received >= 0
-        delay = (received - sent).astype(np.float64)
-        for direction, flag in (("ul", True), ("dl", False)):
-            mask = in_range & (is_uplink == flag)
-            nb = self.n_bins
-            bytes_sent = np.bincount(
-                index[mask], weights=size[mask], minlength=nb
-            )
-            lost = np.bincount(
-                index[mask & ~delivered], minlength=nb
-            ).astype(float)
-            data = mask & delivered & ~is_rtcp
-            delay_sum = np.bincount(
-                index[data], weights=delay[data], minlength=nb
-            )
-            delay_count = np.bincount(index[data], minlength=nb).astype(float)
-            rtcp = mask & delivered & is_rtcp
-            rtcp_delay_sum = np.bincount(
-                index[rtcp], weights=delay[rtcp], minlength=nb
-            )
-            rtcp_delay_count = np.bincount(index[rtcp], minlength=nb).astype(
-                float
-            )
-            with np.errstate(invalid="ignore"):
-                delay_ms = np.where(
-                    delay_count > 0, delay_sum / np.maximum(delay_count, 1), np.nan
-                ) / 1000.0
-                rtcp_ms = np.where(
-                    rtcp_delay_count > 0,
-                    rtcp_delay_sum / np.maximum(rtcp_delay_count, 1),
-                    np.nan,
-                ) / 1000.0
-            for name, values in (
-                (f"{direction}_packet_delay_ms", delay_ms),
-                (f"{direction}_rtcp_delay_ms", rtcp_ms),
-            ):
-                self.series[name] = _forward_fill(
-                    values, fills.get(name, 0.0)
-                )
-            self.series[f"{direction}_lost_packets"] = lost
-            # App send rate in bit/s over each bin (condition 14 input).
-            self.series[f"{direction}_app_bitrate_bps"] = (
-                bytes_sent * 8.0 * 1e6 / self.dt_us
-            )
-
-    #: Cross-traffic UEs use RNTIs at or above this value by convention
-    #: (see :class:`repro.mac.crosstraffic.CrossTrafficUe`); everything
-    #: below belongs to the experiment UE (whose RNTI changes across RRC
-    #: transitions).  Earlier ingest collected the set of observed
-    #: sub-floor RNTIs and tested membership per record — which reduces
-    #: to ``record.rnti < _CROSS_TRAFFIC_RNTI_FLOOR`` directly, with no
-    #: per-direction set rebuild.
-    _CROSS_TRAFFIC_RNTI_FLOOR = 40_000
-
-    def _ingest_dci(
-        self, bundle: TelemetryBundle, fills: Dict[str, float]
-    ) -> None:
-        dci = bundle.dci
-        ts = dci.column("ts_us")
-        rnti = dci.column("rnti")
-        is_uplink = dci.column("is_uplink")
-        n_prb = dci.column("n_prb").astype(np.float64)
-        index, in_range = self._bin_indices(ts)
-        is_experiment = rnti < self._CROSS_TRAFFIC_RNTI_FLOOR
-        # MCS/TBS/retx only matter for the experiment UE, typically a
-        # small minority of grants next to cross traffic.
-        mcs = dci.column("mcs")[is_experiment].astype(np.float64)
-        tbs = dci.column("tbs_bits")[is_experiment].astype(np.float64)
-        is_retx = dci.column("is_retx")[is_experiment]
-        exp_index = index[is_experiment]
-        exp_in_range = in_range[is_experiment]
-        exp_uplink = is_uplink[is_experiment]
-        exp_rnti = rnti[is_experiment]
-        exp_prb = n_prb[is_experiment]
-        nb = self.n_bins
-        for direction, flag in (("ul", True), ("dl", False)):
-            exp = exp_in_range & (exp_uplink == flag)
-            idx = exp_index[exp]
-            exp_prbs = np.bincount(idx, weights=exp_prb[exp], minlength=nb)
-            harq_retx = np.bincount(
-                exp_index[exp & is_retx], minlength=nb
-            ).astype(float)
-            new_data = exp & ~is_retx
-            tbs_bits = np.bincount(
-                exp_index[new_data], weights=tbs[new_data], minlength=nb
-            )
-            mcs_sum = np.bincount(idx, weights=mcs[exp], minlength=nb)
-            mcs_count = np.bincount(idx, minlength=nb).astype(float)
-            mcs_min = np.full(nb, np.inf)
-            np.minimum.at(mcs_min, idx, mcs[exp])
-            mcs_min[mcs_count == 0] = np.nan
-            rnti_series = np.full(nb, np.nan)
-            rnti_series[idx] = exp_rnti[exp]  # duplicates: last record wins
-            other = in_range & (is_uplink == flag) & ~is_experiment
-            other_prbs = np.bincount(
-                index[other], weights=n_prb[other], minlength=nb
-            )
-            with np.errstate(invalid="ignore"):
-                mcs_mean = np.where(
-                    mcs_count > 0, mcs_sum / np.maximum(mcs_count, 1), np.nan
-                )
-            self.series[f"{direction}_exp_prbs"] = exp_prbs
-            self.series[f"{direction}_other_prbs"] = other_prbs
-            self.series[f"{direction}_tbs_bits"] = tbs_bits
-            self.series[f"{direction}_tbs_bitrate_bps"] = (
-                tbs_bits * 1e6 / self.dt_us
-            )
-            self.series[f"{direction}_harq_retx"] = harq_retx
-            self.series[f"{direction}_mcs_mean"] = mcs_mean  # NaN = not sched.
-            self.series[f"{direction}_mcs_min"] = mcs_min
-            self.series[f"{direction}_scheduled"] = (mcs_count > 0).astype(
-                float
-            )
-            self.series[f"{direction}_rnti"] = _forward_fill(
-                rnti_series, fills.get(f"{direction}_rnti", 0.0)
-            )
-
-    def _ingest_gnb_log(
-        self, bundle: TelemetryBundle, fills: Dict[str, float]
-    ) -> None:
-        logs = bundle.gnb_log
-        ts = logs.column("ts_us")
-        kind = logs.column("kind")
-        is_buffer = kind == _RLC_BUFFER
-        is_rlc_retx = kind == _RLC_RETX
-        is_rrc = np.isin(kind, _RRC)
-        is_uplink = logs.column("is_uplink")
-        buffer_values = logs.column("buffer_bytes").astype(np.float64)
-        index, in_range = self._bin_indices(ts)
-        nb = self.n_bins
-        for direction, flag in (("ul", True), ("dl", False)):
-            mask = in_range & (is_uplink == flag)
-            buffer_bytes = np.full(nb, np.nan)
-            buffered = mask & is_buffer
-            buffer_bytes[index[buffered]] = buffer_values[buffered]
-            rlc_retx = np.bincount(
-                index[mask & is_rlc_retx], minlength=nb
-            ).astype(float)
-            name = f"{direction}_rlc_buffer_bytes"
-            self.series[name] = _forward_fill(
-                buffer_bytes, fills.get(name, 0.0)
-            )
-            self.series[f"{direction}_rlc_retx"] = rlc_retx
-        self.series["rrc_events"] = np.bincount(
-            index[in_range & is_rrc], minlength=nb
-        ).astype(float)
+        return cls._of_block(block, dt_us, start_us)
 
     # -- accessors -----------------------------------------------------------
 
@@ -398,22 +387,31 @@ class Timeline:
         """Append *segment*, built with ``from_bundle(..., after=self)``."""
         if segment.dt_us != self.dt_us or segment.start_us != self.end_us:
             raise TelemetryError("segment does not continue this timeline")
-        for name, values in self.series.items():
-            self.series[name] = np.concatenate(
-                (values, segment.series[name])
-            )
+        if self.block is not None and segment.block is not None:
+            self.block = np.concatenate((self.block, segment.block), axis=1)
+            self._series = None
+        else:
+            self._series = {
+                name: np.concatenate((values, segment.series[name]))
+                for name, values in self.series.items()
+            }
+            self.block = None
         self.n_bins += segment.n_bins
 
     def since(self, start_us: int) -> "Timeline":
         """The bins from *start_us* (a bin boundary) on, without copying."""
         offset = (start_us - self.start_us) // self.dt_us
+        start_us = self.start_us + offset * self.dt_us
+        if self.block is not None:
+            block = self.block[:, offset:]
+            return Timeline._of_block(block, self.dt_us, start_us)
         return Timeline(
             dt_us=self.dt_us,
             n_bins=self.n_bins - offset,
             series={
                 name: values[offset:] for name, values in self.series.items()
             },
-            start_us=self.start_us + offset * self.dt_us,
+            start_us=start_us,
         )
 
     def window(self, start_bin: int, length_bins: int) -> "Dict[str, np.ndarray]":

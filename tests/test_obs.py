@@ -8,13 +8,15 @@ text, and a disabled sink keeps spans cheap enough to leave on
 everywhere.
 """
 
+import hashlib
 import json
 import math
 import time
 
 import pytest
 
-from repro import schema
+from repro import api, schema
+from repro.cli import main as cli_main
 from repro.errors import TelemetryError
 from repro.obs import (
     DEFAULT_BUCKETS,
@@ -37,7 +39,9 @@ from repro.obs import (
     summarize_events,
     write_metrics_file,
 )
+from repro.fleet.scenarios import ScenarioSpec
 from repro.obs.report import render_obs_report
+from repro.telemetry.io import dump_lines
 
 
 @pytest.fixture(autouse=True)
@@ -191,6 +195,94 @@ class TestSpans:
         instrumented()
         instrumented_s = time.perf_counter() - t0
         assert instrumented_s < max(bare_s * 10, 0.05)
+
+
+# -- simulation spans ------------------------------------------------------------
+
+#: The counters ``TwoPartySession.advance_to`` adds to, by span attribute.
+SIM_COUNTERS = {
+    "ticks": "repro_sim_ticks_total",
+    "slots": "repro_sim_slots_total",
+    "client_steps": "repro_sim_client_steps_total",
+}
+
+
+def _sim_specs():
+    return [
+        ScenarioSpec(
+            name="obs/fdd", profile="tmobile_fdd", seed=2, duration_s=1.5
+        ),
+        ScenarioSpec(
+            name="obs/wired", profile="wired", seed=3, duration_s=1.0
+        ),
+    ]
+
+
+def _counters():
+    registry = get_registry()
+    return {
+        attr: registry.counter(name).total()
+        for attr, name in SIM_COUNTERS.items()
+    }
+
+
+def _bundle_digest(bundle) -> str:
+    return hashlib.sha256("\n".join(dump_lines(bundle)).encode()).hexdigest()
+
+
+class TestSimAdvanceSpan:
+    def test_campaign_emits_one_sim_advance_per_scenario(self):
+        """Each scenario's one ``advance_to`` is one ``sim.advance``
+        span inside its ``fleet.scenario``, carrying exactly what it
+        added to the simulation counters."""
+        sink = ListSink()
+        set_sink(sink)
+        for spec in _sim_specs():
+            before = _counters()
+            start = len(sink.events)
+            api.campaign([spec])
+            after = _counters()
+            advances = [
+                event
+                for event in sink.events[start:]
+                if event.name == "sim.advance"
+            ]
+            assert len(advances) == 1, spec.name
+            event = advances[0]
+            assert event.path.endswith("fleet.scenario/sim.advance")
+            assert event.attrs["scenario"] == spec.name
+            for attr in SIM_COUNTERS:
+                assert event.attrs[attr] == after[attr] - before[attr]
+            assert event.attrs["ticks"] > 0 and event.attrs["client_steps"] > 0
+        fdd, wired = (
+            event for event in sink.events if event.name == "sim.advance"
+        )
+        assert fdd.attrs["slots"] > 0
+        assert wired.attrs["slots"] == 0  # no RAN on a wired call
+
+    def test_bundles_identical_with_spans_disabled(self):
+        spec = _sim_specs()[0]
+        set_sink(ListSink())
+        traced = spec.build_session().run(spec.duration_us).bundle
+        set_sink(None)
+        disable()
+        quiet = spec.build_session().run(spec.duration_us).bundle
+        assert _bundle_digest(traced) == _bundle_digest(quiet)
+
+    def test_obs_report_lists_sim_advance(self, tmp_path, capsys):
+        path = str(tmp_path / "events.jsonl")
+        sink = JsonlSink(path)
+        set_sink(sink)
+        api.campaign(_sim_specs())
+        set_sink(None)
+        sink.close()
+        assert cli_main(["obs", "report", path]) == 0
+        stages = {
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        }
+        assert {"sim.advance", "fleet.scenario"} <= stages
 
 
 # -- events: JSONL round-trip through the schema codec ---------------------------

@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.features import BatchFeatureExtractor
 from repro.telemetry.io import load_bundle
 from repro.telemetry.records import (
     DciRecord,
@@ -22,7 +23,7 @@ from repro.telemetry.records import (
     TelemetryBundle,
     WebRtcStatsRecord,
 )
-from repro.telemetry.timeline import Timeline
+from repro.telemetry.timeline import SERIES, Timeline
 
 
 def _bundle(**kwargs):
@@ -321,3 +322,103 @@ def test_segmented_ingest_of_loaded_bundle_equals_one_ingest(profile_trace):
         else:
             timeline.extend(segment)
     _assert_same_series(timeline, whole)
+
+
+def _assert_float64(timeline):
+    assert list(timeline.series) == list(SERIES)
+    for name, values in timeline.series.items():
+        assert values.dtype == np.float64, name
+
+
+def test_ingest_writes_only_float64(private_bundle):
+    """``np.bincount`` over an empty selection returns int64 even with
+    float weights; ingest must still give float64 for every series:
+    an empty bundle, a private cell (no cross-traffic grants), and a
+    segment whose bins hold no experiment-UE grant."""
+    _assert_float64(Timeline.from_bundle(_bundle()))
+    assert len(private_bundle.dci)
+    assert np.all(private_bundle.dci.column("rnti") < 40_000)
+    _assert_float64(Timeline.from_bundle(private_bundle))
+    bundle = _bundle(dci=[_dci(10_000), _dci(600_000, rnti=52_001)])
+    first = Timeline.from_bundle(
+        dataclasses.replace(bundle, duration_us=500_000)
+    )
+    segment = Timeline.from_bundle(bundle, after=first)
+    assert segment["ul_other_prbs"].sum() == 10
+    assert segment["ul_exp_prbs"].sum() == 0
+    _assert_float64(segment)
+
+
+def test_ingested_timeline_is_one_block(private_bundle):
+    """Ingest, ``since``, ``extend`` and the batch feature windows all
+    work on one float64 block, never on per-series copies."""
+    timeline = Timeline.from_bundle(private_bundle)
+    block = timeline.block
+    assert block.dtype == np.float64
+    assert block.shape == (len(SERIES), timeline.n_bins)
+    for values in timeline.series.values():
+        assert np.shares_memory(values, block)
+    with pytest.raises(TypeError):
+        timeline.series["extra"] = np.zeros(timeline.n_bins)
+    # The feature windows every batch detector reads are views of it.
+    extractor = BatchFeatureExtractor()
+    seen = []
+    extractor._batch_registry = {
+        name: lambda windows, config, detector=detector: (
+            seen.append(windows) or detector(windows, config)
+        )
+        for name, detector in extractor._batch_registry.items()
+    }
+    assert len(extractor.feature_matrix(timeline)[0]) > 0
+    assert list(seen[0]) == list(SERIES)
+    for windows in seen:
+        for view in windows.values():
+            assert np.shares_memory(view, block)
+    # since() copies nothing.
+    tail = timeline.since(timeline.start_us + 7 * timeline.dt_us)
+    assert tail.n_bins == timeline.n_bins - 7
+    assert np.shares_memory(tail.block, block)
+    for values in tail.series.values():
+        assert np.shares_memory(values, block)
+    # Segments extend into one block equal, bit for bit, to one ingest.
+    segmented = None
+    for end in (2_000_000, 2_050_000, 9_000_000, private_bundle.duration_us):
+        segment = Timeline.from_bundle(
+            dataclasses.replace(private_bundle, duration_us=end),
+            after=segmented,
+        )
+        if segmented is None:
+            segmented = segment
+        else:
+            segmented.extend(segment)
+    assert segmented.block.flags.c_contiguous
+    assert segmented.block.tobytes() == block.tobytes()
+    for values in segmented.series.values():
+        assert np.shares_memory(values, segmented.block)
+
+
+def test_hand_built_timeline_extends_and_evicts_per_series():
+    """A hand-built timeline has no block: its series, of any dtype,
+    extend and evict one by one and keep their dtypes."""
+    timeline = Timeline(dt_us=50_000, n_bins=4)
+    timeline.series["count"] = np.arange(4, dtype=np.int64)
+    timeline.series["level"] = np.full(4, 0.5, dtype=np.float32)
+    timeline.extend(
+        Timeline(
+            dt_us=50_000,
+            n_bins=2,
+            series={
+                "count": np.array([4, 5], dtype=np.int64),
+                "level": np.zeros(2, dtype=np.float32),
+            },
+            start_us=200_000,
+        )
+    )
+    assert timeline.block is None and timeline.n_bins == 6
+    tail = timeline.since(100_000)
+    assert tail.block is None and tail.start_us == 100_000
+    assert tail["count"].dtype == np.int64
+    assert tail["count"].tolist() == [2, 3, 4, 5]
+    assert tail["level"].dtype == np.float32
+    assert tail["level"].tolist() == [0.5, 0.5, 0.0, 0.0]
+    assert np.shares_memory(tail["count"], timeline["count"])
