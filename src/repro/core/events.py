@@ -11,19 +11,24 @@ WebRTC stat counters, while the simulator produces continuous floats
 whose bit-level noise would otherwise satisfy strict inequalities
 vacuously.  Setting the margins to 0 recovers the paper-exact conditions.
 
-Two registries are exposed:
+Two forms of each condition are exposed:
 
 * :func:`build_registry` — the per-window reference implementations,
   callable(window, config) → bool over one window's 1-D series.  These
   are the semantic ground truth and the extension surface for custom
   detectors.
-* :func:`build_batch_registry` — vectorized counterparts,
-  callable(windows, config) → bool array over *all* window positions at
-  once, where every series is a ``(n_windows, window_bins)`` matrix
-  (a strided :func:`numpy.lib.stride_tricks.sliding_window_view`).  Each
-  batch detector is written to be *exactly* equivalent to its reference
-  — same NaN semantics, same float comparisons — which
-  ``tests/test_batch_features.py`` asserts property-style.
+* the ``*_batch`` functions — vectorized counterparts over *all* window
+  positions at once: each takes its input series as arrays whose last
+  axis is one window (``(..., n_windows, window_bins)``, a strided
+  :func:`numpy.lib.stride_tricks.sliding_window_view`) and returns a
+  bool array of the leading shape, so one call evaluates a pair of
+  series (both roles, or both directions) stacked on a leading axis.
+  One table, :data:`FUSED_EVENTS`, names each call's features and
+  input series; :mod:`repro.core.features` maps it onto the feature
+  columns and the timeline's rows.  Each batch detector is written to be *exactly*
+  equivalent to its reference — same NaN semantics, same float
+  comparisons — which ``tests/test_batch_features.py`` asserts
+  property-style.
 """
 
 from __future__ import annotations
@@ -34,9 +39,6 @@ from typing import Callable, Dict, Mapping
 import numpy as np
 
 WindowView = Mapping[str, np.ndarray]
-
-#: Batch view: same names, but each series is (n_windows, window_bins).
-BatchWindowView = Mapping[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -341,70 +343,65 @@ def build_registry() -> Dict[str, DetectorFn]:
 # =============================================================================
 # Vectorized (batch) implementations: one call evaluates every window.
 #
-# Inputs are (n_windows, W) matrices; outputs are (n_windows,) bool
-# arrays.  Row k of each matrix holds exactly the samples the reference
-# detector sees for window k, so equivalence reduces to doing the same
-# numpy arithmetic with ``axis=1``.  The only genuinely tricky parts are
-# the conditions defined over the *compacted* valid subsequence
-# (argmax/argmin order, consecutive-valid-pair trends), handled by the
-# helpers below.
+# Inputs are arrays of shape (..., n_windows, W) whose last axis holds
+# exactly the samples the reference detector sees for one window; the
+# feature engine passes a (2, n_windows, W) view of a pair of series (a
+# role's or a direction's twins), so one call evaluates both.  Outputs
+# are bool arrays of the leading shape.  Every reduction runs over the
+# last axis, as the reference's does over its 1-D window, so
+# equivalence reduces to doing the same numpy arithmetic with
+# ``axis=-1``.  The only genuinely tricky parts are the conditions
+# defined over the *compacted* valid subsequence (argmax/argmin order,
+# consecutive-valid-pair trends), handled by the helpers below.
 # =============================================================================
 
 
-def _batch_windowed_means(matrix: np.ndarray, size: int) -> np.ndarray:
-    """Row-wise non-overlapping means of *size* consecutive samples."""
-    n_windows, width = matrix.shape
-    n = width // size
-    if n == 0:
-        return np.empty((n_windows, 0))
-    return matrix[:, : n * size].reshape(n_windows, n, size).mean(axis=2)
+def _batch_windowed_means(values: np.ndarray, size: int) -> np.ndarray:
+    """Non-overlapping means of *size* consecutive samples per window."""
+    n = values.shape[-1] // size
+    shape = values.shape[:-1] + (n, size)
+    return values[..., : n * size].reshape(shape).mean(axis=-1)
 
 
 def _batch_has_uptrend(means: np.ndarray, margin: float) -> np.ndarray:
-    """Row-wise :func:`_has_uptrend`."""
-    if means.shape[1] < 2:
-        return np.zeros(means.shape[0], dtype=bool)
-    previous = means[:, :-1]
-    nxt = means[:, 1:]
+    """Per-window :func:`_has_uptrend`."""
+    previous = means[..., :-1]
     baseline = np.abs(previous) + 1e-9
-    return np.any(nxt > previous + margin * baseline, axis=1)
+    return np.any(means[..., 1:] > previous + margin * baseline, axis=-1)
 
 
 def _batch_has_downtrend(values: np.ndarray, margin: float) -> np.ndarray:
-    """Row-wise :func:`_has_downtrend` (NaN pairs compare False)."""
-    if values.shape[1] < 2:
-        return np.zeros(values.shape[0], dtype=bool)
-    previous = values[:, :-1]
-    nxt = values[:, 1:]
+    """Per-window :func:`_has_downtrend` (NaN pairs compare False)."""
+    previous = values[..., :-1]
     baseline = np.abs(previous) + 1e-9
-    return np.any(nxt < previous - margin * baseline, axis=1)
+    return np.any(values[..., 1:] < previous - margin * baseline, axis=-1)
 
 
 def _batch_extrema_ordered(
     values: np.ndarray, valid: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Per-row (max, min, count, max-before-min) over the valid subset.
+    """Per-window (max, min, count, max-before-min) over the valid subset.
 
     Matches ``argmax(compacted) < argmin(compacted)`` in the reference
     detectors: compaction preserves order, so comparing the positions of
     the *first* occurrence of the max and min among valid samples in the
-    original row is equivalent.  Rows whose valid subset contains NaN
-    yield NaN extrema (comparisons on them are False, exactly like the
-    reference, whose ``valid[argmin] < … * valid[argmax]`` also goes
+    original window is equivalent.  Windows whose valid subset contains
+    NaN yield NaN extrema (comparisons on them are False, exactly like
+    the reference, whose ``valid[argmin] < … * valid[argmax]`` also goes
     through NaN).
     """
-    vmax = np.where(valid, values, -np.inf).max(axis=1, initial=-np.inf)
-    vmin = np.where(valid, values, np.inf).min(axis=1, initial=np.inf)
-    count = valid.sum(axis=1)
-    first_max = np.argmax(valid & (values == vmax[:, None]), axis=1)
-    first_min = np.argmax(valid & (values == vmin[:, None]), axis=1)
+    vmax = np.where(valid, values, -np.inf).max(axis=-1, initial=-np.inf)
+    vmin = np.where(valid, values, np.inf).min(axis=-1, initial=np.inf)
+    count = valid.sum(axis=-1)
+    first_max = np.argmax(valid & (values == vmax[..., None]), axis=-1)
+    first_min = np.argmax(valid & (values == vmin[..., None]), axis=-1)
     return vmax, vmin, count, first_max < first_min
 
 
 def _batch_compacted_pair_any(
     values: np.ndarray, valid: np.ndarray, not_equal: bool = False
 ) -> np.ndarray:
-    """Row-wise "any consecutive *valid* pair satisfies the predicate".
+    """Per-window "any consecutive *valid* pair satisfies the predicate".
 
     With ``not_equal=False`` the predicate is ``current < previous``
     (``diff(compacted) < 0``); with ``not_equal=True`` it is
@@ -412,32 +409,22 @@ def _batch_compacted_pair_any(
     are skipped, exactly like ``values[valid_mask]`` compaction, by
     forward-propagating the last valid sample's value.
     """
-    n_windows, width = values.shape
-    if width < 2:
-        return np.zeros(n_windows, dtype=bool)
-    positions = np.where(valid, np.arange(width), 0)
-    np.maximum.accumulate(positions, axis=1, out=positions)
-    # Last valid position at or before column j-1 → the "previous valid
-    # value" candidate for column j; guarded by has_prev below.
-    prev_value = np.take_along_axis(values, positions[:, :-1], axis=1)
-    has_prev = np.cumsum(valid, axis=1)[:, :-1] > 0
-    current = values[:, 1:]
-    if not_equal:
-        hit = current != prev_value
-    else:
-        hit = current < prev_value
-    return np.any(valid[:, 1:] & has_prev & hit, axis=1)
+    positions = np.where(valid, np.arange(values.shape[-1]), 0)
+    np.maximum.accumulate(positions, axis=-1, out=positions)
+    # Last valid position at or before sample j-1 → the "previous valid
+    # value" candidate for sample j; guarded by has_prev below.
+    prev_value = np.take_along_axis(values, positions[..., :-1], axis=-1)
+    has_prev = np.logical_or.accumulate(valid, axis=-1)[..., :-1]
+    current = values[..., 1:]
+    hit = current != prev_value if not_equal else current < prev_value
+    return np.any(valid[..., 1:] & has_prev & hit, axis=-1)
 
 
-# -- application events ---------------------------------------------------------
+# -- application events (rows 1-10) ---------------------------------------------
 
 
-def framerate_down_batch(
-    windows: BatchWindowView, config: EventConfig, role: str, direction: str
-) -> np.ndarray:
-    fps = windows[f"{role}_{direction}_fps"]
-    valid = ~np.isnan(fps)
-    vmax, vmin, count, ordered = _batch_extrema_ordered(fps, valid)
+def framerate_down_batch(fps: np.ndarray, config: EventConfig) -> np.ndarray:
+    vmax, vmin, count, ordered = _batch_extrema_ordered(fps, ~np.isnan(fps))
     return (
         (count >= 2)
         & (vmax > config.framerate_high_fps)
@@ -447,222 +434,177 @@ def framerate_down_batch(
 
 
 def resolution_down_batch(
-    windows: BatchWindowView, config: EventConfig, role: str
+    resolution: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    resolution = windows[f"{role}_outbound_resolution_p"]
     return _batch_compacted_pair_any(resolution, ~np.isnan(resolution))
 
 
 def jitter_buffer_drain_batch(
-    windows: BatchWindowView, config: EventConfig, role: str
+    delay: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    delay = windows[f"{role}_video_jitter_buffer_ms"]
-    return np.any(delay <= config.jitter_buffer_zero_ms, axis=1)
+    return np.any(delay <= config.jitter_buffer_zero_ms, axis=-1)
 
 
-def target_bitrate_down_batch(
-    windows: BatchWindowView, config: EventConfig, role: str
-) -> np.ndarray:
-    return _batch_has_downtrend(
-        windows[f"{role}_target_bitrate_bps"], config.rate_drop_margin
-    )
+def rate_down_batch(rate: np.ndarray, config: EventConfig) -> np.ndarray:
+    """Rows 5 and 7: a downtrend in the target or the pushback rate."""
+    return _batch_has_downtrend(rate, config.rate_drop_margin)
 
 
-def gcc_overuse_batch(
-    windows: BatchWindowView, config: EventConfig, role: str
-) -> np.ndarray:
-    return np.any(windows[f"{role}_gcc_state"] > 0.5, axis=1)
-
-
-def pushback_rate_down_batch(
-    windows: BatchWindowView, config: EventConfig, role: str
-) -> np.ndarray:
-    return _batch_has_downtrend(
-        windows[f"{role}_pushback_bitrate_bps"], config.rate_drop_margin
-    )
+def gcc_overuse_batch(state: np.ndarray, config: EventConfig) -> np.ndarray:
+    return np.any(state > 0.5, axis=-1)
 
 
 def cwnd_full_batch(
-    windows: BatchWindowView, config: EventConfig, role: str
+    outstanding: np.ndarray, cwnd: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    outstanding = windows[f"{role}_outstanding_bytes"]
-    cwnd = windows[f"{role}_congestion_window_bytes"]
     with np.errstate(invalid="ignore"):
         ratio = outstanding / np.maximum(cwnd, 1.0)
-    return np.any(ratio > 1.0, axis=1)
+    return np.any(ratio > 1.0, axis=-1)
 
 
 def outstanding_bytes_up_batch(
-    windows: BatchWindowView, config: EventConfig, role: str
+    outstanding: np.ndarray, config: EventConfig
 ) -> np.ndarray:
     means = _batch_windowed_means(
-        np.nan_to_num(windows[f"{role}_outstanding_bytes"]),
-        config.trend_window_bins,
+        np.nan_to_num(outstanding), config.trend_window_bins
     )
     return _batch_has_uptrend(means, config.outstanding_up_margin)
 
 
 def pushback_neq_target_batch(
-    windows: BatchWindowView, config: EventConfig, role: str
+    target: np.ndarray, pushback: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    target = windows[f"{role}_target_bitrate_bps"]
-    pushback = windows[f"{role}_pushback_bitrate_bps"]
     with np.errstate(invalid="ignore"):
         gap = np.abs(target - pushback) / np.maximum(np.abs(target), 1.0)
-    return np.any(gap > config.pushback_neq_margin, axis=1)
+    return np.any(gap > config.pushback_neq_margin, axis=-1)
 
 
-# -- network delay events -------------------------------------------------------
+# -- network delay events (rows 11-12) ------------------------------------------
 
 
-def packet_delay_up_batch(
-    windows: BatchWindowView, config: EventConfig, direction: str
-) -> np.ndarray:
-    delay = np.nan_to_num(windows[f"{direction}_packet_delay_ms"])
-    if delay.shape[1] == 0:
-        return np.zeros(delay.shape[0], dtype=bool)
-    above = delay.max(axis=1) > config.delay_up_min_ms
+def packet_delay_up_batch(delay: np.ndarray, config: EventConfig) -> np.ndarray:
+    delay = np.nan_to_num(delay)
+    above = delay.max(axis=-1) > config.delay_up_min_ms
     means = _batch_windowed_means(delay, config.delay_window_bins)
     return above & _batch_has_uptrend(means, config.delay_up_margin)
 
 
-# -- 5G events ------------------------------------------------------------------
+# -- 5G events (rows 13-18) -----------------------------------------------------
 
 
 def tbs_down_batch(
-    windows: BatchWindowView, config: EventConfig, direction: str
+    tbs: np.ndarray, scheduled: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    tbs = windows[f"{direction}_tbs_bits"]
-    scheduled = windows[f"{direction}_scheduled"] > 0.5
-    vmax, vmin, count, ordered = _batch_extrema_ordered(tbs, scheduled)
+    vmax, vmin, count, ordered = _batch_extrema_ordered(tbs, scheduled > 0.5)
     return (count >= 2) & (vmin < config.tbs_drop_fraction * vmax) & ordered
 
 
 def rate_gap_batch(
-    windows: BatchWindowView, config: EventConfig, direction: str
+    app: np.ndarray, tbs: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    app = np.nan_to_num(windows[f"{direction}_app_bitrate_bps"])
-    tbs = np.nan_to_num(windows[f"{direction}_tbs_bitrate_bps"])
+    app = np.nan_to_num(app)
     active = app > 1_000.0
-    exceed = np.logical_and(active, app > tbs)
-    return np.any(active, axis=1) & (
-        exceed.mean(axis=1) > config.rate_gap_time_fraction
+    exceed = np.logical_and(active, app > np.nan_to_num(tbs))
+    return np.any(active, axis=-1) & (
+        exceed.mean(axis=-1) > config.rate_gap_time_fraction
     )
 
 
 def cross_traffic_batch(
-    windows: BatchWindowView, config: EventConfig, direction: str
+    exp: np.ndarray, other: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    exp = np.nansum(windows[f"{direction}_exp_prbs"], axis=1)
-    other = np.nansum(windows[f"{direction}_other_prbs"], axis=1)
+    exp = np.nansum(exp, axis=-1)
+    other = np.nansum(other, axis=-1)
     return (exp > 0.0) & (other > config.cross_traffic_fraction * exp)
 
 
-def channel_degrades_batch(
-    windows: BatchWindowView, config: EventConfig, direction: str
-) -> np.ndarray:
+def channel_degrades_batch(mcs: np.ndarray, config: EventConfig) -> np.ndarray:
     """Vectorized prechecks; exact per-window percentile on survivors.
 
     ``np.percentile`` interpolation must match the reference bit for
     bit, so the (rare) windows that pass both count gates evaluate it on
     their compacted valid samples exactly as the reference does.
     """
-    mcs = windows[f"{direction}_mcs_mean"]
     valid = ~np.isnan(mcs)
-    count = valid.sum(axis=1)
-    low_count = (mcs < config.mcs_low_threshold).sum(axis=1)
-    out = np.zeros(mcs.shape[0], dtype=bool)
+    count = valid.sum(axis=-1)
+    low_count = (mcs < config.mcs_low_threshold).sum(axis=-1)
+    out = np.zeros(count.shape, dtype=bool)
     candidates = (count >= config.mcs_low_count) & (
         low_count > config.mcs_low_count
     )
-    for row in np.flatnonzero(candidates):
-        p90 = float(np.percentile(mcs[row][valid[row]], 90))
-        out[row] = p90 < config.mcs_p90_threshold
+    for window in map(tuple, np.argwhere(candidates)):
+        p90 = float(np.percentile(mcs[window][valid[window]], 90))
+        out[window] = p90 < config.mcs_p90_threshold
     return out
 
 
-def harq_retx_batch(
-    windows: BatchWindowView, config: EventConfig, direction: str
-) -> np.ndarray:
-    retx = np.nansum(windows[f"{direction}_harq_retx"], axis=1)
-    return retx > config.harq_retx_count
+def harq_retx_batch(retx: np.ndarray, config: EventConfig) -> np.ndarray:
+    return np.nansum(retx, axis=-1) > config.harq_retx_count
 
 
-def rlc_retx_batch(
-    windows: BatchWindowView, config: EventConfig, direction: str
-) -> np.ndarray:
-    return np.nansum(windows[f"{direction}_rlc_retx"], axis=1) > 0
+def rlc_retx_batch(retx: np.ndarray, config: EventConfig) -> np.ndarray:
+    return np.nansum(retx, axis=-1) > 0
+
+
+# -- rows 19-20 -----------------------------------------------------------------
 
 
 def ul_scheduling_batch(
-    windows: BatchWindowView, config: EventConfig
+    scheduled: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    return np.any(windows["ul_scheduled"] > 0.5, axis=1)
+    return np.any(scheduled > 0.5, axis=-1)
 
 
 def rrc_change_batch(
-    windows: BatchWindowView, config: EventConfig
+    rnti: np.ndarray, events: np.ndarray, config: EventConfig
 ) -> np.ndarray:
-    ul_rnti = windows["ul_rnti"]
-    changed = _batch_compacted_pair_any(
-        ul_rnti, ul_rnti > 0, not_equal=True
-    )
-    dl_rnti = windows["dl_rnti"]
-    changed = changed | _batch_compacted_pair_any(
-        dl_rnti, dl_rnti > 0, not_equal=True
-    )
-    events = windows.get("rrc_events")
-    if events is not None:
-        changed = changed | np.any(events > 0, axis=1)
-    return changed
+    """Row 20 from both directions' RNTIs, *rnti* of shape
+    ``(2, n_windows, W)``, and the RRC event counts, *events* of shape
+    ``(1, n_windows, W)``: one compacted-pair pass over both RNTIs."""
+    changed = _batch_compacted_pair_any(rnti, rnti > 0, not_equal=True)
+    return changed.any(axis=0, keepdims=True) | np.any(events > 0, axis=-1)
 
 
-#: Batch registry entry: callable(batch windows, config) → bool array.
-BatchDetectorFn = Callable[[BatchWindowView, EventConfig], np.ndarray]
+_ROLES, _DIRECTIONS = ("local", "remote"), ("ul", "dl")
 
-
-def build_batch_registry() -> Dict[str, BatchDetectorFn]:
-    """Feature-name → vectorized detector, mirroring :func:`build_registry`."""
-    registry: Dict[str, BatchDetectorFn] = {}
-
-    def bind(name: str, fn: Callable, *args) -> None:
-        registry[name] = lambda windows, config, fn=fn, args=args: fn(
-            windows, config, *args
-        )
-
-    for role in ("local", "remote"):
-        bind(
-            f"{role}_inbound_framerate_down",
-            framerate_down_batch,
-            role,
-            "inbound",
-        )
-        bind(
-            f"{role}_outbound_framerate_down",
-            framerate_down_batch,
-            role,
-            "outbound",
-        )
-        bind(f"{role}_outbound_resolution_down", resolution_down_batch, role)
-        bind(f"{role}_jitter_buffer_drain", jitter_buffer_drain_batch, role)
-        bind(f"{role}_target_bitrate_down", target_bitrate_down_batch, role)
-        bind(f"{role}_gcc_overuse", gcc_overuse_batch, role)
-        bind(f"{role}_pushback_rate_down", pushback_rate_down_batch, role)
-        bind(f"{role}_cwnd_full", cwnd_full_batch, role)
-        bind(f"{role}_outstanding_bytes_up", outstanding_bytes_up_batch, role)
-        bind(f"{role}_pushback_neq_target", pushback_neq_target_batch, role)
-    for direction in ("ul", "dl"):
-        bind(f"{direction}_delay_up", packet_delay_up_batch, direction)
-        bind(f"{direction}_tbs_down", tbs_down_batch, direction)
-        bind(f"{direction}_rate_gap", rate_gap_batch, direction)
-        bind(f"{direction}_cross_traffic", cross_traffic_batch, direction)
-        bind(f"{direction}_channel_degrades", channel_degrades_batch, direction)
-        bind(f"{direction}_harq_retx", harq_retx_batch, direction)
-        bind(f"{direction}_rlc_retx", rlc_retx_batch, direction)
-    registry["ul_scheduling"] = lambda windows, config: ul_scheduling_batch(
-        windows, config
-    )
-    registry["rrc_change"] = lambda windows, config: rrc_change_batch(
-        windows, config
-    )
-    return registry
+#: The batch detectors' one table: (members, detector, feature, input
+#: series...), each entry one call that evaluates its event for every
+#: member at once.  ``{}`` in a name stands for the member; a name
+#: without it is one feature or series all members share.
+#: :mod:`repro.core.features` maps the names onto the feature columns
+#: and the rows of the timeline's block.
+FUSED_EVENTS = (
+    (_ROLES, framerate_down_batch, "{}_inbound_framerate_down",
+     "{}_inbound_fps"),
+    (_ROLES, framerate_down_batch, "{}_outbound_framerate_down",
+     "{}_outbound_fps"),
+    (_ROLES, resolution_down_batch, "{}_outbound_resolution_down",
+     "{}_outbound_resolution_p"),
+    (_ROLES, jitter_buffer_drain_batch, "{}_jitter_buffer_drain",
+     "{}_video_jitter_buffer_ms"),
+    (_ROLES, rate_down_batch, "{}_target_bitrate_down",
+     "{}_target_bitrate_bps"),
+    (_ROLES, gcc_overuse_batch, "{}_gcc_overuse", "{}_gcc_state"),
+    (_ROLES, rate_down_batch, "{}_pushback_rate_down",
+     "{}_pushback_bitrate_bps"),
+    (_ROLES, cwnd_full_batch, "{}_cwnd_full", "{}_outstanding_bytes",
+     "{}_congestion_window_bytes"),
+    (_ROLES, outstanding_bytes_up_batch, "{}_outstanding_bytes_up",
+     "{}_outstanding_bytes"),
+    (_ROLES, pushback_neq_target_batch, "{}_pushback_neq_target",
+     "{}_target_bitrate_bps", "{}_pushback_bitrate_bps"),
+    (_DIRECTIONS, tbs_down_batch, "{}_tbs_down", "{}_tbs_bits",
+     "{}_scheduled"),
+    (_DIRECTIONS, rate_gap_batch, "{}_rate_gap", "{}_app_bitrate_bps",
+     "{}_tbs_bitrate_bps"),
+    (_DIRECTIONS, cross_traffic_batch, "{}_cross_traffic", "{}_exp_prbs",
+     "{}_other_prbs"),
+    (_DIRECTIONS, channel_degrades_batch, "{}_channel_degrades",
+     "{}_mcs_mean"),
+    (_DIRECTIONS, harq_retx_batch, "{}_harq_retx", "{}_harq_retx"),
+    (_DIRECTIONS, rlc_retx_batch, "{}_rlc_retx", "{}_rlc_retx"),
+    (_DIRECTIONS, packet_delay_up_batch, "{}_delay_up",
+     "{}_packet_delay_ms"),
+    (("ul",), ul_scheduling_batch, "ul_scheduling", "ul_scheduled"),
+    (_DIRECTIONS, rrc_change_batch, "rrc_change", "{}_rnti", "rrc_events"),
+)

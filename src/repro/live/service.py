@@ -324,6 +324,12 @@ class LiveRcaService:
         self._last_now = loop.time()
         final = self.snapshot()
         self.publisher.close()
+        # Each supervisor's sink is a method of this service, which holds
+        # the supervisors: drop it, so the finished sessions (streams,
+        # timelines, buffered columns) go with their last reference
+        # instead of waiting for a full cyclic collection.
+        for supervisor in self.supervisors:
+            supervisor.on_detections = None
         return final
 
 

@@ -24,14 +24,14 @@ source, fused ``np.bincount``s keyed on ``bin + n_bins * category``
 (direction, traffic class), one assignment of each bin's last record,
 and one 2-D forward fill.  Accumulation order per bin equals record
 order — the same order the per-record loops used — so the resulting
-series are bit-identical to the loop formulation.  An ingested
-timeline's :attr:`Timeline.series` is a read-only mapping of the
-block's rows, so the block cannot go stale, and ``extend``, ``since``
-and the batch feature engine each work on the block in one step.
-
-A hand-built timeline (``Timeline(dt_us, n_bins)`` with a ``series``
-dict the caller fills, of any dtype) has no block: ``extend`` and
-``since`` work series by series, and every series keeps its dtype.
+series are bit-identical to the loop formulation.  The block is the
+only form a timeline takes: :attr:`Timeline.series` is a read-only
+mapping of its rows, so the block cannot go stale, and ``extend``,
+``since`` and the batch feature engine each work on it in one step.
+``Timeline(dt_us, n_bins, series)`` builds one from named arrays (the
+tests' hand-built timelines): each is copied into its float64 row, and
+a row it does not name holds 0 in every bin, as an empty bin of a
+counter does.
 
 A timeline can also be built in time-ordered segments: every per-bin
 aggregate depends only on that bin's records, and forward-fill carries
@@ -101,6 +101,7 @@ SERIES: Tuple[str, ...] = (
     )
     + ("rrc_events",)
 )
+_ROW = {name: row for row, name in enumerate(SERIES)}
 _PACKET_ROW = 2 * len(_WEBRTC)
 _DCI_ROW = _PACKET_ROW + 2 * len(_PACKETS)
 _GNB_ROW = _DCI_ROW + 2 * len(_DCI)
@@ -279,40 +280,50 @@ class Timeline:
 
     Attributes:
         dt_us: bin width of the grid.
-        n_bins: number of bins.
-        series: mapping from variable name to an array of length
-            ``n_bins``: the rows of :attr:`block` (read-only) for an
-            ingested timeline, a dict the caller fills for a hand-built
-            one.
         start_us: session time of the first bin (0 unless the timeline
             continues an earlier segment).
-        block: an ingested timeline's float64 ``(len(SERIES), n_bins)``
-            array, rows in :data:`SERIES` order; None when hand-built.
+        block: the float64 ``(len(SERIES), n_bins)`` array, rows in
+            :data:`SERIES` order.
+        series: read-only mapping from variable name to its row of
+            :attr:`block`.
     """
 
     def __init__(
         self,
         dt_us: int,
         n_bins: int,
-        series: Optional[Dict[str, np.ndarray]] = None,
+        series: Optional[Mapping[str, np.ndarray]] = None,
         start_us: int = 0,
     ) -> None:
+        """*n_bins* bins of the named *series*, each copied into its row;
+        every row not named holds 0."""
+        block = np.zeros((len(SERIES), n_bins))
+        for name, values in (series or {}).items():
+            if name not in _ROW:
+                raise TelemetryError(f"no timeline series named {name!r}")
+            block[_ROW[name]] = values
+        self._set(block, dt_us, start_us)
+
+    def _set(self, block: np.ndarray, dt_us: int, start_us: int) -> None:
         self.dt_us = dt_us
-        self.n_bins = n_bins
         self.start_us = start_us
-        self.block: Optional[np.ndarray] = None
-        self._series = {} if series is None else series
+        self.block = block
+        self._series: Optional[Mapping[str, np.ndarray]] = None
 
     @classmethod
     def _of_block(cls, block: np.ndarray, dt_us: int, start_us: int):
-        timeline = cls(dt_us, block.shape[1], start_us=start_us)
-        timeline.block = block
-        timeline._series = None  # built on first read
+        timeline = cls.__new__(cls)
+        timeline._set(block, dt_us, start_us)
         return timeline
 
     @property
+    def n_bins(self) -> int:
+        """Number of bins."""
+        return self.block.shape[1]
+
+    @property
     def series(self) -> Mapping[str, np.ndarray]:
-        if self._series is None:
+        if self._series is None:  # built on first read
             self._series = MappingProxyType(dict(zip(SERIES, self.block)))
         return self._series
 
@@ -325,21 +336,21 @@ class Timeline:
     ) -> "Timeline":
         """Resample *bundle* onto a uniform grid of *dt_us* bins.
 
-        With *after* (an ingested timeline), the result is the segment
-        that continues it: its bins run from ``after.end_us`` up to the
-        bundle's ``duration_us`` (a session time), records before
-        ``after.end_us`` fall outside it, and forward-filled series start
-        from *after*'s last values instead of 0.
+        With *after*, the result is the segment that continues it: its
+        bins run from ``after.end_us`` up to the bundle's ``duration_us``
+        (a session time), records before ``after.end_us`` fall outside
+        it, and forward-filled series start from *after*'s last values
+        instead of 0.
         """
         if dt_us <= 0:
             raise TelemetryError("dt_us must be positive")
         start_us = 0
         fills = np.zeros(len(_FILLED))
         if after is not None:
-            if after.block is None or after.dt_us != dt_us or not after.n_bins:
+            if after.dt_us != dt_us or not after.n_bins:
                 raise TelemetryError(
-                    "after= must be an ingested timeline that shares dt_us "
-                    "and holds at least one bin"
+                    "after= must be a timeline that shares dt_us and holds "
+                    "at least one bin"
                 )
             start_us = after.end_us
             if bundle.duration_us <= start_us:
@@ -387,36 +398,18 @@ class Timeline:
         """Append *segment*, built with ``from_bundle(..., after=self)``."""
         if segment.dt_us != self.dt_us or segment.start_us != self.end_us:
             raise TelemetryError("segment does not continue this timeline")
-        if self.block is not None and segment.block is not None:
-            self.block = np.concatenate((self.block, segment.block), axis=1)
-            self._series = None
-        else:
-            self._series = {
-                name: np.concatenate((values, segment.series[name]))
-                for name, values in self.series.items()
-            }
-            self.block = None
-        self.n_bins += segment.n_bins
+        self.block = np.concatenate((self.block, segment.block), axis=1)
+        self._series = None
 
     def since(self, start_us: int) -> "Timeline":
         """The bins from *start_us* (a bin boundary) on, without copying."""
         offset = (start_us - self.start_us) // self.dt_us
-        start_us = self.start_us + offset * self.dt_us
-        if self.block is not None:
-            block = self.block[:, offset:]
-            return Timeline._of_block(block, self.dt_us, start_us)
-        return Timeline(
-            dt_us=self.dt_us,
-            n_bins=self.n_bins - offset,
-            series={
-                name: values[offset:] for name, values in self.series.items()
-            },
-            start_us=start_us,
+        return Timeline._of_block(
+            self.block[:, offset:],
+            self.dt_us,
+            self.start_us + offset * self.dt_us,
         )
 
     def window(self, start_bin: int, length_bins: int) -> "Dict[str, np.ndarray]":
         """Slice every series to [start_bin, start_bin + length_bins)."""
-        stop = min(self.n_bins, start_bin + length_bins)
-        return {
-            name: values[start_bin:stop] for name, values in self.series.items()
-        }
+        return dict(zip(SERIES, self.block[:, start_bin:start_bin + length_bins]))

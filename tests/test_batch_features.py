@@ -7,26 +7,29 @@ window position, bit-identical booleans — across random timelines
 compacted argmax/argmin and consecutive-valid-pair code paths), every
 window/step/dt combination, and with custom ``extra_detectors`` mixed
 in.  The per-window registry is the semantic oracle; these tests are
-what lets the production pipeline run the batch engine alone.
+what lets the production pipeline run the batch engine alone.  The
+random series also carry ±inf and -0.0, so a batch detector that
+handles only NaN where the reference calls ``np.nan_to_num`` fails.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.detector import DominoDetector, WindowDetection
-from repro.core.events import build_batch_registry
 from repro.core.extension import ExtensibleDomino
 from repro.core.features import (
     FEATURE_NAMES,
     BatchFeatureExtractor,
     FeatureExtractor,
-    _strided_windows,
 )
 from repro.core.trace import evaluate_chains
 from repro.telemetry.timeline import Timeline
+
+#: ±inf in the random series makes both engines' arithmetic warn the
+#: same way (inf - inf, inf * 0); the tests compare what they return.
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 #: Series the 36 detectors read, with generators tuned to make every
 #: condition reachable (and frequently true) on random data.
@@ -57,7 +60,8 @@ _DIRECTION_SERIES = (
 
 
 def _random_series(rng: np.random.Generator, name: str, n: int) -> np.ndarray:
-    """Plausible-magnitude values with heavy NaN and tie injection."""
+    """Plausible-magnitude values with heavy NaN and tie injection, and
+    ±inf and -0.0 in 5% of the bins of half the series."""
     if name.endswith("_fps"):
         values = rng.choice([0.0, 24.0, 25.0, 26.0, 27.0, 28.0, 30.0], n)
     elif name.endswith("_resolution_p"):
@@ -98,7 +102,26 @@ def _random_series(rng: np.random.Generator, name: str, n: int) -> np.ndarray:
         return values  # these series are never NaN in real timelines
     nan_fraction = rng.choice([0.0, 0.1, 0.6, 0.95])
     values[rng.random(n) < nan_fraction] = np.nan
+    hostile = rng.random(n) < rng.choice([0.0, 0.05])
+    values[hostile] = rng.choice([np.inf, -np.inf, -0.0], hostile.sum())
     return values
+
+
+def _random_series_by_name(
+    rng: np.random.Generator, n_bins: int, with_rrc_events: bool = True
+) -> dict:
+    names = [
+        f"{role}_{series}"
+        for role in ("local", "remote")
+        for series in _ROLE_SERIES
+    ] + [
+        f"{direction}_{series}"
+        for direction in ("ul", "dl")
+        for series in _DIRECTION_SERIES
+    ]
+    if with_rrc_events:
+        names.append("rrc_events")
+    return {name: _random_series(rng, name, n_bins) for name in names}
 
 
 def _random_timeline(
@@ -107,20 +130,8 @@ def _random_timeline(
     dt_us: int,
     with_rrc_events: bool = True,
 ) -> Timeline:
-    timeline = Timeline(dt_us=dt_us, n_bins=n_bins)
-    for role in ("local", "remote"):
-        for series in _ROLE_SERIES:
-            name = f"{role}_{series}"
-            timeline.series[name] = _random_series(rng, name, n_bins)
-    for direction in ("ul", "dl"):
-        for series in _DIRECTION_SERIES:
-            name = f"{direction}_{series}"
-            timeline.series[name] = _random_series(rng, name, n_bins)
-    if with_rrc_events:
-        timeline.series["rrc_events"] = _random_series(
-            rng, "rrc_events", n_bins
-        )
-    return timeline
+    series = _random_series_by_name(rng, n_bins, with_rrc_events)
+    return Timeline(dt_us=dt_us, n_bins=n_bins, series=series)
 
 
 def _assert_equivalent(reference, batch, timeline):
@@ -144,6 +155,7 @@ def _assert_equivalent(reference, batch, timeline):
     ],
 )
 def test_random_timelines_batch_equals_reference(window_us, step_us, dt_us):
+    hostile = {"inf": 0, "-inf": 0, "-0.0": 0}
     for seed in range(8):
         rng = np.random.default_rng(seed)
         n_bins = int(rng.integers(40, 200))
@@ -153,6 +165,11 @@ def test_random_timelines_batch_equals_reference(window_us, step_us, dt_us):
         reference = FeatureExtractor(window_us=window_us, step_us=step_us)
         batch = BatchFeatureExtractor(window_us=window_us, step_us=step_us)
         _assert_equivalent(reference, batch, timeline)
+        values = timeline.block
+        hostile["inf"] += int(np.sum(values == np.inf))
+        hostile["-inf"] += int(np.sum(values == -np.inf))
+        hostile["-0.0"] += int(np.sum(np.signbit(values) & (values == 0)))
+    assert all(hostile.values()), hostile
 
 
 def test_every_feature_fires_somewhere_in_the_property_corpus():
@@ -300,45 +317,30 @@ def test_feature_matrix_shape_and_column_order(cellular_bundle):
         ] == [window.features[name] for name in FEATURE_NAMES]
 
 
-# -- the stacked strided view against per-series views ------------------------
+# -- the fused pass over the block's strided view ------------------------------
 
 
-def _per_series_feature_matrix(extractor, timeline):
-    """``feature_matrix`` as one ``sliding_window_view`` per series
-    formulates it: the oracle for the stacked view."""
-    window_bins, step_bins = extractor.window_bins(timeline)
-    names = extractor.feature_names
-    if timeline.n_bins < window_bins:
-        return np.empty(0, dtype=np.int64), np.empty((0, len(names)), bool)
-    starts = np.arange(
-        0, timeline.n_bins - window_bins + 1, step_bins, dtype=np.int64
-    )
-    windows = {
-        name: sliding_window_view(values, window_bins)[::step_bins]
-        for name, values in timeline.series.items()
-    }
-    registry = build_batch_registry()
-    matrix = np.empty((len(starts), len(names)), dtype=bool)
-    for column, name in enumerate(FEATURE_NAMES):
-        matrix[:, column] = registry[name](windows, extractor.config)
-    for offset, name in enumerate(sorted(extractor.extra_detectors)):
-        detector = extractor.extra_detectors[name]
-        for row, start in enumerate(starts):
-            view = timeline.window(int(start), window_bins)
-            matrix[row, len(FEATURE_NAMES) + offset] = bool(
-                detector(view, extractor.config)
-            )
-    return starts, matrix
-
-
-def _assert_matrix_matches_per_series(extractor, timeline):
+def _assert_matrix_matches_reference(extractor, timeline):
+    """``feature_matrix`` against the per-window reference engine with
+    the same window, step, thresholds and custom detectors."""
     starts, matrix = extractor.feature_matrix(timeline)
-    want_starts, want_matrix = _per_series_feature_matrix(extractor, timeline)
-    assert starts.dtype == want_starts.dtype
-    assert np.array_equal(starts, want_starts)
-    assert matrix.dtype == want_matrix.dtype == bool
-    assert matrix.shape == want_matrix.shape
-    assert np.array_equal(matrix, want_matrix)
+    reference = FeatureExtractor(
+        window_us=extractor.window_us,
+        step_us=extractor.step_us,
+        config=extractor.config,
+        extra_detectors=extractor.extra_detectors,
+    ).extract_all(timeline)
+    assert starts.dtype == np.int64
+    assert [int(start) for start in starts] == [
+        (window.start_us - timeline.start_us) // timeline.dt_us
+        for window in reference
+    ]
+    assert matrix.dtype == bool
+    assert matrix.shape == (len(reference), len(extractor.feature_names))
+    for row, window in zip(matrix, reference):
+        assert row.tolist() == [
+            window.features[name] for name in extractor.feature_names
+        ]
     return matrix
 
 
@@ -349,7 +351,7 @@ def test_stacked_view_at_exactly_one_window_and_one_bin_short(extra_bins):
     for seed in range(4):
         rng = np.random.default_rng(seed)
         timeline = _random_timeline(rng, window_bins + extra_bins, 50_000)
-        matrix = _assert_matrix_matches_per_series(batch, timeline)
+        matrix = _assert_matrix_matches_reference(batch, timeline)
         assert len(matrix) == (1 if extra_bins == 0 else 0)
 
 
@@ -363,7 +365,7 @@ def test_stacked_view_with_a_step_that_does_not_divide_the_window(
     for seed in range(4):
         rng = np.random.default_rng(seed)
         timeline = _random_timeline(rng, int(rng.integers(60, 160)), 100_000)
-        _assert_matrix_matches_per_series(batch, timeline)
+        _assert_matrix_matches_reference(batch, timeline)
 
 
 def test_stacked_view_over_all_nan_series():
@@ -373,43 +375,34 @@ def test_stacked_view_over_all_nan_series():
         values[:] = np.nan
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        _assert_matrix_matches_per_series(BatchFeatureExtractor(), timeline)
+        _assert_matrix_matches_reference(BatchFeatureExtractor(), timeline)
 
 
 def test_stacked_view_with_extra_detectors():
     rng = np.random.default_rng(11)
     timeline = _random_timeline(rng, 150, 50_000)
     batch = BatchFeatureExtractor(extra_detectors=_extra_detectors())
-    matrix = _assert_matrix_matches_per_series(batch, timeline)
+    matrix = _assert_matrix_matches_reference(batch, timeline)
     assert matrix.shape[1] == len(FEATURE_NAMES) + 2
 
 
-def test_non_float64_series_keep_their_dtype_and_values():
-    """A hand-built timeline may hold series of other dtypes: each is
-    stacked with the series of its own dtype and keeps the values and
-    dtype a per-series view gives, not a float64 copy."""
-    dtypes = {
-        "ul_harq_retx": np.int64,
-        "dl_harq_retx": np.int64,
-        "dl_scheduled": np.bool_,
-        "ul_packet_delay_ms": np.float32,
-        "ul_rnti": np.uint16,
-        "rrc_events": np.int8,
-    }
+def test_a_missing_row_holds_zero_in_both_engines():
+    """A hand-built timeline's unnamed rows hold 0: one built without
+    ``rrc_events`` equals one built with a zero row, block and features,
+    in both engines."""
     for seed in range(6):
-        rng = np.random.default_rng(seed)
-        timeline = _random_timeline(rng, 150, 50_000)
-        for name, dtype in dtypes.items():
-            values = timeline.series[name]
-            if np.issubdtype(dtype, np.integer) or dtype is np.bool_:
-                values = np.nan_to_num(values)
-            timeline.series[name] = values.astype(dtype)
-        _assert_matrix_matches_per_series(BatchFeatureExtractor(), timeline)
-        windows = _strided_windows(timeline.series, 100, 10)
-        for name, values in timeline.series.items():
-            assert windows[name].dtype == values.dtype
-            assert np.array_equal(
-                windows[name],
-                sliding_window_view(values, 100)[::10],
-                equal_nan=values.dtype.kind == "f",
+        series = _random_series_by_name(
+            np.random.default_rng(seed), 150, with_rrc_events=False
+        )
+        without = Timeline(dt_us=50_000, n_bins=150, series=series)
+        series["rrc_events"] = np.zeros(150)
+        with_zeros = Timeline(dt_us=50_000, n_bins=150, series=series)
+        assert without.block.tobytes() == with_zeros.block.tobytes()
+        assert not without["rrc_events"].any()
+        for engine in (FeatureExtractor(), BatchFeatureExtractor()):
+            assert engine.extract_all(without) == engine.extract_all(
+                with_zeros
             )
+        _assert_equivalent(
+            FeatureExtractor(), BatchFeatureExtractor(), without
+        )

@@ -686,3 +686,24 @@ def test_fleet_snapshot_chain_totals_roundtrip(short_bundle):
     }
     loaded = FleetSnapshot.from_json(final.to_json())
     assert loaded.chain_totals == final.chain_totals
+
+
+def test_a_finished_service_is_freed_without_the_cycle_collector(
+    replay_bundle,
+):
+    """No reference cycle outlives run(): dropping the service frees its
+    sessions at once, not at the next full cyclic collection."""
+    import gc
+    import weakref
+
+    service = LiveRcaService(
+        [ReplaySource(replay_bundle, session_id="s0", profile="amarisoft")]
+    )
+    asyncio.run(service.run())
+    refs = [weakref.ref(service), weakref.ref(service.supervisors[0].stream)]
+    gc.disable()
+    try:
+        del service
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

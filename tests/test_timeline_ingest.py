@@ -12,7 +12,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import features
 from repro.core.features import BatchFeatureExtractor
+from repro.errors import TelemetryError
 from repro.telemetry.io import load_bundle
 from repro.telemetry.records import (
     DciRecord,
@@ -360,20 +362,6 @@ def test_ingested_timeline_is_one_block(private_bundle):
         assert np.shares_memory(values, block)
     with pytest.raises(TypeError):
         timeline.series["extra"] = np.zeros(timeline.n_bins)
-    # The feature windows every batch detector reads are views of it.
-    extractor = BatchFeatureExtractor()
-    seen = []
-    extractor._batch_registry = {
-        name: lambda windows, config, detector=detector: (
-            seen.append(windows) or detector(windows, config)
-        )
-        for name, detector in extractor._batch_registry.items()
-    }
-    assert len(extractor.feature_matrix(timeline)[0]) > 0
-    assert list(seen[0]) == list(SERIES)
-    for windows in seen:
-        for view in windows.values():
-            assert np.shares_memory(view, block)
     # since() copies nothing.
     tail = timeline.since(timeline.start_us + 7 * timeline.dt_us)
     assert tail.n_bins == timeline.n_bins - 7
@@ -397,28 +385,83 @@ def test_ingested_timeline_is_one_block(private_bundle):
         assert np.shares_memory(values, segmented.block)
 
 
-def test_hand_built_timeline_extends_and_evicts_per_series():
-    """A hand-built timeline has no block: its series, of any dtype,
-    extend and evict one by one and keep their dtypes."""
-    timeline = Timeline(dt_us=50_000, n_bins=4)
-    timeline.series["count"] = np.arange(4, dtype=np.int64)
-    timeline.series["level"] = np.full(4, 0.5, dtype=np.float32)
+def test_a_feature_pass_is_19_detector_calls_over_views_of_the_block(
+    private_bundle, monkeypatch
+):
+    """The 36 features are 19 batch-detector calls, each over basic
+    slices of the block's strided window view: both members of a pair
+    (roles 16 rows apart, directions 2 to 9) in one call, no copy."""
+    timeline = Timeline.from_bundle(private_bundle)
+    calls = []
+
+    def counted(detector):
+        def call(*args):
+            calls.append((detector, args[:-1]))
+            return detector(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        features,
+        "_FUSED",
+        tuple(
+            (counted(detector), columns, rows)
+            for detector, columns, rows in features._FUSED
+        ),
+    )
+    extractor = BatchFeatureExtractor()
+    starts, matrix = extractor.feature_matrix(timeline)
+    assert len(starts) > 0
+    assert len(calls) == 19
+    pairs = 0
+    for detector, views in calls:
+        for view in views:
+            assert view.shape[1:] == (len(starts), 100)
+            assert view.shape[0] in (1, 2)
+            assert np.shares_memory(view, timeline.block)
+        pairs += views[0].shape[0] == 2
+    assert pairs == 18  # all but ul_scheduling
+    monkeypatch.undo()
+    assert np.array_equal(matrix, extractor.feature_matrix(timeline)[1])
+    calls.clear()
+    extractor.feature_matrix(timeline)
+    assert not calls
+
+
+def test_hand_built_timeline_is_one_float64_block():
+    """``Timeline(dt_us, n_bins, series)`` copies named arrays of any
+    dtype into float64 rows in SERIES order; every other row holds 0,
+    and ``extend`` and ``since`` work on the block as after ingest."""
+    series = {
+        "ul_harq_retx": np.arange(4, dtype=np.int64),
+        "dl_scheduled": np.array([True, False, True, True]),
+        "ul_packet_delay_ms": np.full(4, 0.5, dtype=np.float32),
+    }
+    timeline = Timeline(dt_us=50_000, n_bins=4, series=series)
+    assert timeline.block.dtype == np.float64
+    assert timeline.block.shape == (len(SERIES), 4)
+    for name, values in series.items():
+        assert timeline[name].tolist() == values.astype(float).tolist()
+    rest = [row for row, name in enumerate(SERIES) if name not in series]
+    assert not timeline.block[rest].any()
+    series["ul_harq_retx"][0] = 99  # copied, not shared
+    assert timeline["ul_harq_retx"][0] == 0
     timeline.extend(
         Timeline(
             dt_us=50_000,
             n_bins=2,
-            series={
-                "count": np.array([4, 5], dtype=np.int64),
-                "level": np.zeros(2, dtype=np.float32),
-            },
+            series={"ul_harq_retx": [4, 5]},
             start_us=200_000,
         )
     )
-    assert timeline.block is None and timeline.n_bins == 6
+    assert timeline.n_bins == 6
     tail = timeline.since(100_000)
-    assert tail.block is None and tail.start_us == 100_000
-    assert tail["count"].dtype == np.int64
-    assert tail["count"].tolist() == [2, 3, 4, 5]
-    assert tail["level"].dtype == np.float32
-    assert tail["level"].tolist() == [0.5, 0.5, 0.0, 0.0]
-    assert np.shares_memory(tail["count"], timeline["count"])
+    assert tail.start_us == 100_000 and tail.n_bins == 4
+    assert tail["ul_harq_retx"].tolist() == [2.0, 3.0, 4.0, 5.0]
+    assert tail["ul_packet_delay_ms"].tolist() == [0.5, 0.5, 0.0, 0.0]
+    assert np.shares_memory(tail.block, timeline.block)
+    assert Timeline(dt_us=50_000, n_bins=3).block.tobytes() == bytes(
+        8 * 3 * len(SERIES)
+    )
+    with pytest.raises(TelemetryError):
+        Timeline(dt_us=50_000, n_bins=3, series={"no_such": np.zeros(3)})
