@@ -58,6 +58,9 @@ load effects out:
    compiled once per process is pinned by a unit test that counts
    ``compile_chains`` calls (``tests/test_core_detector.py``).
 
+Gates 3-6 are the rows of ``CEILING_GATES`` (block, key, ceiling and
+the lines printed), walked by one loop; gates 1 and 2 stand alone.
+
 Usage: ``python benchmarks/check_perf.py [results_json] [baseline_json]``
 """
 
@@ -94,6 +97,77 @@ MAX_CLIENT_STEPS_PER_TICK = 0.30
 
 #: Ceiling on streaming ms per feed plus advance at reference-core speed.
 MAX_STREAM_60S_REF_MS_PER_ADVANCE = 2.6
+
+#: What each gated block of the results is, for its missing-block failure.
+GATED_BLOCKS = {
+    "io_60s": "read-path gate",
+    "collect_60s": "collector gate",
+    "sim_60s": "simulator gates",
+    "stream_60s": "live-plane gate",
+}
+
+#: The ceiling gates, in print order: (block, key, ceiling, line,
+#: failure).  ``line`` (stdout) and ``failure`` (stderr) are
+#: ``str.format`` templates over the gated ``value``, its ``ceiling``
+#: and the whole ``block``.
+CEILING_GATES = (
+    (
+        "io_60s",
+        "load_vs_json_ratio",
+        MAX_LOAD_VS_JSON,
+        "60s JSONL read: load_bundle {value:.2f}x per-line json.loads "
+        "(gate: <= {ceiling}x), {block[load_ns_per_record]:.0f} ns/record, "
+        "analyze(path) {block[analyze_path_x_realtime]:.0f}x realtime "
+        "(informational)",
+        "load_bundle costs {value:.2f}x a bare per-line json.loads pass "
+        "(ceiling {ceiling}x)",
+    ),
+    (
+        "collect_60s",
+        "collect_vs_append_ratio",
+        MAX_COLLECT_VS_APPEND,
+        "60s DCI collect: record_dci + bundle() {value:.1f}x a bare "
+        "list.append (gate: <= {ceiling:.0f}x), "
+        "{block[collect_ns_per_row]:.0f} ns/row (informational)",
+        "the collector costs {value:.1f}x a bare list.append of the same "
+        "rows (ceiling {ceiling:.0f}x)",
+    ),
+    (
+        "sim_60s",
+        "fdd_60s_ref_us_per_sim_ms",
+        MAX_FDD_60S_REF_US_PER_SIM_MS,
+        "60s FDD call: {value:.1f} us simulation per simulated ms at "
+        "reference speed (gate: <= {ceiling:.0f})",
+        "the 60s FDD call costs {value:.1f} us per simulated ms at "
+        "reference speed (ceiling {ceiling:.0f})",
+    ),
+    (
+        "sim_60s",
+        "amarisoft_12s_ref_us_per_sim_ms",
+        MAX_AMARISOFT_12S_REF_US_PER_SIM_MS,
+        "12s Amarisoft call: {value:.1f} us simulation per simulated ms "
+        "at reference speed (gate: <= {ceiling:.0f})",
+        "the 12s Amarisoft call costs {value:.1f} us per simulated ms at "
+        "reference speed (ceiling {ceiling:.0f})",
+    ),
+    (
+        "sim_60s",
+        "client_steps_per_tick",
+        MAX_CLIENT_STEPS_PER_TICK,
+        "60s FDD call: {value:.3f} client steps per client-tick "
+        "(gate: <= {ceiling})",
+        "clients step on {value:.3f} of their ticks (ceiling {ceiling})",
+    ),
+    (
+        "stream_60s",
+        "ref_ms_per_advance",
+        MAX_STREAM_60S_REF_MS_PER_ADVANCE,
+        "60s FDD stream: {value:.2f} ms per 500 ms feed plus advance at "
+        "reference speed (gate: <= {ceiling})",
+        "a streaming advance costs {value:.2f} ms at reference speed "
+        "(ceiling {ceiling})",
+    ),
+)
 
 
 def main(argv):
@@ -134,91 +208,31 @@ def main(argv):
             )
         )
         print(f"60s phase breakdown (informational): {breakdown}")
-    io_60s = results.get("io_60s")
-    if io_60s is None:
-        failures.append("results have no io_60s block (read-path gate)")
-    else:
-        ratio = io_60s["load_vs_json_ratio"]
-        print(
-            f"60s JSONL read: load_bundle {ratio:.2f}x per-line json.loads "
-            f"(gate: <= {MAX_LOAD_VS_JSON}x), "
-            f"{io_60s['load_ns_per_record']:.0f} ns/record, analyze(path) "
-            f"{io_60s['analyze_path_x_realtime']:.0f}x realtime "
-            f"(informational)"
-        )
-        if ratio > MAX_LOAD_VS_JSON:
-            failures.append(
-                f"load_bundle costs {ratio:.2f}x a bare per-line "
-                f"json.loads pass (ceiling {MAX_LOAD_VS_JSON}x)"
+    for block_name, key, ceiling, line, failure in CEILING_GATES:
+        block = results.get(block_name)
+        if block is None:
+            missing = (
+                f"results have no {block_name} block "
+                f"({GATED_BLOCKS[block_name]})"
             )
-    collect_60s = results.get("collect_60s")
-    if collect_60s is None:
-        failures.append("results have no collect_60s block (collector gate)")
-    else:
-        ratio = collect_60s["collect_vs_append_ratio"]
-        print(
-            f"60s DCI collect: record_dci + bundle() {ratio:.1f}x a bare "
-            f"list.append (gate: <= {MAX_COLLECT_VS_APPEND:.0f}x), "
-            f"{collect_60s['collect_ns_per_row']:.0f} ns/row (informational)"
-        )
-        if ratio > MAX_COLLECT_VS_APPEND:
+            if missing not in failures:
+                failures.append(missing)
+            continue
+        value = block[key]
+        print(line.format(value=value, ceiling=ceiling, block=block))
+        if value > ceiling:
             failures.append(
-                f"the collector costs {ratio:.1f}x a bare list.append of "
-                f"the same rows (ceiling {MAX_COLLECT_VS_APPEND:.0f}x)"
+                failure.format(value=value, ceiling=ceiling, block=block)
             )
-    sim_60s = results.get("sim_60s")
-    if sim_60s is None:
-        failures.append("results have no sim_60s block (simulator gates)")
-    else:
-        for key, ceiling, what in (
-            ("fdd_60s_ref_us_per_sim_ms", MAX_FDD_60S_REF_US_PER_SIM_MS,
-             "60s FDD call"),
-            ("amarisoft_12s_ref_us_per_sim_ms",
-             MAX_AMARISOFT_12S_REF_US_PER_SIM_MS, "12s Amarisoft call"),
-        ):
-            cost = sim_60s[key]
+    stream_60s = results.get("stream_60s", {})
+    for key, name in (
+        ("ingest_ms_per_advance", "ingest.from_bundle"),
+        ("features_ms_per_advance", "detect.features"),
+    ):
+        if key in stream_60s:
             print(
-                f"{what}: {cost:.1f} us simulation per simulated ms at "
-                f"reference speed (gate: <= {ceiling:.0f})"
-            )
-            if cost > ceiling:
-                failures.append(
-                    f"the {what} costs {cost:.1f} us per simulated ms at "
-                    f"reference speed (ceiling {ceiling:.0f})"
-                )
-        ratio = sim_60s["client_steps_per_tick"]
-        print(
-            f"60s FDD call: {ratio:.3f} client steps per client-tick "
-            f"(gate: <= {MAX_CLIENT_STEPS_PER_TICK})"
-        )
-        if ratio > MAX_CLIENT_STEPS_PER_TICK:
-            failures.append(
-                f"clients step on {ratio:.3f} of their ticks "
-                f"(ceiling {MAX_CLIENT_STEPS_PER_TICK})"
-            )
-    stream_60s = results.get("stream_60s")
-    if stream_60s is None:
-        failures.append("results have no stream_60s block (live-plane gate)")
-    else:
-        cost = stream_60s["ref_ms_per_advance"]
-        ceiling = MAX_STREAM_60S_REF_MS_PER_ADVANCE
-        print(
-            f"60s FDD stream: {cost:.2f} ms per 500 ms feed plus advance "
-            f"at reference speed (gate: <= {ceiling})"
-        )
-        for key, name in (
-            ("ingest_ms_per_advance", "ingest.from_bundle"),
-            ("features_ms_per_advance", "detect.features"),
-        ):
-            if key in stream_60s:
-                print(
-                    f"60s FDD stream: {stream_60s[key]:.2f} ms per advance "
-                    f"in the {name} span at reference speed (informational)"
-                )
-        if cost > ceiling:
-            failures.append(
-                f"a streaming advance costs {cost:.2f} ms at reference "
-                f"speed (ceiling {ceiling})"
+                f"60s FDD stream: {stream_60s[key]:.2f} ms per advance "
+                f"in the {name} span at reference speed (informational)"
             )
     if os.path.exists(baseline_path):
         with open(baseline_path) as handle:

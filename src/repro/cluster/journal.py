@@ -15,12 +15,12 @@ state the coordinator did not reach:
 * ``CAMPAIGN_CLOSED`` — the campaign finished (completed / failed /
   cancelled); a journal without this record is an interrupted campaign.
 
-:func:`replay` folds a journal back into per-campaign state.  A torn
-trailing record — the one partial line a crash mid-``write`` can leave —
-is tolerated with a logged warning; records are otherwise decoded
-through the canonical :mod:`repro.schema` codec, so journals carry the
-same ``"schema"`` stamp as every other artifact and fail loudly across
-incompatible schema versions.
+:func:`replay` folds a journal back into per-campaign state.  The file
+is a :class:`~repro.jsonlog.JsonLog`: a torn trailing record (the line
+a crash mid-``write`` leaves) is logged, counted and truncated before
+the next append; an undecodable record in mid-file is logged, counted
+and skipped.  Records decode through the :mod:`repro.schema` codec, so
+journals carry the same ``"schema"`` stamp as every other artifact.
 
 This module stays a leaf on purpose: ``repro.schema.wire`` imports
 :class:`JournalRecord` to register its codec, so nothing here may
@@ -35,9 +35,10 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ClusterError
+from repro.jsonlog import JsonLog
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 
@@ -125,7 +126,7 @@ class CampaignJournal:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._handle: Optional[TextIO] = None
+        self._log = JsonLog(path)
         self._seq = 0
         #: Records appended by this process / recovered by replay.
         self.records_written = 0
@@ -139,24 +140,26 @@ class CampaignJournal:
 
     def append(self, record: JournalRecord) -> None:
         """Durably append one record: write, flush, fsync."""
-        if self._handle is None:
-            parent = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(parent, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(
-            json.dumps(record.to_json(), sort_keys=True) + "\n"
-        )
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._log.append(json.dumps(record.to_json(), sort_keys=True))
+        self._log.sync()
         self.records_written += 1
         get_registry().counter(
             "repro_journal_records_total",
             help="Records appended to the campaign journal.",
         ).inc()
 
-    def _next(self) -> int:
+    def _write(
+        self,
+        kind: str,
+        campaign_id: str,
+        payload: Dict[str, Any],
+        index: int = -1,
+    ) -> None:
+        """Append the next record in this journal's sequence."""
         self._seq += 1
-        return self._seq
+        self.append(
+            JournalRecord(kind, campaign_id, self._seq, index, payload)
+        )
 
     def open_campaign(
         self,
@@ -173,24 +176,14 @@ class CampaignJournal:
             scenario_spec_to_wire,
         )
 
-        self.append(
-            JournalRecord(
-                CAMPAIGN_OPEN,
-                campaign_id,
-                self._next(),
-                payload={
-                    "scenarios": [
-                        scenario_spec_to_wire(spec) for spec in scenarios
-                    ],
-                    "detector_config": detector_config_to_wire(
-                        detector_config
-                    ),
-                    "trace_dir": trace_dir,
-                    "cache_dir": cache_dir,
-                    "fail_fast": fail_fast,
-                },
-            )
-        )
+        payload = {
+            "scenarios": [scenario_spec_to_wire(spec) for spec in scenarios],
+            "detector_config": detector_config_to_wire(detector_config),
+            "trace_dir": trace_dir,
+            "cache_dir": cache_dir,
+            "fail_fast": fail_fast,
+        }
+        self._write(CAMPAIGN_OPEN, campaign_id, payload)
 
     def settle(
         self,
@@ -207,52 +200,19 @@ class CampaignJournal:
         payload: Dict[str, Any] = (
             {"error": error} if error is not None else {"outcome": outcome.to_json()}
         )
-        self.append(
-            JournalRecord(
-                OUTCOME_SETTLED,
-                campaign_id,
-                self._next(),
-                index=index,
-                payload=payload,
-            )
-        )
+        self._write(OUTCOME_SETTLED, campaign_id, payload, index)
 
     def close_campaign(self, campaign_id: str, reason: str) -> None:
-        self.append(
-            JournalRecord(
-                CAMPAIGN_CLOSED,
-                campaign_id,
-                self._next(),
-                payload={"reason": reason},
-            )
-        )
+        self._write(CAMPAIGN_CLOSED, campaign_id, {"reason": reason})
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     # -- reading -----------------------------------------------------------------
 
     def replay(self) -> Dict[str, ReplayedCampaign]:
-        """Fold the journal back into per-campaign state; resume seq.
-
-        A torn trailing record is truncated away here — this journal is
-        about to be appended to, and a new record written after an
-        unterminated fragment would fuse with it into one undecodable
-        line, losing both.
-        """
-        campaigns, last_seq, n_records, torn_bytes = _replay_file(self.path)
-        if torn_bytes:
-            size = os.path.getsize(self.path)
-            with open(self.path, "rb+") as handle:
-                handle.truncate(size - torn_bytes)
-            logger.warning(
-                "%s: truncated %d torn trailing byte(s) before resuming "
-                "appends",
-                self.path,
-                torn_bytes,
-            )
+        """Fold the journal back into per-campaign state; resume seq."""
+        campaigns, last_seq, n_records = _replay(self._log)
         self._seq = max(self._seq, last_seq)
         self.records_replayed = n_records
         return campaigns
@@ -260,53 +220,27 @@ class CampaignJournal:
 
 def replay_journal(path: str) -> Dict[str, ReplayedCampaign]:
     """Read-only replay of a journal file (missing file = no campaigns)."""
-    campaigns, _, _, _ = _replay_file(path)
-    return campaigns
+    return _replay(JsonLog(path))[0]
 
 
-def _replay_file(path: str):
+def _replay(log: JsonLog) -> Tuple[Dict[str, ReplayedCampaign], int, int]:
     from repro.errors import SchemaError
     from repro.fleet.executor import SessionOutcome
 
     campaigns: Dict[str, ReplayedCampaign] = {}
     last_seq = 0
     n_records = 0
-    torn_bytes = 0
-    if not os.path.exists(path):
-        return campaigns, last_seq, n_records, torn_bytes
+    if not os.path.exists(log.path):
+        return campaigns, last_seq, n_records
     replayed = get_registry().counter(
         "repro_journal_replayed_total",
         help="Journal records recovered by replay on startup.",
     )
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, data in log.replay():
         try:
-            record = JournalRecord.from_json(json.loads(line))
-        except (json.JSONDecodeError, SchemaError) as exc:
-            if lineno == len(lines):
-                torn_bytes = len(raw.encode("utf-8"))
-                # The one damage a crash mid-append can leave: a torn
-                # trailing line.  Everything before it is intact, so
-                # resume from there.
-                logger.warning(
-                    "%s: ignoring torn trailing journal record "
-                    "(line %d): %s",
-                    path,
-                    lineno,
-                    exc,
-                )
-            else:
-                logger.warning(
-                    "%s: skipping undecodable journal record at line "
-                    "%d: %s",
-                    path,
-                    lineno,
-                    exc,
-                )
+            record = JournalRecord.from_json(data)
+        except SchemaError as exc:
+            log.skip(lineno, f"undecodable journal record: {exc}")
             continue
         last_seq = max(last_seq, record.seq)
         n_records += 1
@@ -321,7 +255,7 @@ def _replay_file(path: str):
             logger.warning(
                 "%s: line %d settles campaign %r with no "
                 "CAMPAIGN_OPEN record; skipping",
-                path,
+                log.path,
                 lineno,
                 record.campaign_id,
             )
@@ -340,7 +274,7 @@ def _replay_file(path: str):
         elif record.type == CAMPAIGN_CLOSED:
             campaign.closed = True
             campaign.close_reason = record.payload.get("reason")
-    return campaigns, last_seq, n_records, torn_bytes
+    return campaigns, last_seq, n_records
 
 
 def campaign_id_for(

@@ -33,6 +33,7 @@ from repro.core.detector import DetectorConfig, DominoDetector
 from repro.core.stats import DominoStats
 from repro.errors import SchemaError, TelemetryError
 from repro.fleet.scenarios import ScenarioSpec
+from repro.jsonlog import JsonLog, atomic_write
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
@@ -152,10 +153,8 @@ def _cache_load(path: str) -> Optional[SessionOutcome]:
 
 def _cache_store(path: str, outcome: SessionOutcome) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(outcome.to_json(), handle, sort_keys=True)
-    os.replace(tmp, path)  # atomic: concurrent workers can't tear it
+    # Atomic: concurrent workers can't tear it.
+    atomic_write(path, json.dumps(outcome.to_json(), sort_keys=True))
 
 
 def run_scenario(
@@ -302,23 +301,23 @@ def run_scenario_traced(
 
 
 def save_outcomes(outcomes: Sequence[SessionOutcome], path: str) -> None:
-    """Write outcomes as JSONL: a header line, then one object each."""
+    """Write outcomes as JSONL: a header line, then one object each.
+
+    The file is replaced atomically, so a crash mid-save leaves the
+    previous file (or none), never a torn one.
+    """
     from repro.schema import SCHEMA_VERSION
 
-    with open(path, "w") as handle:
-        json.dump(
-            {
-                "type": "fleet_header",
-                "version": SCHEMA_VERSION,
-                "n_outcomes": len(outcomes),
-            },
-            handle,
-            sort_keys=True,
-        )
-        handle.write("\n")
-        for outcome in outcomes:
-            json.dump(outcome.to_json(), handle, sort_keys=True)
-            handle.write("\n")
+    header = {
+        "type": "fleet_header",
+        "version": SCHEMA_VERSION,
+        "n_outcomes": len(outcomes),
+    }
+    records = [header] + [outcome.to_json() for outcome in outcomes]
+    atomic_write(
+        path,
+        "".join(json.dumps(data, sort_keys=True) + "\n" for data in records),
+    )
 
 
 def iter_outcomes(
@@ -338,13 +337,14 @@ def iter_outcomes(
     joined with ``cat a.jsonl b.jsonl`` — stream as one campaign; each
     header's count is added to the expectation.
 
-    ``tolerant=True`` is the crash-recovery mode: a killed worker (or a
-    crashed campaign) leaves a partial trailing JSONL line and fewer
-    outcomes than the header promised.  Instead of raising, undecodable
-    lines are skipped and counted in ``stats["skipped_lines"]``, and a
-    count shortfall lands in ``stats["missing_outcomes"]`` — every
-    intact outcome still streams, and the caller decides how loudly to
-    warn.  A missing/foreign header still raises either way (that is a
+    The file is read as a :class:`~repro.jsonlog.JsonLog`: a torn
+    trailing line (a crash mid-save) is skipped, and the count check
+    then fails a strict read.  ``tolerant=True`` is the crash-recovery
+    mode: damaged lines are skipped and counted in
+    ``stats["skipped_lines"]`` (a torn tail included) and a count
+    shortfall lands in ``stats["missing_outcomes"]``, so every intact
+    outcome still streams and the caller decides how loudly to warn.
+    A missing/foreign header still raises either way (that is a
     wrong-file error, not truncation).
     """
     from repro.schema import check_schema_version
@@ -355,91 +355,64 @@ def iter_outcomes(
     stats.setdefault("missing_outcomes", 0)
     yielded = 0
     expected: Optional[int] = None
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if tolerant:
-                    stats["skipped_lines"] += 1
-                    continue
+    log = JsonLog(path, strict=not tolerant)
+    for lineno, data in log.replay():
+        if isinstance(data, dict) and data.get("type") == "fleet_header":
+            # Fleet headers have carried a version since format v1,
+            # so a version-less header is corruption, not an old
+            # writer; a mismatched one fails with a "schema version
+            # X vs Y" diagnostic, never a KeyError mid-decode.
+            if data.get("version") is None:
                 raise TelemetryError(
-                    f"{path}: invalid JSON line {line[:60]!r}... "
-                    f"(truncated save?)"
+                    f"{path}: fleet header carries no version "
+                    f"(corrupt header?)"
                 )
-            if not isinstance(data, dict):
-                if tolerant:
-                    stats["skipped_lines"] += 1
-                    continue
-                raise TelemetryError(
-                    f"{path}: not a fleet outcomes file (unexpected "
-                    f"record {line[:60]!r}...)"
-                )
-            if data.get("type") == "fleet_header":
-                # Fleet headers have carried a version since format v1,
-                # so a version-less header is corruption, not an old
-                # writer; a mismatched one fails with a "schema version
-                # X vs Y" diagnostic, never a KeyError mid-decode.
-                if data.get("version") is None:
-                    raise TelemetryError(
-                        f"{path}: fleet header carries no version "
-                        f"(corrupt header?)"
-                    )
-                check_schema_version(
-                    data["version"], where=f"{path} (fleet header)"
-                )
-                expected = (expected or 0) + data.get("n_outcomes", 0)
-                continue
-            try:
-                outcome = SessionOutcome.from_json(data)
-            except SchemaError:
-                if tolerant:
-                    stats["skipped_lines"] += 1
-                    continue
-                raise TelemetryError(
-                    f"{path}: not a fleet outcomes file (unexpected "
-                    f"record {line[:60]!r}...)"
-                )
-            yielded += 1
-            yield outcome
+            check_schema_version(
+                data["version"], where=f"{path} (fleet header)"
+            )
+            expected = (expected or 0) + data.get("n_outcomes", 0)
+            continue
+        try:
+            outcome = SessionOutcome.from_json(data)
+        except SchemaError as exc:
+            log.skip(lineno, f"not a fleet outcomes file: {exc}")
+            continue
+        yielded += 1
+        yield outcome
     if expected is None:
         raise TelemetryError(
             f"{path}: missing fleet header (not a fleet outcomes file, "
             f"or its head was lost?)"
         )
-    if yielded != expected and tolerant:
-        stats["missing_outcomes"] = max(expected - yielded, 0)
-    if tolerant:
-        # Surface silent data loss at the read site itself, not just in
-        # the callers that happen to print `stats`: every tolerant read
-        # counts its skips fleet-wide and warns once per file.
-        skipped = stats["skipped_lines"]
-        missing = stats["missing_outcomes"]
-        if skipped or missing:
-            registry = get_registry()
-            registry.counter(
-                "repro_fleet_skipped_lines_total",
-                help="Undecodable outcome lines skipped by tolerant reads.",
-            ).inc(skipped)
-            registry.counter(
-                "repro_fleet_missing_outcomes_total",
-                help="Outcomes promised by fleet headers but absent.",
-            ).inc(missing)
-            logger.warning(
-                "%s: tolerant read skipped %d undecodable line(s), "
-                "%d outcome(s) promised by the header are missing",
-                path,
-                skipped,
-                missing,
+    if not tolerant:
+        if yielded != expected:
+            raise TelemetryError(
+                f"{path}: header promises {expected} outcomes but file "
+                f"holds {yielded} (truncated save?)"
             )
         return
-    if yielded != expected:
-        raise TelemetryError(
-            f"{path}: header promises {expected} outcomes but file "
-            f"holds {yielded} (truncated save?)"
+    # Surface silent data loss at the read site itself, not just in the
+    # callers that happen to print `stats`: every tolerant read counts
+    # its skips fleet-wide and warns once per file.
+    stats["skipped_lines"] += log.skipped
+    stats["missing_outcomes"] = missing = max(expected - yielded, 0)
+    skipped = stats["skipped_lines"]
+    if skipped or missing:
+        registry = get_registry()
+        registry.counter(
+            "repro_fleet_skipped_lines_total",
+            help="Undecodable outcome lines skipped by tolerant reads.",
+        ).inc(skipped)
+        registry.counter(
+            "repro_fleet_missing_outcomes_total",
+            help="Outcomes promised by fleet headers but absent.",
+        ).inc(missing)
+        logger.warning(
+            "%s: tolerant read skipped %d undecodable line(s), "
+            "%d outcome(s) promised by the header are missing",
+            path,
+            skipped,
+            missing,
         )
 
 

@@ -7,16 +7,22 @@ Events are serialized through the :mod:`repro.schema` wire codec so
 trace files carry the same ``"schema"`` version stamp as every other
 artifact in the repo and stay readable across format evolution.
 
+Trace files are :class:`~repro.jsonlog.JsonLog` files, written by
+:class:`~repro.obs.spans.JsonlSink` and read by :func:`iter_events`.
+
 This module stays a leaf on purpose: ``repro.schema.wire`` imports it
 to register the codec, so it must not import schema (or anything above
-it) at module level.  Serialization helpers lazy-import schema inside
-the call, the same pattern ``fleet.executor.SessionOutcome`` uses.
+it) at module level (:mod:`repro.jsonlog` is a leaf too).  Serialization
+helpers lazy-import schema inside the call, the same pattern
+``fleet.executor.SessionOutcome`` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator
+
+from repro.jsonlog import JsonLog
 
 
 @dataclass
@@ -56,33 +62,19 @@ class ObsEvent:
 
 
 def iter_events(path: str) -> Iterator[ObsEvent]:
-    """Stream ObsEvents out of a JSONL trace file.
+    """Stream ObsEvents out of a JSONL trace file (a strict
+    :class:`~repro.jsonlog.JsonLog`).
 
-    Blank lines are skipped; an undecodable or non-object line raises
-    :class:`~repro.errors.TelemetryError` naming ``path:line``, because
-    a trace file is written by one process with atomic line appends
-    and damage means something is actually wrong.
+    Blank lines and a torn trailing line (a crash mid-append) are
+    skipped; any other undecodable or non-object line raises
+    :class:`~repro.errors.TelemetryError` naming ``path:line``: one
+    process appends whole lines, so damage means something is wrong.
     """
-    import json
-
-    from repro.errors import TelemetryError
-
-    with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise TelemetryError(
-                    f"{path}:{number}: undecodable event line: {exc}"
-                ) from None
-            if not isinstance(payload, dict):
-                raise TelemetryError(
-                    f"{path}:{number}: event line is not a JSON object"
-                )
-            yield ObsEvent.from_json(payload)
+    log = JsonLog(path, strict=True)
+    for lineno, payload in log.replay():
+        if not isinstance(payload, dict):
+            log.skip(lineno, "event line is not a JSON object")  # raises
+        yield ObsEvent.from_json(payload)
 
 
 __all__ = ["ObsEvent", "iter_events"]

@@ -23,9 +23,10 @@ Prometheus client library.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.jsonlog import atomic_write
 
 #: Default histogram bucket upper bounds, in the metric's native unit.
 #: Tuned for seconds-scale span durations: sub-millisecond ingest slices
@@ -472,10 +473,7 @@ def write_metrics_file(
     Write-then-rename so a concurrent reader (or a crash mid-flush)
     never observes a torn snapshot.
     """
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(registry.render_prom())
-    os.replace(tmp, path)
+    atomic_write(path, registry.render_prom())
 
 
 _GLOBAL_REGISTRY = MetricsRegistry()

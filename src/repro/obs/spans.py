@@ -32,6 +32,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.jsonlog import JsonLog
 from repro.obs.events import ObsEvent
 from repro.obs.metrics import get_registry
 
@@ -154,25 +155,24 @@ class ListSink(EventSink):
 
 
 class JsonlSink(EventSink):
-    """Append-only JSONL trace file, one versioned event per line."""
+    """A :class:`~repro.jsonlog.JsonLog` of one versioned event per line."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._lock = threading.Lock()
-        self._fh = open(path, "a", encoding="utf-8")
+        self._log = JsonLog(path)
+        self._log.open()
 
     def emit(self, event: ObsEvent) -> None:
         line = json.dumps(
             event.to_json(), sort_keys=True, separators=(",", ":")
         )
         with self._lock:
-            self._fh.write(line + "\n")
+            self._log.append(line)
 
     def close(self) -> None:
         with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-                self._fh.close()
+            self._log.close()
 
 
 class span:

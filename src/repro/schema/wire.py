@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.causal.confounders import ConfounderSpec, GroundTruthLabel
@@ -47,6 +46,7 @@ from repro.core.events import EventConfig
 from repro.errors import SchemaError, SchemaVersionError
 from repro.fleet.executor import SessionOutcome
 from repro.fleet.scenarios import ImpairmentSpec, ScenarioSpec
+from repro.jsonlog import atomic_write
 from repro.live.aggregator import FleetSnapshot
 from repro.live.supervisor import SessionSnapshot
 from repro.obs.events import ObsEvent
@@ -690,11 +690,9 @@ def loads(kind: str, text: str) -> Any:
 
 
 def save_snapshot(snapshot: FleetSnapshot, path: str) -> None:
-    """Atomically write a fleet snapshot artifact (for ``repro watch``)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(_FLEET_SNAPSHOT.to_wire(snapshot), handle)
-    os.replace(tmp, path)  # watchers never observe a torn write
+    """Atomically write a fleet snapshot artifact (for ``repro watch``):
+    watchers never observe a torn write."""
+    atomic_write(path, json.dumps(_FLEET_SNAPSHOT.to_wire(snapshot)))
 
 
 def load_snapshot(path: str) -> FleetSnapshot:

@@ -21,9 +21,14 @@ sqlite file is only an index over them — :meth:`RcaStore.reindex`
 rebuilds it from segments alone, and every query the store answers
 (:class:`~repro.store.query.StoreQuery`) reads sqlite, never JSONL.
 
-Everything crossing this boundary goes through the schema codecs:
-ingest encodes via ``to_wire`` and reindex decodes via ``from_wire``,
-so a foreign-schema line is a versioned diagnostic, not a KeyError.
+Each segment is a :class:`~repro.jsonlog.JsonLog`, and one table
+(``_KINDS``: wire kind → segment file, index function, ingest op label,
+reindex count key) drives both ingest and reindex.  Everything crossing
+this boundary goes through the schema codecs: ingest encodes via
+``to_wire`` and reindex decodes via ``from_wire``, so a foreign-schema
+line is a versioned diagnostic, not a KeyError.  Reindex is one
+transaction: a torn tail or a damaged line is logged, counted and
+skipped; a foreign schema rolls the index back to what it was.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ import json
 import os
 import sqlite3
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.obs.trace import TraceSpan
 from repro.errors import SchemaError, SchemaVersionError, TelemetryError
 from repro.fleet.executor import SessionOutcome, iter_outcomes
+from repro.jsonlog import JsonLog, atomic_write
 from repro.live.aggregator import FleetSnapshot
 from repro.store.model import (
     STORE_LAYOUT_VERSION,
@@ -51,14 +58,6 @@ ROWS_METRIC = "repro_store_rows_total"
 
 #: Histogram of store ingest calls, labelled by op.
 INGEST_METRIC = "repro_store_ingest_seconds"
-
-_SEGMENT_FILES = {
-    "session_outcome": "outcomes.jsonl",
-    "fleet_snapshot": "snapshots.jsonl",
-    "metric_sample": "metrics.jsonl",
-    "alert_event": "alerts.jsonl",
-    "trace_span": "spans.jsonl",
-}
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS outcomes (
@@ -171,34 +170,153 @@ _TABLES = (
 )
 
 
-def _rows_counter() -> obs.Counter:
-    return obs.get_registry().counter(
+def _insert(
+    cur: sqlite3.Cursor, table: str, columns: str, rows: List[tuple]
+) -> None:
+    """Insert *rows* into the index and count them under ROWS_METRIC."""
+    marks = ", ".join("?" * (columns.count(",") + 1))
+    cur.executemany(f"INSERT INTO {table} ({columns}) VALUES ({marks})", rows)
+    obs.get_registry().counter(
         ROWS_METRIC, "Rows added to the store index, by table."
+    ).inc(len(rows), table=table)
+
+
+def _stamp(ts: Optional[float]) -> float:
+    return time.time() if ts is None else float(ts)
+
+
+def _dir_bytes(pdir: str) -> int:
+    return sum(
+        os.path.getsize(os.path.join(pdir, name)) for name in os.listdir(pdir)
     )
 
 
-def _ingest_histogram() -> obs.Histogram:
-    return obs.get_registry().histogram(
-        INGEST_METRIC, "Latency of store ingest calls, by op."
+def _index_outcome(
+    cur: sqlite3.Cursor, outcome: SessionOutcome, when: float
+) -> None:
+    row = (
+        when, outcome.scenario, outcome.profile, outcome.impairment,
+        str(outcome.seed), outcome.duration_s, outcome.n_windows,
+        outcome.n_detected_windows, outcome.degradation_events_per_min,
     )
-
-
-class _timed_ingest:
-    """Time one ingest call into the store's ingest histogram."""
-
-    __slots__ = ("op", "_t0")
-
-    def __init__(self, op: str) -> None:
-        self.op = op
-
-    def __enter__(self) -> "_timed_ingest":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        _ingest_histogram().observe(
-            time.perf_counter() - self._t0, op=self.op
+    _insert(
+        cur,
+        "outcomes",
+        "ts, scenario, profile, impairment, seed, duration_s, n_windows,"
+        " n_detected_windows, degradation_events_per_min",
+        [row],
+    )
+    outcome_id = cur.execute("SELECT last_insert_rowid()").fetchone()[0]
+    episodes = [
+        (outcome_id, when, kind, name, float(count))
+        for kind, counts in (
+            ("chain", outcome.chain_counts),
+            ("cause", outcome.cause_counts),
+            ("consequence", outcome.consequence_counts),
         )
+        for name, count in counts.items()
+    ]
+    _insert(cur, "episodes", "outcome_id, ts, kind, name, count", episodes)
+    qoe = [
+        (outcome_id, when, metric, float(value))
+        for metric, value in outcome.qoe.items()
+    ]
+    _insert(cur, "qoe_samples", "outcome_id, ts, metric, value", qoe)
+
+
+def _index_snapshot(
+    cur: sqlite3.Cursor, snapshot: FleetSnapshot, when: float
+) -> None:
+    row = (
+        when, snapshot.seq, snapshot.n_sessions, snapshot.n_running,
+        snapshot.windows, snapshot.detected_windows,
+        snapshot.degradation_events_per_min,
+    )
+    _insert(
+        cur,
+        "snapshots",
+        "ts, seq, n_sessions, n_running, windows, detected_windows,"
+        " degradation_events_per_min",
+        [row],
+    )
+    chains = [
+        (when, chain, float(total))
+        for chain, total in snapshot.chain_totals.items()
+    ]
+    _insert(cur, "snapshot_chains", "ts, chain, total", chains)
+
+
+def _index_metric_sample(
+    cur: sqlite3.Cursor, sample: MetricSample, when: float
+) -> None:
+    labels = json.dumps(sample.labels, sort_keys=True)
+    row = (when, sample.name, labels, sample.value)
+    _insert(cur, "metric_samples", "ts, name, labels, value", [row])
+
+
+def _index_alert(
+    cur: sqlite3.Cursor, event: AlertEvent, when: float
+) -> None:
+    row = (
+        when, event.rule, event.state, event.signal, event.value,
+        event.threshold, event.window_s, event.severity, event.message,
+        json.dumps(event.labels, sort_keys=True),
+    )
+    _insert(
+        cur,
+        "alerts",
+        "ts, rule, state, signal, value, threshold, window_s, severity,"
+        " message, labels",
+        [row],
+    )
+
+
+def _index_trace_span(
+    cur: sqlite3.Cursor, span: TraceSpan, when: float
+) -> None:
+    row = (
+        when, span.trace_id, span.span_id, span.parent_span_id, span.name,
+        span.service, span.campaign_id, span.scenario, span.status,
+        span.ts_s, span.duration_s,
+        json.dumps(span.attrs, sort_keys=True, default=str),
+    )
+    _insert(
+        cur,
+        "trace_spans",
+        "ts, trace_id, span_id, parent_span_id, name, service, campaign_id,"
+        " scenario, status, start_ts, duration_s, attrs",
+        [row],
+    )
+
+
+#: What a segment line that decodes as JSON but not as an envelope raises.
+_DAMAGE = (AttributeError, LookupError, TypeError, ValueError, SchemaError)
+
+
+class _Kind(NamedTuple):
+    """How one wire kind is stored, indexed, timed and counted."""
+
+    segment: str  # file under segments/p<partition>/
+    index: Callable[[sqlite3.Cursor, Any, float], None]
+    op: str  # the repro_store_ingest_seconds label
+    count_key: str  # the key in the dict reindex returns
+
+
+_KINDS = {
+    "session_outcome": _Kind(
+        "outcomes.jsonl", _index_outcome, "outcomes", "outcomes"
+    ),
+    "fleet_snapshot": _Kind(
+        "snapshots.jsonl", _index_snapshot, "snapshot", "snapshots"
+    ),
+    "metric_sample": _Kind(
+        "metrics.jsonl", _index_metric_sample, "metrics", "metrics"
+    ),
+    "alert_event": _Kind("alerts.jsonl", _index_alert, "alert", "alerts"),
+    "trace_span": _Kind(
+        "spans.jsonl", _index_trace_span, "trace_spans", "trace_spans"
+    ),
+}
 
 
 class RcaStore:
@@ -251,10 +369,9 @@ class RcaStore:
             created_ts=time.time(),
             partition_s=float(partition_s),
         )
-        tmp = f"{manifest_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(manifest.to_json(), handle, sort_keys=True)
-        os.replace(tmp, manifest_path)
+        atomic_write(
+            manifest_path, json.dumps(manifest.to_json(), sort_keys=True)
+        )
         return cls(root, manifest)
 
     def close(self) -> None:
@@ -266,77 +383,49 @@ class RcaStore:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- segment append ----------------------------------------------------
+    # -- ingest ------------------------------------------------------------
 
     def partition_of(self, ts: float) -> int:
         return int(ts // self.manifest.partition_s)
 
-    def _partition_dir(self, ts: float) -> str:
-        path = os.path.join(
-            self.root, "segments", f"p{self.partition_of(ts)}"
-        )
-        os.makedirs(path, exist_ok=True)
-        return path
+    def _ingest(
+        self, kind: str, items: Iterable[Any], when: Optional[float] = None
+    ) -> int:
+        """Append *items* to their segments and index them, one commit.
 
-    def _append(self, kind: str, ts: float, wire: Dict[str, Any]) -> None:
+        Each item is stamped at *when*, or at its own ``ts`` when *when*
+        is None (metric samples and alert events carry one).
+        """
         from repro.schema import SCHEMA_VERSION
 
-        envelope = {"kind": kind, "v": SCHEMA_VERSION, "ts": ts, "data": wire}
-        path = os.path.join(self._partition_dir(ts), _SEGMENT_FILES[kind])
-        with open(path, "a") as handle:
-            json.dump(envelope, handle, sort_keys=True)
-            handle.write("\n")
-
-    # -- ingest ------------------------------------------------------------
-
-    def _index_outcome(
-        self, cur: sqlite3.Cursor, outcome: SessionOutcome, when: float
-    ) -> None:
-        counter = _rows_counter()
-        cur.execute(
-            "INSERT INTO outcomes (ts, scenario, profile, impairment,"
-            " seed, duration_s, n_windows, n_detected_windows,"
-            " degradation_events_per_min)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                when,
-                outcome.scenario,
-                outcome.profile,
-                outcome.impairment,
-                str(outcome.seed),
-                outcome.duration_s,
-                outcome.n_windows,
-                outcome.n_detected_windows,
-                outcome.degradation_events_per_min,
-            ),
-        )
-        outcome_id = cur.lastrowid
-        counter.inc(table="outcomes")
-        episode_rows = [
-            (outcome_id, when, kind, name, float(count))
-            for kind, counts in (
-                ("chain", outcome.chain_counts),
-                ("cause", outcome.cause_counts),
-                ("consequence", outcome.consequence_counts),
-            )
-            for name, count in counts.items()
-        ]
-        cur.executemany(
-            "INSERT INTO episodes (outcome_id, ts, kind, name, count)"
-            " VALUES (?, ?, ?, ?, ?)",
-            episode_rows,
-        )
-        counter.inc(len(episode_rows), table="episodes")
-        qoe_rows = [
-            (outcome_id, when, metric, float(value))
-            for metric, value in outcome.qoe.items()
-        ]
-        cur.executemany(
-            "INSERT INTO qoe_samples (outcome_id, ts, metric, value)"
-            " VALUES (?, ?, ?, ?)",
-            qoe_rows,
-        )
-        counter.inc(len(qoe_rows), table="qoe_samples")
+        spec = _KINDS[kind]
+        t0 = time.perf_counter()
+        cur = self._conn.cursor()
+        logs: Dict[str, JsonLog] = {}
+        n = 0
+        try:
+            for item in items:
+                stamp = item.ts if when is None else when
+                pdir = f"p{self.partition_of(stamp)}"
+                path = os.path.join(self.root, "segments", pdir, spec.segment)
+                log = logs.get(path) or logs.setdefault(path, JsonLog(path))
+                envelope = {
+                    "kind": kind,
+                    "v": SCHEMA_VERSION,
+                    "ts": stamp,
+                    "data": item.to_json(),
+                }
+                log.append(json.dumps(envelope, sort_keys=True))
+                spec.index(cur, item, stamp)
+                n += 1
+            self._conn.commit()
+        finally:
+            for log in logs.values():
+                log.close()
+            obs.get_registry().histogram(
+                INGEST_METRIC, "Latency of store ingest calls, by op."
+            ).observe(time.perf_counter() - t0, op=spec.op)
+        return n
 
     def ingest_outcomes(
         self,
@@ -350,16 +439,7 @@ class RcaStore:
         time is the store's time axis, and pinning it makes partition
         assignment and windowed queries deterministic in tests.
         """
-        when = time.time() if ts is None else float(ts)
-        with _timed_ingest("outcomes"):
-            cur = self._conn.cursor()
-            n = 0
-            for outcome in outcomes:
-                self._append("session_outcome", when, outcome.to_json())
-                self._index_outcome(cur, outcome, when)
-                n += 1
-            self._conn.commit()
-        return n
+        return self._ingest("session_outcome", outcomes, _stamp(ts))
 
     def ingest_outcomes_file(
         self,
@@ -383,133 +463,29 @@ class RcaStore:
         stats["ingested"] = ingested
         return stats
 
-    def _index_snapshot(
-        self, cur: sqlite3.Cursor, snapshot: FleetSnapshot, when: float
-    ) -> None:
-        counter = _rows_counter()
-        cur.execute(
-            "INSERT INTO snapshots (ts, seq, n_sessions, n_running,"
-            " windows, detected_windows, degradation_events_per_min)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                when,
-                snapshot.seq,
-                snapshot.n_sessions,
-                snapshot.n_running,
-                snapshot.windows,
-                snapshot.detected_windows,
-                snapshot.degradation_events_per_min,
-            ),
-        )
-        counter.inc(table="snapshots")
-        chain_rows = [
-            (when, chain, float(total))
-            for chain, total in snapshot.chain_totals.items()
-        ]
-        cur.executemany(
-            "INSERT INTO snapshot_chains (ts, chain, total) VALUES (?, ?, ?)",
-            chain_rows,
-        )
-        counter.inc(len(chain_rows), table="snapshot_chains")
-
     def ingest_snapshot(
         self, snapshot: FleetSnapshot, *, ts: Optional[float] = None
     ) -> None:
         """Tee one fleet snapshot into the store (live/coordinator path)."""
-        when = time.time() if ts is None else float(ts)
-        with _timed_ingest("snapshot"):
-            self._append("fleet_snapshot", when, snapshot.to_json())
-            self._index_snapshot(self._conn.cursor(), snapshot, when)
-            self._conn.commit()
-
-    def _index_metric_sample(
-        self, cur: sqlite3.Cursor, sample: MetricSample
-    ) -> None:
-        cur.execute(
-            "INSERT INTO metric_samples (ts, name, labels, value)"
-            " VALUES (?, ?, ?, ?)",
-            (
-                sample.ts,
-                sample.name,
-                json.dumps(sample.labels, sort_keys=True),
-                sample.value,
-            ),
-        )
-        _rows_counter().inc(table="metric_samples")
+        self._ingest("fleet_snapshot", (snapshot,), _stamp(ts))
 
     def ingest_metric_samples(
         self, samples: Iterable[MetricSample]
     ) -> int:
-        with _timed_ingest("metrics"):
-            cur = self._conn.cursor()
-            n = 0
-            for sample in samples:
-                self._append("metric_sample", sample.ts, sample.to_json())
-                self._index_metric_sample(cur, sample)
-                n += 1
-            self._conn.commit()
-        return n
+        return self._ingest("metric_sample", samples)
 
     def ingest_prom_text(
         self, text: str, *, ts: Optional[float] = None
     ) -> int:
         """Ingest one Prometheus exposition snapshot (point-in-time)."""
-        when = time.time() if ts is None else float(ts)
+        when = _stamp(ts)
         return self.ingest_metric_samples(
             MetricSample(ts=when, name=name, value=value, labels=labels)
             for name, labels, value in obs.parse_prom_samples(text)
         )
 
-    def _index_alert(self, cur: sqlite3.Cursor, event: AlertEvent) -> None:
-        cur.execute(
-            "INSERT INTO alerts (ts, rule, state, signal, value, threshold,"
-            " window_s, severity, message, labels)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                event.ts,
-                event.rule,
-                event.state,
-                event.signal,
-                event.value,
-                event.threshold,
-                event.window_s,
-                event.severity,
-                event.message,
-                json.dumps(event.labels, sort_keys=True),
-            ),
-        )
-        _rows_counter().inc(table="alerts")
-
     def record_alert(self, event: AlertEvent) -> None:
-        with _timed_ingest("alert"):
-            self._append("alert_event", event.ts, event.to_json())
-            self._index_alert(self._conn.cursor(), event)
-            self._conn.commit()
-
-    def _index_trace_span(
-        self, cur: sqlite3.Cursor, span: TraceSpan, when: float
-    ) -> None:
-        cur.execute(
-            "INSERT INTO trace_spans (ts, trace_id, span_id,"
-            " parent_span_id, name, service, campaign_id, scenario,"
-            " status, start_ts, duration_s, attrs)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                when,
-                span.trace_id,
-                span.span_id,
-                span.parent_span_id,
-                span.name,
-                span.service,
-                span.campaign_id,
-                span.scenario,
-                span.status,
-                span.ts_s,
-                span.duration_s,
-                json.dumps(span.attrs, sort_keys=True, default=str),
-            ),
-        )
-        _rows_counter().inc(table="trace_spans")
+        self._ingest("alert_event", (event,))
 
     def ingest_trace_spans(
         self,
@@ -523,16 +499,7 @@ class RcaStore:
         stamp so retention drops a campaign's trace atomically with its
         partition; the span's own wall clock lives in ``start_ts``.
         """
-        when = time.time() if ts is None else float(ts)
-        with _timed_ingest("trace_spans"):
-            cur = self._conn.cursor()
-            n = 0
-            for span in spans:
-                self._append("trace_span", when, span.to_json())
-                self._index_trace_span(cur, span, when)
-                n += 1
-            self._conn.commit()
-        return n
+        return self._ingest("trace_span", spans, _stamp(ts))
 
     # -- index maintenance -------------------------------------------------
 
@@ -563,67 +530,47 @@ class RcaStore:
     def reindex(self) -> Dict[str, int]:
         """Rebuild the sqlite index from the JSONL segments alone.
 
-        The recovery path for a lost or corrupt ``index.sqlite``: every
-        envelope decodes back through its schema codec, so a segment
-        written by a newer major schema fails loudly here rather than
-        producing a silently wrong index.
+        The recovery path for a lost or corrupt ``index.sqlite``, and
+        one transaction: any error rolls back to the index as it was.
+        Every envelope decodes back through its schema codec, so a
+        segment written by a newer major schema fails loudly here
+        rather than producing a silently wrong index; a torn tail or
+        an undecodable line is logged, counted and skipped.
         """
         from repro.schema import check_schema_version, from_wire
 
-        cur = self._conn.cursor()
-        for table in _TABLES:
-            cur.execute(f"DELETE FROM {table}")
-        self._conn.commit()
-        counts = {
-            "outcomes": 0,
-            "snapshots": 0,
-            "metrics": 0,
-            "alerts": 0,
-            "trace_spans": 0,
-        }
-        for pid, pdir in self._partitions():
-            base_ts = pid * self.manifest.partition_s
-            for kind, filename in _SEGMENT_FILES.items():
-                path = os.path.join(pdir, filename)
-                if not os.path.exists(path):
-                    continue
-                with open(path) as handle:
-                    for line in handle:
-                        line = line.strip()
-                        if not line:
+        counts = {spec.count_key: 0 for spec in _KINDS.values()}
+        with self._conn:
+            cur = self._conn.cursor()
+            for table in _TABLES:
+                cur.execute(f"DELETE FROM {table}")
+            for pid, pdir in self._partitions():
+                base_ts = pid * self.manifest.partition_s
+                for kind, spec in _KINDS.items():
+                    log = JsonLog(os.path.join(pdir, spec.segment))
+                    if not os.path.exists(log.path):
+                        continue
+                    for lineno, envelope in log.replay():
+                        try:
+                            check_schema_version(
+                                envelope.get("v"),
+                                where=f"{log.path} (envelope)",
+                            )
+                            obj = from_wire(kind, envelope["data"])
+                            when = float(envelope.get("ts", base_ts))
+                        except SchemaVersionError:
+                            raise
+                        except _DAMAGE as exc:
+                            log.skip(lineno, f"undecodable envelope: {exc}")
                             continue
-                        envelope = json.loads(line)
-                        check_schema_version(
-                            envelope.get("v"), where=f"{path} (envelope)"
-                        )
-                        obj = from_wire(kind, envelope["data"])
-                        when = float(envelope.get("ts", base_ts))
-                        if kind == "session_outcome":
-                            self._index_outcome(cur, obj, when)
-                            counts["outcomes"] += 1
-                        elif kind == "fleet_snapshot":
-                            self._index_snapshot(cur, obj, when)
-                            counts["snapshots"] += 1
-                        elif kind == "metric_sample":
-                            self._index_metric_sample(cur, obj)
-                            counts["metrics"] += 1
-                        elif kind == "alert_event":
-                            self._index_alert(cur, obj)
-                            counts["alerts"] += 1
-                        elif kind == "trace_span":
-                            self._index_trace_span(cur, obj, when)
-                            counts["trace_spans"] += 1
-        self._conn.commit()
+                        spec.index(cur, obj, when)
+                        counts[spec.count_key] += 1
         return counts
 
     # -- retention ---------------------------------------------------------
 
     def size_bytes(self) -> int:
-        total = 0
-        for _pid, pdir in self._partitions():
-            for name in os.listdir(pdir):
-                total += os.path.getsize(os.path.join(pdir, name))
-        return total
+        return sum(_dir_bytes(pdir) for _pid, pdir in self._partitions())
 
     def compact(
         self,
@@ -648,17 +595,10 @@ class RcaStore:
             while partitions and partitions[0][0] < cutoff_pid:
                 drop.append(partitions.pop(0))
         if max_bytes is not None:
-
-            def psize(pdir: str) -> int:
-                return sum(
-                    os.path.getsize(os.path.join(pdir, name))
-                    for name in os.listdir(pdir)
-                )
-
-            total = sum(psize(pdir) for _pid, pdir in partitions)
+            total = sum(_dir_bytes(pdir) for _pid, pdir in partitions)
             while total > max_bytes and len(partitions) > 1:
                 pid, pdir = partitions.pop(0)
-                total -= psize(pdir)
+                total -= _dir_bytes(pdir)
                 drop.append((pid, pdir))
         bytes_removed = 0
         rows_deleted = 0

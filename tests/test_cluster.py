@@ -11,7 +11,6 @@ import pytest
 
 from repro import api, schema
 from repro.cluster import (
-    CampaignJournal,
     ClusterCoordinator,
     ClusterWorker,
     CoordinatorControl,
@@ -778,29 +777,6 @@ def test_journal_resume_byte_identity(
     final = replay_journal(journal_path)[cid]
     assert final.closed and final.close_reason == "completed"
     assert final.complete
-
-
-def test_torn_trailing_journal_record(tmp_path, scenarios, caplog):
-    """A crash mid-append leaves a torn trailing line: replay tolerates
-    it with a logged warning, truncates it, and appends resume cleanly."""
-    journal_path = str(tmp_path / "torn.journal")
-    journal = CampaignJournal(journal_path)
-    journal.open_campaign("camp", scenarios[:1])
-    journal.settle("camp", 0, error="boom")
-    journal.close()
-    with open(journal_path, "a", encoding="utf-8") as handle:
-        handle.write('{"type": "outcome_settled", "campaign_id": "ca')
-    with caplog.at_level(logging.WARNING, logger="repro.cluster.journal"):
-        resumed = CampaignJournal(journal_path)
-        campaigns = resumed.replay()
-    assert "torn trailing" in caplog.text
-    assert campaigns["camp"].errors == {0: "boom"}
-    # The torn bytes are gone and new appends decode cleanly.
-    resumed.close_campaign("camp", "failed")
-    resumed.close()
-    again = replay_journal(journal_path)
-    assert again["camp"].closed
-    assert again["camp"].close_reason == "failed"
 
 
 def test_wrong_auth_token_refused(scenarios):

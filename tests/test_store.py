@@ -290,7 +290,10 @@ class TestReindexAndRetention:
         assert StoreQuery(store).outcome_count() == 2
 
     def test_reindex_rejects_foreign_envelope_version(self, store):
+        """A foreign envelope fails the reindex, and the reindex is one
+        transaction: the persisted index stays as it was."""
         _seed_two_windows(store)
+        before = store.rows_total()
         path = os.path.join(
             store.root, "segments", "p0", "outcomes.jsonl"
         )
@@ -303,6 +306,11 @@ class TestReindexAndRetention:
             )
         with pytest.raises(SchemaVersionError, match="99"):
             store.reindex()
+        assert store.rows_total() == before
+        store.close()
+        with RcaStore.open(store.root, create=False) as reopened:
+            assert reopened.rows_total() == before
+            assert before["outcomes"] == 2
 
     def test_compact_by_age_drops_whole_partitions(self, store):
         _seed_two_windows(store)
@@ -835,6 +843,24 @@ class TestStoreCli:
 
     def test_report_without_recorded_alert_exits_1(self, populated):
         assert main(["store", "report", populated]) == 1
+
+    def test_reindex_of_a_foreign_segment_exits_1(self, populated, capsys):
+        """A segment reindex cannot decode ends the command with exit 1
+        and one message, and leaves the index as it was."""
+        with RcaStore.open(populated, create=False) as store:
+            before = store.rows_total()
+            (segment,) = [
+                os.path.join(pdir, "outcomes.jsonl")
+                for _pid, pdir in store._partitions()
+            ]
+        with open(segment, "a") as handle:
+            handle.write('{"kind": "session_outcome", "v": 99, "data": {}}\n')
+        assert main(["store", "reindex", populated]) == 1
+        err = capsys.readouterr().err
+        assert "schema version 99" in err
+        assert "Traceback" not in err
+        with RcaStore.open(populated, create=False) as store:
+            assert store.rows_total() == before
 
     def test_reindex_and_compact(self, populated, tmp_path, capsys):
         assert main(["store", "reindex", populated]) == 0

@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """CI gate for the public API surface.
 
 Fails (exit 1) when:
@@ -8,8 +7,11 @@ Fails (exit 1) when:
   otherwise only surface in user code);
 * resolving the *non*-legacy surface emits a ``DeprecationWarning``
   (the facade must not be built on its own deprecated shims);
-* any file under ``examples/`` still imports a deprecated path — the
-  examples are the documentation of record for the new surface.
+* any ``from repro... import name``, ``import repro...`` or
+  ``repro.<name>`` use in a file under ``examples/`` does not resolve,
+  or resolves through a deprecation shim — the examples are the
+  documentation of record, so a name removed from the package (the
+  3.0 removals included) fails here, not in a user's hands.
 
 Run from the repository root: ``PYTHONPATH=src python
 tools/check_api_surface.py``.
@@ -18,34 +20,34 @@ tools/check_api_surface.py``.
 import ast
 import importlib
 import pathlib
-import re
 import sys
 import warnings
 
-#: Imports retired by the 2.0 facade and removed in 3.0 (see README's
-#: "removed in 3.0" table): module → names that must not be imported
-#: from it.  Examples must use ``repro.api`` / the defining modules
-#: instead.  Detection is AST-based, so parenthesized multi-line imports
-#: and aliases are caught the same as single-line ones.
-DEPRECATED_IMPORTS = {
-    "repro": {
-        "DominoDetector",
-        "DominoStats",
-        "TelemetryBundle",
-        "Timeline",
-        "parse_chains",
-    },
-    "repro.api": {"JournaledClusterBackend"},
-    "repro.api.backends": {"JournaledClusterBackend"},
-    "repro.fleet": {"run_campaign"},
-    "repro.fleet.executor": {"run_campaign", "OUTCOME_FORMAT_VERSION"},
-}
 
-#: Attribute-style uses of the legacy surface (``repro.DominoDetector``).
-DEPRECATED_ATTR_PATTERN = re.compile(
-    r"\brepro\.(DominoDetector|DominoStats|TelemetryBundle"
-    r"|Timeline|parse_chains)\b"
-)
+def resolve(module_name: str, name: str):
+    """Why ``from module_name import name`` fails, or None if it works.
+
+    A submodule counts as a name.  A ``DeprecationWarning`` emitted
+    while resolving the name is a failure too.
+    """
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError as exc:
+        return f"module {module_name} does not import: {exc}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if not hasattr(module, name):
+            try:
+                importlib.import_module(f"{module_name}.{name}")
+            except ImportError:
+                return f"{module_name}.{name} does not resolve"
+    for warning in caught:
+        if issubclass(warning.category, DeprecationWarning):
+            return (
+                f"{module_name}.{name} resolves through a deprecated "
+                f"path: {warning.message}"
+            )
+    return None
 
 
 def check_surface() -> list:
@@ -53,65 +55,62 @@ def check_surface() -> list:
     for module_name in ("repro", "repro.api", "repro.schema"):
         module = importlib.import_module(module_name)
         for name in module.__all__:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    getattr(module, name)
-                except AttributeError:
-                    failures.append(
-                        f"{module_name}.__all__ lists {name!r} but it does "
-                        f"not resolve"
-                    )
-                    continue
-            deprecations = [
-                w
-                for w in caught
-                if issubclass(w.category, DeprecationWarning)
-            ]
-            if deprecations:
-                failures.append(
-                    f"{module_name}.{name} resolves through a deprecated "
-                    f"path: {deprecations[0].message}"
-                )
+            why = resolve(module_name, name)
+            if why is not None:
+                failures.append(f"{module_name}.__all__: {why}")
     return failures
 
 
-def check_examples(root: pathlib.Path) -> list:
-    failures = []
-    for path in sorted((root / "examples").glob("*.py")):
-        text = path.read_text()
-        rel = path.relative_to(root)
-        for node in ast.walk(ast.parse(text, filename=str(path))):
-            if not isinstance(node, ast.ImportFrom) or node.level:
-                continue
-            banned = DEPRECATED_IMPORTS.get(node.module or "", ())
+def example_uses(tree: ast.AST):
+    """``(line, module, name)`` for every repro name a file uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            if (node.module or "").split(".")[0] == "repro":
+                for alias in node.names:
+                    yield node.lineno, node.module, alias.name
+        elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name in banned or alias.name == "*":
-                    failures.append(
-                        f"{rel}:{node.lineno}: deprecated import "
-                        f"'from {node.module} import {alias.name}' — use "
-                        f"repro.api (see README \"removed in 3.0\" table)"
-                    )
-        match = DEPRECATED_ATTR_PATTERN.search(text)
-        if match:
-            line = text[: match.start()].count("\n") + 1
-            failures.append(
-                f"{rel}:{line}: deprecated attribute use "
-                f"{match.group(0)!r} — use repro.api (see README "
-                f"\"removed in 3.0\" table)"
+                module, _, name = alias.name.rpartition(".")
+                if alias.name.split(".")[0] == "repro" and module:
+                    yield node.lineno, module, name
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "repro"
+        ):
+            yield node.lineno, "repro", node.attr
+
+
+def check_examples(root: pathlib.Path):
+    failures = []
+    n_uses = 0
+    for path in sorted((root / "examples").glob("*.py")):
+        rel = path.relative_to(root)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, module, name in example_uses(tree):
+            n_uses += 1
+            why = (
+                "a star import cannot be checked"
+                if name == "*"
+                else resolve(module, name)
             )
-    return failures
+            if why is not None:
+                failures.append(f"{rel}:{line}: {why}")
+    return failures, n_uses
 
 
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
-    failures = check_surface() + check_examples(root)
+    example_failures, n_uses = check_examples(root)
+    failures = check_surface() + example_failures
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print("API surface OK: repro, repro.api, repro.schema resolve; no "
-          "example imports a deprecated path")
+    print(
+        f"API surface OK: repro, repro.api, repro.schema resolve; all "
+        f"{n_uses} repro imports and attribute uses in examples/ resolve"
+    )
     return 0
 
 
