@@ -17,7 +17,10 @@ bare per-line ``json.loads`` pass over the same file on a heap that
 holds nothing else (in this process the session fixtures' 60 s calls
 moved the ratio by 0.3-0.4), and its DCI rows are fed through a fresh
 collector, to time the write path (``collect_60s``) against a bare
-``list.append`` of the same row tuples.
+``list.append`` of the same row tuples.  A second fresh child times
+one analyze of that file with obs disabled, with always-on sinkless
+spans, and under the sampling profiler (``overhead_60s``), so the
+spans' and the profiler's cost sit beside the other budgets.
 
 Simulation is ~99% of a scenario, so ``sim_60s`` times the simulator
 itself: a 60 s T-Mobile FDD call and a 12 s Amarisoft (TDD) call, in
@@ -33,13 +36,14 @@ program's own ``ingest.from_bundle`` and ``detect.features`` spans; its
 detections must equal the offline report's.
 """
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
 import time
 
-from repro import api
+from repro import api, obs
 from repro.analysis.ascii import render_table
 from repro.core.detector import DominoDetector, DominoReport, WindowDetection
 from repro.core.features import FeatureExtractor
@@ -89,6 +93,19 @@ STREAM_REPEATS = 3
 
 #: The program's spans whose wall time per advance the stream records.
 STREAM_SPANS = ("ingest.from_bundle", "detect.features")
+
+#: Interleaved rounds of each overhead arm, after one warm-up round;
+#: each arm keeps its minimum.
+OVERHEAD_ROUNDS = 9
+
+#: The sampling profiler's interval in the profiled overhead arm (its
+#: default, and the CLI's ``--profile``).
+OVERHEAD_PROFILE_INTERVAL_S = 0.005
+
+#: Samples ``profile_60s`` collects at the least: it profiles analyze
+#: passes until it holds this many, so the top-10 share it records can
+#: fall below 1 on any machine.
+PROFILE_MIN_SAMPLES = 50
 
 
 def _truncate(bundle: TelemetryBundle, duration_us: int) -> TelemetryBundle:
@@ -167,7 +184,7 @@ def _io_60s(path: str, reference) -> dict:
     ``load_vs_json_ratio`` divides the fastest ``load_bundle`` by the
     fastest bare per-line ``json.loads`` pass over the same file, timed
     interleaved in this process, so machine speed divides out.  Run it
-    in a fresh process (:func:`_io_60s_in_child`): the ratio follows the
+    in a fresh process (:func:`_in_child`): the ratio follows the
     heap it runs on.
     """
     bundle = load_bundle(path)
@@ -201,13 +218,51 @@ def _io_60s(path: str, reference) -> dict:
     }
 
 
-def _io_60s_in_child(bundle: TelemetryBundle, path: str, reference) -> dict:
-    """:func:`_io_60s` of *bundle*, written once to *path* here and read
-    in a fresh ``spawn`` child, whose heap holds only the trace."""
-    save_bundle(bundle, path)
+def _in_child(function, *args) -> dict:
+    """``function(*args)`` in a fresh ``spawn`` child, whose heap holds
+    only what *function* loads (the JSONL trace its path names)."""
     context = multiprocessing.get_context("spawn")
     with context.Pool(1) as pool:
-        return pool.apply(_io_60s, (path, reference))
+        return pool.apply(function, args)
+
+
+@contextlib.contextmanager
+def _obs_disabled():
+    obs.disable()
+    try:
+        yield
+    finally:
+        obs.enable()
+
+
+def _overhead_60s(path: str, reference) -> dict:
+    """What always-on spans and the sampling profiler cost one analyze
+    of the JSONL trace at *path*.
+
+    Three arms, interleaved: obs disabled, obs enabled with no sink
+    (the default, so also the unprofiled run), and the default under a
+    ``SamplingProfiler`` at its 5 ms default.  Each keeps its fastest
+    pass, in ms.  Run it in a fresh process (:func:`_in_child`).
+    """
+    bundle = load_bundle(path)
+    arms = {
+        "disabled_ms": _obs_disabled,
+        "sinkless_ms": contextlib.nullcontext,
+        "profiled_ms": lambda: SamplingProfiler(
+            interval_s=OVERHEAD_PROFILE_INTERVAL_S
+        ),
+    }
+    best = dict.fromkeys(arms, float("inf"))
+    for round_ in range(OVERHEAD_ROUNDS + 1):
+        for key, arm in arms.items():
+            with arm():
+                start = time.perf_counter()
+                report = api.analyze(bundle)
+                elapsed_ms = (time.perf_counter() - start) * 1e3
+            _assert_identical_reports(report, reference)
+            if round_:
+                best[key] = min(best[key], elapsed_ms)
+    return {"rounds": OVERHEAD_ROUNDS, **best}
 
 
 def _collect_60s(bundle: TelemetryBundle) -> dict:
@@ -456,11 +511,22 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
 
     # The same breakdown from the sampling profiler: statistical CPU
     # attribution by stack frame instead of span wall time, so the two
-    # views cross-check each other.  A few passes under a fast sampling
-    # interval give enough samples for stable fractions.
+    # views cross-check each other.  Passes under a fast sampling
+    # interval until the samples suffice for stable fractions.
+    passes = 0
     with SamplingProfiler(interval_s=0.002) as profiler:
-        for _ in range(5):
+        while profiler.n_samples < PROFILE_MIN_SAMPLES:
             detector.analyze(sixty)
+            passes += 1
+    # Its collapsed stacks are flamegraph input: one "frame;...;frame
+    # count" line per stack, frames labelled module:function, counts
+    # summing to the samples taken.
+    collapsed = [
+        line.rpartition(" ") for line in profiler.collapsed().splitlines()
+    ]
+    assert sum(int(count) for _, _, count in collapsed) == profiler.n_samples
+    for stack, _, _ in collapsed:
+        assert all(":" in frame for frame in stack.split(";")), stack
     cpu_attribution = profiler.attribute(
         {
             "ingest": (
@@ -477,9 +543,10 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         }
     )
 
-    io_60s = _io_60s_in_child(
-        sixty, str(tmp_path / "trace_60s.jsonl"), batch_report
-    )
+    trace_path = str(tmp_path / "trace_60s.jsonl")
+    save_bundle(sixty, trace_path)
+    io_60s = _in_child(_io_60s, trace_path, batch_report)
+    overhead_60s = _in_child(_overhead_60s, trace_path, batch_report)
     collect_60s = _collect_60s(sixty)
     stream_60s = _stream_60s(sixty, batch_report)
     sim_60s = _sim_60s()
@@ -500,6 +567,10 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         + f"{stream_60s['ref_ms_per_advance']:.2f} ms, of which ingest "
         + f"{stream_60s['ingest_ms_per_advance']:.2f} ms and features "
         + f"{stream_60s['features_ms_per_advance']:.2f} ms"
+        + "\n60s analyze: obs disabled "
+        + f"{overhead_60s['disabled_ms']:.1f} ms, sinkless spans "
+        + f"{overhead_60s['sinkless_ms']:.1f} ms, profiled "
+        + f"{overhead_60s['profiled_ms']:.1f} ms"
     )
     print(f"\n=== scaling_realtime ===\n{text}")
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -516,7 +587,9 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         "collect_60s": collect_60s,
         "sim_60s": sim_60s,
         "stream_60s": stream_60s,
+        "overhead_60s": overhead_60s,
         "profile_60s": {
+            "passes": passes,
             "n_samples": profiler.n_samples,
             "cpu_fraction": cpu_attribution,
             "top10_self_fraction": profiler.top_fraction(10),

@@ -10,8 +10,9 @@ worker processes), runs the ``smoke`` campaign preset through it, and
 then proves the distribution layer is *free of semantics*: the
 outcomes are byte-identical to a plain single-host ``api.campaign``.
 
-The same byte-for-byte check doubles as the CI cluster smoke gate, so
-the demo exits non-zero on any mismatch.
+The demo exits non-zero on any mismatch, and CI runs it in its API
+surface step; tier-1's ``test_cluster_campaign_byte_identical_to_local``
+(tests/test_cluster.py) asserts the same byte-identity.
 
 Usage:
     python examples/cluster_demo.py [--preset smoke] [--workers 2]

@@ -181,26 +181,45 @@ class ClusterBackend:
         cache_dir: Optional[str] = None,
         fail_fast: bool = False,
     ) -> List[SessionOutcome]:
+        """Bind, submit the campaign (resuming from the journal's
+        settled records when it exists), dispatch the remainder to
+        workers as they join, and return outcomes in scenario order as
+        soon as the campaign settles.  Each scenario runs under its own
+        distributed trace."""
+        import asyncio
+
         # Imported lazily: the cluster subsystem pulls in asyncio server
         # machinery that purely local campaigns never need.
-        from repro.cluster.coordinator import run_cluster_campaign
+        from repro.cluster.coordinator import ClusterCoordinator
 
-        return run_cluster_campaign(
-            scenarios,
-            detector_config=detector_config,
-            trace_dir=trace_dir,
-            cache_dir=cache_dir,
-            fail_fast=fail_fast,
-            host=self.host,
-            port=self.port,
-            on_listening=self.on_listening,
-            journal_path=self.journal_path,
-            campaign_id=self.campaign_id,
-            auth_token=self.auth_token,
-            ssl_context=self.ssl_context,
-            store_dir=self.store_dir,
-        )
+        async def serve() -> List[SessionOutcome]:
+            coordinator = ClusterCoordinator(
+                self.host,
+                self.port,
+                detector_config=detector_config,
+                journal_path=self.journal_path,
+                auth_token=self.auth_token,
+                ssl_context=self.ssl_context,
+                store_dir=self.store_dir,
+            )
+            await coordinator.start()
+            try:
+                if self.on_listening is not None:
+                    self.on_listening(coordinator.host, coordinator.port)
+                if not scenarios:
+                    return []
+                cid = await coordinator.submit_campaign(
+                    scenarios,
+                    campaign_id=self.campaign_id,
+                    trace_dir=trace_dir,
+                    cache_dir=cache_dir,
+                    fail_fast=fail_fast,
+                )
+                return await coordinator.wait_campaign(cid)
+            finally:
+                await coordinator.close()
 
+        return asyncio.run(serve())
 
 __all__ = [
     "ClusterBackend",

@@ -229,26 +229,13 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     # aggregate one outcome at a time, so a sharded campaign JSONL far
     # larger than memory renders fine.  Tolerant mode: a campaign cut
     # short (killed worker, crashed run) leaves a partial trailing line
-    # and a count shortfall — report what survived, loudly.
-    stats: dict = {}
+    # and a count shortfall — report what survived; the tolerant read
+    # itself warns and counts what it skipped.
     print(
         render_fleet_report(
-            FleetAggregate(
-                iter_outcomes(args.outcomes, tolerant=True, stats=stats)
-            )
+            FleetAggregate(iter_outcomes(args.outcomes, tolerant=True))
         )
     )
-    if stats.get("skipped_lines"):
-        logger.warning(
-            "skipped %d undecodable line(s) (truncated save?)",
-            stats["skipped_lines"],
-        )
-    if stats.get("missing_outcomes"):
-        logger.warning(
-            "file holds %d fewer outcome(s) than its header promises "
-            "— rollup covers the surviving sessions only",
-            stats["missing_outcomes"],
-        )
     return 0
 
 

@@ -70,7 +70,6 @@ _EXPORTS = {
     "iter_snapshots": "repro.cluster.client",
     "read_frame": "repro.cluster.protocol",
     "replay_journal": "repro.cluster.journal",
-    "run_cluster_campaign": "repro.cluster.coordinator",
     "send_frame": "repro.cluster.protocol",
 }
 

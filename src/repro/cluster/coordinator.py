@@ -1372,66 +1372,4 @@ class ClusterCoordinator:
                     self._watchers.remove(writer)
 
 
-def run_cluster_campaign(
-    scenarios: Sequence[ScenarioSpec],
-    *,
-    detector_config: Optional[DetectorConfig] = None,
-    trace_dir: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    fail_fast: bool = False,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    on_listening: Optional[Callable[[str, int], None]] = None,
-    on_progress: Optional[ProgressCallback] = None,
-    journal_path: Optional[str] = None,
-    campaign_id: Optional[str] = None,
-    auth_token: Optional[str] = None,
-    ssl_context: Optional[ssl_module.SSLContext] = None,
-    store_dir: Optional[str] = None,
-) -> List[SessionOutcome]:
-    """Synchronous one-shot coordinator: serve one campaign, then stop.
-
-    This is the engine behind
-    :class:`~repro.api.backends.ClusterBackend`: bind, submit the
-    campaign (resuming from *journal_path*'s settled records when they
-    exist), dispatch the remainder to
-    :class:`~repro.cluster.worker.ClusterWorker` peers as they join,
-    and return outcomes in scenario order as soon as the campaign
-    settles.  *on_listening* fires with the bound ``(host, port)`` so
-    callers can advertise an ephemeral port to workers.  Each scenario runs under its own distributed trace;
-    with *store_dir* set the finished campaign's spans land in that
-    historical store for ``repro obs trace``.
-    """
-
-    async def _run() -> List[SessionOutcome]:
-        coordinator = ClusterCoordinator(
-            host,
-            port,
-            detector_config=detector_config,
-            journal_path=journal_path,
-            auth_token=auth_token,
-            ssl_context=ssl_context,
-            store_dir=store_dir,
-        )
-        await coordinator.start()
-        try:
-            if on_listening is not None:
-                on_listening(coordinator.host, coordinator.port)
-            if not scenarios:
-                return []
-            cid = await coordinator.submit_campaign(
-                scenarios,
-                campaign_id=campaign_id,
-                trace_dir=trace_dir,
-                cache_dir=cache_dir,
-                fail_fast=fail_fast,
-                on_progress=on_progress,
-            )
-            return await coordinator.wait_campaign(cid)
-        finally:
-            await coordinator.close()
-
-    return asyncio.run(_run())
-
-
-__all__ = ["ClusterCoordinator", "run_cluster_campaign"]
+__all__ = ["ClusterCoordinator"]

@@ -391,16 +391,21 @@ class RcaStore:
     def _ingest(
         self, kind: str, items: Iterable[Any], when: Optional[float] = None
     ) -> int:
-        """Append *items* to their segments and index them, one commit.
+        """Index *items* and append them to their segments, one commit.
 
         Each item is stamped at *when*, or at its own ``ts`` when *when*
-        is None (metric samples and alert events carry one).
+        is None (metric samples and alert events carry one).  Each item
+        is indexed under a savepoint before its line is appended, so an
+        item that fails leaves neither a line nor rows; the items
+        before it commit, and its error propagates.
         """
         from repro.schema import SCHEMA_VERSION
 
         spec = _KINDS[kind]
         t0 = time.perf_counter()
         cur = self._conn.cursor()
+        if not self._conn.in_transaction:
+            cur.execute("BEGIN")
         logs: Dict[str, JsonLog] = {}
         n = 0
         try:
@@ -415,11 +420,18 @@ class RcaStore:
                     "ts": stamp,
                     "data": item.to_json(),
                 }
-                log.append(json.dumps(envelope, sort_keys=True))
-                spec.index(cur, item, stamp)
+                cur.execute("SAVEPOINT item")
+                try:
+                    spec.index(cur, item, stamp)
+                    log.append(json.dumps(envelope, sort_keys=True))
+                except BaseException:
+                    cur.execute("ROLLBACK TO item")
+                    raise
+                finally:
+                    cur.execute("RELEASE item")
                 n += 1
-            self._conn.commit()
         finally:
+            self._conn.commit()
             for log in logs.values():
                 log.close()
             obs.get_registry().histogram(

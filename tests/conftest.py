@@ -4,10 +4,16 @@ integration-level tests share are built once per test session.
 Also installs a per-test wall-clock timeout (SIGALRM-based, POSIX only)
 so an async hang — a live-service deadlock, a stuck event loop — fails
 the one test fast instead of wedging the whole job.  Override with
-``REPRO_TEST_TIMEOUT_S`` (0 disables)."""
+``REPRO_TEST_TIMEOUT_S`` (0 disables).
+
+The loopback cluster harness (a coordinator with workers, two one-slot
+workers, canonical outcome bytes, and a recording stand-in for the
+coordinator) is shared here as fixtures."""
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
 import signal
 
@@ -109,3 +115,85 @@ def profile_trace(request, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("traces") / f"{name}.jsonl")
     save_bundle(bundle, path)
     return bundle, path
+
+
+# -- loopback cluster harness ----------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def outcome_bytes():
+    """``outcome_bytes(outcomes)``: the canonical bytes two campaigns'
+    outcomes must share to count as identical."""
+
+    def encode(outcomes):
+        return json.dumps([o.to_json() for o in outcomes], sort_keys=True)
+
+    return encode
+
+
+@pytest.fixture(scope="session")
+def with_cluster():
+    """``await with_cluster(workers, run, **coordinator_kwargs)``: start
+    a loopback coordinator and the workers ``workers(port)`` returns,
+    await ``run(coordinator)``, and tear both down."""
+    from repro.cluster import ClusterCoordinator
+
+    async def serve(workers, run, **coordinator_kwargs):
+        coordinator = ClusterCoordinator(**coordinator_kwargs)
+        await coordinator.start()
+        tasks = [
+            asyncio.create_task(w.run()) for w in workers(coordinator.port)
+        ]
+        try:
+            await coordinator.wait_for_workers(len(tasks), timeout_s=60)
+            return await run(coordinator)
+        finally:
+            await coordinator.close()
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+    return serve
+
+
+@pytest.fixture(scope="session")
+def two_workers():
+    """``two_workers(port)``: two one-slot loopback workers, w0 and w1."""
+    from repro.cluster import ClusterWorker
+
+    def build(port):
+        return [
+            ClusterWorker("127.0.0.1", port, slots=1, name=f"w{i}")
+            for i in range(2)
+        ]
+
+    return build
+
+
+@pytest.fixture()
+def coordinator_calls(monkeypatch):
+    """Replace ``ClusterCoordinator`` with a recorder that settles every
+    campaign with no outcomes; returns the keyword arguments its
+    constructor and ``submit_campaign`` were given (plus ``scenarios``)."""
+    import repro.cluster.coordinator as coordinator
+
+    calls = {}
+
+    class Recorder:
+        def __init__(self, host="127.0.0.1", port=0, **kwargs):
+            calls.update(host=host, port=port, **kwargs)
+            self.host, self.port = host, port
+
+        async def start(self):
+            pass
+
+        async def submit_campaign(self, scenarios, **kwargs):
+            calls.update(scenarios=list(scenarios), **kwargs)
+            return "campaign"
+
+        async def wait_campaign(self, campaign_id):
+            return []
+
+        async def close(self):
+            pass
+
+    monkeypatch.setattr(coordinator, "ClusterCoordinator", Recorder)
+    return calls

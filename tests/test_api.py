@@ -31,10 +31,6 @@ TINY_MATRIX = ScenarioMatrix(
 )
 
 
-def _outcome_bytes(outcomes):
-    return json.dumps([o.to_json() for o in outcomes], sort_keys=True)
-
-
 # -- analyze ---------------------------------------------------------------------
 
 
@@ -117,7 +113,7 @@ def test_open_stream_byte_identical_to_streaming_domino(private_bundle):
 # -- campaign / backends ---------------------------------------------------------
 
 
-def test_campaign_inline_byte_identical_to_legacy_run_campaign():
+def test_campaign_inline_byte_identical_to_legacy_run_campaign(outcome_bytes):
     """The removed ``run_campaign(workers=1)`` was a loop over
     ``run_scenario``; the facade's inline backend must match it."""
     from repro.fleet.executor import run_scenario
@@ -125,17 +121,17 @@ def test_campaign_inline_byte_identical_to_legacy_run_campaign():
     scenarios = TINY_MATRIX.expand()
     legacy = [run_scenario(spec) for spec in scenarios]
     facade = api.campaign(TINY_MATRIX, backend=api.InlineBackend())
-    assert _outcome_bytes(facade) == _outcome_bytes(legacy)
+    assert outcome_bytes(facade) == outcome_bytes(legacy)
     # Default backend is inline.
-    assert _outcome_bytes(api.campaign(scenarios)) == _outcome_bytes(legacy)
+    assert outcome_bytes(api.campaign(scenarios)) == outcome_bytes(legacy)
 
 
-def test_campaign_process_pool_byte_identical():
+def test_campaign_process_pool_byte_identical(outcome_bytes):
     facade_inline = api.campaign(TINY_MATRIX)
     facade_pool = api.campaign(
         TINY_MATRIX, backend=api.ProcessPoolBackend(2)
     )
-    assert _outcome_bytes(facade_pool) == _outcome_bytes(facade_inline)
+    assert outcome_bytes(facade_pool) == outcome_bytes(facade_inline)
 
 
 def test_campaign_accepts_preset_name():
@@ -157,19 +153,8 @@ def test_campaign_rejects_bad_inputs():
         api.campaign("not_a_preset")  # facade wraps get_preset's KeyError
 
 
-def test_cluster_backend_wires_through_coordinator(monkeypatch):
-    calls = {}
-
-    def fake_run_cluster_campaign(scenarios, **kwargs):
-        calls["scenarios"] = list(scenarios)
-        calls.update(kwargs)
-        return []
-
-    import repro.cluster.coordinator as coordinator
-
-    monkeypatch.setattr(
-        coordinator, "run_cluster_campaign", fake_run_cluster_campaign
-    )
+def test_cluster_backend_wires_through_coordinator(coordinator_calls):
+    calls = coordinator_calls
     backend = api.ClusterBackend("127.0.0.1", 7099)
     api.campaign(TINY_MATRIX, backend=backend, fail_fast=True)
     assert calls["host"] == "127.0.0.1"

@@ -221,21 +221,11 @@ def test_fleet_cache_dir_rerun_skips_simulation(tmp_path, capsys, monkeypatch):
 
 
 def test_fleet_cluster_passes_env_token_without_journal(
-    capsys, monkeypatch
+    capsys, monkeypatch, coordinator_calls
 ):
     """$REPRO_CLUSTER_TOKEN guards the coordinator whether or not the
     campaign is journaled."""
-    import repro.cluster.coordinator as coordinator
-
-    calls = {}
-
-    def fake_run_cluster_campaign(scenarios, **kwargs):
-        calls.update(kwargs)
-        return []
-
-    monkeypatch.setattr(
-        coordinator, "run_cluster_campaign", fake_run_cluster_campaign
-    )
+    calls = coordinator_calls
     monkeypatch.setenv("REPRO_CLUSTER_TOKEN", "s3cret")
     code = main(["fleet", "--preset", "smoke", "--dispatch", "cluster"])
     assert code == 0
@@ -437,6 +427,44 @@ def test_fleet_report_on_major_version_file_exits_1(tmp_path, cli_stderr):
     (tmp_path / "fleet.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["fleet-report", path]) == 1
     assert "schema version 99 vs" in cli_stderr()
+
+
+def test_fleet_report_warns_once_per_torn_tail(tmp_path, capsys, caplog):
+    """A torn tail is reported by the tolerant read alone: the jsonlog's
+    torn-line warning and the per-file summary, nothing from the CLI."""
+    import logging
+
+    from repro.fleet.executor import SessionOutcome, save_outcomes
+
+    path = str(tmp_path / "fleet.jsonl")
+    outcome = SessionOutcome(
+        scenario="s0",
+        profile="wired",
+        impairment="none",
+        seed=0,
+        duration_s=8.0,
+        n_windows=1,
+        n_detected_windows=0,
+        degradation_events_per_min=0.0,
+    )
+    save_outcomes([outcome], path)
+    with open(path, "ab") as handle:
+        handle.write(b'{"sce')
+    # main() stops the "repro" logger propagating; listen on it directly.
+    repro_logger = logging.getLogger("repro")
+    repro_logger.addHandler(caplog.handler)
+    try:
+        assert main(["fleet-report", path]) == 0
+    finally:
+        repro_logger.removeHandler(caplog.handler)
+    assert [(r.name, r.levelname) for r in caplog.records] == [
+        ("repro.jsonlog", "WARNING"),
+        ("repro.fleet.executor", "WARNING"),
+    ]
+    torn, summary = (record.getMessage() for record in caplog.records)
+    assert "skipping torn trailing line (5 byte(s)" in torn
+    assert "skipped 1 undecodable line(s), 0 outcome(s)" in summary
+    assert "Top root causes fleet-wide" in capsys.readouterr().out
 
 
 def test_cluster_status_on_closed_port_exits_1(cli_stderr):

@@ -71,10 +71,6 @@ def local_outcomes(scenarios):
     return api.campaign(scenarios)
 
 
-def _outcome_bytes(outcomes):
-    return json.dumps([o.to_json() for o in outcomes], sort_keys=True)
-
-
 # -- frame protocol ------------------------------------------------------------
 
 
@@ -237,37 +233,15 @@ def test_malformed_spec_and_batch_rejected():
 # -- batch plane ---------------------------------------------------------------
 
 
-async def _with_cluster(scenarios, workers, run, **coordinator_kwargs):
-    """Start a loopback coordinator + workers, run `run`, tear down."""
-    coordinator = ClusterCoordinator(**coordinator_kwargs)
-    await coordinator.start()
-    tasks = [asyncio.create_task(w.run()) for w in workers(coordinator.port)]
-    try:
-        await coordinator.wait_for_workers(len(tasks), timeout_s=60)
-        return await run(coordinator)
-    finally:
-        await coordinator.close()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-
 def test_cluster_campaign_byte_identical_to_local(
-    scenarios, local_outcomes
+    scenarios, local_outcomes, outcome_bytes, with_cluster, two_workers
 ):
     """The acceptance bar: loopback workers produce outcomes
     byte-identical to single-host execution, in scenario order."""
-
-    def workers(port):
-        return [
-            ClusterWorker("127.0.0.1", port, slots=1, name=f"w{i}")
-            for i in range(2)
-        ]
-
     outcomes = asyncio.run(
-        _with_cluster(
-            scenarios, workers, lambda c: c.run_campaign(scenarios)
-        )
+        with_cluster(two_workers, lambda c: c.run_campaign(scenarios))
     )
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes)
 
 
 class _DyingWorker(ClusterWorker):
@@ -277,7 +251,9 @@ class _DyingWorker(ClusterWorker):
         self._writer.transport.abort()
 
 
-def test_worker_killed_mid_campaign_requeues(scenarios, local_outcomes):
+def test_worker_killed_mid_campaign_requeues(
+    scenarios, local_outcomes, outcome_bytes, with_cluster
+):
     """Chaos: a worker that dies holding a scenario costs nothing — the
     coordinator requeues its in-flight work (excluding the dead worker)
     and the final aggregate is byte-identical to a single-host run."""
@@ -292,11 +268,9 @@ def test_worker_killed_mid_campaign_requeues(scenarios, local_outcomes):
         outcomes = await coordinator.run_campaign(scenarios)
         return outcomes, coordinator.requeues
 
-    outcomes, requeues = asyncio.run(
-        _with_cluster(scenarios, workers, run)
-    )
+    outcomes, requeues = asyncio.run(with_cluster(workers, run))
     assert requeues >= 1
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes)
 
 
 class _CorruptWorker(ClusterWorker):
@@ -314,7 +288,9 @@ class _CorruptWorker(ClusterWorker):
         )
 
 
-def test_malformed_outcome_requeues_not_loses(scenarios, local_outcomes):
+def test_malformed_outcome_requeues_not_loses(
+    scenarios, local_outcomes, outcome_bytes, with_cluster
+):
     """A worker answering garbage is dropped and its scenario requeued
     (parsed-before-settled), so the campaign still completes exactly."""
 
@@ -328,9 +304,9 @@ def test_malformed_outcome_requeues_not_loses(scenarios, local_outcomes):
         outcomes = await coordinator.run_campaign(scenarios)
         return outcomes, coordinator.requeues
 
-    outcomes, requeues = asyncio.run(_with_cluster(scenarios, workers, run))
+    outcomes, requeues = asyncio.run(with_cluster(workers, run))
     assert requeues >= 1
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes)
 
 
 def test_malformed_detection_frame_does_not_kill_live_fold():
@@ -391,7 +367,7 @@ def test_malformed_detection_frame_does_not_kill_live_fold():
     asyncio.run(main())
 
 
-def test_scenario_error_reported_not_fatal():
+def test_scenario_error_reported_not_fatal(with_cluster):
     """A scenario that raises on the worker comes back as a campaign
     error (scenario name included), not a dead worker."""
     bad = ScenarioSpec(
@@ -409,12 +385,12 @@ def test_scenario_error_reported_not_fatal():
 
     with pytest.raises(ClusterError, match="bad"):
         asyncio.run(
-            _with_cluster([bad], workers, lambda c: c.run_campaign([bad]))
+            with_cluster(workers, lambda c: c.run_campaign([bad]))
         )
 
 
 def test_sequential_campaigns_on_one_coordinator(
-    scenarios, local_outcomes
+    scenarios, local_outcomes, outcome_bytes, with_cluster
 ):
     """A standing coordinator serves campaigns back to back; each gets
     its own epoch, so nothing leaks across."""
@@ -427,8 +403,8 @@ def test_sequential_campaigns_on_one_coordinator(
         second = await coordinator.run_campaign(scenarios[2:])
         return first, second
 
-    first, second = asyncio.run(_with_cluster(scenarios, workers, run))
-    assert _outcome_bytes(first + second) == _outcome_bytes(local_outcomes)
+    first, second = asyncio.run(with_cluster(workers, run))
+    assert outcome_bytes(first + second) == outcome_bytes(local_outcomes)
 
 
 def _campaign_with_threaded_worker(scenarios, **backend_kwargs):
@@ -471,16 +447,18 @@ def _campaign_with_threaded_worker(scenarios, **backend_kwargs):
     return outcomes
 
 
-def test_run_campaign_cluster_dispatch_api(scenarios, local_outcomes):
+def test_run_campaign_cluster_dispatch_api(
+    scenarios, local_outcomes, outcome_bytes
+):
     """`api.campaign(backend=ClusterBackend(...))` is API-compatible:
     same call site, workers join the announced address, identical
     outcomes."""
     outcomes = _campaign_with_threaded_worker(scenarios)
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes)
 
 
 def test_one_worker_cluster_backend_returns_once_settled(
-    monkeypatch, scenarios, local_outcomes
+    monkeypatch, scenarios, local_outcomes, outcome_bytes
 ):
     """A one-worker ``ClusterBackend`` campaign hands its outcomes back
     as soon as the campaign settles: the one-shot coordinator starts
@@ -502,12 +480,12 @@ def test_one_worker_cluster_backend_returns_once_settled(
     monkeypatch.setattr(ClusterCoordinator, "_finalize", timed_finalize)
     monkeypatch.setattr(ClusterCoordinator, "close", timed_close)
     outcomes = _campaign_with_threaded_worker(scenarios[:1])
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes[:1])
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes[:1])
     assert 0.0 <= stamps["closing"] - stamps["settled"] < 1.0
 
 
 def test_journaled_cluster_backend_rerun_replays_without_workers(
-    tmp_path, scenarios, local_outcomes
+    tmp_path, scenarios, local_outcomes, outcome_bytes
 ):
     """A ``ClusterBackend(journal_path=...)`` campaign settles into its
     journal; after a crash that lost only the close record, rerunning
@@ -517,7 +495,7 @@ def test_journaled_cluster_backend_rerun_replays_without_workers(
     first = _campaign_with_threaded_worker(
         scenarios[:2], journal_path=journal_path
     )
-    assert _outcome_bytes(first) == _outcome_bytes(local_outcomes[:2])
+    assert outcome_bytes(first) == outcome_bytes(local_outcomes[:2])
     assert len(_settled_pairs(journal_path)) == 2
     # The journal is a prefix of the truth after any crash: drop the
     # trailing close record, as a coordinator killed after the last
@@ -544,7 +522,7 @@ def test_journaled_cluster_backend_rerun_replays_without_workers(
     rerun.start()
     rerun.join(timeout=5.0)
     assert not rerun.is_alive()
-    assert _outcome_bytes(again) == _outcome_bytes(first)
+    assert outcome_bytes(again) == outcome_bytes(first)
     assert len(_settled_pairs(journal_path)) == 2
 
 
@@ -718,7 +696,7 @@ def _settled_pairs(journal_path):
 
 
 def test_journal_resume_byte_identity(
-    tmp_path, scenarios, local_outcomes
+    tmp_path, scenarios, local_outcomes, outcome_bytes
 ):
     """The tentpole: kill the coordinator mid-campaign, restart it on
     the same journal, and the resumed campaign (a) never re-executes a
@@ -766,7 +744,7 @@ def test_journal_resume_byte_identity(
             await asyncio.gather(task, return_exceptions=True)
 
     outcomes, ran = asyncio.run(resume_phase())
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes)
     # No settled scenario was executed a second time ...
     assert not settled_before.intersection(ran)
     # ... and the journal settles every (campaign, index) exactly once.
@@ -821,7 +799,9 @@ def test_wrong_auth_token_refused(scenarios):
     asyncio.run(main())
 
 
-def test_concurrent_campaigns_fair_dispatch(scenarios, local_outcomes):
+def test_concurrent_campaigns_fair_dispatch(
+    scenarios, local_outcomes, outcome_bytes, with_cluster
+):
     """Two campaigns queued concurrently both complete under the
     round-robin dispatcher, each byte-identical to its local slice."""
 
@@ -834,12 +814,12 @@ def test_concurrent_campaigns_fair_dispatch(scenarios, local_outcomes):
             coordinator.run_campaign(scenarios[2:]),
         )
 
-    first, second = asyncio.run(_with_cluster(scenarios, workers, run))
-    assert _outcome_bytes(first + second) == _outcome_bytes(local_outcomes)
+    first, second = asyncio.run(with_cluster(workers, run))
+    assert outcome_bytes(first + second) == outcome_bytes(local_outcomes)
 
 
 def test_control_plane_submit_status_fetch_cancel(
-    scenarios, local_outcomes
+    scenarios, local_outcomes, outcome_bytes
 ):
     """The queue CLI's engine: a control peer submits a campaign,
     watches it in status, fetches its outcomes, and cancels queued
@@ -867,7 +847,7 @@ def test_control_plane_submit_status_fetch_cancel(
                 assert entries[cid]["done"] == 2
                 result = await control.fetch(cid)
                 assert result["state"] == "completed"
-                assert _outcome_bytes(result["outcomes"]) == _outcome_bytes(
+                assert outcome_bytes(result["outcomes"]) == outcome_bytes(
                     local_outcomes[:2]
                 )
                 # Cancelling a finished campaign is a clean no.
@@ -910,7 +890,9 @@ def test_cancel_active_campaign():
     asyncio.run(main())
 
 
-def test_worker_graceful_stop_mid_campaign(scenarios, local_outcomes):
+def test_worker_graceful_stop_mid_campaign(
+    scenarios, local_outcomes, outcome_bytes
+):
     """request_stop() (the SIGTERM path) finishes in-flight scenarios,
     sends BYE, and exits cleanly; a replacement worker completes the
     campaign byte-identically."""
@@ -946,7 +928,7 @@ def test_worker_graceful_stop_mid_campaign(scenarios, local_outcomes):
             await coordinator.close()
 
     outcomes = asyncio.run(main())
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes)
 
 
 @pytest.fixture(scope="module")
@@ -970,7 +952,9 @@ def tls_cert(tmp_path_factory):
     return cert, key
 
 
-def test_tls_cluster_campaign(tls_cert, scenarios, local_outcomes):
+def test_tls_cluster_campaign(
+    tls_cert, scenarios, local_outcomes, outcome_bytes
+):
     """A TLS listener serves a token-authenticated worker end to end;
     a plaintext peer cannot complete a handshake against it."""
     cert, key = tls_cert
@@ -998,11 +982,11 @@ def test_tls_cluster_campaign(tls_cert, scenarios, local_outcomes):
             await coordinator.close()
 
     outcomes = asyncio.run(main())
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes[:2])
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes[:2])
 
 
 def test_worker_reconnects_to_restarted_coordinator(
-    tmp_path, scenarios, local_outcomes
+    tmp_path, scenarios, local_outcomes, outcome_bytes
 ):
     """The full outage story: coordinator dies mid-campaign, a
     reconnect-enabled worker redials the restarted coordinator, and the
@@ -1049,7 +1033,7 @@ def test_worker_reconnects_to_restarted_coordinator(
         return outcomes
 
     outcomes = asyncio.run(main())
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes)
     pairs = _settled_pairs(journal_path)
     assert len(pairs) == len(set(pairs)) == len(scenarios)
 

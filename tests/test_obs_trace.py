@@ -1,12 +1,11 @@
 """Distributed tracing (repro.obs.trace): wire, chaos, store, render."""
 
 import asyncio
-import json
 
 import pytest
 
 from repro import api
-from repro.cluster import ClusterCoordinator, ClusterWorker
+from repro.cluster import ClusterWorker
 from repro.fleet.scenarios import ScenarioMatrix
 from repro.obs.trace import (
     ABANDONED,
@@ -36,32 +35,6 @@ def scenarios():
 @pytest.fixture(scope="module")
 def local_outcomes(scenarios):
     return api.campaign(scenarios)
-
-
-def _outcome_bytes(outcomes):
-    return json.dumps([o.to_json() for o in outcomes], sort_keys=True)
-
-
-async def _with_cluster(workers, run, **coordinator_kwargs):
-    """Start a loopback coordinator + workers, run `run`, tear down."""
-    coordinator = ClusterCoordinator(**coordinator_kwargs)
-    await coordinator.start()
-    tasks = [
-        asyncio.create_task(w.run()) for w in workers(coordinator.port)
-    ]
-    try:
-        await coordinator.wait_for_workers(len(tasks), timeout_s=60)
-        return await run(coordinator)
-    finally:
-        await coordinator.close()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-
-def _two_workers(port):
-    return [
-        ClusterWorker("127.0.0.1", port, slots=1, name=f"w{i}")
-        for i in range(2)
-    ]
 
 
 # -- context and span primitives ----------------------------------------------
@@ -124,7 +97,7 @@ def test_orphans_and_abandoned_render():
 
 
 def test_cluster_campaign_one_stitched_trace_per_scenario(
-    scenarios, tmp_path
+    scenarios, tmp_path, with_cluster, two_workers
 ):
     """The tentpole bar: a loopback campaign yields one connected trace
     per scenario — coordinator queue/dispatch/settle spans, worker-side
@@ -138,14 +111,20 @@ def test_cluster_campaign_one_stitched_trace_per_scenario(
         return cid, outcomes, coordinator.trace_spans_for(cid)
 
     cid, outcomes, spans = asyncio.run(
-        _with_cluster(_two_workers, run, store_dir=store_dir)
+        with_cluster(two_workers, run, store_dir=store_dir)
     )
     assert len(outcomes) == len(scenarios)
     traces = assemble_traces(spans)
     assert len(traces) == len(scenarios)
-    assert {s.scenario for s in spans} == {s.name for s in scenarios}
+    # One trace per scenario, each labelled with its scenario alone.
+    labels = sorted(
+        tuple({s.scenario for s in members}) for members in traces.values()
+    )
+    assert labels == sorted((s.name,) for s in scenarios)
     for members in traces.values():
         assert orphan_spans(members) == []
+        # Both process hops left spans in the trace.
+        assert {"coordinator", "worker"} <= {s.service for s in members}
         names = {s.name for s in members}
         assert {
             "cluster.queue",
@@ -169,10 +148,12 @@ def test_cluster_campaign_one_stitched_trace_per_scenario(
         s.span_id for s in spans
     )
     assert query.trace_spans(campaign_id="no-such-*") == []
+    rendered = api.store_trace(store_dir, cid, render=True)
+    assert all(f"trace {trace_id[:16]}" in rendered for trace_id in traces)
 
 
 def test_worker_death_abandons_span_and_requeues_under_same_trace(
-    scenarios, local_outcomes
+    scenarios, local_outcomes, with_cluster, outcome_bytes
 ):
     """Chaos + tracing: a worker that dies holding a scenario leaves an
     ABANDONED dispatch span behind, the requeued attempt gets a fresh
@@ -198,9 +179,9 @@ def test_worker_death_abandons_span_and_requeues_under_same_trace(
             coordinator.trace_spans_for(cid),
         )
 
-    outcomes, requeues, spans = asyncio.run(_with_cluster(workers, run))
+    outcomes, requeues, spans = asyncio.run(with_cluster(workers, run))
     assert requeues >= 1
-    assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)
+    assert outcome_bytes(outcomes) == outcome_bytes(local_outcomes)
 
     abandoned = [s for s in spans if s.status == ABANDONED]
     assert abandoned, "dead worker left no abandoned span"

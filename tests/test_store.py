@@ -289,6 +289,23 @@ class TestReindexAndRetention:
         # Queries answer identically from the rebuilt index.
         assert StoreQuery(store).outcome_count() == 2
 
+    def test_failing_item_leaves_no_line_and_no_rows(self, store):
+        """An outcome the index rejects (a string qoe value) leaves
+        neither a segment line nor rows: the item before it commits,
+        its error propagates, and the segments still reindex."""
+        bad = _outcome("bad", qoe={"ul_delay_p50_ms": "slow"})
+        with pytest.raises(ValueError):
+            store.ingest_outcomes([_outcome("good"), bad], ts=500.0)
+        store.ingest_outcomes([_outcome("later")], ts=500.0)
+        path = os.path.join(store.root, "segments", "p0", "outcomes.jsonl")
+        with open(path) as handle:
+            lines = [json.loads(line)["data"]["scenario"] for line in handle]
+        assert lines == ["good", "later"]
+        before = store.rows_total()
+        assert before["outcomes"] == before["qoe_samples"] == 2
+        assert store.reindex()["outcomes"] == 2
+        assert store.rows_total() == before
+
     def test_reindex_rejects_foreign_envelope_version(self, store):
         """A foreign envelope fails the reindex, and the reindex is one
         transaction: the persisted index stays as it was."""

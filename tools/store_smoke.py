@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """CI gate for the historical store + alert plane (exit 1 on failure).
 
-Four end-to-end assertions nothing unit-sized can cover:
+Three end-to-end assertions nothing unit-sized can cover:
 
-1. **The store is truthful.** A real fleet campaign run through the
-   CLI with ``--store`` must index exactly the outcomes the campaign's
-   Prometheus snapshot counted in
-   ``repro_scenarios_completed_total``.
-2. **The tee is inert.** The outcomes JSONL written with ``--store``
-   must be byte-identical to the same (cached) campaign without it.
-3. **Alerting is deterministic.** A seeded uplink-fade degradation
+1. **The store and the exposition are truthful.** A real fleet
+   campaign run through the CLI with ``--store`` and
+   ``--metrics-file`` must leave a Prometheus snapshot whose
+   ``repro_scenarios_completed_total`` equals the outcomes file's
+   count and the store's, and whose ``repro_windows_analyzed_total``
+   equals the outcomes' summed ``n_windows``.  That the tee leaves
+   the outcomes file byte-identical is tier-1's
+   ``test_fleet_store_tee_matches_outcome_file`` (tests/test_store.py).
+2. **Alerting is deterministic.** A seeded uplink-fade degradation
    campaign must fire exactly the pushback-chain rule — calibrated to
    the midpoint between the smoke window's measured rate and the
    degraded window's — while the smoke window itself and a decoy rule
    stay silent; the recorded transition must render an incident
    report.
-4. **Queries are fast.** Top-k movers over a 100-scenario store must
+3. **Queries are fast.** Top-k movers over a 100-scenario store must
    answer in under 100 ms.
 
 Run from the repository root: ``PYTHONPATH=src python
@@ -28,7 +30,7 @@ import time
 
 from repro import api, obs
 from repro.cli import main as cli_main
-from repro.fleet.executor import SessionOutcome
+from repro.fleet.executor import SessionOutcome, load_outcomes
 from repro.fleet.scenarios import ImpairmentSpec, ScenarioMatrix
 from repro.store import StoreQuery, render_incident_report
 
@@ -61,13 +63,10 @@ MOVERS_BUDGET_S = 0.100
 MOVERS_SCENARIOS = 100
 
 
-def run_campaigns(tmp: str) -> list:
-    """Campaign + tee + metrics: checks 1 and 2."""
-    failures = []
+def run_campaign(tmp: str) -> list:
+    """One campaign with the store tee and the metrics file: check 1."""
     metrics_path = f"{tmp}/metrics.prom"
-    teed_path = f"{tmp}/teed.jsonl"
-    plain_path = f"{tmp}/plain.jsonl"
-    cache_dir = f"{tmp}/cache"
+    outcomes_path = f"{tmp}/outcomes.jsonl"
     obs.get_registry().reset()
     status = cli_main(
         [
@@ -78,10 +77,9 @@ def run_campaigns(tmp: str) -> list:
             "smoke",
             "--workers",
             "2",
-            "--cache-dir",
-            cache_dir,
+            "--no-cache",
             "--out",
-            teed_path,
+            outcomes_path,
             "--store",
             f"{tmp}/store",
             "--store-at",
@@ -90,46 +88,30 @@ def run_campaigns(tmp: str) -> list:
     )
     if status != 0:
         return [f"fleet --store campaign exited {status}"]
-    # Same campaign, cache-hit, no tee: the outcome file must not care.
-    status = cli_main(
-        [
-            "fleet",
-            "--preset",
-            "smoke",
-            "--workers",
-            "2",
-            "--cache-dir",
-            cache_dir,
-            "--out",
-            plain_path,
-        ]
-    )
-    if status != 0:
-        return [f"fleet control campaign exited {status}"]
-    with open(teed_path, "rb") as fh:
-        teed = fh.read()
-    with open(plain_path, "rb") as fh:
-        plain = fh.read()
-    if teed != plain:
-        failures.append(
-            "outcome files differ with --store on vs off (the tee "
-            "must not touch detections)"
-        )
+    outcomes = load_outcomes(outcomes_path)
     with open(metrics_path) as fh:
         parsed = obs.parse_prom(fh.read())
-    want = parsed.get("repro_scenarios_completed_total")
     with api.store_open(f"{tmp}/store", create=False) as store:
-        got = StoreQuery(store).outcome_count(WINDOW_S, 2 * WINDOW_S)
-    if want != float(got):
+        stored = StoreQuery(store).outcome_count(WINDOW_S, 2 * WINDOW_S)
+    failures = []
+    scenarios = parsed.get("repro_scenarios_completed_total")
+    if not scenarios == len(outcomes) == stored:
         failures.append(
-            f"store indexed {got} outcomes but the campaign's own "
-            f"metrics counted repro_scenarios_completed_total={want}"
+            f"repro_scenarios_completed_total={scenarios}, but the "
+            f"outcomes file holds {len(outcomes)} and the store indexed "
+            f"{stored}"
+        )
+    windows = parsed.get("repro_windows_analyzed_total")
+    if windows != sum(o.n_windows for o in outcomes):
+        failures.append(
+            f"repro_windows_analyzed_total={windows}, but the outcomes "
+            f"sum to {sum(o.n_windows for o in outcomes)} windows"
         )
     return failures
 
 
 def check_alerts(tmp: str) -> list:
-    """Seeded degradation fires exactly one calibrated rule: check 3."""
+    """Seeded degradation fires exactly one calibrated rule: check 2."""
     failures = []
     degraded = api.campaign(DEGRADED, cache_dir=f"{tmp}/cache")
     store = api.store_open(f"{tmp}/store", create=False)
@@ -207,7 +189,7 @@ def check_alerts(tmp: str) -> list:
 
 
 def check_movers_latency(tmp: str) -> list:
-    """Top-k movers over a 100-scenario store in <100 ms: check 4."""
+    """Top-k movers over a 100-scenario store in <100 ms: check 3."""
     chains = [
         f"cause_{i} --> mid_{i} --> local_pushback_rate_down"
         for i in range(20)
@@ -264,7 +246,7 @@ def check_movers_latency(tmp: str) -> list:
 def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        failures += run_campaigns(tmp)
+        failures += run_campaign(tmp)
         if not failures:
             failures += check_alerts(tmp)
         failures += check_movers_latency(tmp)
@@ -273,8 +255,8 @@ def main() -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(
-        "store smoke: campaign tee, metric parity, calibrated alert, "
-        "and movers latency all OK"
+        "store smoke: metric parity, calibrated alert, and movers "
+        "latency all OK"
     )
     return 0
 
