@@ -5,10 +5,14 @@ Reads ``benchmarks/results/BENCH_scaling.json`` (written by
 any gated number has regressed; it is the one home of every timing
 budget the repository keeps.  Wall-clock numbers vary >2x with machine
 speed and load, so every gate is a ratio of two arms timed in the same
-run, a cost scaled to a reference core, or a count.  The first two
-gates use the *engine speedup* — the per-window cost of the batch
-engine relative to the per-window reference engine measured in the
-same run — which divides machine and load effects out:
+run, a cost scaled to a reference core, or a count.  Every block but
+``engines_60s`` and ``profile_60s`` is timed in a fresh ``spawn``
+child process of its own, whose heap holds only what the block loads:
+the benchmark saves the 60 s trace as JSONL once, and each child reads
+it back or simulates its own calls.  The first two gates use the
+*engine speedup* — the per-window cost of the batch engine relative to
+the per-window reference engine measured in the same run — which
+divides machine and load effects out:
 
 1. **Floor gate:** the batch engine must stay at least 2x faster per
    window than the reference engine (measured ~11-16x at merge time).
@@ -20,22 +24,20 @@ same run — which divides machine and load effects out:
    the numbers.
 3. **Read-path gate:** ``load_bundle`` on the 60 s trace saved as JSONL
    may cost at most 0.8x a bare per-line ``json.loads`` pass over the
-   same file, both timed in one fresh ``spawn`` child process that
-   holds only the trace (``io_60s``; 0.63-0.68x with chunks decoded by
-   ``orjson``, ~0.9-1.0x by ``json``, ~1.6-1.8x with per-record
-   objects; 0.95-1.13x when it was timed in the benchmark process
-   beside the session fixtures' eight 60 s calls).
+   same file, both timed interleaved in one child (``io_60s``;
+   0.63-0.68x with chunks decoded by ``orjson``, ~0.9-1.0x by
+   ``json``, ~1.6-1.8x with per-record objects).
 4. **Collector gate:** feeding the 60 s trace's DCI rows through
    ``record_dci`` plus ``bundle()`` may cost at most 55x a bare
-   ``list.append`` of the same row tuples, both timed in the same
-   process (``collect_60s``; 32-41x with the columnar collector, 63-82x
+   ``list.append`` of the same row tuples, both timed interleaved in one
+   child (``collect_60s``; 32-41x with the columnar collector, 63-82x
    when each row became a ``DciRecord`` first).
 5. **Simulator gates** (``sim_60s``): simulation cost per simulated ms,
    scaled to the reference core by a calibration loop timed around each
-   call in the same process, may be at most 90 us for the 60 s T-Mobile
-   FDD call and 70 us for the 12 s Amarisoft (TDD) call (measured 54-63
-   and 39-46 with the next-event client clock, 68 and 53-55 with every
-   client stepped on every tick).  The share of client ticks stepped on
+   call, may be at most 90 us for the 60 s T-Mobile FDD call and 70 us
+   for the 12 s Amarisoft (TDD) call (measured 54-63 and 39-46 with the
+   next-event client clock, 68 and 53-55 with every client stepped on
+   every tick).  The share of client ticks stepped on
    the FDD call, deterministic, may be at most 0.30 (0.269 measured;
    1.0 when every client steps on every tick).
 6. **Live-plane gate** (``stream_60s``): one ``StreamingDomino`` fed
@@ -73,8 +75,11 @@ same run — which divides machine and load effects out:
    them.  One 60 s analyze at 5 ms takes only 3-5 samples, where the
    top 10 of at most 10 stacks always own 100%; with 48-207 samples
    the share read 0.71-0.89 (CHANGES.md lists the runs).
+9. **Store query budget** (``store_movers``): top-k chain movers over a
+   100-scenario store, scaled to the reference core by the same
+   calibration loop as ``sim_60s``, may take at most 100 ms.
 
-Gates 1 and 3-8 are the rows of ``FLOOR_GATES`` and ``CEILING_GATES``
+Gates 1 and 3-9 are the rows of ``FLOOR_GATES`` and ``CEILING_GATES``
 (block, key, bound and the lines printed), walked by one loop; gate 2
 stands alone.  ``benchmarks/test_check_perf.py`` pushes each row past
 its bound.
@@ -124,6 +129,10 @@ MAX_SINKLESS_VS_DISABLED = 1.02
 MAX_PROFILED_VS_SINKLESS = 1.05
 OVERHEAD_SLACK_MS = 5.0
 
+#: Ceiling on one top-k movers query over a 100-scenario store, in ms
+#: at reference-core speed.
+MAX_STORE_MOVERS_REF_MS = 100.0
+
 #: Floor on the share of the benchmark's profile samples (at least 50,
 #: so the share can fall below 1) that the top-10 self frames own.
 MIN_TOP10_SELF_FRACTION = 0.60
@@ -137,6 +146,7 @@ GATED_BLOCKS = {
     "stream_60s": "live-plane gate",
     "overhead_60s": "overhead budgets",
     "profile_60s": "profiler concentration floor",
+    "store_movers": "store query budget",
 }
 
 #: The ceiling gates, in print order: (block, key, ceiling, line,
@@ -221,6 +231,15 @@ CEILING_GATES = (
         "{block[sinkless_ms]:.1f} ms unprofiled (gate: <= {bound:.1f} ms)",
         "the profiler costs {value:.1f} ms per 60s analyze vs "
         "{block[sinkless_ms]:.1f} ms unprofiled (budget {bound:.1f} ms)",
+    ),
+    (
+        "store_movers",
+        "ref_ms",
+        MAX_STORE_MOVERS_REF_MS,
+        "store: top-k movers over {block[scenarios]} scenarios in "
+        "{value:.1f} ms at reference speed (gate: <= {bound:.0f} ms)",
+        "top-k movers over {block[scenarios]} scenarios took {value:.1f} "
+        "ms at reference speed (budget {bound:.0f} ms)",
     ),
 )
 

@@ -16,19 +16,15 @@ from repro.datasets.cells import TMOBILE_FDD
 from repro.datasets.runner import make_cellular_session
 
 
-def test_ablation_pushback_controller(benchmark):
-    def build():
-        out = {}
-        for label, enabled in (("enabled", True), ("disabled", False)):
-            session = make_cellular_session(
-                TMOBILE_FDD, seed=6, pushback_enabled=enabled
-            )
-            result = session.run(40_000_000)
-            report = DominoDetector().analyze(result.bundle)
-            out[label] = (report, DominoStats.from_report(report))
-        return out
-
-    out = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_ablation_pushback_controller():
+    out = {}
+    for label, enabled in (("enabled", True), ("disabled", False)):
+        session = make_cellular_session(
+            TMOBILE_FDD, seed=6, pushback_enabled=enabled
+        )
+        result = session.run(40_000_000)
+        report = DominoDetector().analyze(result.bundle)
+        out[label] = (report, DominoStats.from_report(report))
     rows = []
     divergence = {}
     for label, (report, stat) in out.items():

@@ -22,39 +22,35 @@ def _event_rate(bundle, config: EventConfig, feature: str) -> float:
     return hits / max(report.n_windows, 1)
 
 
-def test_ablation_event_thresholds(benchmark, fdd_results):
+def test_ablation_event_thresholds(fdd_results):
     bundle = fdd_results[0].bundle
     base = EventConfig()
 
-    def build():
-        rows = []
-        for fraction in (0.1, 0.2, 0.4):
-            config = replace(base, cross_traffic_fraction=fraction)
-            rows.append(
-                [
-                    f"cross_traffic_fraction={fraction}",
-                    _event_rate(bundle, config, "dl_cross_traffic"),
-                ]
-            )
-        for count in (5, 20, 80):
-            config = replace(base, harq_retx_count=count)
-            rows.append(
-                [
-                    f"harq_retx_count={count}",
-                    _event_rate(bundle, config, "ul_harq_retx"),
-                ]
-            )
-        for delay_ms in (40.0, 80.0, 160.0):
-            config = replace(base, delay_up_min_ms=delay_ms)
-            rows.append(
-                [
-                    f"delay_up_min_ms={delay_ms:.0f}",
-                    _event_rate(bundle, config, "ul_delay_up"),
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows = []
+    for fraction in (0.1, 0.2, 0.4):
+        config = replace(base, cross_traffic_fraction=fraction)
+        rows.append(
+            [
+                f"cross_traffic_fraction={fraction}",
+                _event_rate(bundle, config, "dl_cross_traffic"),
+            ]
+        )
+    for count in (5, 20, 80):
+        config = replace(base, harq_retx_count=count)
+        rows.append(
+            [
+                f"harq_retx_count={count}",
+                _event_rate(bundle, config, "ul_harq_retx"),
+            ]
+        )
+    for delay_ms in (40.0, 80.0, 160.0):
+        config = replace(base, delay_up_min_ms=delay_ms)
+        rows.append(
+            [
+                f"delay_up_min_ms={delay_ms:.0f}",
+                _event_rate(bundle, config, "ul_delay_up"),
+            ]
+        )
     text = render_table(["threshold", "window hit rate"], rows)
     save_result("ablation_thresholds", text)
 

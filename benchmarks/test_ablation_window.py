@@ -15,35 +15,31 @@ WINDOWS_S = (2.0, 5.0, 10.0)
 STEPS_S = (0.25, 0.5, 1.0)
 
 
-def test_ablation_window_and_step(benchmark, fdd_results):
+def test_ablation_window_and_step(fdd_results):
     bundle = fdd_results[0].bundle
 
-    def build():
-        rows = []
-        for window_s in WINDOWS_S:
-            for step_s in STEPS_S:
-                detector = DominoDetector(
-                    DetectorConfig(
-                        window_us=int(window_s * 1e6),
-                        step_us=int(step_s * 1e6),
-                    )
+    rows = []
+    for window_s in WINDOWS_S:
+        for step_s in STEPS_S:
+            detector = DominoDetector(
+                DetectorConfig(
+                    window_us=int(window_s * 1e6),
+                    step_us=int(step_s * 1e6),
                 )
-                report = detector.analyze(bundle)
-                detections = sum(len(w.chain_ids) for w in report.windows)
-                explained = sum(
-                    1 for w in report.windows if w.chain_ids
-                )
-                rows.append(
-                    [
-                        f"W={window_s:.2g}s dt={step_s:.2g}s",
-                        float(report.n_windows),
-                        float(detections),
-                        float(explained),
-                    ]
-                )
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+            )
+            report = detector.analyze(bundle)
+            detections = sum(len(w.chain_ids) for w in report.windows)
+            explained = sum(
+                1 for w in report.windows if w.chain_ids
+            )
+            rows.append(
+                [
+                    f"W={window_s:.2g}s dt={step_s:.2g}s",
+                    float(report.n_windows),
+                    float(detections),
+                    float(explained),
+                ]
+            )
     text = render_table(
         ["configuration", "windows", "chain hits", "hit windows"], rows
     )

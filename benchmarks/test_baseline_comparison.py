@@ -17,20 +17,14 @@ from repro.core.detector import DominoDetector
 from repro.core.stats import DominoStats
 
 
-def test_baseline_comparison(benchmark, fdd_results):
+def test_baseline_comparison(fdd_results):
     bundle = fdd_results[0].bundle
 
-    def build():
-        domino_report = DominoDetector().analyze(bundle)
-        domino_stats = DominoStats.from_report(domino_report)
-        app_only = AppOnlyDetector().analyze(bundle)
-        correlation = CorrelationRca().analyze(bundle)
-        alerts = SingleLayerAlerts().analyze(bundle)
-        return domino_report, domino_stats, app_only, correlation, alerts
-
-    domino_report, domino_stats, app_only, correlation, alerts = (
-        benchmark.pedantic(build, rounds=1, iterations=1)
-    )
+    domino_report = DominoDetector().analyze(bundle)
+    domino_stats = DominoStats.from_report(domino_report)
+    app_only = AppOnlyDetector().analyze(bundle)
+    correlation = CorrelationRca().analyze(bundle)
+    alerts = SingleLayerAlerts().analyze(bundle)
 
     domino_consequence_windows = sum(
         1 for w in domino_report.windows if w.consequences

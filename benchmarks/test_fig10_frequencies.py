@@ -21,19 +21,15 @@ from repro.core.report import render_frequency_table
 from repro.core.stats import DominoStats
 
 
-def test_fig10_frequencies(benchmark, commercial_results, private_results):
+def test_fig10_frequencies(commercial_results, private_results):
     detector = DominoDetector()
 
-    def build():
-        commercial = DominoStats.from_reports(
-            detector.analyze(r.bundle) for r in commercial_results
-        )
-        private = DominoStats.from_reports(
-            detector.analyze(r.bundle) for r in private_results
-        )
-        return commercial, private
-
-    commercial, private = benchmark.pedantic(build, rounds=1, iterations=1)
+    commercial = DominoStats.from_reports(
+        detector.analyze(r.bundle) for r in commercial_results
+    )
+    private = DominoStats.from_reports(
+        detector.analyze(r.bundle) for r in private_results
+    )
     text = render_frequency_table(
         {"Commercial 5G": commercial, "Private 5G": private}
     )

@@ -17,18 +17,15 @@ FADE_START_S = 4.0
 FADE_END_S = 7.0
 
 
-def test_fig12_channel_degradation(benchmark):
-    def build():
-        session = channel_degradation_session(
-            fade_start_s=FADE_START_S,
-            fade_duration_s=FADE_END_S - FADE_START_S,
-            fade_depth_db=12.0,  # partial fade, like the paper's trace
-            seed=6,
-        )
-        result = session.run(12_000_000)
-        return Timeline.from_bundle(result.bundle)
-
-    timeline = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig12_channel_degradation():
+    session = channel_degradation_session(
+        fade_start_s=FADE_START_S,
+        fade_duration_s=FADE_END_S - FADE_START_S,
+        fade_depth_db=12.0,  # partial fade, like the paper's trace
+        seed=6,
+    )
+    result = session.run(12_000_000)
+    timeline = Timeline.from_bundle(result.bundle)
     t = timeline.t_us / 1e6
     series = {
         "PRB": timeline["ul_exp_prbs"],

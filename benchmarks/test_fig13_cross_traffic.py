@@ -17,18 +17,15 @@ BURST_START_S = 4.0
 BURST_END_S = 7.0
 
 
-def test_fig13_cross_traffic(benchmark):
-    def build():
-        session = cross_traffic_session(
-            burst_start_s=BURST_START_S,
-            burst_duration_s=BURST_END_S - BURST_START_S,
-            burst_prbs=260,
-            seed=3,
-        )
-        result = session.run(12_000_000)
-        return Timeline.from_bundle(result.bundle)
-
-    timeline = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig13_cross_traffic():
+    session = cross_traffic_session(
+        burst_start_s=BURST_START_S,
+        burst_duration_s=BURST_END_S - BURST_START_S,
+        burst_prbs=260,
+        seed=3,
+    )
+    result = session.run(12_000_000)
+    timeline = Timeline.from_bundle(result.bundle)
     t = timeline.t_us / 1e6
     series = {
         "exp_PRB": timeline["dl_exp_prbs"],

@@ -54,17 +54,13 @@ def _frame_stats(session, result):
     )
 
 
-def test_fig14_delay_spread(benchmark):
-    def build():
-        rows = []
-        for profile in (TMOBILE_TDD, TMOBILE_FDD, AMARISOFT):
-            session = delay_spread_session(profile, seed=4)
-            result = session.run(10_000_000)
-            spread, packets, tbs = _frame_stats(session, result)
-            rows.append([profile.name, packets, tbs, spread])
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig14_delay_spread():
+    rows = []
+    for profile in (TMOBILE_TDD, TMOBILE_FDD, AMARISOFT):
+        session = delay_spread_session(profile, seed=4)
+        result = session.run(10_000_000)
+        spread, packets, tbs = _frame_stats(session, result)
+        rows.append([profile.name, packets, tbs, spread])
     text = render_table(
         ["cell", "pkts/frame", "TBs/frame", "spread ms (median)"], rows
     )

@@ -47,43 +47,39 @@ def _audio_delay_ms(result):
     return float(np.median(delays))
 
 
-def test_fig16_proactive_grants(benchmark):
-    def build():
-        rows = []
-        stats = {}
-        for label, proactive in (("proactive", True), ("bsr-only", False)):
-            profile = _quiet(MOSOLABS)
-            if not proactive:
-                profile = replace(
-                    profile, cell=replace(profile.cell, proactive_grant_bytes=0)
-                )
-            session = make_cellular_session(profile, seed=5)
-            result = session.run(15_000_000)
-            first, last = _first_last_packet_delay(result)
-            audio = _audio_delay_ms(result)
-            dci = result.bundle.dci
-            proactive_tbs = [r for r in dci if r.proactive]
-            requested_tbs = [
-                r for r in dci if r.is_uplink and not r.proactive and not r.is_retx
-            ]
-            wasted_proactive = sum(r.wasted_bytes for r in proactive_tbs)
-            granted_proactive = sum(r.tbs_bytes for r in proactive_tbs)
-            waste_fraction = wasted_proactive / granted_proactive if granted_proactive else 0.0
-            rows.append(
-                [
-                    label,
-                    audio,
-                    first,
-                    last,
-                    float(len(proactive_tbs)),
-                    waste_fraction * 100,
-                    float(len(requested_tbs)),
-                ]
+def test_fig16_proactive_grants():
+    rows = []
+    stats = {}
+    for label, proactive in (("proactive", True), ("bsr-only", False)):
+        profile = _quiet(MOSOLABS)
+        if not proactive:
+            profile = replace(
+                profile, cell=replace(profile.cell, proactive_grant_bytes=0)
             )
-            stats[label] = (audio, first, last, len(proactive_tbs), waste_fraction)
-        return rows, stats
-
-    rows, stats = benchmark.pedantic(build, rounds=1, iterations=1)
+        session = make_cellular_session(profile, seed=5)
+        result = session.run(15_000_000)
+        first, last = _first_last_packet_delay(result)
+        audio = _audio_delay_ms(result)
+        dci = result.bundle.dci
+        proactive_tbs = [r for r in dci if r.proactive]
+        requested_tbs = [
+            r for r in dci if r.is_uplink and not r.proactive and not r.is_retx
+        ]
+        wasted_proactive = sum(r.wasted_bytes for r in proactive_tbs)
+        granted_proactive = sum(r.tbs_bytes for r in proactive_tbs)
+        waste_fraction = wasted_proactive / granted_proactive if granted_proactive else 0.0
+        rows.append(
+            [
+                label,
+                audio,
+                first,
+                last,
+                float(len(proactive_tbs)),
+                waste_fraction * 100,
+                float(len(requested_tbs)),
+            ]
+        )
+        stats[label] = (audio, first, last, len(proactive_tbs), waste_fraction)
     text = render_table(
         [
             "scheduling",

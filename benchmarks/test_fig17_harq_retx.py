@@ -13,30 +13,27 @@ from repro.datasets.workloads import harq_retx_session
 from repro.telemetry.records import StreamKind
 
 
-def test_fig17_harq_delay_inflation(benchmark):
-    def build():
-        session = harq_retx_session(seed=8, ul_base_sinr_db=10.0)
-        result = session.run(30_000_000)
-        ran = session.access_a.ran
-        harq_rtt_ms = ran.cell.harq_rtt_us() / 1000.0
-        delays = [
-            p.delay_us / 1000.0
-            for p in result.bundle.packets
-            if p.is_uplink
-            and p.received_us is not None
-            and p.stream is StreamKind.VIDEO
-        ]
-        retx_total = ran.ul.harq.total_retransmissions
-        tx_total = ran.ul.harq.total_transmissions
-        minutes = 30 / 60
-        return {
-            "harq_rtt_ms": harq_rtt_ms,
-            "delays": np.array(delays),
-            "retx_per_min": retx_total / minutes,
-            "retx_rate": retx_total / max(tx_total, 1),
-        }
-
-    data = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig17_harq_delay_inflation():
+    session = harq_retx_session(seed=8, ul_base_sinr_db=10.0)
+    result = session.run(30_000_000)
+    ran = session.access_a.ran
+    harq_rtt_ms = ran.cell.harq_rtt_us() / 1000.0
+    delays = [
+        p.delay_us / 1000.0
+        for p in result.bundle.packets
+        if p.is_uplink
+        and p.received_us is not None
+        and p.stream is StreamKind.VIDEO
+    ]
+    retx_total = ran.ul.harq.total_retransmissions
+    tx_total = ran.ul.harq.total_transmissions
+    minutes = 30 / 60
+    data = {
+        "harq_rtt_ms": harq_rtt_ms,
+        "delays": np.array(delays),
+        "retx_per_min": retx_total / minutes,
+        "retx_rate": retx_total / max(tx_total, 1),
+    }
     delays = data["delays"]
     p50 = float(np.percentile(delays, 50))
     p90 = float(np.percentile(delays, 90))

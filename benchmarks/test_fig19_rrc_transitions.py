@@ -15,13 +15,10 @@ from repro.telemetry.timeline import Timeline
 RELEASES_S = (4.0, 9.0)
 
 
-def test_fig19_rrc_transitions(benchmark):
-    def build():
-        session = rrc_transition_session(release_times_s=RELEASES_S, seed=2)
-        result = session.run(13_000_000)
-        return session, Timeline.from_bundle(result.bundle)
-
-    session, timeline = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig19_rrc_transitions():
+    session = rrc_transition_session(release_times_s=RELEASES_S, seed=2)
+    result = session.run(13_000_000)
+    timeline = Timeline.from_bundle(result.bundle)
     t = timeline.t_us / 1e6
     series = {
         "PRB": timeline["ul_exp_prbs"],

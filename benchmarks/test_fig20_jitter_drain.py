@@ -17,13 +17,10 @@ FADE_START_S = 5.0
 FADE_END_S = 6.2
 
 
-def test_fig20_jitter_buffer_drain(benchmark):
-    def build():
-        session = jitter_drain_session(seed=2)
-        result = session.run(12_000_000)
-        return result, Timeline.from_bundle(result.bundle)
-
-    result, timeline = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig20_jitter_buffer_drain():
+    session = jitter_drain_session(seed=2)
+    result = session.run(12_000_000)
+    timeline = Timeline.from_bundle(result.bundle)
     t = timeline.t_us / 1e6
     series = {
         "delay_ms": timeline["dl_packet_delay_ms"],

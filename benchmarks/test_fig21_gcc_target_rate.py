@@ -17,13 +17,10 @@ from repro.telemetry.timeline import Timeline
 EVENTS_S = (3.0, 8.0)
 
 
-def test_fig21_gcc_target_rate(benchmark):
-    def build():
-        session = gcc_target_rate_session(seed=4)
-        result = session.run(13_000_000)
-        return Timeline.from_bundle(result.bundle)
-
-    timeline = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig21_gcc_target_rate():
+    session = gcc_target_rate_session(seed=4)
+    result = session.run(13_000_000)
+    timeline = Timeline.from_bundle(result.bundle)
     t = timeline.t_us / 1e6
     series = {
         "delay_ms": timeline["ul_packet_delay_ms"],

@@ -18,13 +18,10 @@ FADE_START_S = 4.0
 FADE_END_S = 5.5
 
 
-def test_fig22_pushback(benchmark):
-    def build():
-        session = pushback_session(seed=2)
-        result = session.run(11_000_000)
-        return Timeline.from_bundle(result.bundle)
-
-    timeline = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig22_pushback():
+    session = pushback_session(seed=2)
+    result = session.run(11_000_000)
+    timeline = Timeline.from_bundle(result.bundle)
     t = timeline.t_us / 1e6
     series = {
         "media_delay_ms": timeline["ul_packet_delay_ms"],

@@ -20,23 +20,15 @@ def _pooled_delays(results, uplink):
     )
 
 
-def test_fig2_delay_cdfs(benchmark, fdd_results, wired_results):
-    def build():
-        return {
-            "UL cellular": compute_cdf(_pooled_delays(fdd_results, True)),
-            "UL wired": compute_cdf(_pooled_delays(wired_results, True)),
-            "DL cellular": compute_cdf(_pooled_delays(fdd_results, False)),
-            "DL wired": compute_cdf(_pooled_delays(wired_results, False)),
-        }
-
-    curves = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig2_delay_cdfs(fdd_results, wired_results):
+    curves = {
+        "UL cellular": compute_cdf(_pooled_delays(fdd_results, True)),
+        "UL wired": compute_cdf(_pooled_delays(wired_results, True)),
+        "DL cellular": compute_cdf(_pooled_delays(fdd_results, False)),
+        "DL wired": compute_cdf(_pooled_delays(wired_results, False)),
+    }
     text = render_cdf(curves, quantiles=(25, 50, 75, 90, 99), unit="ms")
     save_result("fig2_delay_cdf", text)
-
-    benchmark.extra_info["ul_cellular_p50_ms"] = curves["UL cellular"].median
-    benchmark.extra_info["ul_cellular_p99_ms"] = curves[
-        "UL cellular"
-    ].percentile(99)
 
     # Shape assertions (the paper's qualitative claims).  Both paths
     # share the same ~9 ms internet leg here, so the access-network gap

@@ -20,28 +20,24 @@ def _pooled(results, client, fieldname):
     )
 
 
-def test_fig3_jitter_buffer_delay(benchmark, fdd_results, wired_results):
-    def build():
-        curves = {}
-        for label, results in (("cellular", fdd_results), ("wired", wired_results)):
-            bundle = results[0].bundle
-            local, remote = bundle.cellular_client, bundle.wired_client
-            # UL stream buffers live at the remote receiver, DL at local.
-            curves[f"UL video {label}"] = compute_cdf(
-                _pooled(results, remote, "video_jitter_buffer_ms")
-            )
-            curves[f"DL video {label}"] = compute_cdf(
-                _pooled(results, local, "video_jitter_buffer_ms")
-            )
-            curves[f"UL audio {label}"] = compute_cdf(
-                _pooled(results, remote, "audio_jitter_buffer_ms")
-            )
-            curves[f"DL audio {label}"] = compute_cdf(
-                _pooled(results, local, "audio_jitter_buffer_ms")
-            )
-        return curves
-
-    curves = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig3_jitter_buffer_delay(fdd_results, wired_results):
+    curves = {}
+    for label, results in (("cellular", fdd_results), ("wired", wired_results)):
+        bundle = results[0].bundle
+        local, remote = bundle.cellular_client, bundle.wired_client
+        # UL stream buffers live at the remote receiver, DL at local.
+        curves[f"UL video {label}"] = compute_cdf(
+            _pooled(results, remote, "video_jitter_buffer_ms")
+        )
+        curves[f"DL video {label}"] = compute_cdf(
+            _pooled(results, local, "video_jitter_buffer_ms")
+        )
+        curves[f"UL audio {label}"] = compute_cdf(
+            _pooled(results, remote, "audio_jitter_buffer_ms")
+        )
+        curves[f"DL audio {label}"] = compute_cdf(
+            _pooled(results, local, "audio_jitter_buffer_ms")
+        )
     text = render_cdf(curves, quantiles=(25, 50, 75, 90, 99), unit="ms")
     itu = []
     for label, cdf in curves.items():

@@ -11,24 +11,20 @@ from repro.analysis.ascii import render_table
 from repro.analysis.summarize import summarize_session
 
 
-def test_fig4_concealment_and_freezes(benchmark, fdd_results, wired_results):
-    def build():
-        rows = []
-        for label, results in (("cellular", fdd_results), ("wired", wired_results)):
-            concealed_ul = concealed_dl = frozen_ul = frozen_dl = 0.0
-            for result in results:
-                summary = summarize_session(result.bundle)
-                concealed_ul += summary.ul_concealed_fraction
-                concealed_dl += summary.dl_concealed_fraction
-                frozen_ul += summary.ul_freeze_fraction
-                frozen_dl += summary.dl_freeze_fraction
-            n = len(results)
-            rows.append(
-                [label, concealed_ul / n, frozen_ul / n, concealed_dl / n, frozen_dl / n]
-            )
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig4_concealment_and_freezes(fdd_results, wired_results):
+    rows = []
+    for label, results in (("cellular", fdd_results), ("wired", wired_results)):
+        concealed_ul = concealed_dl = frozen_ul = frozen_dl = 0.0
+        for result in results:
+            summary = summarize_session(result.bundle)
+            concealed_ul += summary.ul_concealed_fraction
+            concealed_dl += summary.dl_concealed_fraction
+            frozen_ul += summary.ul_freeze_fraction
+            frozen_dl += summary.dl_freeze_fraction
+        n = len(results)
+        rows.append(
+            [label, concealed_ul / n, frozen_ul / n, concealed_dl / n, frozen_dl / n]
+        )
     text = render_table(
         [
             "network",

@@ -16,22 +16,18 @@ from repro.datasets.zoom import (
 )
 
 
-def test_fig5_zoom_jitter(benchmark):
-    def build():
-        records = ZoomDatasetGenerator(ZoomDatasetConfig(seed=11)).generate()
-        grouped = records_by_access(records)
-        curves = {}
-        for direction, attr in (
-            ("outbound", "outbound_jitter_ms"),
-            ("inbound", "inbound_jitter_ms"),
-        ):
-            for access in AccessType:
-                curves[f"{direction} {access.value}"] = compute_cdf(
-                    [getattr(r, attr) for r in grouped[access]]
-                )
-        return curves
-
-    curves = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig5_zoom_jitter():
+    records = ZoomDatasetGenerator(ZoomDatasetConfig(seed=11)).generate()
+    grouped = records_by_access(records)
+    curves = {}
+    for direction, attr in (
+        ("outbound", "outbound_jitter_ms"),
+        ("inbound", "inbound_jitter_ms"),
+    ):
+        for access in AccessType:
+            curves[f"{direction} {access.value}"] = compute_cdf(
+                [getattr(r, attr) for r in grouped[access]]
+            )
     text = render_cdf(curves, quantiles=(25, 50, 75, 90, 99), unit="ms")
     save_result("fig5_zoom_jitter", text)
 

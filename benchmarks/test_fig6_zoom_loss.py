@@ -16,22 +16,18 @@ from repro.datasets.zoom import (
 )
 
 
-def test_fig6_zoom_loss(benchmark):
-    def build():
-        records = ZoomDatasetGenerator(ZoomDatasetConfig(seed=13)).generate()
-        grouped = records_by_access(records)
-        curves = {}
-        for direction, attr in (
-            ("outbound", "outbound_loss_pct"),
-            ("inbound", "inbound_loss_pct"),
-        ):
-            for access in AccessType:
-                curves[f"{direction} {access.value}"] = compute_cdf(
-                    [getattr(r, attr) for r in grouped[access]]
-                )
-        return curves
-
-    curves = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig6_zoom_loss():
+    records = ZoomDatasetGenerator(ZoomDatasetConfig(seed=13)).generate()
+    grouped = records_by_access(records)
+    curves = {}
+    for direction, attr in (
+        ("outbound", "outbound_loss_pct"),
+        ("inbound", "inbound_loss_pct"),
+    ):
+        for access in AccessType:
+            curves[f"{direction} {access.value}"] = compute_cdf(
+                [getattr(r, attr) for r in grouped[access]]
+            )
     text = render_cdf(curves, quantiles=(25, 50, 75, 90, 99), unit="%")
     save_result("fig6_zoom_loss", text)
 

@@ -16,14 +16,10 @@ from repro.analysis.ascii import render_table
 from repro.analysis.summarize import summarize_session
 
 
-def test_fig8_cell_metrics(benchmark, cell_results):
-    def build():
-        summaries = {}
-        for key, results in cell_results.items():
-            summaries[key] = [summarize_session(r.bundle) for r in results]
-        return summaries
-
-    summaries = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig8_cell_metrics(cell_results):
+    summaries = {}
+    for key, results in cell_results.items():
+        summaries[key] = [summarize_session(r.bundle) for r in results]
 
     def mean(key, extractor):
         values = [extractor(s) for s in summaries[key]]

@@ -44,14 +44,11 @@ def _recovery_time_s(acked_follows_target: bool) -> float:
     return elapsed
 
 
-def test_recovery_dynamics(benchmark):
-    def build():
-        return {
-            "additive (normal)": _recovery_time_s(True),
-            "fast (ack-bitrate)": _recovery_time_s(False),
-        }
-
-    times = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_recovery_dynamics():
+    times = {
+        "additive (normal)": _recovery_time_s(True),
+        "fast (ack-bitrate)": _recovery_time_s(False),
+    }
     rows = [[label, seconds] for label, seconds in times.items()]
     save_result(
         "recovery_dynamics",

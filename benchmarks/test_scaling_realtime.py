@@ -11,29 +11,34 @@ engine) against the per-window reference engine on the same trace,
 asserts their detections are identical, and emits a machine-readable
 ``BENCH_scaling.json`` next to the text table so CI's perf-smoke step
 (``benchmarks/check_perf.py``) can fail on per-window-cost regressions.
-The same 60 s trace is then saved as JSONL and read back in a fresh
-``spawn`` child process, to time the read path (``io_60s``) against a
-bare per-line ``json.loads`` pass over the same file on a heap that
-holds nothing else (in this process the session fixtures' 60 s calls
-moved the ratio by 0.3-0.4), and its DCI rows are fed through a fresh
-collector, to time the write path (``collect_60s``) against a bare
-``list.append`` of the same row tuples.  A second fresh child times
-one analyze of that file with obs disabled, with always-on sinkless
-spans, and under the sampling profiler (``overhead_60s``), so the
-spans' and the profiler's cost sit beside the other budgets.
 
-Simulation is ~99% of a scenario, so ``sim_60s`` times the simulator
-itself: a 60 s T-Mobile FDD call and a 12 s Amarisoft (TDD) call, in
-us per simulated ms scaled to the reference core by a calibration loop
-timed around each call, plus the deterministic share of client ticks
-the next-event clock actually steps.
+The same 60 s trace is then saved as JSONL once, and every other timed
+block runs in a fresh ``spawn`` child of its own (:func:`_in_child`),
+whose heap holds only what the block loads:
 
-The live plane's unit is one session advance, so ``stream_60s`` feeds
-the same 60 s trace to one ``StreamingDomino`` in 500 ms batches,
-advancing after each, and reports ms per advance scaled to the
-reference core the same way, plus the wall ms per advance spent in the
-program's own ``ingest.from_bundle`` and ``detect.features`` spans; its
-detections must equal the offline report's.
+* ``io_60s`` times the read path, ``load_bundle``, against a bare
+  per-line ``json.loads`` pass over the same file;
+* ``overhead_60s`` times one analyze of that file with obs disabled,
+  with always-on sinkless spans, and under the sampling profiler;
+* ``collect_60s`` feeds the trace's DCI rows through a fresh
+  collector, to time the write path against a bare ``list.append`` of
+  the same row tuples;
+* ``stream_60s`` feeds the trace to one ``StreamingDomino`` in 500 ms
+  batches, advancing after each (the live plane's unit), and reports
+  ms per advance plus the ms per advance spent in the program's own
+  ``ingest.from_bundle`` and ``detect.features`` spans; its detections
+  must equal the offline report's;
+* ``sim_60s`` simulates a 60 s T-Mobile FDD call and a 12 s Amarisoft
+  (TDD) call (simulation is ~99% of a scenario), in us per simulated
+  ms, plus the deterministic share of client ticks the next-event
+  clock actually steps;
+* ``store_movers`` times top-k movers over a 100-scenario store.
+
+``stream_60s``, ``sim_60s`` and ``store_movers`` scale their times to
+the reference core by a calibration loop timed around each repeat.
+``engines_60s`` (two engines timed back to back on one in-memory
+timeline) and ``profile_60s`` (a share of samples, not a time) stay in
+this process.
 """
 
 import contextlib
@@ -51,10 +56,12 @@ from repro.core.streaming import StreamingDomino
 from repro.core.trace import evaluate_chains
 from repro.datasets.cells import AMARISOFT, TMOBILE_FDD
 from repro.datasets.runner import make_cellular_session
+from repro.fleet.executor import SessionOutcome
 from repro.live.sources import TelemetryBatch
 from repro.obs.metrics import get_registry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.spans import SPAN_HISTOGRAM
+from repro.store import StoreQuery
 from repro.telemetry.collect import TelemetryCollector
 from repro.telemetry.columns import DCI, SCHEMAS
 from repro.telemetry.io import load_bundle, save_bundle
@@ -101,6 +108,12 @@ OVERHEAD_ROUNDS = 9
 #: The sampling profiler's interval in the profiled overhead arm (its
 #: default, and the CLI's ``--profile``).
 OVERHEAD_PROFILE_INTERVAL_S = 0.005
+
+#: Scenarios in the ``store_movers`` store, half in each window.
+MOVERS_SCENARIOS = 100
+
+#: Timed repeats of the movers query; the fastest is kept.
+MOVERS_REPEATS = 3
 
 #: Samples ``profile_60s`` collects at the least: it profiles analyze
 #: passes until it holds this many, so the top-10 share it records can
@@ -265,14 +278,16 @@ def _overhead_60s(path: str, reference) -> dict:
     return {"rounds": OVERHEAD_ROUNDS, **best}
 
 
-def _collect_60s(bundle: TelemetryBundle) -> dict:
-    """Write-path cost of *bundle*'s DCI rows.
+def _collect_60s(path: str) -> dict:
+    """Write-path cost of the DCI rows of the JSONL trace at *path*.
 
     ``collect_vs_append_ratio`` divides the fastest pass of every row
     through ``record_dci`` plus ``bundle()`` by the fastest bare
     ``list.append`` of the same row tuples, timed interleaved in this
-    process, so machine speed divides out.
+    process, so machine speed divides out.  Run it in a fresh process
+    (:func:`_in_child`).
     """
+    bundle = load_bundle(path)
     rows = [DCI.row(record) for record in bundle.dci]
     collect_s, append_s = [], []
     for _ in range(COLLECT_REPEATS):
@@ -349,7 +364,8 @@ def _sim_60s() -> dict:
 
     ``client_steps_per_tick`` is client steps over client-ticks (two
     clients per tick) of the FDD call: 1.0 when every client steps on
-    every tick, deterministic whatever the machine.
+    every tick, deterministic whatever the machine.  Run it in a fresh
+    process (:func:`_in_child`).
     """
     fdd = _timed_call(TMOBILE_FDD, 60_000_000)
     tdd = min(
@@ -364,6 +380,68 @@ def _sim_60s() -> dict:
         "fdd_60s_ticks": fdd["ticks"],
         "fdd_60s_client_steps": fdd["client_steps"],
         "client_steps_per_tick": fdd["client_steps"] / (2 * fdd["ticks"]),
+    }
+
+
+def _store_movers(path: str) -> dict:
+    """Top-k chain movers over a store at *path* that holds
+    ``MOVERS_SCENARIOS`` synthetic outcomes over 20 chains, half in
+    each of two windows.
+
+    ``ref_ms`` is the fastest query's wall ms scaled to the reference
+    core by the calibration loop's speed around it, as ``sim_60s``
+    scales its calls.  Run it in a fresh process (:func:`_in_child`).
+    """
+    chains = [
+        f"cause_{i} --> mid_{i} --> local_pushback_rate_down"
+        for i in range(20)
+    ]
+    outcomes = [
+        SessionOutcome(
+            scenario=f"s{i}",
+            profile=f"profile_{i % 7}",
+            impairment="none" if i % 2 else "ul_fade",
+            seed=i,
+            duration_s=600.0,
+            n_windows=100,
+            n_detected_windows=10,
+            degradation_events_per_min=1.0,
+            chain_counts={
+                chains[i % 20]: 1 + i % 5,
+                chains[(i + 7) % 20]: 2,
+            },
+            cause_counts={f"cause_{i % 20}": 3.0},
+            consequence_counts={"local_pushback_rate_down": 5.0},
+            qoe={"ul_delay_p50_ms": 20.0 + i},
+            event_rates={},
+        )
+        for i in range(MOVERS_SCENARIOS)
+    ]
+    repeats = []
+    with api.store_open(path) as store:
+        half = len(outcomes) // 2
+        store.ingest_outcomes(outcomes[:half], ts=500.0)
+        store.ingest_outcomes(outcomes[half:], ts=1500.0)
+        query = StoreQuery(store)
+        for _ in range(MOVERS_REPEATS):
+            rep_before = _rep_s()
+            start = time.perf_counter()
+            movers = query.top_movers(
+                "chain",
+                window_a=(0.0, 1000.0),
+                window_b=(1000.0, 2000.0),
+                k=10,
+            )
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            scale = REFERENCE_REP_S / ((rep_before + _rep_s()) / 2)
+            assert movers, "top_movers returned nothing over a populated store"
+            repeats.append((elapsed_ms * scale, elapsed_ms))
+    ref_ms, ms = min(repeats)
+    return {
+        "scenarios": len(outcomes),
+        "movers": len(movers),
+        "ms": ms,
+        "ref_ms": ref_ms,
     }
 
 
@@ -383,8 +461,9 @@ def _stream_batches(bundle: TelemetryBundle) -> list:
     return batches
 
 
-def _stream_60s(bundle: TelemetryBundle, reference) -> dict:
-    """Live-plane cost of *bundle* fed to one ``StreamingDomino``.
+def _stream_60s(path: str, reference) -> dict:
+    """Live-plane cost of the JSONL trace at *path* fed to one
+    ``StreamingDomino``.
 
     ``ref_ms_per_advance`` is the fastest repeat's wall time per feed
     plus advance, scaled to the reference core by the calibration
@@ -394,8 +473,9 @@ def _stream_60s(bundle: TelemetryBundle, reference) -> dict:
     ``detect.features`` spans per advance, scaled the same way (a
     core's speed swings up to 2x from minute to minute, which moved the
     unscaled span times more than a layer's change; recorded, not
-    gated).
+    gated).  Run it in a fresh process (:func:`_in_child`).
     """
+    bundle = load_bundle(path)
     batches = _stream_batches(bundle)
     spans = get_registry().histogram(SPAN_HISTOGRAM)
     repeats = []
@@ -434,14 +514,12 @@ def _stream_60s(bundle: TelemetryBundle, reference) -> dict:
     }
 
 
-def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
+def test_scaling_realtime_factor(fdd_results, tmp_path):
     bundle = fdd_results[0].bundle
     detector = DominoDetector()
 
-    def analyze_full():
-        return detector.analyze(bundle)
-
-    report = benchmark(analyze_full)
+    # Untimed warm-up, so the rows below time warm code.
+    report = detector.analyze(bundle)
     assert report.n_windows > 0
 
     rows = []
@@ -547,9 +625,10 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
     save_bundle(sixty, trace_path)
     io_60s = _in_child(_io_60s, trace_path, batch_report)
     overhead_60s = _in_child(_overhead_60s, trace_path, batch_report)
-    collect_60s = _collect_60s(sixty)
-    stream_60s = _stream_60s(sixty, batch_report)
-    sim_60s = _sim_60s()
+    collect_60s = _in_child(_collect_60s, trace_path)
+    stream_60s = _in_child(_stream_60s, trace_path, batch_report)
+    sim_60s = _in_child(_sim_60s)
+    store_movers = _in_child(_store_movers, str(tmp_path / "movers_store"))
     # Timing-bearing, so written rather than checked like the paper
     # tables (save_result).
     text = (
@@ -571,6 +650,9 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         + f"{overhead_60s['disabled_ms']:.1f} ms, sinkless spans "
         + f"{overhead_60s['sinkless_ms']:.1f} ms, profiled "
         + f"{overhead_60s['profiled_ms']:.1f} ms"
+        + f"\nstore: top-{store_movers['movers']} movers over "
+        + f"{store_movers['scenarios']} scenarios "
+        + f"{store_movers['ref_ms']:.1f} ms at reference speed"
     )
     print(f"\n=== scaling_realtime ===\n{text}")
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -588,6 +670,7 @@ def test_scaling_realtime_factor(benchmark, fdd_results, tmp_path):
         "sim_60s": sim_60s,
         "stream_60s": stream_60s,
         "overhead_60s": overhead_60s,
+        "store_movers": store_movers,
         "profile_60s": {
             "passes": passes,
             "n_samples": profiler.n_samples,

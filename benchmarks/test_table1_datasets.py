@@ -13,26 +13,22 @@ from repro.analysis.ascii import render_table
 from repro.datasets.zoom import ZoomDatasetConfig, ZoomDatasetGenerator
 
 
-def test_table1_event_rates(benchmark, cell_results):
-    def build():
-        rows = []
-        for key, results in cell_results.items():
-            bundle = results[0].bundle
-            rates = bundle.event_rates_per_minute()
-            rows.append(
-                [
-                    bundle.session_name,
-                    rates["dci"],
-                    rates["gnb"],
-                    rates["packets"],
-                    rates["webrtc"],
-                ]
-            )
-        zoom = ZoomDatasetGenerator(ZoomDatasetConfig(seed=1)).generate()
-        rows.append(["Zoom API (1/min records)", 0.0, 0.0, 0.0, float(len(zoom)) / len(zoom)])
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_table1_event_rates(cell_results):
+    rows = []
+    for key, results in cell_results.items():
+        bundle = results[0].bundle
+        rates = bundle.event_rates_per_minute()
+        rows.append(
+            [
+                bundle.session_name,
+                rates["dci"],
+                rates["gnb"],
+                rates["packets"],
+                rates["webrtc"],
+            ]
+        )
+    zoom = ZoomDatasetGenerator(ZoomDatasetConfig(seed=1)).generate()
+    rows.append(["Zoom API (1/min records)", 0.0, 0.0, 0.0, float(len(zoom)) / len(zoom)])
     text = render_table(
         ["dataset", "DCI/min", "gNB/min", "pkt/min", "WebRTC/min"], rows
     )

@@ -17,20 +17,16 @@ from repro.core.stats import DominoStats
 
 
 def test_table2_conditional_probabilities(
-    benchmark, commercial_results, private_results
+    commercial_results, private_results
 ):
     detector = DominoDetector()
 
-    def build():
-        commercial = DominoStats.from_reports(
-            detector.analyze(r.bundle) for r in commercial_results
-        )
-        private = DominoStats.from_reports(
-            detector.analyze(r.bundle) for r in private_results
-        )
-        return commercial, private
-
-    commercial, private = benchmark.pedantic(build, rounds=1, iterations=1)
+    commercial = DominoStats.from_reports(
+        detector.analyze(r.bundle) for r in commercial_results
+    )
+    private = DominoStats.from_reports(
+        detector.analyze(r.bundle) for r in private_results
+    )
     text = render_conditional_table(commercial, private)
     save_result("table2_conditional", text)
 

@@ -26,18 +26,14 @@ def _distribution(results, client_attr):
     }
 
 
-def test_table3_resolution_distribution(benchmark, cell_results):
-    def build():
-        table = {}
-        for key, results in cell_results.items():
-            # UL stream = cellular client's outbound resolution.
-            table[key] = {
-                "ul": _distribution(results, "cellular_client"),
-                "dl": _distribution(results, "wired_client"),
-            }
-        return table
-
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_table3_resolution_distribution(cell_results):
+    table = {}
+    for key, results in cell_results.items():
+        # UL stream = cellular client's outbound resolution.
+        table[key] = {
+            "ul": _distribution(results, "cellular_client"),
+            "dl": _distribution(results, "wired_client"),
+        }
     rows = []
     for key, dists in table.items():
         for direction in ("ul", "dl"):

@@ -14,19 +14,15 @@ from repro.core.report import render_chain_ratio_table
 from repro.core.stats import DominoStats
 
 
-def test_table4_chain_ratios(benchmark, commercial_results, private_results):
+def test_table4_chain_ratios(commercial_results, private_results):
     detector = DominoDetector()
 
-    def build():
-        commercial = DominoStats.from_reports(
-            detector.analyze(r.bundle) for r in commercial_results
-        )
-        private = DominoStats.from_reports(
-            detector.analyze(r.bundle) for r in private_results
-        )
-        return commercial, private
-
-    commercial, private = benchmark.pedantic(build, rounds=1, iterations=1)
+    commercial = DominoStats.from_reports(
+        detector.analyze(r.bundle) for r in commercial_results
+    )
+    private = DominoStats.from_reports(
+        detector.analyze(r.bundle) for r in private_results
+    )
     text = render_chain_ratio_table(commercial, private)
     save_result("table4_chain_ratios", text)
 

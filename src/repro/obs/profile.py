@@ -1,12 +1,12 @@
 """Continuous profiling: a zero-dependency sampling wall-clock profiler.
 
-The ROADMAP's remaining perf item (chasing 1000×+ realtime) needs to
-know *where* the time goes before optimizing it.  This module samples
-call stacks at a fixed wall-clock interval and aggregates them into
-collapsed-stack lines — the flamegraph interchange format
-(``frame;frame;frame count``) consumed directly by ``flamegraph.pl``
-and speedscope — with no third-party dependency and no tracing hooks
-(``sys.setprofile`` would distort the hot paths it measures).
+A perf change needs to know *where* the time goes before it optimizes
+anything.  This module samples call stacks at a fixed wall-clock
+interval and aggregates them into collapsed-stack lines — the
+flamegraph interchange format (``frame;frame;frame count``) consumed
+directly by ``flamegraph.pl`` and speedscope — with no third-party
+dependency and no tracing hooks (``sys.setprofile`` would distort the
+hot paths it measures).
 
 Two sampling engines, selected automatically:
 

@@ -244,6 +244,33 @@ def _features_dict(raw: Any) -> dict:
     return dict(raw)  # detached: the detection must not alias the frame
 
 
+def _number_map(kind: str, name: str) -> WireField:
+    """An optional ``{name: number}`` field whose every value must be an
+    int or a float, never a bool, on encode and decode alike: the store
+    indexes these values as numbers."""
+
+    def checked(raw: Any) -> dict:
+        if not isinstance(raw, dict):
+            raise SchemaError(
+                f"{kind}.{name}: expected an object, got {type(raw).__name__}"
+            )
+        for key, value in raw.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaError(
+                    f"{kind}.{name}[{key!r}]: expected a number, got "
+                    f"{type(value).__name__}"
+                )
+        return dict(raw)
+
+    return WireField(
+        name,
+        required=False,
+        default_factory=dict,
+        encode=checked,
+        decode=checked,
+    )
+
+
 # -- codec registry -------------------------------------------------------------
 
 _EVENT_CONFIG = WireCodec(
@@ -400,6 +427,16 @@ _SESSION_OUTCOME = WireCodec(
                     None if raw is None else _GROUND_TRUTH.from_wire(raw)
                 ),
             ),
+            **{
+                name: _number_map("session_outcome", name)
+                for name in (
+                    "chain_counts",
+                    "cause_counts",
+                    "consequence_counts",
+                    "qoe",
+                    "event_rates",
+                )
+            },
         },
     ),
 )

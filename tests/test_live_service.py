@@ -61,8 +61,9 @@ def test_replay_matches_offline_byte_identical(replay_bundle):
 
 
 def test_replay_from_jsonl_path_matches_offline(tmp_path, replay_bundle):
-    """A trace streamed from disk (iter_records, no whole-file parse)
-    detects identically to the in-memory bundle."""
+    """A trace streamed from disk (``iter_chunks``, one filtered pass
+    per source, no whole-file parse) detects identically to the
+    in-memory bundle."""
     path = str(tmp_path / "trace.jsonl")
     save_bundle(replay_bundle, path)
     offline = DominoDetector().analyze(replay_bundle)

@@ -367,6 +367,29 @@ def test_missing_required_field_is_a_clear_schema_error():
         schema.to_wire(object())
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["chain_counts", "cause_counts", "consequence_counts", "qoe", "event_rates"],
+)
+def test_outcome_maps_hold_only_numbers(field):
+    """Every value of an outcome's maps is an int or a float, never a
+    bool, on encode and decode alike."""
+    outcome = _rand_outcome(random.Random(3))
+    for value in ("slow", True, None, [1.0]):
+        bad = dataclasses.replace(outcome, **{field: {"x": value}})
+        match = rf"session_outcome\.{field}\['x'\]: expected a number"
+        with pytest.raises(SchemaError, match=match):
+            schema.to_wire(bad)
+        wire = schema.to_wire(outcome)
+        wire[field] = {"x": value}
+        with pytest.raises(SchemaError, match=match):
+            schema.from_wire("session_outcome", wire)
+    wire = schema.to_wire(outcome)
+    wire[field] = ["not", "an", "object"]
+    with pytest.raises(SchemaError, match=f"{field}: expected an object"):
+        schema.from_wire("session_outcome", wire)
+
+
 def test_schema_errors_are_repro_errors():
     assert issubclass(SchemaError, ReproError)
     assert issubclass(SchemaVersionError, SchemaError)

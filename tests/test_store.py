@@ -17,7 +17,12 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.errors import ConfigError, SchemaVersionError, TelemetryError
+from repro.errors import (
+    ConfigError,
+    SchemaError,
+    SchemaVersionError,
+    TelemetryError,
+)
 from repro.fleet.executor import SessionOutcome, save_outcomes
 from repro.live.aggregator import FleetSnapshot
 from repro.store import (
@@ -290,11 +295,12 @@ class TestReindexAndRetention:
         assert StoreQuery(store).outcome_count() == 2
 
     def test_failing_item_leaves_no_line_and_no_rows(self, store):
-        """An outcome the index rejects (a string qoe value) leaves
-        neither a segment line nor rows: the item before it commits,
-        its error propagates, and the segments still reindex."""
-        bad = _outcome("bad", qoe={"ul_delay_p50_ms": "slow"})
-        with pytest.raises(ValueError):
+        """An outcome the index rejects (a count too large for a float)
+        leaves neither a segment line nor rows: the item before it
+        commits, its error propagates, and the segments still
+        reindex."""
+        bad = _outcome("bad", chain_counts={CHAIN_JITTER: 10**400})
+        with pytest.raises(OverflowError):
             store.ingest_outcomes([_outcome("good"), bad], ts=500.0)
         store.ingest_outcomes([_outcome("later")], ts=500.0)
         path = os.path.join(store.root, "segments", "p0", "outcomes.jsonl")
@@ -421,6 +427,46 @@ class TestMixedSchemaIngest:
         out = capsys.readouterr().out
         assert "ingested 2 outcome(s)" in out
         assert "skipped 1 line(s)" in out
+
+    def _write_non_numeric_qoe(self, tmp_path):
+        """An outcomes file whose second outcome has ``"qoe": {"x":
+        "slow"}``."""
+        path = self._write_outcomes(tmp_path)
+        header, first, second = open(path).read().splitlines()
+        bad = json.loads(second)
+        bad["qoe"] = {"x": "slow"}
+        with open(path, "w") as handle:
+            handle.write(f"{header}\n{first}\n{json.dumps(bad)}\n")
+        return path
+
+    def test_save_refuses_non_numeric_map_values(self, tmp_path):
+        path = str(tmp_path / "outcomes.jsonl")
+        with pytest.raises(SchemaError, match=r"session_outcome\.qoe\['x'\]"):
+            save_outcomes([_outcome(qoe={"x": "slow"})], path)
+        assert not os.path.exists(path)
+
+    def test_non_numeric_map_value_never_reaches_the_index(
+        self, store, tmp_path
+    ):
+        with pytest.raises(SchemaError, match="qoe"):
+            store.ingest_outcomes([_outcome(qoe={"x": "slow"})], ts=500.0)
+        path = self._write_non_numeric_qoe(tmp_path)
+        stats = store.ingest_outcomes_file(path, ts=500.0, tolerant=True)
+        assert stats == {
+            "ingested": 1,
+            "skipped_lines": 1,
+            "missing_outcomes": 1,
+        }
+        assert StoreQuery(store).outcome_count() == 1
+        with pytest.raises(TelemetryError, match="qoe"):
+            store.ingest_outcomes_file(path, ts=500.0, tolerant=False)
+
+    def test_cli_ingest_of_non_numeric_map_value(self, tmp_path, capsys):
+        path = self._write_non_numeric_qoe(tmp_path)
+        store_dir = str(tmp_path / "st")
+        assert main(["store", "ingest", store_dir, path, "--at", "500"]) == 0
+        assert "skipped 1 line(s)" in capsys.readouterr().out
+        assert main(["store", "ingest", store_dir, path, "--strict"]) == 1
 
     def test_cli_ingest_with_nothing_to_do_exits_2(self, tmp_path):
         assert main(["store", "ingest", str(tmp_path / "st")]) == 2
