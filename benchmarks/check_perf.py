@@ -22,11 +22,15 @@ divides machine and load effects out:
    Refresh the baseline deliberately (copy a fresh, quiet-machine
    ``BENCH_scaling.json`` over it) when an accepted trade-off changes
    the numbers.
-3. **Read-path gate:** ``load_bundle`` on the 60 s trace saved as JSONL
-   may cost at most 0.8x a bare per-line ``json.loads`` pass over the
-   same file, both timed interleaved in one child (``io_60s``;
-   0.63-0.68x with chunks decoded by ``orjson``, ~0.9-1.0x by
-   ``json``, ~1.6-1.8x with per-record objects).
+3. **Read- and write-path gates** (``io_60s``): ``load_bundle`` on the
+   60 s trace saved as JSONL may cost at most 0.8x a bare per-line
+   ``json.loads`` pass over the same file (0.63-0.68x with chunks
+   decoded by ``orjson``, ~0.9-1.0x by ``json``, ~1.6-1.8x with
+   per-record objects).  ``save_bundle`` of the trace's first 6 s may
+   cost at most 0.5x a bare ``json.dumps`` pass over the dicts of the
+   same lines (0.33-0.34x with lines rendered from per-column text,
+   1.39-1.41x with one ``json.dumps`` per record).  All arms are timed
+   interleaved in one child.
 4. **Collector gate:** feeding the 60 s trace's DCI rows through
    ``record_dci`` plus ``bundle()`` may cost at most 55x a bare
    ``list.append`` of the same row tuples, both timed interleaved in one
@@ -109,6 +113,9 @@ MAX_SPEEDUP_SHRINKAGE = 2.0
 #: Ceiling on load_bundle time over bare per-line json.loads time.
 MAX_LOAD_VS_JSON = 0.8
 
+#: Ceiling on save_bundle time over bare per-row json.dumps time.
+MAX_SAVE_VS_DUMPS = 0.5
+
 #: Ceiling on record_dci-plus-bundle() time over bare list.append time.
 MAX_COLLECT_VS_APPEND = 55.0
 
@@ -140,7 +147,7 @@ MIN_TOP10_SELF_FRACTION = 0.60
 #: What each gated block of the results is, for its missing-block failure.
 GATED_BLOCKS = {
     "engines_60s": "engine-speedup floor",
-    "io_60s": "read-path gate",
+    "io_60s": "read- and write-path gates",
     "collect_60s": "collector gate",
     "sim_60s": "simulator gates",
     "stream_60s": "live-plane gate",
@@ -164,6 +171,16 @@ CEILING_GATES = (
         "analyze(path) {block[analyze_path_x_realtime]:.0f}x realtime "
         "(informational)",
         "load_bundle costs {value:.2f}x a bare per-line json.loads pass "
+        "(ceiling {bound}x)",
+    ),
+    (
+        "io_60s",
+        "save_vs_dumps_ratio",
+        MAX_SAVE_VS_DUMPS,
+        "60s JSONL write: save_bundle {value:.2f}x per-row json.dumps "
+        "(gate: <= {bound}x), {block[save_ns_per_record]:.0f} ns/record "
+        "(informational)",
+        "save_bundle costs {value:.2f}x a bare per-row json.dumps pass "
         "(ceiling {bound}x)",
     ),
     (

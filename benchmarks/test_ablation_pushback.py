@@ -6,7 +6,7 @@ disappear — and the outstanding-byte protection against feedback-path
 delay is lost.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.core.chains import ConsequenceKind

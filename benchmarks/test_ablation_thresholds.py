@@ -8,7 +8,7 @@ network operator would tune when deploying Domino elsewhere.
 
 from dataclasses import replace
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.core.detector import DetectorConfig, DominoDetector

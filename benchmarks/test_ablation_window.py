@@ -6,7 +6,7 @@ design trade-off: short windows miss cause→consequence co-occurrence
 events together; a finer step raises time resolution at linear cost.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.core.detector import DetectorConfig, DominoDetector

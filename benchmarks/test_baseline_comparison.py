@@ -7,7 +7,7 @@ Compares on the same commercial-cell telemetry:
 * Domino — consequence-anchored chains down to six cause families.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.baselines.app_only import AppOnlyDetector

@@ -13,7 +13,7 @@ private); private shows more poor-channel and RLC visibility; target /
 pushback drops outnumber jitter-buffer drains.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.core.chains import CauseKind, ConsequenceKind
 from repro.core.detector import DominoDetector

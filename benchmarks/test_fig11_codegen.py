@@ -7,7 +7,7 @@ interpreted evaluator over the full 24-chain default graph is
 ``tests/test_core_graph_codegen.py``'s property test.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.core.codegen import compile_chains, generate_python_source
 from repro.core.dsl import parse_chains

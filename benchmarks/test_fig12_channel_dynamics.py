@@ -7,7 +7,7 @@ back to ~30 ms.
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_series
 from repro.datasets.workloads import channel_degradation_session

@@ -7,7 +7,7 @@ the sending rate falls below the constrained capacity.
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_series
 from repro.datasets.workloads import cross_traffic_session

@@ -8,7 +8,7 @@ persists.
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.datasets.cells import AMARISOFT, TMOBILE_FDD, TMOBILE_TDD

@@ -8,7 +8,7 @@ BSR grants), and barely help the last packet of a burst.
 from dataclasses import replace
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.datasets.cells import MOSOLABS

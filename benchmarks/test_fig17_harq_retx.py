@@ -6,7 +6,7 @@ Paper: each HARQ retransmission adds ~10 ms on the Amarisoft cell
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.datasets.workloads import harq_retx_session

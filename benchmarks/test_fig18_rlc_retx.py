@@ -8,7 +8,7 @@ right-edge reception times in the figure).
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.datasets.workloads import rlc_retx_session

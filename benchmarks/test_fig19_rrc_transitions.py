@@ -6,7 +6,7 @@ changes), ② the UE keeps generating data during the ~300 ms outage,
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_series
 from repro.datasets.workloads import rrc_transition_session

@@ -7,7 +7,7 @@ after the network does.
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_series
 from repro.datasets.workloads import jitter_drain_session

@@ -8,7 +8,7 @@ tively decreased, ⑤ frame rate / resolution drop.
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_series
 from repro.datasets.workloads import gcc_target_rate_session

@@ -8,7 +8,7 @@ outbound frame rate drops.
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_series
 from repro.datasets.workloads import pushback_session

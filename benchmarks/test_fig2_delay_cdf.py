@@ -7,7 +7,7 @@ median in both directions, with a long cellular tail.
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_cdf
 from repro.analysis.cdf import compute_cdf

@@ -7,7 +7,7 @@ more often than wired.
 """
 
 import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_cdf
 from repro.analysis.cdf import compute_cdf

@@ -5,7 +5,7 @@ concealed and ~6 s of video freeze on cellular; near-zero on wired.
 Reproduction target: cellular strictly worse on both axes, wired ≈ 0.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.analysis.summarize import summarize_session

@@ -4,7 +4,7 @@ Paper: jitter is consistently higher on cellular than on wired or Wi-Fi,
 in both directions.  The x-axis spans 0-50 ms.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_cdf
 from repro.analysis.cdf import compute_cdf

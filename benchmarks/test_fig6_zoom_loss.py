@@ -4,7 +4,7 @@ Paper: cellular shows significantly higher loss rates than wired/Wi-Fi;
 the log x-axis spans 0.1%-100%.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_cdf
 from repro.analysis.cdf import compute_cdf

@@ -10,7 +10,7 @@ Paper's qualitative findings this benchmark checks:
   (m-p)  jitter-buffer delay medians sit in the low-hundreds of ms.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.analysis.summarize import summarize_session

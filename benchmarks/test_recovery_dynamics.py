@@ -8,7 +8,7 @@ only ~1% of anomalies.  This benchmark drives the AIMD controller
 directly through both regimes and measures recovery times.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.rtc.gcc.aimd import AimdRateControl

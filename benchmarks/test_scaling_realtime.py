@@ -17,7 +17,9 @@ block runs in a fresh ``spawn`` child of its own (:func:`_in_child`),
 whose heap holds only what the block loads:
 
 * ``io_60s`` times the read path, ``load_bundle``, against a bare
-  per-line ``json.loads`` pass over the same file;
+  per-line ``json.loads`` pass over the same file, and the write path,
+  ``save_bundle`` of the trace's first 6 s, against a bare
+  ``json.dumps`` pass over the same lines' dicts;
 * ``overhead_60s`` times one analyze of that file with obs disabled,
   with always-on sinkless spans, and under the sampling profiler;
 * ``collect_60s`` feeds the trace's DCI rows through a fresh
@@ -48,6 +50,8 @@ import multiprocessing
 import os
 import time
 
+from paper_tables import RESULTS_DIR
+
 from repro import api, obs
 from repro.analysis.ascii import render_table
 from repro.core.detector import DominoDetector, DominoReport, WindowDetection
@@ -64,18 +68,17 @@ from repro.obs.spans import SPAN_HISTOGRAM
 from repro.store import StoreQuery
 from repro.telemetry.collect import TelemetryCollector
 from repro.telemetry.columns import DCI, SCHEMAS
-from repro.telemetry.io import load_bundle, save_bundle
+from repro.telemetry.io import dump_lines, load_bundle, save_bundle
 from repro.telemetry.records import TelemetryBundle
 from repro.telemetry.timeline import Timeline
 
-#: The committed tables' directory (conftest's ``RESULTS_DIR``, which
-#: the read-path child could not import: it unpickles its function from
-#: this module, and in a full run ``tests/`` comes first on the path it
-#: inherits, with a conftest of its own).
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: Interleaved repeats of each read-path timing; each keeps its minimum.
+#: Interleaved repeats of each read- and write-path timing; each keeps
+#: its minimum.
 IO_REPEATS = 5
+
+#: The write arms time the trace's first 6 s (~40k records), so their
+#: per-row dicts stay small and they add ~1 s to the block.
+WRITE_SLICE_US = 6_000_000
 
 #: Interleaved repeats of each write-path timing; each keeps its minimum.
 COLLECT_REPEATS = 5
@@ -192,13 +195,15 @@ def _json_lines(path: str) -> None:
 
 
 def _io_60s(path: str, reference) -> dict:
-    """Read-path cost of the JSONL trace at *path*.
+    """Read- and write-path cost of the JSONL trace at *path*.
 
     ``load_vs_json_ratio`` divides the fastest ``load_bundle`` by the
-    fastest bare per-line ``json.loads`` pass over the same file, timed
-    interleaved in this process, so machine speed divides out.  Run it
-    in a fresh process (:func:`_in_child`): the ratio follows the
-    heap it runs on.
+    fastest bare per-line ``json.loads`` pass over the same file, and
+    ``save_vs_dumps_ratio`` the fastest ``save_bundle`` of the trace's
+    first ``WRITE_SLICE_US`` by the fastest bare ``json.dumps`` pass
+    over the dicts of those lines; all arms are timed interleaved in
+    this process, so machine speed divides out.  Run it in a fresh
+    process (:func:`_in_child`): the ratios follow the heap they run on.
     """
     bundle = load_bundle(path)
     n_records = sum(
@@ -207,7 +212,10 @@ def _io_60s(path: str, reference) -> dict:
             bundle.dci, bundle.gnb_log, bundle.packets, bundle.webrtc_stats
         )
     )
-    load_s, json_s, analyze_s = [], [], []
+    part = _truncate(bundle, WRITE_SLICE_US)
+    dicts = [json.loads(line) for line in dump_lines(part)]
+    saved = path + ".save.jsonl"
+    load_s, json_s, analyze_s, save_s, dumps_s = [], [], [], [], []
     for _ in range(IO_REPEATS):
         start = time.perf_counter()
         load_bundle(path)
@@ -219,6 +227,15 @@ def _io_60s(path: str, reference) -> dict:
         report = api.analyze(path)
         analyze_s.append(time.perf_counter() - start)
         _assert_identical_reports(report, reference)
+        start = time.perf_counter()
+        save_bundle(part, saved)
+        save_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        lines = list(map(json.dumps, dicts))
+        dumps_s.append(time.perf_counter() - start)
+    with open(saved) as handle:
+        assert handle.read().splitlines() == lines
+    os.remove(saved)
     return {
         "records": n_records,
         "bytes": os.path.getsize(path),
@@ -228,6 +245,11 @@ def _io_60s(path: str, reference) -> dict:
         "load_ns_per_record": min(load_s) * 1e9 / n_records,
         "analyze_path_x_realtime": bundle.duration_us / 1e6 / min(analyze_s),
         "load_vs_json_ratio": min(load_s) / min(json_s),
+        "save_records": len(dicts) - 1,
+        "save_s": min(save_s),
+        "dumps_s": min(dumps_s),
+        "save_ns_per_record": min(save_s) * 1e9 / (len(dicts) - 1),
+        "save_vs_dumps_ratio": min(save_s) / min(dumps_s),
     }
 
 
@@ -635,7 +657,9 @@ def test_scaling_realtime_factor(fdd_results, tmp_path):
         text
         + "\n\n60s trace I/O per record: load_bundle "
         + f"{io_60s['load_ns_per_record']:.0f} ns "
-        + f"({io_60s['load_vs_json_ratio']:.2f}x json.loads), collector "
+        + f"({io_60s['load_vs_json_ratio']:.2f}x json.loads), save_bundle "
+        + f"{io_60s['save_ns_per_record']:.0f} ns "
+        + f"({io_60s['save_vs_dumps_ratio']:.2f}x json.dumps), collector "
         + f"{collect_60s['collect_ns_per_row']:.0f} ns "
         + f"({collect_60s['collect_vs_append_ratio']:.1f}x list.append)"
         + "\nsimulation per simulated ms at reference speed: 60s FDD "

@@ -7,7 +7,7 @@ depend on collection granularity; orderings (packets >> DCI >> WebRTC;
 gNB log only on Amarisoft) are the reproduction target.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.datasets.zoom import ZoomDatasetConfig, ZoomDatasetGenerator

@@ -8,7 +8,7 @@ only on the commercial FDD cell; private cells show more poor-channel
 involvement.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.core.chains import CauseKind, ConsequenceKind
 from repro.core.detector import DominoDetector

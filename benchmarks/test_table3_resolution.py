@@ -5,8 +5,7 @@ dominates UL on three cells; DL sits mostly at 360p), with Amarisoft's
 poor UL channel dragging a large UL share down to 360p.
 """
 
-import numpy as np
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.analysis.ascii import render_table
 from repro.analysis.summarize import stats_series

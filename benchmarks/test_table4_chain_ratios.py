@@ -6,7 +6,7 @@ co-occurrence probabilities; RLC chains appear only on private cells;
 UL-scheduling and HARQ chains are present in both deployments.
 """
 
-from conftest import save_result
+from paper_tables import save_result
 
 from repro.core.chains import CauseKind, ConsequenceKind
 from repro.core.detector import DominoDetector

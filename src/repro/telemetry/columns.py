@@ -15,8 +15,8 @@ column dtype.  The table drives:
   takes from every producer, and a record list enters as its rows;
 * building record objects from columns, lazily and once, in
   :class:`RecordColumns`;
-* the JSON values of every row (:meth:`Schema.json_rows`), which is how
-  :func:`~repro.telemetry.io.dump_lines` writes a trace.
+* writing JSONL, which :func:`~repro.telemetry.io.dump_lines` renders
+  from each field's column by its dtype, building no records.
 
 Column dtypes: ``int64``, ``bool`` and ``float64`` as declared; a
 string field is an object array of ``str``; an enum field holds
@@ -28,12 +28,14 @@ rebuild exactly.
 
 from __future__ import annotations
 
+import array
 import enum
+import itertools
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,9 +53,6 @@ from repro.telemetry.records import (
 NONE = -1
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-#: Rows :meth:`Schema.json_rows` converts at a time.
-_JSON_ROWS = 4096
 
 
 class Irregular(Exception):
@@ -171,13 +170,16 @@ _PARSERS = {
 }
 
 
-def _typed(values: list, kinds: str, shape: Tuple[int, ...]) -> np.ndarray:
-    """*values* as an array of *shape*, of an inferred dtype kind among
-    *kinds* (so a nested list or a stray string never passes)."""
-    array = np.array(values)
-    if array.dtype.kind not in kinds or array.shape != shape:
-        raise Irregular(f"values of dtype {array.dtype}, shape {array.shape}")
-    return array
+def _flat(values: list, dtype) -> np.ndarray:
+    """*values* as a flat ``np.int64`` or ``np.float64`` array.  The C
+    conversion refuses a float, string, ``None`` or nested value among
+    integers, anything but a number among floats, and an integer out of
+    range."""
+    try:
+        buffer = array.array("q" if dtype is np.int64 else "d", values)
+    except (TypeError, OverflowError) as exc:
+        raise Irregular(str(exc)) from None
+    return np.frombuffer(buffer, dtype)
 
 
 class Schema:
@@ -234,24 +236,25 @@ class Schema:
         """
         n = len(rows)
         columns: Dict[str, np.ndarray] = {}
-        for group, kinds in ((self._ints, "bi"), (self._floats, "biuf")):
+        groups = ((self._ints, np.int64), (self._floats, np.float64))
+        for group, dtype in groups:
             if not group:
                 continue
-            getter = operator.itemgetter(*(f.key for f in group))
-            shape = (n, len(group)) if len(group) > 1 else (n,)
-            array = _typed(list(map(getter, rows)), kinds, shape)
-            array = array.reshape(n, -1)
-            if kinds == "biuf" and not np.isfinite(array).all():
+            values = map(operator.itemgetter(*(f.key for f in group)), rows)
+            if len(group) > 1:
+                values = itertools.chain.from_iterable(values)
+            block = _flat(list(values), dtype).reshape(n, len(group))
+            if dtype is np.float64 and not np.isfinite(block).all():
                 raise Irregular("non-finite float")
             for j, f in enumerate(group):
-                columns[f.attr] = array[:, j].astype(f.dtype)
+                columns[f.attr] = block[:, j].astype(f.dtype)
         for f in self._others:
             values = list(map(operator.itemgetter(f.key), rows))
             if f.optional:
                 mask = [value is not None for value in values]
                 columns[f.present_key] = np.array(mask, dtype=np.bool_)
                 filled = [NONE if value is None else value for value in values]
-                columns[f.attr] = _typed(filled, "bi", (n,)).astype(np.int64)
+                columns[f.attr] = _flat(filled, np.int64)
             elif f.is_enum:
                 lookup = {member.value: i for i, member in enumerate(f.dtype)}
                 columns[f.attr] = np.array(
@@ -262,15 +265,6 @@ class Schema:
                     raise Irregular(f"non-string {f.key!r}")
                 columns[f.attr] = np.array(values, dtype=object)
         return columns
-
-    def json_rows(self, rows: "RecordColumns") -> Iterator[tuple]:
-        """The JSON values of each of *rows*, in field order, read from
-        its columns without building records.
-
-        An enum is its member's value and an absent optional ``None``.
-        """
-        for start in range(0, len(rows), _JSON_ROWS):
-            yield from zip(*rows.values(start, start + _JSON_ROWS, as_json=True))
 
     # -- rows → columns ------------------------------------------------------
 
@@ -343,24 +337,18 @@ class RecordColumns(Sequence):
             return self
         return self.take(np.argsort(times, kind="stable"))
 
-    def values(
-        self, start: int = 0, stop: Optional[int] = None, as_json: bool = False
-    ) -> List[list]:
-        """Rows [*start*, *stop*) as one list of record values per field.
+    def values(self) -> List[list]:
+        """The rows as one list of record values per field.
 
-        An enum is its member, or with *as_json* its member's value; an
-        absent optional is ``None``.
+        An enum is its member; an absent optional is ``None``.
         """
         values = []
         for f in self.schema.fields:
-            column = self.arrays[f.attr][start:stop].tolist()
+            column = self.arrays[f.attr].tolist()
             if f.is_enum:
-                members = list(f.dtype)
-                if as_json:
-                    members = [member.value for member in members]
-                column = list(map(members.__getitem__, column))
+                column = list(map(list(f.dtype).__getitem__, column))
             elif f.optional:
-                present = self.arrays[f.present_key][start:stop].tolist()
+                present = self.arrays[f.present_key].tolist()
                 column = [
                     value if here else None
                     for value, here in zip(column, present)

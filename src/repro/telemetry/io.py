@@ -20,15 +20,18 @@ files with the same values, and an error names the same line in both.
 ``orjson`` reads an integer outside [-2**63, 2**64 - 1] as a float
 where ``json`` keeps an exact ``int``: an integer column or a header
 duration refuses that float, so the line path decides, and a float
-column gets the same correctly rounded value either way.  The writer
-stays on ``json`` too: :func:`_kept_lines` and the golden lines rely on
-its ``": "`` spacing.  :func:`load_bundle`
-concatenates the chunks into a column-backed bundle: its ``dci``,
-``gnb_log``, ``packets`` and ``webrtc_stats`` are
+column gets the same correctly rounded value either way.
+:func:`load_bundle` concatenates the chunks into a column-backed
+bundle: its ``dci``, ``gnb_log``, ``packets`` and ``webrtc_stats`` are
 :class:`~repro.telemetry.columns.RecordColumns`, which build records
 only when a consumer indexes or iterates them.  A live replay reads one
 record type per pass through the same chunks
 (:class:`~repro.live.sources.ReplaySource`).
+
+:func:`dump_lines` renders each field of a block of rows as a list of
+``json``'s text for its values, and one ``%`` template per source joins
+them into the bytes ``json.dumps`` gives each record's dict, whose
+``": "`` spacing :func:`_kept_lines` and the golden lines rely on.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
 import orjson
 
 from repro.errors import TelemetryError
@@ -92,18 +97,62 @@ def _header_line(bundle: TelemetryBundle) -> dict:
     }
 
 
+#: Rows of one source :func:`_line_blocks` renders at a time.
+_BLOCK_ROWS = 4096
+
+
+def _template(schema: Schema) -> str:
+    """The ``%`` template of one *schema* line: ``json.dumps``'s keys,
+    spacing and order, with a ``%s`` for each field's text."""
+    items = [("type", json.dumps(schema.kind))]
+    items += [(f.key, "%s") for f in schema.fields]
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in items) + "}"
+
+
+_TEMPLATES = {schema: _template(schema) for schema in SCHEMAS.values()}
+
+
+def _texts(rows: RecordColumns, f, start: int, stop: int) -> list:
+    """Field *f* of rows [*start*, *stop*) as ``json.dumps`` writes each
+    value, for ``%s``: its text, or an ``int`` (whose ``str`` it is)."""
+    column = rows.arrays[f.attr][start:stop]
+    values = column.tolist()
+    if f.optional:
+        present = rows.arrays[f.present_key][start:stop].tolist()
+        return [v if here else "null" for v, here in zip(values, present)]
+    if f.is_enum:
+        texts = [json.dumps(member.value) for member in f.dtype]
+        return list(map(texts.__getitem__, values))
+    if f.dtype is np.bool_:
+        return list(map(("false", "true").__getitem__, values))
+    if f.dtype is np.float64:
+        finite = np.isfinite(column).all()
+        return list(map(float.__repr__ if finite else json.dumps, values))
+    if f.dtype is str:
+        return list(map(encode_basestring_ascii, values))
+    return values
+
+
+def _line_blocks(bundle: TelemetryBundle) -> Iterator[List[str]]:
+    """:func:`dump_lines` in blocks of at most ``_BLOCK_ROWS`` lines."""
+    yield [json.dumps(_header_line(bundle))]
+    for schema in SCHEMAS.values():
+        rows = getattr(bundle, schema.source)
+        render = _TEMPLATES[schema].__mod__
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            texts = [_texts(rows, f, start, stop) for f in schema.fields]
+            yield list(map(render, zip(*texts)))
+
+
 def dump_lines(bundle: TelemetryBundle) -> Iterable[str]:
     """Yield the JSONL lines for *bundle* (header first).
 
     A line's keys follow its schema's field order after ``"type"``.
-    Every source is written from its columns, building no records.
+    Every source is rendered from its columns, building no records,
+    into exactly the bytes ``json.dumps`` gives each record's dict.
     """
-    yield json.dumps(_header_line(bundle))
-    for schema in SCHEMAS.values():
-        keys = ("type",) + tuple(f.key for f in schema.fields)
-        kind = (schema.kind,)
-        for values in schema.json_rows(getattr(bundle, schema.source)):
-            yield json.dumps(dict(zip(keys, kind + values)))
+    return itertools.chain.from_iterable(_line_blocks(bundle))
 
 
 def save_bundle(bundle: TelemetryBundle, path_or_file: Union[str, IO[str]]) -> None:
@@ -112,8 +161,8 @@ def save_bundle(bundle: TelemetryBundle, path_or_file: Union[str, IO[str]]) -> N
         with open(path_or_file, "w") as handle:
             save_bundle(bundle, handle)
         return
-    for line in dump_lines(bundle):
-        path_or_file.write(line + "\n")
+    for block in _line_blocks(bundle):
+        path_or_file.write("\n".join(block) + "\n")
 
 
 #: Union of everything :func:`iter_records` can yield.

@@ -4,11 +4,13 @@ import asyncio
 import dataclasses
 import io
 import json
+import math
 import pickle
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
 from repro.errors import TelemetryError
@@ -432,6 +434,115 @@ def test_column_sources_write_the_bytes_of_list_sources(
     assert list(dump_lines(bundle)) == original
     monkeypatch.undo()
     assert list(dump_lines(_list_backed(bundle))) == original
+
+
+# -- the writer against its per-row json.dumps oracle ----------------------------
+
+
+def _json_dumps_lines(bundle):
+    """The writer's reference: one ``json.dumps`` of each record's dict
+    (an enum as its member's value), keys in schema order."""
+    lines = [json.dumps(telemetry_io._header_line(bundle))]
+    for schema in columns.SCHEMAS.values():
+        keys = ["type"] + [f.key for f in schema.fields]
+        for record in getattr(bundle, schema.source):
+            values = [getattr(record, f.attr) for f in schema.fields]
+            values = [
+                value.value if f.is_enum else value
+                for f, value in zip(schema.fields, values)
+            ]
+            lines.append(json.dumps(dict(zip(keys, [schema.kind] + values))))
+    return lines
+
+
+_INT64_EDGES = (-(2**63), 2**63 - 1)
+_INTS = st.one_of(
+    st.sampled_from(_INT64_EDGES + (0, -1)), st.integers(*_INT64_EDGES)
+)
+_FINITE_FLOATS = st.one_of(
+    st.sampled_from((-0.0, 5e-324, 1e16)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_FLOATS = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf)), _FINITE_FLOATS
+)
+#: Quotes, backslashes, control characters, non-ASCII text and lone
+#: surrogates, beside any other code point.
+_STRINGS = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u6f22\U0001f600\ud800\udfff'),
+        st.characters(),
+    ),
+    max_size=6,
+)
+
+
+def _field_values(f, floats):
+    if f.optional:
+        return st.none() | _INTS
+    if f.is_enum:
+        return st.integers(0, len(f.dtype) - 1)
+    return {np.int64: _INTS, np.bool_: st.booleans(), np.float64: floats,
+            str: _STRINGS}[f.dtype]
+
+
+def _tiled(schema, rows, n):
+    """*n* rows cycling through *rows*, each enum code advanced by the
+    row's index, so a source of four or more rows holds every member."""
+    sizes = [len(f.dtype) if f.is_enum else 0 for f in schema.fields]
+    return [
+        tuple(
+            (value + i) % size if size else value
+            for value, size in zip(rows[i % len(rows)], sizes)
+        )
+        for i in range(n)
+    ]
+
+
+@st.composite
+def _hostile_bundles(draw):
+    """Bundles of drawn rows: each source empty, a few rows, or those
+    rows tiled to 4097, one past a ``_BLOCK_ROWS`` block.  Half of them
+    hold finite floats only, so they can be read back."""
+    assert telemetry_io._BLOCK_ROWS == 4096
+    floats = draw(st.sampled_from((_FINITE_FLOATS, _FLOATS)))
+    sources = {}
+    for schema in columns.SCHEMAS.values():
+        row = st.tuples(*(_field_values(f, floats) for f in schema.fields))
+        rows = draw(st.lists(row, max_size=3))
+        n = draw(st.sampled_from((len(rows), 4097))) if rows else 0
+        sources[schema.source] = schema.from_rows(_tiled(schema, rows, n))
+    return TelemetryBundle(
+        session_name="oracle", duration_us=1, gnb_log_available=True,
+        **sources,
+    )
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_hostile_bundles())
+def test_dump_lines_matches_per_row_json_dumps(bundle):
+    lines = list(dump_lines(bundle))
+    assert lines == _json_dumps_lines(bundle)
+    text = io.StringIO()
+    save_bundle(bundle, text)
+    assert text.getvalue() == "".join(line + "\n" for line in lines)
+    floats = [
+        getattr(bundle, schema.source).arrays[f.attr]
+        for schema in columns.SCHEMAS.values()
+        for f in schema.fields
+        if f.dtype is np.float64
+    ]
+    if not all(np.isfinite(column).all() for column in floats):
+        # Written as json writes it, and refused on reading, like every
+        # non-finite number.
+        with pytest.raises(TelemetryError, match="non-finite number"):
+            load_bundle(io.StringIO(text.getvalue()))
+        return
+    loaded = load_bundle(io.StringIO(text.getvalue()))
+    for schema in columns.SCHEMAS.values():
+        source = schema.source
+        _assert_same_columns(getattr(loaded, source), getattr(bundle, source))
 
 
 # -- fault table: every load path, one verdict ------------------------------------
